@@ -72,10 +72,11 @@ class CensusRecord:
     f_index: int
     F: Polynomial
     classification: QuadricClassification | None
-    presented: bool | None          # None when the form was skipped
+    presented: bool | None          # None when the form was skipped or errored
     h2: int | None
-    skip_reason: str = ""
+    skip_reason: str = ""           # why it was skipped, or the error message
     seed: int | None = None         # sampling seed provenance; None = exhaustive
+    errored: bool = False           # classifying the form raised
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,7 @@ class CensusSummary:
     total_presented: int
     total_swept: int
     total_skipped: int
+    total_errored: int
     findings: tuple
     config: CensusConfig
     ci_gens: tuple                  # printed cover generators, for provenance
@@ -196,14 +198,14 @@ def _sweep_one_global(task: tuple) -> tuple:
     return _sweep_one(_WORKER, task)
 
 
-def _record_from_payload(R: RingCtx, keys: tuple, payload: tuple,
+def _record_from_payload(R: RingCtx, payload: tuple,
                          seed: int | None) -> CensusRecord:
     f_index, text, status, h2, hv_values, nu_items, detail = payload
     F = R.parse(text)
     if status in ("skipped", "error"):
         return CensusRecord(f_index=f_index, F=F, classification=None,
                             presented=None, h2=None, skip_reason=detail,
-                            seed=seed)
+                            seed=seed, errored=(status == "error"))
     cls = QuadricClassification(
         hvector=HVector(hv_values),
         socle_tuple=None,
@@ -259,17 +261,18 @@ def run_census(cfg: CensusConfig) -> tuple:
     else:
         payloads = [_sweep_one(state, task) for task in tasks]
 
-    records = [_record_from_payload(R, keys, payload, seed)
-               for payload in payloads]
+    records = [_record_from_payload(R, payload, seed) for payload in payloads]
 
     counts: dict = {}
-    presented = swept = skipped = 0
+    presented = swept = skipped = errored = 0
     findings: list = []
     for rec in records:
+        if rec.errored:
+            errored += 1
+            findings.append(f"F #{rec.f_index}: error: {rec.skip_reason}")
+            continue
         if rec.presented is None:
             skipped += 1
-            if rec.skip_reason.startswith("error"):
-                findings.append(f"F #{rec.f_index}: {rec.skip_reason}")
             continue
         swept += 1
         if rec.presented:
@@ -281,6 +284,7 @@ def run_census(cfg: CensusConfig) -> tuple:
         total_presented=presented,
         total_swept=swept,
         total_skipped=skipped,
+        total_errored=errored,
         findings=tuple(findings),
         config=cfg,
         ci_gens=tuple(str(g) for g in state["ci"].gens),
@@ -339,7 +343,7 @@ def h2_13_exclusion_check(records) -> bool:
 def _csv_row(cfg: CensusConfig, rec: CensusRecord) -> tuple:
     status = {True: "True", False: "False"}.get(rec.presented)
     if status is None:
-        status = "error" if rec.skip_reason.startswith("error") else "skipped"
+        status = "error" if rec.errored else "skipped"
     cls = rec.classification
     return (
         cfg.field.token,
@@ -402,6 +406,8 @@ def summary_markdown(summary: CensusSummary) -> str:
     lines.append(f"- swept: {summary.total_swept}"
                  + (f" (plus {summary.total_skipped} skipped)"
                     if summary.total_skipped else ""))
+    if summary.total_errored:
+        lines.append(f"- errored: {summary.total_errored}")
     if summary.total_swept:
         share = summary.total_presented / summary.total_swept
         lines.append(f"- presented share: {share:.4f}")

@@ -503,14 +503,6 @@ def double_link(r: int, field: FieldSpec | None = None) -> tuple:
 # -- pairs with matching border data ----------------------------------------------
 
 
-def _sum_of_squares_apolar(m: int, field: FieldSpec) -> Ideal:
-    Rm = ring(field, m)
-    F = Rm.zero
-    for v in Rm.variables():
-        F = F + v * v
-    return apolar_ideal(F)
-
-
 def _offdiagonal_quadric_apolar(m: int, field: FieldSpec) -> Ideal:
     """Annihilator of the squarefree full quadric: same (1, m, 1) quotient
     as the sum of squares when char does not divide m - 1, but containing

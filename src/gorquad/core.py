@@ -44,7 +44,9 @@ class LinkageError(AlgebraError):
 
 
 class GinUncertifiedError(AlgebraError):
-    """Random coordinate changes did not agree on a Borel-fixed initial ideal."""
+    """Random coordinate changes did not agree on a Borel-fixed initial ideal;
+    carries the distinct leading-term ideals seen, as tuples of monomial
+    keys."""
 
     def __init__(self, message, candidates=()):
         super().__init__(message)

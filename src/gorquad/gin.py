@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import AlgebraError, GenericityError
+from .core import AlgebraError, GenericityError, GinUncertifiedError
 from .groebner import GroebnerBasis, Ideal
 from .idealops import random_linear_form
 from .invariants import (
@@ -29,15 +29,6 @@ from .linalg import rank_of
 from .poly import Polynomial, RingCtx
 
 MIN_GIN_PRIME = 32003
-
-
-class GinUncertifiedError(AlgebraError):
-    """Coordinate-change runs disagreed (or broke Borel-fixedness); carries
-    the distinct leading-term ideals seen, as tuples of monomial keys."""
-
-    def __init__(self, message: str, candidates: tuple = ()):
-        super().__init__(message)
-        self.candidates = candidates
 
 
 @dataclass(frozen=True)

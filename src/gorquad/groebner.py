@@ -254,7 +254,9 @@ def _compute_basis(ring: RingCtx, polys, degree_cap: int, truncate_tail_at):
     inputs.sort(key=lambda q: q.terms[0][0])
     for p in inputs:
         if p.degree() > degree_cap:
-            raise CappedComputationError(degree_cap, p.degree())
+            raise CappedComputationError(
+                f"input of degree {p.degree()} exceeds the degree cap "
+                f"{degree_cap}", cap=degree_cap, degree=p.degree())
         rep = kernel.nf(kernel.from_terms(p.terms), reducers)
         if kernel.is_zero(rep):
             continue
@@ -270,7 +272,9 @@ def _compute_basis(ring: RingCtx, polys, degree_cap: int, truncate_tail_at):
         if truncate_tail_at is not None and tail_degree(l) > truncate_tail_at:
             continue
         if d > degree_cap:
-            raise CappedComputationError(degree_cap, d)
+            raise CappedComputationError(
+                f"S-pair of degree {d} exceeds the degree cap {degree_cap}",
+                cap=degree_cap, degree=d)
         s = kernel.nf(kernel.spoly(G[i], G[j], l), reducers)
         if kernel.is_zero(s):
             continue
@@ -488,15 +492,3 @@ class Ideal:
         return f"({inside})"
 
     __repr__ = __str__
-
-
-def groebner(ideal: Ideal, degree_cap: int | None = None) -> GroebnerBasis:
-    return ideal.groebner(degree_cap=degree_cap)
-
-
-def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(p)
-
-
-def leading_term_ideal(gb: GroebnerBasis) -> tuple:
-    return gb.leading_term_ideal()

@@ -3,7 +3,9 @@
 Everything is computed from a reduced Groebner basis: Hilbert functions by
 counting standard monomials, socles by intersecting kernels of the
 multiplication maps by the variables, and minimal generator counts by the
-rank of (degree d-1 part) * (linear forms) inside the degree-d part.
+rank of (degree d-1 part) * (linear forms) inside the degree-d part.  The
+linear algebra is linalg's on sparse dict rows, one code path for every
+coefficient field.
 
 Functions accept either an Ideal or a GroebnerBasis; per-basis results are
 cached on the basis object.
@@ -18,14 +20,7 @@ from dataclasses import dataclass
 
 from .core import AlgebraError
 from .groebner import GroebnerBasis, Ideal
-from .linalg import (
-    Echelon,
-    EchelonGF2,
-    left_kernel,
-    left_kernel_gf2,
-    rank_of,
-    rank_of_gf2,
-)
+from .linalg import Echelon, left_kernel, rank_of
 from .poly import Polynomial
 
 _HVEC_RE = re.compile(r"\(\s*(-?\d+\s*(,\s*-?\d+\s*)*)?\)")
@@ -236,47 +231,15 @@ def _nf_terms(gb: GroebnerBasis, key):
 
 def _variable_rows(gb: GroebnerBasis, j: int, d: int):
     """Rows of multiplication by variable j from degree d to d+1, aligned to
-    standard_monomials(gb, d); dict rows generally, bitmasks over GF(2)."""
+    standard_monomials(gb, d), as dicts over standard monomial keys."""
 
     def build():
         codec = gb.ring.codec
         vk = codec.var_key(j)
         std = standard_monomials(gb, d)
-        if gb.ring.field.p == 2:
-            index = {m: i for i, m in enumerate(standard_monomials(gb, d + 1))}
-            rows = []
-            for m in std:
-                mask = 0
-                for k, _ in _nf_terms(gb, codec.mul(vk, m)):
-                    mask |= 1 << index[k]
-                rows.append(mask)
-            return rows
         return [dict(_nf_terms(gb, codec.mul(vk, m))) for m in std]
 
     return _cache(gb, ("varmul", j, d), build)
-
-
-def multiplication_rows(gb_or_ideal, p: Polynomial, d: int):
-    """Rows of the map [A]_d -> [A]_{d + deg p} given by multiplication by p,
-    aligned to standard_monomials(..., d).  Returns (rows, std_d, std_target);
-    dict rows generally, bitmask rows over GF(2)."""
-    gb = as_basis(gb_or_ideal)
-    std = standard_monomials(gb, d)
-    target = standard_monomials(gb, d + p.degree())
-    rows = []
-    if gb.ring.field.p == 2:
-        index = {m: i for i, m in enumerate(target)}
-        for m in std:
-            mono = Polynomial(gb.ring, ((m, gb.ring.field.one),))
-            mask = 0
-            for k, _ in gb.normal_form(p * mono).terms:
-                mask |= 1 << index[k]
-            rows.append(mask)
-    else:
-        for m in std:
-            mono = Polynomial(gb.ring, ((m, gb.ring.field.one),))
-            rows.append(dict(gb.normal_form(p * mono).terms))
-    return rows, std, target
 
 
 # -- socle --------------------------------------------------------------------
@@ -288,50 +251,19 @@ def socle_type(x) -> tuple:
 
     def build():
         hf = hilbert_function(gb)
-        gf2 = gb.ring.field.p == 2
         out = []
         for d in range(hf.socle_degree + 1):
-            out.append(_socle_dim(gb, d, gf2))
+            out.append(_socle_dim(gb, d))
         return tuple(out)
 
     return _cache(gb, "socle", build)
 
 
-def _socle_dim(gb: GroebnerBasis, d: int, gf2: bool) -> int:
+def _socle_dim(gb: GroebnerBasis, d: int) -> int:
     std = standard_monomials(gb, d)
-    n = len(std)
-    if n == 0:
+    if not std:
         return 0
     nvars = gb.ring.nvars
-    if gf2:
-        vectors = [1 << i for i in range(n)]
-        for j in range(nvars):
-            rows = _variable_rows(gb, j, d)
-            images = []
-            for v in vectors:
-                acc = 0
-                w = v
-                while w:
-                    b = w & -w
-                    acc ^= rows[b.bit_length() - 1]
-                    w ^= b
-                images.append(acc)
-            ncols = len(standard_monomials(gb, d + 1))
-            combos = left_kernel_gf2(images, ncols)
-            new_vectors = []
-            for combo in combos:
-                acc = 0
-                w = combo
-                while w:
-                    b = w & -w
-                    acc ^= vectors[b.bit_length() - 1]
-                    w ^= b
-                new_vectors.append(acc)
-            vectors = new_vectors
-            if not vectors:
-                return 0
-        return len(vectors)
-
     field = gb.ring.field
     # vectors as dicts over standard-monomial keys
     vectors = [{m: field.one} for m in std]
@@ -403,43 +335,18 @@ def minimal_generator_counts(x) -> dict:
     return _cache(gb, "nu", build)
 
 
-def _generator_count_at(gb: GroebnerBasis, d: int) -> int:
+def _generator_rows(gb: GroebnerBasis, d: int) -> list:
+    """The nonzero products x_j * (m - NF(m)), m nonstandard of degree d-1,
+    as dict rows over the nonstandard monomials of degree d.  Those columns
+    suffice: [I]_d has the triangular basis { m - NF(m) }, so an element of
+    [I]_d is fixed by its nonstandard coefficients."""
     codec = gb.ring.codec
-    nonstd_d = nonstandard_monomials(gb, d)
-    if not nonstd_d:
-        return 0
-    if d == 0:
-        return len(nonstd_d)  # unit ideal
-    nonstd_prev = nonstandard_monomials(gb, d - 1)
-    nvars = gb.ring.nvars
-    gf2 = gb.ring.field.p == 2
-
-    if gf2:
-        index = {m: i for i, m in enumerate(nonstd_d)}
-        rows = []
-        for m in nonstd_prev:
-            nf_prev = _nf_terms(gb, m)
-            for j in range(nvars):
-                vk = codec.var_key(j)
-                mask = 0
-                t = codec.mul(vk, m)
-                i = index.get(t)
-                if i is not None:
-                    mask ^= 1 << i
-                for k, _ in nf_prev:
-                    i = index.get(codec.mul(vk, k))
-                    if i is not None:
-                        mask ^= 1 << i
-                if mask:
-                    rows.append(mask)
-        return len(nonstd_d) - rank_of_gf2(rows)
-
     field = gb.ring.field
-    nonstd_set = set(nonstd_d)
+    nonstd_set = set(nonstandard_monomials(gb, d))
     rows = []
-    for m in nonstd_prev:
+    for m in nonstandard_monomials(gb, d - 1):
         nf_prev = _nf_terms(gb, m)
-        for j in range(nvars):
+        for j in range(gb.ring.nvars):
             vk = codec.var_key(j)
             acc = {}
             t = codec.mul(vk, m)
@@ -455,7 +362,16 @@ def _generator_count_at(gb: GroebnerBasis, d: int) -> int:
                         acc[t] = w
             if acc:
                 rows.append(acc)
-    return len(nonstd_d) - rank_of(rows, field)
+    return rows
+
+
+def _generator_count_at(gb: GroebnerBasis, d: int) -> int:
+    nonstd_d = nonstandard_monomials(gb, d)
+    if not nonstd_d:
+        return 0
+    if d == 0:
+        return len(nonstd_d)  # unit ideal
+    return len(nonstd_d) - rank_of(_generator_rows(gb, d), gb.ring.field)
 
 
 def presented_by_quadrics(x) -> bool:
@@ -471,10 +387,8 @@ def minimal_generators(x) -> tuple:
     gb = as_basis(x)
 
     def build():
-        codec = gb.ring.codec
         field = gb.ring.field
-        gf2 = field.p == 2
-        degree = codec.degree
+        degree = gb.ring.codec.degree
         one = field.one
         out = []
         for d in sorted({degree(k) for k in gb.lead_keys}):
@@ -484,54 +398,14 @@ def minimal_generators(x) -> tuple:
             if d == 0:
                 out.append(gb.ring.one)
                 continue
-            nonstd_prev = nonstandard_monomials(gb, d - 1)
-            nvars = gb.ring.nvars
-            if gf2:
-                index = {m: i for i, m in enumerate(nonstd_d)}
-                ech = EchelonGF2()
-                for m in nonstd_prev:
-                    nf_prev = _nf_terms(gb, m)
-                    for j in range(nvars):
-                        vk = codec.var_key(j)
-                        mask = 0
-                        i = index.get(codec.mul(vk, m))
-                        if i is not None:
-                            mask ^= 1 << i
-                        for k, _ in nf_prev:
-                            i = index.get(codec.mul(vk, k))
-                            if i is not None:
-                                mask ^= 1 << i
-                        ech.add(mask)
-                for i, m in enumerate(nonstd_d):
-                    # NF(m) is standard, so m - NF(m) touches nonstd_d in m only.
-                    if ech.add(1 << i):
-                        out.append(Polynomial(gb.ring, ((m, one),))
-                                   - Polynomial(gb.ring, _nf_terms(gb, m)))
-            else:
-                nonstd_set = set(nonstd_d)
-                ech = Echelon(field)
-                for m in nonstd_prev:
-                    nf_prev = _nf_terms(gb, m)
-                    for j in range(nvars):
-                        vk = codec.var_key(j)
-                        acc = {}
-                        t = codec.mul(vk, m)
-                        if t in nonstd_set:
-                            acc[t] = one
-                        for k, c in nf_prev:
-                            t = codec.mul(vk, k)
-                            if t in nonstd_set:
-                                w = field.sub(acc.get(t, field.zero), c)
-                                if w == field.zero:
-                                    acc.pop(t, None)
-                                else:
-                                    acc[t] = w
-                        if acc:
-                            ech.add(acc)
-                for m in nonstd_d:
-                    if ech.add({m: one}):
-                        out.append(Polynomial(gb.ring, ((m, one),))
-                                   - Polynomial(gb.ring, _nf_terms(gb, m)))
+            ech = Echelon(field)
+            for row in _generator_rows(gb, d):
+                ech.add(row)
+            for m in nonstd_d:
+                # NF(m) is standard, so m - NF(m) touches nonstd_d in m only.
+                if ech.add({m: one}):
+                    out.append(Polynomial(gb.ring, ((m, one),))
+                               - Polynomial(gb.ring, _nf_terms(gb, m)))
         return tuple(out)
 
     return _cache(gb, "mingens", build)

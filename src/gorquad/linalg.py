@@ -1,8 +1,7 @@
 """Exact sparse linear algebra over the coefficient fields.
 
 Rows are dicts {column: coeff} with totally ordered column labels (monomial
-keys in practice).  Over GF(2) there are bitmask variants: a row is an int
-whose bit j corresponds to column j in some caller-chosen enumeration.
+keys in practice); the same code serves the rationals and every GF(p).
 
 left_kernel(rows) returns a basis of vectors v with sum_i v[i]*rows[i] == 0,
 i.e. the kernel of the linear map whose images are the given rows.
@@ -97,62 +96,4 @@ def left_kernel(rows, field: FieldSpec) -> list:
             pivots[max(main)] = (main, aug)
         else:
             kernel.append(tuple(aug.get(j, zero) for j in range(n)))
-    return kernel
-
-
-class EchelonGF2:
-    """Incremental echelon for GF(2) bitmask rows."""
-
-    __slots__ = ("pivots", "rank")
-
-    def __init__(self):
-        self.pivots = {}
-        self.rank = 0
-
-    def add(self, mask: int) -> bool:
-        while mask:
-            p = mask.bit_length() - 1
-            hit = self.pivots.get(p)
-            if hit is None:
-                self.pivots[p] = mask
-                self.rank += 1
-                return True
-            mask ^= hit
-        return False
-
-    def reduce(self, mask: int) -> int:
-        while mask:
-            p = mask.bit_length() - 1
-            hit = self.pivots.get(p)
-            if hit is None:
-                return mask
-            mask ^= hit
-        return 0
-
-
-def rank_of_gf2(masks) -> int:
-    ech = EchelonGF2()
-    for m in masks:
-        ech.add(m)
-    return ech.rank
-
-
-def left_kernel_gf2(masks, ncols: int) -> list:
-    """Kernel basis as bitmasks over row indices (bit i <-> masks[i])."""
-    main_mask = (1 << ncols) - 1
-    pivots = {}
-    kernel = []
-    for i, m in enumerate(masks):
-        row = (m & main_mask) | (1 << (ncols + i))
-        while True:
-            main = row & main_mask
-            if not main:
-                kernel.append(row >> ncols)
-                break
-            p = main.bit_length() - 1
-            hit = pivots.get(p)
-            if hit is None:
-                pivots[p] = row
-                break
-            row ^= hit
     return kernel

@@ -1,13 +1,18 @@
 """Census sweeps: exhaustive counts, sampling, CSV persistence, findings."""
 
+import csv
+import hashlib
+import io
+
 import pytest
 
+import gorquad.census
 from gorquad.census import (CSV_HEADER, H2_SUPPORT_R6, CensusConfig,
                             CensusRecord, _build_worker_state, _sweep_one,
                             form_from_index, h2_13_exclusion_check,
                             records_to_csv, run_census, squarefree_quadric_keys,
                             summary_markdown, verify_socle4_duality)
-from gorquad.core import FieldSpec
+from gorquad.core import AlgebraError, FieldSpec
 from gorquad.invariants import HVector, QuadricClassification
 from gorquad.poly import ring
 
@@ -164,6 +169,42 @@ def test_summary_markdown_r6_always_lists_known_support():
     for h2 in H2_SUPPORT_R6:
         assert f"| {h2} |" in text
     assert "forms: 25 sampled, seed 4" in text
+
+
+def test_census_errors_are_findings_not_skips(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AlgebraError("injected failure")
+
+    monkeypatch.setattr(gorquad.census, "classify", fail)
+    cfg = CensusConfig(field=GF2, r=3)
+    records, summary = run_census(cfg)
+    assert (summary.total_errored, summary.total_skipped) == (7, 0)
+    assert summary.total_swept == 0
+    assert len(summary.findings) == 7
+    for rec in records:
+        assert rec.errored and rec.presented is None
+        assert rec.skip_reason == "injected failure"
+    rows = list(csv.reader(io.StringIO(records_to_csv(cfg, records))))[1:]
+    assert [row[7] for row in rows] == ["error"] * 7
+    assert "- errored: 7" in summary_markdown(summary)
+
+
+# sha256 of the CSV and the Markdown; a change to the classification or to
+# the output layout shows up here.
+@pytest.mark.parametrize("cfg, csv_sha, md_sha", [
+    (CensusConfig(field=GF2, r=4),
+     "4b789f1a258de34a48516557d61ea8367e0d9a3d4b479ad2816aad4ca1bc93fa",
+     "0082e16c5180388e354fd613a3a88312502ec29884332551846bfb5a0ff8a757"),
+    (CensusConfig(field=GF2, r=6, mode="random_sample", sample_count=40,
+                  sample_seed=7),
+     "3a3fdfc5df865988a97bd59c6280d8ce5d4d38c85bdf761592f16f4c9bbfbdd4",
+     "a37dba3f7e2197825381ddd4b857c8b8e99e2d1921a23b4e7fc838b746496a0e"),
+], ids=["gf2-r4", "gf2-r6-sample"])
+def test_census_output_is_pinned(cfg, csv_sha, md_sha):
+    records, summary = run_census(cfg)
+    for text, want in ((records_to_csv(cfg, records), csv_sha),
+                       (summary_markdown(summary), md_sha)):
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_config_validation():

@@ -1,9 +1,11 @@
 """Generic initial ideals, multiplication ranks, Lefschetz checks."""
 
+import importlib
 import random
 
 import pytest
 
+import gorquad
 from gorquad.constructions import quadric_ci
 from gorquad.core import AlgebraError, GenericityError
 from gorquad.gin import (GenericityPolicy, GinUncertifiedError,
@@ -62,6 +64,17 @@ def test_gin_refuses_small_fields():
     with pytest.raises(ValueError):
         gin(I)
     assert issubclass(GinUncertifiedError, AlgebraError)
+
+
+def test_uncertified_gin_raises_the_package_error(monkeypatch, ci4):
+    # a different lead set per coordinate change: no three ever agree
+    gin_module = importlib.import_module("gorquad.gin")
+    monkeypatch.setattr(gin_module, "_lead_ideal_in_random_coordinates",
+                        lambda I, seed: (seed,))
+    with pytest.raises(gorquad.GinUncertifiedError) as info:
+        gin(ci4, seed=10)
+    assert info.value.candidates == tuple((s,) for s in range(10, 16))
+    assert GinUncertifiedError is gorquad.GinUncertifiedError
 
 
 def test_gin_is_seed_stable(ci4, gin_ci4):

@@ -83,10 +83,18 @@ def test_leading_term_ideal_and_degrees():
 def test_degree_cap_escalation():
     R = ring(Q, 3)
     I = Ideal.from_texts(R, ["x1^2 - x2*x3", "x2^3 - x1*x3^2"])
-    with pytest.raises(CappedComputationError):
+    with pytest.raises(CappedComputationError) as info:
         I.groebner(degree_cap=2)
+    # the cubic input itself is over the cap
+    assert (info.value.cap, info.value.degree) == (2, 3)
+    assert "degree cap 2" in str(info.value)
     gb = I.groebner()  # default cap succeeds
     assert gb.certify_complete()
+    # two quadrics whose S-pair has degree 3
+    J = Ideal.from_texts(R, ["x1^2 - x2*x3", "x1*x2"])
+    with pytest.raises(CappedComputationError) as info:
+        J.groebner(degree_cap=2)
+    assert (info.value.cap, info.value.degree) == (2, 3)
 
 
 def test_inhomogeneous_generators_rejected():

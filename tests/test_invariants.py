@@ -137,6 +137,43 @@ def test_socle_over_gf2():
         Ideal.from_texts(ring(GF7, 3), ["x1^2", "x2^2", "x3^2", "x1*x2"]))
 
 
+def dense_socle_type(I: Ideal) -> tuple:
+    """socle_d = h_d - rank of the stacked multiplication matrix
+    [A]_d -> [A]_{d+1}^n, one dense row per standard monomial of degree d,
+    built from public normal forms."""
+    R = I.ring
+    gb = I.groebner()
+    out = []
+    for d in range(socle_degree(I) + 1):
+        target = standard_monomials(gb, d + 1)
+        col = {k: i for i, k in enumerate(target)}
+        rows = []
+        for m in standard_monomials(gb, d):
+            row = []
+            for v in R.variables():
+                block = [R.field.zero] * len(target)
+                image = gb.normal_form(v * R.from_terms([(m, R.field.one)]))
+                for k, c in image.terms:
+                    block[col[k]] = c
+                row.extend(block)
+            rows.append(row)
+        out.append(len(rows) - dense_rref_rank(rows, R.field))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [GF2, GF7, Q])
+@pytest.mark.parametrize("seed", range(8))
+def test_socle_type_matches_dense_oracle(field, seed):
+    # variable powers make the quotient artinian; random forms shape it
+    rng = random.Random(300 + seed)
+    R = ring(field, rng.choice((2, 3, 4)))
+    gens = [v ** rng.choice((2, 3)) for v in R.variables()]
+    gens += [random_poly(R, rng.choice((2, 3)), rng, density=0.5)
+             for _ in range(rng.choice((1, 2, 3)))]
+    I = Ideal(R, [g for g in gens if not g.is_zero()])
+    assert socle_type(I) == dense_socle_type(I)
+
+
 # -- minimal generators -----------------------------------------------------------
 
 
@@ -191,8 +228,9 @@ def test_generator_counts_match_brute_force_random(seed):
     assert minimal_generator_counts(I) == brute_force_generator_counts(I)
 
 
-def test_minimal_generators_generate():
-    R = ring(GF7, 3)
+@pytest.mark.parametrize("field", [GF7, GF2, Q])
+def test_minimal_generators_generate(field):
+    R = ring(field, 3)
     I = Ideal.from_texts(R, ["x1^2 + x2*x3", "x2^2", "x1^3"])
     gens = minimal_generators(I)
     counts = minimal_generator_counts(I)

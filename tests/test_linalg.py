@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from gorquad.linalg import (Echelon, EchelonGF2, left_kernel, left_kernel_gf2,
-                            rank_of, rank_of_gf2)
+from gorquad.linalg import Echelon, left_kernel, rank_of
 
 from conftest import GF2, GF7, Q, dense_rref_rank
 
@@ -36,7 +35,7 @@ def test_rank_matches_dense_oracle(field, seed):
     assert rank_of(rows, field) == expected
 
 
-@pytest.mark.parametrize("field", [Q, GF7])
+@pytest.mark.parametrize("field", [Q, GF7, GF2])
 def test_echelon_reduce_is_membership_test(field):
     rows = [{0: field.one, 1: field.one}, {1: field.one, 2: field.one}]
     ech = Echelon(field)
@@ -68,34 +67,6 @@ def test_left_kernel_annihilates_rows(field, seed):
     assert rank_of(as_rows, field) == len(kernel)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gf2_fast_path_agrees_with_generic(seed):
-    rng = random.Random(200 + seed)
-    ncols = 9
-    rows = random_rows(GF2, 10, ncols, rng)
-    masks = [sum(1 << j for j in row) for row in rows]
-    assert rank_of_gf2(masks) == rank_of(rows, GF2)
-
-    ech = EchelonGF2()
-    for m in masks:
-        ech.add(m)
-    assert ech.rank == rank_of_gf2(masks)
-
-    kernel_masks = left_kernel_gf2(masks, ncols)
-    kernel_generic = left_kernel(rows, GF2)
-    assert len(kernel_masks) == len(kernel_generic)
-    for combo in kernel_masks:
-        acc = 0
-        i = 0
-        while combo:
-            if combo & 1:
-                acc ^= masks[i]
-            combo >>= 1
-            i += 1
-        assert acc == 0
-
-
 def test_empty_inputs():
     assert rank_of([], Q) == 0
-    assert rank_of_gf2([]) == 0
     assert left_kernel([{}], Q) == [(Q.one,)]
