@@ -2,29 +2,39 @@
 intersection of quadrics 𝔠, classify R/(𝔠 : F), and tabulate the middle
 Hilbert value.
 
-Each swept form yields an artinian Gorenstein quotient of socle degree 4 by
-linkage, so the sweep records, for every F outside the cover, whether the
+Each swept form yields an artinian Gorenstein quotient of socle degree r - 2
+by linkage, so the sweep records, for every F outside the cover, whether the
 colon ideal is presented by quadrics and what its h-vector is.  Over GF(2)
 the sweep can be exhaustive across all nonzero sums of square-free quadratic
 monomials; over larger fields it samples seeded dense quadrics.  Results are
 persisted as an append-only CSV stream plus a Markdown summary table.
+
+No Groebner basis is computed per form.  g lies in 𝔠 : F exactly when gF
+lies in 𝔠, so (𝔠 : F)/𝔠 is the kernel of multiplication by F on
+B = R/𝔠, and the h-vector of R/(𝔠 : F) is the rank sequence of that map.
+Multiplication tables of B on the standard monomials of the cover's basis
+are built once per process; each form then costs a few small ranks and
+kernels, the same for the monomial cover and for a random one.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
 import multiprocessing
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .constructions import apolar_ideal, contract, link_by_squares, quadric_ci
+from .constructions import link_by_squares, quadric_ci
 from .core import AlgebraError, FieldSpec
-from .groebner import GroebnerBasis, Ideal
-from .idealops import colon_form, colon_ideal
-from .invariants import (HVector, QuadricClassification, as_basis, classify,
-                         hilbert_function, minimal_generators)
-from .linalg import Echelon
+from .groebner import Ideal
+from .idealops import colon_ideal
+from .invariants import (HVector, QuadricClassification, as_basis,
+                         hilbert_function, minimal_generators,
+                         standard_monomials)
+from .linalg import Echelon, axpy, left_kernel
 from .poly import Polynomial, RingCtx, ring
 
 # The three h2 values the r = 6 sweep can legally produce; anything else is
@@ -135,24 +145,58 @@ def _form_from_coeffs(R: RingCtx, coeffs: tuple) -> Polynomial:
 _WORKER: dict = {}
 
 
+def _task_form(state: dict, spec) -> Polynomial:
+    """The form a task names: an exhaustive-sweep mask or a coefficient tuple."""
+    if isinstance(spec, int):
+        return form_from_index(state["ring"], state["keys"], spec)
+    return _form_from_coeffs(state["ring"], spec)
+
+
+def _multiplication_tables(R: RingCtx, gb) -> dict:
+    """Multiplication in B = R/𝔠 on the standard monomials of the cover's
+    reduced basis; they span B_d, of dimension C(r, d).
+
+    ``std[d]`` lists the standard monomials of degree d.  For a standard m,
+    ``times_var[m][j]`` is NF(x_j*m) (deg m <= r-1) and ``times_quad[m]``
+    maps each degree-2 monomial q to NF(q*m) when that is nonzero
+    (deg m <= r-2).  Normal forms are dicts over standard monomials; the
+    quadric products are composed from the variable ones.  For the monomial
+    cover every entry is a square-free monomial, so the rows a form
+    assembles from ``times_quad`` are its square-free catalecticants."""
+    r, codec, field = R.nvars, R.codec, R.field
+    std = [standard_monomials(gb, d) for d in range(r + 1)]
+    times_var = {}
+    for d in range(r):
+        for m in std[d]:
+            times_var[m] = tuple(
+                dict(gb.normal_form(Polynomial(
+                    R, ((codec.mul(codec.var_key(j), m), field.one),))).terms)
+                for j in range(r))
+    times_quad = {}
+    for d in range(r - 1):
+        for m in std[d]:
+            prods = times_quad[m] = {}
+            for i, j in itertools.combinations_with_replacement(range(r), 2):
+                acc = {}
+                for k, c in times_var[m][j].items():
+                    axpy(acc, c, times_var[k][i], field)
+                if acc:
+                    prods[codec.mul(codec.var_key(i), codec.var_key(j))] = acc
+    return {"std": std, "times_var": times_var, "times_quad": times_quad}
+
+
 def _build_worker_state(cfg: CensusConfig) -> dict:
     R = ring(cfg.field, cfg.r)
     ci = quadric_ci(cfg.r, cfg.field, style=cfg.ci_style, seed=cfg.ci_seed)
+    gb = ci.groebner()
     state = {
         "cfg": cfg,
         "ring": R,
         "ci": ci,
-        "ci_gb": ci.groebner(),
+        "ci_gb": gb,
         "keys": squarefree_quadric_keys(R),
     }
-    if cfg.ci_style == "monomial":
-        # The monomial cover is the annihilator of the product of all the
-        # variables, so 𝔠 : F is the apolar ideal of F acting on that
-        # product -- no elimination needed on the hot path.
-        W = R.one
-        for v in R.variables():
-            W = W * v
-        state["dual_socle"] = W
+    state.update(_multiplication_tables(R, gb))
     return state
 
 
@@ -160,48 +204,110 @@ def _init_worker(cfg: CensusConfig) -> None:
     _WORKER.update(_build_worker_state(cfg))
 
 
+def _kernels(state: dict, F: Polynomial) -> list:
+    """J_d = ker(F: B_d -> B_{d+2}) for d = 0..r-2, each a list of dicts
+    over the standard monomials of degree d.  J_d is (𝔠 : F)_d / 𝔠_d, since
+    g lies in 𝔠 : F exactly when gF lies in 𝔠."""
+    if not (F.is_homogeneous() and F.degree() == 2):
+        raise AlgebraError(f"the census colons by quadrics, not by {F}")
+    R = state["ring"]
+    field = R.field
+    std, times_quad = state["std"], state["times_quad"]
+    out = []
+    for d in range(R.nvars - 1):
+        rows = []
+        for m in std[d]:
+            prods = times_quad[m]
+            row = {}
+            for q, f in F.terms:
+                nf = prods.get(q)
+                if nf:
+                    axpy(row, f, nf, field)
+            rows.append(row)
+        out.append([{std[d][i]: c for i, c in enumerate(v) if c != field.zero}
+                    for v in left_kernel(rows, field)])
+    return out
+
+
+def classify(state: dict, F: Polynomial) -> QuadricClassification:
+    """Classify R/(𝔠 : F) by the ranks of multiplication by F on B = R/𝔠.
+
+    h_d = rank(F: B_d -> B_{d+2}).  With J_d the kernel (J_d = B_d from
+    degree r-1 on), the minimal generators of 𝔠 : F number
+    nu_1 = r - h_1 and nu_2 = C(h_1 + 1, 2) - h_2 (the quadrics beyond the
+    multiples of the linear ones), and nu_d = dim J_d - dim(B_1*J_{d-1})
+    for 3 <= d <= r-1: in those degrees 𝔠_d = R_1*𝔠_{d-1} is generated
+    already.  Nothing is generated from degree r on, because B_r = B_1*B_{r-1}.
+    """
+    R = state["ring"]
+    r, field = R.nvars, R.field
+    std, times_var = state["std"], state["times_var"]
+    kernels = _kernels(state, F)
+    # h_{r-1} = h_r = 0: F*B_{r-1} lies in B_{r+1} = 0.
+    h = [len(std[d]) - len(J) for d, J in enumerate(kernels)] + [0, 0]
+    if h[0] == 0:
+        raise AlgebraError("the form lies in the cover")
+    counts = {1: r - h[1], 2: math.comb(h[1] + 1, 2) - h[2]}
+    for d in range(3, r):
+        target = len(std[d]) - h[d]
+        span = Echelon(field)
+        for v, j in itertools.product(kernels[d - 1], range(r)):
+            if span.rank == target:
+                break
+            w = {}
+            for m, c in v.items():
+                axpy(w, c, times_var[m][j], field)
+            span.add(w)
+        counts[d] = target - span.rank
+    nu = {d: n for d, n in counts.items() if n}
+    return QuadricClassification(
+        hvector=HVector(tuple(h)),
+        socle_tuple=None,
+        generator_counts=nu,
+        gorenstein=None,
+        presented_by_quadrics=(set(nu) == {2}),
+        had_linear_forms=1 in nu,
+    )
+
+
 def colon_quotient(state: dict, F: Polynomial) -> Ideal:
-    """𝔠 : F with its reduced basis attached, via the cover's inverse system
-    when the cover is monomial and by elimination otherwise."""
-    W = state.get("dual_socle")
-    if W is not None:
-        return apolar_ideal(contract(F, W))
-    # Socle degree 4 puts every minimal generator in degree <= 5.
-    return colon_form(state["ci"], F, truncate_at=5)
+    """𝔠 : F, generated by 𝔠 and the lifts of the kernels J_d of
+    multiplication by F on R/𝔠 (all of degree r-1 lies in it)."""
+    R = state["ring"]
+    one = R.field.one
+    gens = list(state["ci"].gens)
+    for J in _kernels(state, F):
+        gens.extend(R.from_terms(v.items()) for v in J)
+    gens.extend(Polynomial(R, ((m, one),)) for m in state["std"][R.nvars - 1])
+    return Ideal(R, gens)
 
 
 def _sweep_one(state: dict, task: tuple) -> tuple:
-    """Classify one form; returns a plain picklable payload
-    (f_index, f_poly, status, h2, hvector values, nu items, detail)."""
-    f_index, spec = task
-    R = state["ring"]
-    if isinstance(spec, int):
-        F = form_from_index(R, state["keys"], spec)
-    else:
-        F = _form_from_coeffs(R, spec)
-    text = str(F)
+    """Classify one form; returns a plain picklable payload, the task
+    followed by its outcome: (f_index, spec, status, h2, hvector values,
+    nu items, detail)."""
+    F = _task_form(state, task[1])
     if state["ci_gb"].reduces_to_zero(F):
         reason = ("the zero form" if F.is_zero()
                   else "the form lies in the cover")
-        return (f_index, text, "skipped", None, None, None, reason)
+        return task + ("skipped", None, None, None, reason)
     try:
-        I = colon_quotient(state, F)
-        cls = classify(I, with_socle=False)
+        cls = classify(state, F)
     except AlgebraError as exc:
-        return (f_index, text, "error", None, None, None, str(exc))
+        return task + ("error", None, None, None, str(exc))
     status = "True" if cls.presented_by_quadrics else "False"
-    return (f_index, text, status, cls.hvector[2], cls.hvector.values,
-            tuple(sorted(cls.generator_counts.items())), "")
+    return task + (status, cls.hvector[2], cls.hvector.values,
+                   tuple(sorted(cls.generator_counts.items())), "")
 
 
 def _sweep_one_global(task: tuple) -> tuple:
     return _sweep_one(_WORKER, task)
 
 
-def _record_from_payload(R: RingCtx, payload: tuple,
+def _record_from_payload(state: dict, payload: tuple,
                          seed: int | None) -> CensusRecord:
-    f_index, text, status, h2, hv_values, nu_items, detail = payload
-    F = R.parse(text)
+    f_index, spec, status, h2, hv_values, nu_items, detail = payload
+    F = _task_form(state, spec)
     if status in ("skipped", "error"):
         return CensusRecord(f_index=f_index, F=F, classification=None,
                             presented=None, h2=None, skip_reason=detail,
@@ -261,7 +367,8 @@ def run_census(cfg: CensusConfig) -> tuple:
     else:
         payloads = [_sweep_one(state, task) for task in tasks]
 
-    records = [_record_from_payload(R, payload, seed) for payload in payloads]
+    records = [_record_from_payload(state, payload, seed)
+               for payload in payloads]
 
     counts: dict = {}
     presented = swept = skipped = errored = 0
@@ -304,7 +411,7 @@ def verify_socle4_duality(cfg: CensusConfig, sample: CensusRecord) -> bool:
     state = _build_worker_state(cfg)
     ci_gb = state["ci_gb"]
     I = colon_quotient(state, sample.F)
-    if state.get("dual_socle") is not None:
+    if cfg.ci_style == "monomial":
         J = link_by_squares(I)
     else:
         J = colon_ideal(state["ci"], I, truncate_at=2 + state["cfg"].r)

@@ -85,7 +85,8 @@ def cmd_census(args) -> int:
         _write_text(os.path.splitext(args.out)[0] + ".md",
                     summary_markdown(summary))
     sys.stdout.write(summary_markdown(summary))
-    return 0
+    # Findings, errored forms among them, are negative verdicts.
+    return 1 if summary.findings else 0
 
 
 _INJ_PRECONDITIONS = (

@@ -403,10 +403,15 @@ def _squarefree_exps(n: int, d: int):
         yield tuple(e)
 
 
+# Dense draws regular_sequence_in makes after its sparse ones.
+_DENSE_ATTEMPTS = 20
+
+
 def regular_sequence_in(I: Ideal, degrees, rng: random.Random,
                         attempts: int = 10) -> tuple:
     """Random forms of the prescribed degrees inside the ideal that form a
     regular sequence, certified by the complete-intersection h-vector.
+    ``attempts`` sparse draws come first, then 20 dense ones.
     Raises GenericityError once the sample budget runs out."""
     R = I.ring
     field = R.field
@@ -424,14 +429,21 @@ def regular_sequence_in(I: Ideal, degrees, rng: random.Random,
             polys.append(mono - gb.normal_form(mono))
         bases[d] = polys
     degrees = tuple(degrees)
-    for attempt in range(attempts):
+    for attempt in range(attempts + _DENSE_ATTEMPTS):
         # start with very sparse combinations and widen on each retry; any
         # verified regular sequence gives the same linkage arithmetic, and
-        # sparse covers keep every downstream elimination cheap
-        width = 2 + attempt
+        # sparse covers keep every downstream elimination cheap.  Then draw
+        # uniform elements of the whole degree-d part: over GF(2) a sparse
+        # draw is a plain sum of a few basis elements, and once the width
+        # reaches the basis size it is always the same sum.
         picks = []
         for d in degrees:
-            p = _random_combination(bases[d], field, rng, width)
+            if attempt < attempts:
+                p = _random_combination(bases[d], field, rng, 2 + attempt,
+                                        field.random_nonzero)
+            else:
+                p = _random_combination(bases[d], field, rng, len(bases[d]),
+                                        field.random)
             if p is None:
                 break
             picks.append(p)
@@ -444,15 +456,18 @@ def regular_sequence_in(I: Ideal, degrees, rng: random.Random,
         except AlgebraError:
             continue
     raise GenericityError(
-        f"no regular sequence of degrees {degrees} in {attempts} attempts")
+        f"no regular sequence of degrees {degrees} in "
+        f"{attempts + _DENSE_ATTEMPTS} attempts")
 
 
-def _random_combination(polys, field, rng, width):
+def _random_combination(polys, field, rng, width, coefficient):
+    """A nonzero combination of `width` of the polys, each scaled by
+    coefficient(rng); None after five zero draws."""
     take = min(len(polys), max(width, 1))
     for _ in range(5):
         acc = None
         for b in rng.sample(polys, take):
-            c = field.random_nonzero(rng)
+            c = coefficient(rng)
             t = b.scale(c)
             acc = t if acc is None else acc + t
         if acc is not None and not acc.is_zero():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import FieldSpec
 
 
-def _axpy(dst: dict, c, src: dict, field: FieldSpec):
+def axpy(dst: dict, c, src: dict, field: FieldSpec):
     """dst += c * src, dropping zeros."""
     add, mul, zero = field.add, field.mul, field.zero
     for k, v in src.items():
@@ -47,7 +47,7 @@ class Echelon:
                 self.pivots[p] = work
                 self.rank += 1
                 return True
-            _axpy(work, field.neg(work[p]), hit, field)
+            axpy(work, field.neg(work[p]), hit, field)
         return False
 
     def reduce(self, row: dict) -> dict:
@@ -59,7 +59,7 @@ class Echelon:
             hit = self.pivots.get(p)
             if hit is None:
                 return work
-            _axpy(work, field.neg(work[p]), hit, field)
+            axpy(work, field.neg(work[p]), hit, field)
         return work
 
 
@@ -86,8 +86,8 @@ def left_kernel(rows, field: FieldSpec) -> list:
             if hit is None:
                 break
             c = field.neg(main[p])
-            _axpy(main, c, hit[0], field)
-            _axpy(aug, c, hit[1], field)
+            axpy(main, c, hit[0], field)
+            axpy(aug, c, hit[1], field)
         if main:
             inv = field.inv(main[max(main)])
             if inv != one:

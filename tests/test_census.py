@@ -7,16 +7,22 @@ import io
 import pytest
 
 import gorquad.census
+from gorquad import invariants
 from gorquad.census import (CSV_HEADER, H2_SUPPORT_R6, CensusConfig,
-                            CensusRecord, _build_worker_state, _sweep_one,
+                            CensusRecord, _build_worker_state,
+                            _form_from_coeffs, _sample_coefficient_lists,
+                            _sweep_one, classify, colon_quotient,
                             form_from_index, h2_13_exclusion_check,
                             records_to_csv, run_census, squarefree_quadric_keys,
                             summary_markdown, verify_socle4_duality)
+from gorquad.cli import main
+from gorquad.constructions import apolar_ideal, contract
 from gorquad.core import AlgebraError, FieldSpec
-from gorquad.invariants import HVector, QuadricClassification
+from gorquad.idealops import colon_form
+from gorquad.invariants import HVector, QuadricClassification, as_basis
 from gorquad.poly import ring
 
-from conftest import GF2, GF3, GFBIG
+from conftest import GF2, GF3, GF7, GFBIG, Q
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +195,86 @@ def test_census_errors_are_findings_not_skips(monkeypatch):
     assert "- errored: 7" in summary_markdown(summary)
 
 
+def test_census_cli_exits_1_on_findings(monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise AlgebraError("injected failure")
+
+    assert main(["census", "--field", "2", "--r", "4"]) == 0
+    monkeypatch.setattr(gorquad.census, "classify", fail)
+    out = tmp_path / "census.csv"
+    assert main(["census", "--field", "2", "--r", "3"]) == 1
+    assert main(["census", "--field", "2", "--r", "3", "--out", str(out)]) == 1
+    # the outputs are written before the exit status reports the findings
+    assert out.read_text().count(",error,") == 7
+    assert "- errored: 7" in (tmp_path / "census.md").read_text()
+
+
+def _groebner_oracle(state, F):
+    """The census classification by Groebner bases: the apolar ideal of F
+    contracted into x1*...*xr for the monomial cover, elimination for a
+    random one.  Socle degree r - 2 <= 3 keeps every generator of the
+    random covers below the truncation."""
+    R = state["ring"]
+    if state["cfg"].ci_style == "monomial":
+        W = R.one
+        for v in R.variables():
+            W = W * v
+        return apolar_ideal(contract(F, W))
+    return colon_form(state["ci"], F, truncate_at=5)
+
+
+@pytest.mark.parametrize("cfg", [
+    CensusConfig(field=GF2, r=4),
+    CensusConfig(field=GF2, r=5, mode="random_sample", sample_count=40,
+                 sample_seed=11),
+    CensusConfig(field=GF2, r=6, mode="random_sample", sample_count=15,
+                 sample_seed=11),
+    CensusConfig(field=GF3, r=5, mode="random_sample", sample_count=15,
+                 sample_seed=11),
+    CensusConfig(field=GF7, r=4, ci_style="random", ci_seed=2,
+                 mode="random_sample", sample_count=15, sample_seed=11),
+    CensusConfig(field=GFBIG, r=5, ci_style="random", ci_seed=2,
+                 mode="random_sample", sample_count=3, sample_seed=11),
+    CensusConfig(field=Q, r=4, ci_style="random", ci_seed=2,
+                 mode="random_sample", sample_count=4, sample_seed=11),
+], ids=["gf2-r4", "gf2-r5", "gf2-r6", "gf3-r5", "gf7-r4-random",
+        "gfbig-r5-random", "q-r4-random"])
+def test_classify_matches_the_groebner_oracle(cfg):
+    state = _build_worker_state(cfg)
+    R = state["ring"]
+    if cfg.mode == "exhaustive_squarefree":
+        forms = [form_from_index(R, state["keys"], m)
+                 for m in range(1, 1 << len(state["keys"]))]
+    else:
+        forms = [_form_from_coeffs(R, coeffs)
+                 for coeffs in _sample_coefficient_lists(cfg, R)]
+    checked = 0
+    for F in forms:
+        if state["ci_gb"].reduces_to_zero(F):
+            continue
+        I = _groebner_oracle(state, F)
+        want = invariants.classify(I, with_socle=False)
+        got = classify(state, F)
+        assert (got.hvector, got.presented_by_quadrics,
+                got.generator_counts) == (want.hvector,
+                                          want.presented_by_quadrics,
+                                          want.generator_counts), str(F)
+        # the ideal itself, not only its invariants
+        assert (as_basis(colon_quotient(state, F)).elements
+                == as_basis(I).elements), str(F)
+        checked += 1
+    assert checked >= len(forms) // 2
+
+
+def test_classify_rejects_what_the_census_never_colons():
+    state = _build_worker_state(CensusConfig(field=GF2, r=4))
+    R = state["ring"]
+    with pytest.raises(AlgebraError):
+        classify(state, R.parse("x1^2 + x2^2"))
+    with pytest.raises(AlgebraError):
+        classify(state, R.parse("x1*x2*x3"))
+
+
 # sha256 of the CSV and the Markdown; a change to the classification or to
 # the output layout shows up here.
 @pytest.mark.parametrize("cfg, csv_sha, md_sha", [
@@ -199,7 +285,19 @@ def test_census_errors_are_findings_not_skips(monkeypatch):
                   sample_seed=7),
      "3a3fdfc5df865988a97bd59c6280d8ce5d4d38c85bdf761592f16f4c9bbfbdd4",
      "a37dba3f7e2197825381ddd4b857c8b8e99e2d1921a23b4e7fc838b746496a0e"),
-], ids=["gf2-r4", "gf2-r6-sample"])
+    (CensusConfig(field=GF2, r=5),
+     "1d7d50ce4cfd0b1e40d09c5f32a45ec3643f6652f42abdc64cb8882ce007a00e",
+     "75436dbf9fd0f4ada4d58c06ad2f75b4fb050b5ee7f5bb582dea22a973596965"),
+    (CensusConfig(field=GFBIG, r=5, ci_style="random", ci_seed=3,
+                  mode="random_sample", sample_count=12, sample_seed=7),
+     "8fee8111b1ca56f1220aa75cade021a105c54ee533360197f3d90694d3aafd31",
+     "f1e722597f23bb31c5d50712f003007a737cc2181d177c5226a06623f40558c9"),
+    (CensusConfig(field=GF7, r=4, ci_style="random", ci_seed=1,
+                  mode="random_sample", sample_count=20, sample_seed=7),
+     "3e3f8433ec48012719d2ae0202b935f07fb76a81ff96320da5bd6d3c0ff1fbe1",
+     "513c103439450a0899700b1c9ab18e97bf4523d1e21b80a3463df85603e0b97e"),
+], ids=["gf2-r4", "gf2-r6-sample", "gf2-r5", "gfbig-r5-random",
+        "gf7-r4-random"])
 def test_census_output_is_pinned(cfg, csv_sha, md_sha):
     records, summary = run_census(cfg)
     for text, want in ((records_to_csv(cfg, records), csv_sha),

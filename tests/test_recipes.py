@@ -1,9 +1,13 @@
 """Ideal files and the recipe language."""
 
+import hashlib
+import random
+
 import pytest
 
-from gorquad.constructions import link_by_squares
+from gorquad.constructions import link_by_squares, regular_sequence_in
 from gorquad.core import AlgebraError, ParseError
+from gorquad.groebner import Ideal
 from gorquad.invariants import (HVector, hilbert_function,
                                 minimal_generator_counts)
 from gorquad.poly import ring
@@ -161,6 +165,38 @@ link grown
     c, _ = run_recipe(pinned, field=GFBIG, seed=3)
     d, _ = run_recipe(pinned, field=GFBIG, seed=8)
     assert c.gens == d.gens
+
+
+GROWN = 'grown = grow (apolar "x1*x2 + x1*x3 + x2*x3" vars=3) rounds=1\n'
+
+
+def test_regular_sequence_in_the_gf2_grown_stage():
+    # Sparse draws alone gave up on 13 of these seeds: over GF(2) the widest
+    # of them is always the all-ones sum.
+    G, _ = run_recipe(GROWN, field=GF2)
+    gb = G.groebner()
+    for seed in range(40):
+        seq = regular_sequence_in(G, [2] * 5, random.Random(seed))
+        assert hilbert_function(Ideal(G.ring, seq)) == \
+            HVector((1, 5, 10, 10, 5, 1))
+        assert all(gb.reduces_to_zero(f) for f in seq)
+
+
+# sha256 of the generators of `link grown` over GF(32003); the sparse draws
+# that found these covers must not change.
+@pytest.mark.parametrize("text, seed, want", [
+    ('inner = apolar "x1*x2 + x1*x3 + x2*x3" vars=3\n'
+     "grown = grow inner rounds=1\nlink grown\n", 0,
+     "c0a26637a40db4ded076f3d1454ef47a9ace89ec6656278ae5bb44ceebfab5f9"),
+    (GROWN + "link grown\n", 3,
+     "b6b9f4851a953cd6e5295b4d19340bf1d1887fd4a2fc08300e36e3b4662099e8"),
+    (GROWN + "link grown seed=17\n", 3,
+     "9a04f6217b549236584eba2eb88dcc99467fbfee3dade0f550fde18a51d7299d"),
+], ids=["inline", "seed3", "pinned17"])
+def test_recipe_link_grown_outputs_are_pinned(text, seed, want):
+    I, _ = run_recipe(text, field=GFBIG, seed=seed)
+    got = "\n".join(map(str, I.gens))
+    assert hashlib.sha256(got.encode()).hexdigest() == want
 
 
 def test_recipe_link_without_quadrics_fails():
