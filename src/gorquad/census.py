@@ -10,11 +10,14 @@ monomials; over larger fields it samples seeded dense quadrics.  Results are
 persisted as an append-only CSV stream plus a Markdown summary table.
 
 No Groebner basis is computed per form.  g lies in 𝔠 : F exactly when gF
-lies in 𝔠, so (𝔠 : F)/𝔠 is the kernel of multiplication by F on
-B = R/𝔠, and the h-vector of R/(𝔠 : F) is the rank sequence of that map.
-Multiplication tables of B on the standard monomials of the cover's basis
-are built once per process; each form then costs a few small ranks and
-kernels, the same for the monomial cover and for a random one.
+lies in 𝔠, so (𝔠 : F)/𝔠 is the annihilator of F in B = R/𝔠
+(`invariants.annihilator`), and the h-vector of R/(𝔠 : F) is the rank
+sequence of multiplication by F on B.  The multiplication rows of B are
+cached on the cover's basis, which each process builds once; each form then
+costs a few small kernels and ranks, the same for the monomial cover and
+for a random one.  `colon_quotient` and the linkage round trip of
+`verify_socle4_duality` take their colons through `constructions.link`,
+which builds them from the same annihilator.
 """
 
 from __future__ import annotations
@@ -25,16 +28,15 @@ import itertools
 import math
 import multiprocessing
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
-from .constructions import link_by_squares, quadric_ci
+from .constructions import LinkStep, link, quadric_ci
 from .core import AlgebraError, FieldSpec
 from .groebner import Ideal
-from .idealops import colon_ideal
-from .invariants import (HVector, QuadricClassification, as_basis,
-                         hilbert_function, minimal_generators,
-                         standard_monomials)
-from .linalg import Echelon, axpy, left_kernel
+from .invariants import (HVector, QuadricClassification, _variable_rows,
+                         annihilator, as_basis, hilbert_function,
+                         hilbert_value, minimal_generators)
+from .linalg import Echelon, axpy
 from .poly import Polynomial, RingCtx, ring
 
 # The three h2 values the r = 6 sweep can legally produce; anything else is
@@ -52,7 +54,7 @@ class CensusConfig:
     field: FieldSpec
     r: int = 6
     ci_style: str = "monomial"            # "monomial" | "random"
-    ci_seed: int = 0
+    ci_seed: int = 1
     mode: str = "exhaustive_squarefree"   # | "random_sample"
     sample_count: int = 0
     sample_seed: int = 0
@@ -73,6 +75,13 @@ class CensusConfig:
             raise ValueError("random_sample needs a positive sample_count")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        # quadric_ci and the sampler draw from random.Random(seed) alike, so
+        # one seed for both would sample the cover's own generators first.
+        if (self.ci_style == "random" and self.mode == "random_sample"
+                and self.ci_seed == self.sample_seed):
+            raise ValueError(
+                f"a random cover and the sampled forms need different seeds "
+                f"(both are {self.ci_seed})")
 
 
 @dataclass(frozen=True)
@@ -152,111 +161,53 @@ def _task_form(state: dict, spec) -> Polynomial:
     return _form_from_coeffs(state["ring"], spec)
 
 
-def _multiplication_tables(R: RingCtx, gb) -> dict:
-    """Multiplication in B = R/𝔠 on the standard monomials of the cover's
-    reduced basis; they span B_d, of dimension C(r, d).
-
-    ``std[d]`` lists the standard monomials of degree d.  For a standard m,
-    ``times_var[m][j]`` is NF(x_j*m) (deg m <= r-1) and ``times_quad[m]``
-    maps each degree-2 monomial q to NF(q*m) when that is nonzero
-    (deg m <= r-2).  Normal forms are dicts over standard monomials; the
-    quadric products are composed from the variable ones.  For the monomial
-    cover every entry is a square-free monomial, so the rows a form
-    assembles from ``times_quad`` are its square-free catalecticants."""
-    r, codec, field = R.nvars, R.codec, R.field
-    std = [standard_monomials(gb, d) for d in range(r + 1)]
-    times_var = {}
-    for d in range(r):
-        for m in std[d]:
-            times_var[m] = tuple(
-                dict(gb.normal_form(Polynomial(
-                    R, ((codec.mul(codec.var_key(j), m), field.one),))).terms)
-                for j in range(r))
-    times_quad = {}
-    for d in range(r - 1):
-        for m in std[d]:
-            prods = times_quad[m] = {}
-            for i, j in itertools.combinations_with_replacement(range(r), 2):
-                acc = {}
-                for k, c in times_var[m][j].items():
-                    axpy(acc, c, times_var[k][i], field)
-                if acc:
-                    prods[codec.mul(codec.var_key(i), codec.var_key(j))] = acc
-    return {"std": std, "times_var": times_var, "times_quad": times_quad}
-
-
 def _build_worker_state(cfg: CensusConfig) -> dict:
     R = ring(cfg.field, cfg.r)
     ci = quadric_ci(cfg.r, cfg.field, style=cfg.ci_style, seed=cfg.ci_seed)
-    gb = ci.groebner()
-    state = {
+    return {
         "cfg": cfg,
         "ring": R,
         "ci": ci,
-        "ci_gb": gb,
+        "ci_gb": ci.groebner(),
         "keys": squarefree_quadric_keys(R),
     }
-    state.update(_multiplication_tables(R, gb))
-    return state
 
 
 def _init_worker(cfg: CensusConfig) -> None:
     _WORKER.update(_build_worker_state(cfg))
 
 
-def _kernels(state: dict, F: Polynomial) -> list:
-    """J_d = ker(F: B_d -> B_{d+2}) for d = 0..r-2, each a list of dicts
-    over the standard monomials of degree d.  J_d is (𝔠 : F)_d / 𝔠_d, since
-    g lies in 𝔠 : F exactly when gF lies in 𝔠."""
-    if not (F.is_homogeneous() and F.degree() == 2):
-        raise AlgebraError(f"the census colons by quadrics, not by {F}")
-    R = state["ring"]
-    field = R.field
-    std, times_quad = state["std"], state["times_quad"]
-    out = []
-    for d in range(R.nvars - 1):
-        rows = []
-        for m in std[d]:
-            prods = times_quad[m]
-            row = {}
-            for q, f in F.terms:
-                nf = prods.get(q)
-                if nf:
-                    axpy(row, f, nf, field)
-            rows.append(row)
-        out.append([{std[d][i]: c for i, c in enumerate(v) if c != field.zero}
-                    for v in left_kernel(rows, field)])
-    return out
-
-
 def classify(state: dict, F: Polynomial) -> QuadricClassification:
     """Classify R/(𝔠 : F) by the ranks of multiplication by F on B = R/𝔠.
 
-    h_d = rank(F: B_d -> B_{d+2}).  With J_d the kernel (J_d = B_d from
-    degree r-1 on), the minimal generators of 𝔠 : F number
+    g lies in 𝔠 : F exactly when gF lies in 𝔠, so (𝔠 : F)_d / 𝔠_d is
+    J_d, the annihilator of F in B_d, and h_d = dim B_d - dim J_d.  With
+    J_d = B_d from degree r-1 on, the minimal generators of 𝔠 : F number
     nu_1 = r - h_1 and nu_2 = C(h_1 + 1, 2) - h_2 (the quadrics beyond the
     multiples of the linear ones), and nu_d = dim J_d - dim(B_1*J_{d-1})
     for 3 <= d <= r-1: in those degrees 𝔠_d = R_1*𝔠_{d-1} is generated
     already.  Nothing is generated from degree r on, because B_r = B_1*B_{r-1}.
     """
-    R = state["ring"]
-    r, field = R.nvars, R.field
-    std, times_var = state["std"], state["times_var"]
-    kernels = _kernels(state, F)
+    if not (F.is_homogeneous() and F.degree() == 2):
+        raise AlgebraError(f"the census colons by quadrics, not by {F}")
+    gb = state["ci_gb"]
+    r, field = gb.ring.nvars, gb.ring.field
+    kernels = [annihilator(gb, [F], d) for d in range(r - 1)]
     # h_{r-1} = h_r = 0: F*B_{r-1} lies in B_{r+1} = 0.
-    h = [len(std[d]) - len(J) for d, J in enumerate(kernels)] + [0, 0]
+    h = [hilbert_value(gb, d) - len(J) for d, J in enumerate(kernels)] + [0, 0]
     if h[0] == 0:
         raise AlgebraError("the form lies in the cover")
     counts = {1: r - h[1], 2: math.comb(h[1] + 1, 2) - h[2]}
     for d in range(3, r):
-        target = len(std[d]) - h[d]
+        target = hilbert_value(gb, d) - h[d]
         span = Echelon(field)
-        for v, j in itertools.product(kernels[d - 1], range(r)):
+        times_var = [_variable_rows(gb, j, d - 1) for j in range(r)]
+        for v, rows in itertools.product(kernels[d - 1], times_var):
             if span.rank == target:
                 break
             w = {}
             for m, c in v.items():
-                axpy(w, c, times_var[m][j], field)
+                axpy(w, c, rows[m], field)
             span.add(w)
         counts[d] = target - span.rank
     nu = {d: n for d, n in counts.items() if n}
@@ -271,15 +222,9 @@ def classify(state: dict, F: Polynomial) -> QuadricClassification:
 
 
 def colon_quotient(state: dict, F: Polynomial) -> Ideal:
-    """𝔠 : F, generated by 𝔠 and the lifts of the kernels J_d of
-    multiplication by F on R/𝔠 (all of degree r-1 lies in it)."""
-    R = state["ring"]
-    one = R.field.one
-    gens = list(state["ci"].gens)
-    for J in _kernels(state, F):
-        gens.extend(R.from_terms(v.items()) for v in J)
-    gens.extend(Polynomial(R, ((m, one),)) for m in state["std"][R.nvars - 1])
-    return Ideal(R, gens)
+    """𝔠 : F, linked out of the cover as 𝔠 : (𝔠 + F)."""
+    cover = tuple(state["ci"].gens)
+    return link(Ideal(state["ring"], cover + (F,)), LinkStep(cover))
 
 
 def _sweep_one(state: dict, task: tuple) -> tuple:
@@ -411,10 +356,7 @@ def verify_socle4_duality(cfg: CensusConfig, sample: CensusRecord) -> bool:
     state = _build_worker_state(cfg)
     ci_gb = state["ci_gb"]
     I = colon_quotient(state, sample.F)
-    if cfg.ci_style == "monomial":
-        J = link_by_squares(I)
-    else:
-        J = colon_ideal(state["ci"], I, truncate_at=2 + state["cfg"].r)
+    J = link(I, LinkStep(tuple(state["ci"].gens)))
     # The new quadric: exactly one degree-2 minimal generator of J survives
     # reduction modulo the cover.
     fresh = Echelon(J.ring.field)

@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--r", type=int, default=6)
     cen.add_argument("--ci", choices=("monomial", "random"),
                      default="monomial")
-    cen.add_argument("--ci-seed", type=int, default=0)
+    cen.add_argument("--ci-seed", type=int, default=1)
     cen.add_argument("--mode", choices=("exhaustive", "sample"),
                      default="exhaustive")
     cen.add_argument("--samples", type=int, default=0)

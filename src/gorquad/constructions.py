@@ -22,9 +22,10 @@ from .core import (
     RingMismatchError,
 )
 from .groebner import Ideal
-from .idealops import colon_form, intersect, random_linear_form
+from .idealops import random_linear_form
 from .invariants import (
     HVector,
+    annihilator,
     classify,
     hilbert_function,
     nonstandard_monomials,
@@ -288,15 +289,36 @@ class LinkStep:
     direction: str = ""
 
 
+def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
+    """cover : (gens) for an artinian complete intersection cover: the cover
+    plus the lifts of the annihilator of the gens in B = R/cover, degree 1
+    through one past the predicted socle degree, where the colon takes in
+    everything.  Raises LinkageError unless the result has the predicted
+    h-vector."""
+    R = cover.ring
+    gb = cover.groebner()
+    out = list(cover.gens)
+    top = min(expected.socle_degree + 1, hilbert_function(gb).socle_degree)
+    for d in range(1, top + 1):
+        out.extend(R.from_terms(v.items()) for v in annihilator(gb, gens, d))
+    colon = Ideal(R, out)
+    got = hilbert_function(colon)
+    if got != expected:
+        raise LinkageError(
+            f"linked h-vector {got} does not match the predicted {expected}")
+    return colon
+
+
 def link(I: Ideal, step: LinkStep) -> Ideal:
     """Colon the ideal out of a complete intersection contained in it.
 
     Verifies that the given forms lie in the ideal and cut out a complete
-    intersection, predicts the linked h-vector, and computes the colon as an
-    intersection of single-form colons, stopping as soon as the predicted
-    Hilbert function is reached (a partial intersection always contains the
-    true colon, so matching dimensions force equality).  Raises LinkageError
-    on any mismatch.  Linking an ideal to itself returns the unit ideal.
+    intersection, predicts the linked h-vector, and computes the colon as
+    the cover plus the annihilator of the ideal in the cover quotient B:
+    (c : I)/c is {p in B : p*I = 0 in B}.  Returns the reduced Groebner
+    basis of the result, which must have the predicted h-vector; raises
+    LinkageError on any mismatch.  Linking an ideal to itself returns the
+    unit ideal.
     """
     R = I.ring
     gens = tuple(step.ci_gens)
@@ -314,85 +336,35 @@ def link(I: Ideal, step: LinkStep) -> Ideal:
         raise LinkageError(f"the chosen forms are not a regular sequence: {exc}")
     if h_ci != complete_intersection_hvector([g.degree() for g in gens]):
         raise LinkageError("the chosen forms are not a regular sequence")
-    h_inside = hilbert_function(I)
-    expected = expected_link_hvector(h_ci, h_inside)
+    expected = expected_link_hvector(h_ci, hilbert_function(I))
     if expected.total == 0:
         return Ideal(R, [R.one])
-    trunc = expected.socle_degree + 1
-    result = None
-    # sparsest low-degree generators first: they constrain the colon the
-    # most per unit of elimination work
-    todo = sorted(I.gens, key=lambda p: (p.degree(), len(p.terms),
-                                         p.leading_key()))
-    for f in todo:
-        if ci.contains(f):
-            continue
-        q = colon_form(ci, f, truncate_at=trunc)
-        result = q if result is None else intersect(result, q, truncate_at=trunc)
-        if hilbert_function(result) == expected:
-            gb = result.groebner()
-            out = Ideal(R, gb.elements)
-            out.attach_groebner(gb)
-            return out
-    got = hilbert_function(result) if result is not None else None
-    raise LinkageError(
-        f"linked h-vector {got} does not match the predicted {expected}")
+    gb = _colon_out_of(ci, I.gens, expected).groebner()
+    out = Ideal(R, gb.elements)
+    out.attach_groebner(gb)
+    return out
 
 
 def link_by_squares(I: Ideal) -> Ideal:
-    """Colon the ideal out of the complete intersection of variable squares,
-    computed through the cover's inverse system instead of an elimination.
+    """Colon the ideal out of the complete intersection of variable squares.
 
-    The cover c = (x1^2, ..., xn^2) annihilates the dual monomial
-    F = x1...xn, and p * I being inside c is the same as p killing every
-    contraction g . F of a generating set of I.  Each g . F is supported on
-    squarefree dual monomials, so the whole colon reduces to kernels of
-    small squarefree pairing matrices, one per degree.  The result is
-    verified against the predicted linked h-vector before being returned.
+    The colon is the squares plus the annihilator of the ideal in
+    B = R/(x1^2, ..., xn^2), whose standard monomials are the squarefree
+    ones: in the inverse-system picture B is the apolar algebra of the dual
+    monomial x1...xn.  Unlike `link` the generators are returned as built,
+    the squares first and then the annihilator degree by degree, after the
+    result is verified against the predicted linked h-vector.
     """
     R = I.ring
-    n = R.nvars
-    field = R.field
-    xs = R.variables()
-    squares = [v * v for v in xs]
+    squares = [v * v for v in R.variables()]
     for s in squares:
         if not I.contains(s):
             raise LinkageError("the ideal does not contain the variable squares")
-    h_inside = hilbert_function(I)
-    h_cover = complete_intersection_hvector([2] * n)
-    expected = expected_link_hvector(h_cover, h_inside)
+    expected = expected_link_hvector(
+        complete_intersection_hvector([2] * R.nvars), hilbert_function(I))
     if expected.total == 0:
         return Ideal(R, [R.one])
-    codec = R.codec
-    F = R.monomial([1] * n)
-    contractions = []
-    for g in I.gens:
-        w = contract(g, F)
-        if not w.is_zero():
-            contractions.append(w)
-    gens = list(squares)
-    top = expected.socle_degree + 1
-    for d in range(1, top + 1):
-        mons = [codec.key(e) for e in _squarefree_exps(n, d)]
-        mons.sort(reverse=True)
-        rows = []
-        for m in mons:
-            row = {}
-            for gi, w in enumerate(contractions):
-                for ku, cu in w.terms:
-                    if codec.divides(m, ku):
-                        row[(gi, codec.div(ku, m))] = cu
-            rows.append(row)
-        for vec in left_kernel(rows, field):
-            p = R.from_terms(zip(mons, vec))
-            if not p.is_zero():
-                gens.append(p)
-    out = Ideal(R, gens)
-    got = hilbert_function(out)
-    if got != expected:
-        raise LinkageError(
-            f"linked h-vector {got} does not match the predicted {expected}")
-    return out
+    return _colon_out_of(Ideal(R, squares), I.gens, expected)
 
 
 def _squarefree_exps(n: int, d: int):
@@ -537,8 +509,9 @@ def _residual_almost_ci(G: Ideal, cover: list, new_count: int) -> tuple:
 
     The residual of a Gorenstein ideal out of any complete-intersection
     cover is the cover plus a single extra generator; at every stage of the
-    towers built here that generator is a quadric, found by linear algebra
-    in the cover quotient.  Returns (residual, its cover, extra quadric).
+    towers built here that generator is a quadric, the degree-2 annihilator
+    of the embedded stage in the cover quotient.  Returns (residual, its
+    cover, extra quadric).
     """
     R_old = G.ring
     field = R_old.field
@@ -549,24 +522,13 @@ def _residual_almost_ci(G: Ideal, cover: list, new_count: int) -> tuple:
     new_lin = [xs[i] for i in range(new_count)]
     big_cover = [v * v for v in new_lin] + [g.extend(R, vmap) for g in cover]
     inside = new_lin + [g.extend(R, vmap) for g in G.gens]
-    cgb = Ideal(R, big_cover).groebner()
     expected = expected_link_hvector(
         complete_intersection_hvector([2] * n), hilbert_function(G))
-    std2 = standard_monomials(cgb, 2)
-    rows = []
-    for m in std2:
-        mono = Polynomial(R, ((m, field.one),))
-        row = {}
-        for gi, g in enumerate(inside):
-            rem = cgb.normal_form(mono * g)
-            for k, c in rem.terms:
-                row[(gi, k)] = c
-        rows.append(row)
-    sols = left_kernel(rows, field)
+    sols = annihilator(Ideal(R, big_cover), inside, 2)
     if len(sols) != 1:
         raise LinkageError(
             f"expected one residual quadric over the cover, found {len(sols)}")
-    extra = R.from_terms(zip(std2, sols[0]))
+    extra = R.from_terms(sols[0].items())
     residual = Ideal(R, big_cover + [extra])
     got = hilbert_function(residual)
     if got != expected:
@@ -581,8 +543,8 @@ def _residual_gorenstein(J: Ideal, cover: list, extra) -> tuple:
     the extra quadric.
 
     That cover turns the embedded ideal into (cover) + (new variable), so
-    the residual is Gorenstein; its generators beyond the cover are kernels
-    of multiplication by the new variable in the cover quotient.  Returns
+    the residual is Gorenstein; its generators beyond the cover are the
+    annihilator of the new variable in the cover quotient.  Returns
     (residual, its cover).
     """
     R_old = J.ring
@@ -593,26 +555,9 @@ def _residual_gorenstein(J: Ideal, cover: list, extra) -> tuple:
     x0 = R.variables()[0]
     big_cover = ([x0 * x0 + extra.extend(R, vmap)]
                  + [g.extend(R, vmap) for g in cover])
-    cgb = Ideal(R, big_cover).groebner()
     expected = expected_link_hvector(
         complete_intersection_hvector([2] * n), hilbert_function(J))
-    gens = list(big_cover)
-    for d in range(2, min(expected.socle_degree + 1, n) + 1):
-        std_d = standard_monomials(cgb, d)
-        rows = []
-        for m in std_d:
-            mono = Polynomial(R, ((m, field.one),))
-            rows.append(dict(cgb.normal_form(x0 * mono).terms))
-        for vec in left_kernel(rows, field):
-            p = R.from_terms(zip(std_d, vec))
-            if not p.is_zero():
-                gens.append(p)
-    residual = Ideal(R, gens)
-    got = hilbert_function(residual)
-    if got != expected:
-        raise LinkageError(
-            f"linked h-vector {got} does not match the predicted {expected}")
-    return residual, big_cover
+    return _colon_out_of(Ideal(R, big_cover), [x0], expected), big_cover
 
 
 def linkage_grow(G: Ideal, rounds: int = 1, first_new_vars: int = 1) -> tuple:

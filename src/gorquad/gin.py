@@ -18,6 +18,7 @@ from .core import AlgebraError, GenericityError, GinUncertifiedError
 from .groebner import GroebnerBasis, Ideal
 from .idealops import random_linear_form
 from .invariants import (
+    annihilator,
     as_basis,
     classify,
     hilbert_function,
@@ -199,24 +200,18 @@ def times_L_rank(I: Ideal, d: int, L: Polynomial,
                  gin_result: GinResult | None = None) -> RankReport:
     """Exact rank of multiplication by L from degree d to d+1 on R/I.
 
-    Always computed directly between standard-monomial bases.  When a
-    certified gin is supplied the standard-monomial count of Prop-style
-    bookkeeping (monomials of degree d+1 outside the gin divisible by the
-    last variable) must agree -- that holds for general L, so a mismatch
-    reports the chosen L as non-generic."""
+    Always computed directly: h_d minus the dimension of the annihilator
+    of L in degree d.  When a certified gin is supplied the
+    standard-monomial count of Prop-style bookkeeping (monomials of degree
+    d+1 outside the gin divisible by the last variable) must agree -- that
+    holds for general L, so a mismatch reports the chosen L as
+    non-generic."""
     gb = as_basis(I)
     if not is_artinian(gb):
         raise AlgebraError("rank bookkeeping expects an artinian quotient")
-    field = gb.ring.field
-    std_d = standard_monomials(gb, d)
-    std_up = standard_monomials(gb, d + 1)
-    pos = {m: i for i, m in enumerate(std_up)}
-    rows = []
-    for m in std_d:
-        prod = gb.normal_form(Polynomial(gb.ring, ((m, field.one),)) * L)
-        rows.append({pos[k]: c for k, c in prod.terms})
-    rank = rank_of(rows, field)
-    report = RankReport(degree=d, rank=rank, kernel_dim=len(std_d) - rank,
+    kernel_dim = len(annihilator(gb, [L], d))
+    rank = hilbert_value(gb, d) - kernel_dim
+    report = RankReport(degree=d, rank=rank, kernel_dim=kernel_dim,
                         method="direct_linear_algebra")
     if gin_result is not None:
         expected = _gin_divisible_count(gin_result, d + 1)

@@ -1,14 +1,19 @@
 """Numerical invariants of artinian graded quotients.
 
-Everything is computed from a reduced Groebner basis: Hilbert functions by
-counting standard monomials, socles by intersecting kernels of the
-multiplication maps by the variables, and minimal generator counts by the
-rank of (degree d-1 part) * (linear forms) inside the degree-d part.  The
-linear algebra is linalg's on sparse dict rows, one code path for every
-coefficient field.
+Everything is computed from a reduced Groebner basis.  Hilbert functions
+count standard monomials, and minimal generator counts are the rank of
+(degree d-1 part) * (linear forms) inside the degree-d part.  The
+multiplication maps of the quotient B = R/I go through one function,
+`annihilator`: the degree-d elements of B that given forms multiply to
+zero, as the left kernel of the normal forms NF(m * g).  The socle is the
+annihilator of the variables, the rank of multiplication by a linear form
+is h_d minus the dimension of its annihilator, and for an ideal J
+containing I (a complete intersection, in linkage) the colon I : J is I
+plus the lifts of the annihilator of J.  The linear algebra is linalg's on
+sparse dict rows, one code path for every coefficient field.
 
-Functions accept either an Ideal or a GroebnerBasis; per-basis results are
-cached on the basis object.
+Functions accept either an Ideal or a GroebnerBasis; per-basis results,
+the multiplication rows of B among them, are cached on the basis object.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 from .core import AlgebraError
 from .groebner import GroebnerBasis, Ideal
-from .linalg import Echelon, left_kernel, rank_of
+from .linalg import Echelon, axpy, left_kernel, rank_of
 from .poly import Polynomial
 
 _HVEC_RE = re.compile(r"\(\s*(-?\d+\s*(,\s*-?\d+\s*)*)?\)")
@@ -229,77 +234,91 @@ def _nf_terms(gb: GroebnerBasis, key):
     return kernel.to_terms(rep)
 
 
-def _variable_rows(gb: GroebnerBasis, j: int, d: int):
-    """Rows of multiplication by variable j from degree d to d+1, aligned to
-    standard_monomials(gb, d), as dicts over standard monomial keys."""
+def _variable_rows(gb: GroebnerBasis, j: int, d: int) -> dict:
+    """NF(x_j * m) for each standard monomial m of degree d, as a dict
+    {m: normal form as a dict over standard keys}, in the order of
+    standard_monomials(gb, d)."""
 
     def build():
         codec = gb.ring.codec
         vk = codec.var_key(j)
-        std = standard_monomials(gb, d)
-        return [dict(_nf_terms(gb, codec.mul(vk, m))) for m in std]
+        return {m: dict(_nf_terms(gb, codec.mul(vk, m)))
+                for m in standard_monomials(gb, d)}
 
     return _cache(gb, ("varmul", j, d), build)
+
+
+def _monomial_rows(gb: GroebnerBasis, d: int, q) -> dict:
+    """NF(q * m) for each standard monomial m of degree d, keyed like
+    _variable_rows; a zero product is an empty dict.  For q = x_j * q' the
+    rows are NF(x_j * NF(q' * m)), composed from the cached rows of q' and
+    of x_j one degree below the product."""
+    key = ("monmul", d, q)
+    rows = gb._caches.get(key)
+    if rows is not None:
+        return rows
+    codec, field = gb.ring.codec, gb.ring.field
+    exps = codec.exps(q)
+    e = sum(exps)
+    if e == 0:
+        rows = {m: {m: field.one} for m in standard_monomials(gb, d)}
+    else:
+        j = next(i for i, v in enumerate(exps) if v)
+        if e == 1:
+            return _variable_rows(gb, j, d)
+        var = _variable_rows(gb, j, d + e - 1)
+        prev = _monomial_rows(gb, d, codec.div(q, codec.var_key(j)))
+        rows = {}
+        for m, nf in prev.items():
+            acc = rows[m] = {}
+            for k, c in nf.items():
+                axpy(acc, c, var[k], field)
+    gb._caches[key] = rows
+    return rows
+
+
+def annihilator(x, gens, d: int) -> list:
+    """A basis of {p in B_d : p * g = 0 in B for every g in gens}, where B is
+    the quotient by the ideal of x, as dicts over standard_monomials(x, d).
+
+    The row of a standard monomial m holds the normal forms NF(m * g) side by
+    side, assembled from the cached rows of the monomials of each g; the
+    basis is left_kernel's on those rows, so it depends only on the order of
+    the standard monomials.  For an ideal I containing x's ideal c, the lifts
+    of these bases over all d, together with c, generate c : I."""
+    gb = as_basis(x)
+    field = gb.ring.field
+    std = standard_monomials(gb, d)
+    gens = list(gens)
+    rows = {m: {} for m in std}
+    for gi, g in enumerate(gens):
+        part = rows if len(gens) == 1 else {m: {} for m in std}
+        for q, c in g.terms:
+            for m, nf in _monomial_rows(gb, d, q).items():
+                if nf:
+                    axpy(part[m], c, nf, field)
+        if part is not rows:
+            for m, row in part.items():
+                rows[m].update(((gi, k), v) for k, v in row.items())
+    zero = field.zero
+    return [{m: c for m, c in zip(std, v) if c != zero}
+            for v in left_kernel(rows.values(), field)]
 
 
 # -- socle --------------------------------------------------------------------
 
 
 def socle_type(x) -> tuple:
-    """Dimension of the socle in each degree 0..socle degree."""
+    """Dimension of the socle, the annihilator of the variables, in each
+    degree 0..socle degree."""
     gb = as_basis(x)
 
     def build():
-        hf = hilbert_function(gb)
-        out = []
-        for d in range(hf.socle_degree + 1):
-            out.append(_socle_dim(gb, d))
-        return tuple(out)
+        xs = gb.ring.variables()
+        return tuple(len(annihilator(gb, xs, d))
+                     for d in range(hilbert_function(gb).socle_degree + 1))
 
     return _cache(gb, "socle", build)
-
-
-def _socle_dim(gb: GroebnerBasis, d: int) -> int:
-    std = standard_monomials(gb, d)
-    if not std:
-        return 0
-    nvars = gb.ring.nvars
-    field = gb.ring.field
-    # vectors as dicts over standard-monomial keys
-    vectors = [{m: field.one} for m in std]
-    index = {m: i for i, m in enumerate(std)}
-    for j in range(nvars):
-        rows = _variable_rows(gb, j, d)
-        images = []
-        for v in vectors:
-            acc = {}
-            for m, c in v.items():
-                row = rows[index[m]]
-                for k, ck in row.items():
-                    w = field.add(acc.get(k, field.zero), field.mul(c, ck))
-                    if w == field.zero:
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = w
-            images.append(acc)
-        combos = left_kernel(images, field)
-        new_vectors = []
-        for combo in combos:
-            acc = {}
-            for coeff, v in zip(combo, vectors):
-                if coeff == field.zero:
-                    continue
-                for m, c in v.items():
-                    w = field.add(acc.get(m, field.zero), field.mul(coeff, c))
-                    if w == field.zero:
-                        acc.pop(m, None)
-                    else:
-                        acc[m] = w
-            new_vectors.append(acc)
-        vectors = new_vectors
-        if not vectors:
-            return 0
-    return len(vectors)
 
 
 def is_gorenstein(x) -> bool:

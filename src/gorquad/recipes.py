@@ -44,7 +44,7 @@ from .constructions import (LinkStep, apolar_ideal, embed_with_linear_gens,
                             group_table_algebra, link, link_by_squares,
                             linkage_grow, quadric_ci, random_dual_form,
                             regular_sequence_in, tensor_algebras)
-from .core import AlgebraError, FieldSpec, GenericityError, ParseError
+from .core import FieldSpec, GenericityError, ParseError
 from .groebner import Ideal
 from .idealops import colon_form, embed_ideal
 from .invariants import hilbert_function

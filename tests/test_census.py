@@ -15,7 +15,7 @@ from gorquad.census import (CSV_HEADER, H2_SUPPORT_R6, CensusConfig,
                             form_from_index, h2_13_exclusion_check,
                             records_to_csv, run_census, squarefree_quadric_keys,
                             summary_markdown, verify_socle4_duality)
-from gorquad.cli import main
+from gorquad.cli import build_parser, main
 from gorquad.constructions import apolar_ideal, contract
 from gorquad.core import AlgebraError, FieldSpec
 from gorquad.idealops import colon_form
@@ -207,6 +207,29 @@ def test_census_cli_exits_1_on_findings(monkeypatch, tmp_path):
     # the outputs are written before the exit status reports the findings
     assert out.read_text().count(",error,") == 7
     assert "- errored: 7" in (tmp_path / "census.md").read_text()
+
+
+def test_random_cover_and_sample_seeds_must_differ(capsys):
+    # quadric_ci(style="random") and the sampler draw from the same
+    # random.Random(seed) stream: with one seed for both, the first sampled
+    # forms are the cover's own generators and would all be skipped.
+    with pytest.raises(ValueError):
+        CensusConfig(field=GFBIG, r=5, ci_style="random", ci_seed=0,
+                     mode="random_sample", sample_count=8, sample_seed=0)
+    assert main(["census", "--field", "7", "--r", "4", "--ci", "random",
+                 "--mode", "sample", "--samples", "8", "--ci-seed", "3",
+                 "--seed", "3"]) == 1
+    assert "seed" in capsys.readouterr().err
+    # the monomial cover draws nothing, so equal seeds are fine there
+    CensusConfig(field=GF7, r=4, ci_seed=3, mode="random_sample",
+                 sample_count=8, sample_seed=3)
+    # the defaults no longer collide
+    assert build_parser().parse_args(["census", "--field", "7"]).ci_seed == 1
+    cfg = CensusConfig(field=GF7, r=4, ci_style="random",
+                       mode="random_sample", sample_count=8)
+    assert (cfg.ci_seed, cfg.sample_seed) == (1, 0)
+    _, summary = run_census(cfg)
+    assert (summary.total_skipped, summary.total_swept) == (0, 8)
 
 
 def _groebner_oracle(state, F):

@@ -1,5 +1,6 @@
 """Apolarity, tensor products, group-table cells, and liaison chains."""
 
+import hashlib
 import math
 import random
 
@@ -18,10 +19,12 @@ from gorquad.constructions import (LinkageError, LinkStep, apolar_ideal,
                                    tensor_algebras)
 from gorquad.core import FieldSpec, GenericityError
 from gorquad.groebner import Ideal
+from gorquad.idealops import colon_ideal
 from gorquad.invariants import (HVector, classify, hilbert_function,
                                 is_gorenstein, minimal_generator_counts,
                                 presented_by_quadrics)
 from gorquad.poly import ring
+from gorquad.recipes import format_ideal
 
 from conftest import GF2, GF7, GFBIG, Q, random_poly
 
@@ -240,6 +243,84 @@ def test_link_by_squares_agrees_with_link():
     assert via_link.groebner().elements == via_dual.groebner().elements
     with pytest.raises(LinkageError):
         link_by_squares(Ideal.from_texts(R, ["x1^2", "x2^2"]))
+
+
+def _squares_plus(field, r, extra):
+    R = ring(field, r)
+    squares = [v * v for v in R.variables()]
+    return Ideal(R, squares + [R.parse(t) for t in extra]), squares
+
+
+def _random_cover_plus_quadric():
+    cover = list(quadric_ci(4, GFBIG, style="random", seed=2).gens)
+    R = cover[0].ring
+    F = random_poly(R, 2, random.Random(5))
+    return Ideal(R, cover + [F]), cover
+
+
+def _double_link_first_step():
+    r = 5
+    R = ring(Q, r)
+    xs = R.variables()
+    seed = [xs[j] * xs[j] for j in range(r - 3)] + list(xs[r - 3:])
+    cover = ([xs[r - 3]] + [xs[j] * xs[j] for j in range(r - 3)]
+             + [xs[r - 2] * xs[r - 2], xs[r - 1] * xs[r - 1]])
+    return Ideal(R, seed), cover
+
+
+def _cubic_cover():
+    R = ring(Q, 3)
+    cover = [R.parse(t) for t in ("x1^2 + x2*x3", "x2^2 - x1*x3", "x3^3")]
+    extra = [R.parse(t) for t in ("x1*x2 + 2*x3^2", "x1*x3^2")]
+    return Ideal(R, cover + extra), cover
+
+
+@pytest.mark.parametrize("build, squares", [
+    (lambda: _squares_plus(GF2, 4, ["x1*x2 + x3*x4", "x1*x3*x4"]), True),
+    (lambda: _squares_plus(GF7, 4, ["x1*x2 + 3*x3*x4 - x2*x4",
+                                    "x1 + 2*x3"]), True),
+    (lambda: _squares_plus(Q, 3, ["x1*x2 - x2*x3"]), True),
+    (lambda: _squares_plus(Q, 4, ["x1*x2 + x3*x4", "x1*x3 - 2*x2*x4"]),
+     True),
+    (_random_cover_plus_quadric, False),
+    (_double_link_first_step, False),
+    (_cubic_cover, False),
+], ids=["squares-gf2", "squares-gf7", "squares-q3", "squares-q4",
+        "random-ci-gfbig", "double-link-first", "cubic-ci-q"])
+def test_link_is_the_colon_out_of_its_cover(build, squares):
+    # the elimination path in idealops is the independent oracle
+    I, cover = build()
+    oracle = colon_ideal(Ideal(I.ring, cover), I).groebner().elements
+    assert link(I, LinkStep(tuple(cover))).groebner().elements == oracle
+    if squares:
+        assert link_by_squares(I).groebner().elements == oracle
+
+
+def _sha_of_generators(ideals) -> str:
+    text = "".join(format_ideal(I) for I in ideals)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the generator lists `gorquad construct` would write; the
+# square-cover and growth steps return generators that are not canonical.
+@pytest.mark.parametrize("build, want", [
+    (lambda: linkage_grow(seed_131(), rounds=2),
+     "36036930ac37f6e9ca448f75fba4caa6e612246872d3e96ca4fb486ccd2166e5"),
+    (lambda: (link_by_squares(_squares_plus(Q, 3, ["x1*x2 - x2*x3"])[0]),),
+     "838ec1cad32025cd84993423c874cc9d7206dcf949e8605b78b8492754502d4f"),
+    (lambda: (link_by_squares(_squares_plus(
+        GF7, 5, ["x1*x2 + 3*x3*x4 - x2*x5", "x1 + 2*x2 - x3 + 3*x4"])[0]),),
+     "5d66fca0ca9edd8bccea8cc8832c78608096386cdcf7942d29241125f9e43e8c"),
+    (lambda: penultimate_socle_algebras(6),
+     "505487eb590482939b53879d1d30bf1af83aa80de1807587a0225ff367bc24ba"),
+    (lambda: nonunique_hf_pair(7, "alpha0", seed=3),
+     "a6b5fe6678bade54860fc8c757871942689612db756e17a0340ac622ba69314b"),
+    (lambda: double_link(5),
+     "d6f28dec7f3b6d5cd2804b13fc1d88e9c5db15602e71ad52eb3a4f3f8edc656d"),
+], ids=["grow-131-2", "squares-q3", "squares-gf7-r5", "penultimate-6",
+        "alpha0-7", "double-link-5"])
+def test_construction_generators_are_pinned(build, want):
+    assert _sha_of_generators(build()) == want
 
 
 def test_double_link_realizes_binomial_formula():
