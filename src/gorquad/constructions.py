@@ -28,7 +28,7 @@ from .invariants import (
     annihilator,
     classify,
     hilbert_function,
-    nonstandard_monomials,
+    ideal_degree_basis,
     standard_monomials,
 )
 from .linalg import left_kernel
@@ -389,17 +389,11 @@ def regular_sequence_in(I: Ideal, degrees, rng: random.Random,
     field = R.field
     gb = I.groebner()
     expected = complete_intersection_hvector(degrees)
-    one = field.one
     bases = {}
     for d in set(degrees):
-        mons = nonstandard_monomials(gb, d)
-        if not mons:
+        bases[d] = ideal_degree_basis(gb, d)
+        if not bases[d]:
             raise GenericityError(f"the ideal has no elements of degree {d}")
-        polys = []
-        for m in mons:
-            mono = Polynomial(R, ((m, one),))
-            polys.append(mono - gb.normal_form(mono))
-        bases[d] = polys
     degrees = tuple(degrees)
     for attempt in range(attempts + _DENSE_ATTEMPTS):
         # start with very sparse combinations and widen on each retry; any

@@ -1,11 +1,13 @@
 """Buchberger engine and the public Ideal / GroebnerBasis API.
 
-The engine works on packed monomial keys (see orders.py) with two coefficient
-kernels: dict {key: coeff} rows for QQ/GF(p), and plain key sets for GF(2),
-where adding polynomials is a symmetric difference.  Pair selection is the
-normal strategy (minimal lcm degree, then smallest lcm) with Gebauer-Moeller
-pruning; the result is always the unique reduced Groebner basis, elements
-monic and sorted descending by leading monomial.
+The engine works on packed monomial keys (see orders.py) and holds every
+polynomial as a {key: coeff} dict, over QQ and every GF(p) alike, GF(2)
+included.  One normal-form routine, _nf, serves the S-pair loop, the final
+interreduction, GroebnerBasis.normal_form and the multiplication maps of
+invariants.py.  Pair selection is the normal strategy (minimal lcm degree,
+then smallest lcm) with Gebauer-Moeller pruning; the result is always the
+unique reduced Groebner basis, elements monic and sorted descending by
+leading monomial.
 
 Two guard rails:
 
@@ -31,177 +33,92 @@ from .poly import Polynomial, RingCtx
 DEFAULT_DEGREE_CAP = 40
 
 
-# -- coefficient kernels -------------------------------------------------------
+# -- polynomials as {key: coeff} dicts -----------------------------------------
 
 
-class _GenericKernel:
-    """Polynomials as {key: coeff} dicts over QQ or GF(p), p odd."""
-
-    __slots__ = ("field", "codec")
-
-    def __init__(self, field, codec):
-        self.field = field
-        self.codec = codec
-
-    def from_terms(self, terms):
-        return dict(terms)
-
-    def to_terms(self, rep):
-        return tuple(sorted(rep.items(), reverse=True))
-
-    def is_zero(self, rep):
-        return not rep
-
-    def lm(self, rep):
-        return max(rep)
-
-    def split_monic(self, rep):
-        """rep -> (lm, monic tail rep); consumes rep."""
-        lm = max(rep)
-        field = self.field
-        inv = field.inv(rep.pop(lm))
-        if inv == field.one:
-            return lm, rep
-        mul = field.mul
-        return lm, {k: mul(inv, c) for k, c in rep.items()}
-
-    def nf(self, rep, reducers):
-        codec = self.codec
-        div, mul, degree, divides = codec.div, codec.mul, codec.degree, codec.divides
-        field = self.field
-        fsub, fmul, zero = field.sub, field.mul, field.zero
-        work = dict(rep)
-        out = {}
-        while work:
-            k = max(work)
-            c = work.pop(k)
-            kd = degree(k)
-            tail = None
-            for ld, lkey, ltail in reducers:
-                if ld > kd:
-                    break
-                if divides(lkey, k):
-                    q = div(k, lkey)
-                    tail = ltail
-                    break
-            if tail is None:
-                out[k] = c
-                continue
-            for kt, ct in tail.items():
-                t = mul(q, kt)
-                w = fsub(work.get(t, zero), fmul(c, ct))
-                if w == zero:
-                    work.pop(t, None)
-                else:
-                    work[t] = w
-        return out
-
-    def spoly(self, fa, fb, lcm_key):
-        codec = self.codec
-        div, mul = codec.div, codec.mul
-        field = self.field
-        fsub, zero = field.sub, field.zero
-        qa = div(lcm_key, fa[0])
-        qb = div(lcm_key, fb[0])
-        acc = {mul(qa, k): c for k, c in fa[1].items()}
-        for k, c in fb[1].items():
-            t = mul(qb, k)
-            w = fsub(acc.get(t, zero), c)
+def _nf(ring: RingCtx, terms, reducers) -> dict:
+    """Full normal form of ``terms`` ({key: coeff} or (key, coeff) pairs)
+    against ``reducers``, a list of (lm degree, lm, monic tail dict) in
+    ascending (degree, lm) order.  Each step emits or rewrites the largest
+    remaining key, so the result lists its keys in descending order."""
+    codec = ring.codec
+    div, mul, degree, divides = codec.div, codec.mul, codec.degree, codec.divides
+    field = ring.field
+    fsub, fmul, zero = field.sub, field.mul, field.zero
+    work = dict(terms)
+    out = {}
+    while work:
+        k = max(work)
+        c = work.pop(k)
+        kd = degree(k)
+        tail = None
+        for ld, lkey, ltail in reducers:
+            if ld > kd:
+                break
+            if divides(lkey, k):
+                q = div(k, lkey)
+                tail = ltail
+                break
+        if tail is None:
+            out[k] = c
+            continue
+        for kt, ct in tail.items():
+            t = mul(q, kt)
+            w = fsub(work.get(t, zero), fmul(c, ct))
             if w == zero:
-                acc.pop(t, None)
+                work.pop(t, None)
             else:
-                acc[t] = w
-        return acc
+                work[t] = w
+    return out
 
 
-class _GF2Kernel:
-    """Polynomials as key sets over GF(2); addition is symmetric difference."""
+def _spoly(ring: RingCtx, fa, fb, lcm_key) -> dict:
+    """S-polynomial of two monic (lm, tail dict) entries, leading terms
+    cancelled."""
+    codec = ring.codec
+    div, mul = codec.div, codec.mul
+    field = ring.field
+    fsub, zero = field.sub, field.zero
+    qa = div(lcm_key, fa[0])
+    qb = div(lcm_key, fb[0])
+    acc = {mul(qa, k): c for k, c in fa[1].items()}
+    for k, c in fb[1].items():
+        t = mul(qb, k)
+        w = fsub(acc.get(t, zero), c)
+        if w == zero:
+            acc.pop(t, None)
+        else:
+            acc[t] = w
+    return acc
 
-    __slots__ = ("codec",)
 
-    def __init__(self, codec):
-        self.codec = codec
-
-    def from_terms(self, terms):
-        return {k for k, _ in terms}
-
-    def to_terms(self, rep):
-        return tuple((k, 1) for k in sorted(rep, reverse=True))
-
-    def is_zero(self, rep):
-        return not rep
-
-    def lm(self, rep):
-        return max(rep)
-
-    def split_monic(self, rep):
-        lm = max(rep)
-        rep.discard(lm)
+def _split_monic(ring: RingCtx, rep: dict):
+    """rep -> (lm, monic tail dict); consumes rep."""
+    lm = max(rep)
+    field = ring.field
+    inv = field.inv(rep.pop(lm))
+    if inv == field.one:
         return lm, rep
-
-    def nf(self, rep, reducers):
-        codec = self.codec
-        div, mul, degree, divides = codec.div, codec.mul, codec.degree, codec.divides
-        work = set(rep)
-        out = set()
-        while work:
-            k = max(work)
-            work.discard(k)
-            kd = degree(k)
-            tail = None
-            for ld, lkey, ltail in reducers:
-                if ld > kd:
-                    break
-                if divides(lkey, k):
-                    q = div(k, lkey)
-                    tail = ltail
-                    break
-            if tail is None:
-                out.add(k)
-                continue
-            work.symmetric_difference_update([mul(q, kt) for kt in tail])
-        return out
-
-    def spoly(self, fa, fb, lcm_key):
-        codec = self.codec
-        div, mul = codec.div, codec.mul
-        qa = div(lcm_key, fa[0])
-        qb = div(lcm_key, fb[0])
-        acc = {mul(qa, k) for k in fa[1]}
-        acc.symmetric_difference_update([mul(qb, k) for k in fb[1]])
-        return acc
-
-
-def _kernel_for(ring: RingCtx):
-    if ring.field.p == 2:
-        return _GF2Kernel(ring.codec)
-    return _GenericKernel(ring.field, ring.codec)
+    mul = field.mul
+    return lm, {k: mul(inv, c) for k, c in rep.items()}
 
 
 # -- the engine ----------------------------------------------------------------
 
 
-def _gf2_tail_tuple(tail):
-    return tuple(tail) if isinstance(tail, set) else tail
-
-
 def _compute_basis(ring: RingCtx, polys, degree_cap: int, truncate_tail_at):
     codec = ring.codec
-    kernel = _kernel_for(ring)
     degree, divides, lcm = codec.degree, codec.divides, codec.lcm
     tail_degree = codec.tail_degree
-    gf2 = isinstance(kernel, _GF2Kernel)
 
-    G = []          # (lm, tail_rep)
+    G = []          # (lm, tail dict)
     lm_degs = []    # degree of each lm, parallel to G
-    reducers = []   # (lm_degree, lm, tail_rep), ascending, shared objects
+    reducers = []   # (lm_degree, lm, tail dict), ascending, shared objects
     heap = []       # (lcm_degree, lcm_key, i, j)
     active = {}     # (i, j) -> lcm_key
 
     def install(lm, tail):
         """Add a monic element, wire up reducers, and run the pair update."""
-        if gf2:
-            tail = _gf2_tail_tuple(tail)
         h = len(G)
         lm_deg = degree(lm)
         G.append((lm, tail))
@@ -257,13 +174,12 @@ def _compute_basis(ring: RingCtx, polys, degree_cap: int, truncate_tail_at):
             raise CappedComputationError(
                 f"input of degree {p.degree()} exceeds the degree cap "
                 f"{degree_cap}", cap=degree_cap, degree=p.degree())
-        rep = kernel.nf(kernel.from_terms(p.terms), reducers)
-        if kernel.is_zero(rep):
+        rep = _nf(ring, p.terms, reducers)
+        if not rep:
             continue
-        lm = kernel.lm(rep)
-        if truncate_tail_at is not None and tail_degree(lm) > truncate_tail_at:
+        if truncate_tail_at is not None and tail_degree(max(rep)) > truncate_tail_at:
             continue
-        install(*kernel.split_monic(rep))
+        install(*_split_monic(ring, rep))
 
     while heap:
         d, l, i, j = heapq.heappop(heap)
@@ -275,19 +191,18 @@ def _compute_basis(ring: RingCtx, polys, degree_cap: int, truncate_tail_at):
             raise CappedComputationError(
                 f"S-pair of degree {d} exceeds the degree cap {degree_cap}",
                 cap=degree_cap, degree=d)
-        s = kernel.nf(kernel.spoly(G[i], G[j], l), reducers)
-        if kernel.is_zero(s):
+        s = _nf(ring, _spoly(ring, G[i], G[j], l), reducers)
+        if not s:
             continue
-        lm = kernel.lm(s)
-        if truncate_tail_at is not None and tail_degree(lm) > truncate_tail_at:
+        if truncate_tail_at is not None and tail_degree(max(s)) > truncate_tail_at:
             continue
-        install(*kernel.split_monic(s))
+        install(*_split_monic(ring, s))
 
-    return _reduce_basis(ring, kernel, G)
+    return _reduce_basis(ring, G)
 
 
-def _reduce_basis(ring: RingCtx, kernel, entries):
-    """Minimalize and tail-reduce (lm, monic tail rep) entries that are known
+def _reduce_basis(ring: RingCtx, entries):
+    """Minimalize and tail-reduce (lm, monic tail dict) entries that are known
     to form a Groebner basis; the result is the unique reduced basis."""
     codec = ring.codec
     degree, divides = codec.degree, codec.divides
@@ -305,8 +220,8 @@ def _reduce_basis(ring: RingCtx, kernel, entries):
     one = ring.field.one
     elements = []
     for _, lm, tail in minimal:
-        tail_nf = kernel.nf(tail, minimal)
-        elements.append(Polynomial(ring, ((lm, one),) + kernel.to_terms(tail_nf)))
+        tail_nf = _nf(ring, tail, minimal)
+        elements.append(Polynomial(ring, ((lm, one),) + tuple(tail_nf.items())))
     elements.sort(key=lambda p: p.terms[0][0], reverse=True)
     return tuple(elements)
 
@@ -315,15 +230,8 @@ def interreduce_known_basis(ring: RingCtx, polys, degree_cap: int = DEFAULT_DEGR
                             truncated_at=None) -> GroebnerBasis:
     """Build the reduced-basis object from polynomials the caller knows form
     a Groebner basis already (no S-pair processing)."""
-    kernel = _kernel_for(ring)
-    gf2 = isinstance(kernel, _GF2Kernel)
-    entries = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        lm, tail = kernel.split_monic(kernel.from_terms(p.terms))
-        entries.append((lm, _gf2_tail_tuple(tail) if gf2 else tail))
-    elements = _reduce_basis(ring, kernel, entries)
+    entries = [_split_monic(ring, dict(p.terms)) for p in polys if not p.is_zero()]
+    elements = _reduce_basis(ring, entries)
     return GroebnerBasis(ring, elements, degree_cap, truncated_at)
 
 
@@ -334,7 +242,7 @@ class GroebnerBasis:
     """A reduced Groebner basis; elements monic, descending by leading term."""
 
     __slots__ = ("ring", "elements", "lead_keys", "degree_cap", "truncated_at",
-                 "_kernel", "_reducers", "_caches")
+                 "_reducers", "_caches")
 
     def __init__(self, ring: RingCtx, elements: tuple, degree_cap: int,
                  truncated_at=None):
@@ -343,7 +251,6 @@ class GroebnerBasis:
         self.lead_keys = tuple(p.terms[0][0] for p in elements)
         self.degree_cap = degree_cap
         self.truncated_at = truncated_at
-        self._kernel = None
         self._reducers = None
         self._caches = {}
 
@@ -353,21 +260,15 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def _machinery(self):
-        if self._kernel is None:
-            kernel = _kernel_for(self.ring)
+    def _reduce_terms(self, terms) -> dict:
+        """_nf of (key, coeff) pairs against this basis; the reducers are
+        built on first use."""
+        if self._reducers is None:
             degree = self.ring.codec.degree
-            reducers = []
-            for p in self.elements:
-                lm = p.terms[0][0]
-                tail = kernel.from_terms(p.terms[1:])
-                if isinstance(kernel, _GF2Kernel):
-                    tail = tuple(tail)
-                reducers.append((degree(lm), lm, tail))
-            reducers.sort(key=lambda e: (e[0], e[1]))
-            self._kernel = kernel
-            self._reducers = reducers
-        return self._kernel, self._reducers
+            self._reducers = sorted(
+                ((degree(p.terms[0][0]), p.terms[0][0], dict(p.terms[1:]))
+                 for p in self.elements), key=lambda e: (e[0], e[1]))
+        return _nf(self.ring, terms, self._reducers)
 
     def _check_within_truncation(self, p: Polynomial):
         if self.truncated_at is None or p.is_zero():
@@ -383,9 +284,7 @@ class GroebnerBasis:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial is not in the basis ring")
         self._check_within_truncation(p)
-        kernel, reducers = self._machinery()
-        rep = kernel.nf(kernel.from_terms(p.terms), reducers)
-        return Polynomial(self.ring, kernel.to_terms(rep))
+        return Polynomial(self.ring, tuple(self._reduce_terms(p.terms).items()))
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()

@@ -227,11 +227,19 @@ def socle_degree(x) -> int:
 # -- multiplication maps ----------------------------------------------------------
 
 
-def _nf_terms(gb: GroebnerBasis, key):
-    """Terms of the normal form of a single monomial, as (key, coeff) tuple."""
-    kernel, reducers = gb._machinery()
-    rep = kernel.nf(kernel.from_terms(((key, gb.ring.field.one),)), reducers)
-    return kernel.to_terms(rep)
+def _nf_terms(gb: GroebnerBasis, key) -> dict:
+    """The normal form of a single monomial, as a {key: coeff} dict with its
+    keys in descending order."""
+    return gb._reduce_terms(((key, gb.ring.field.one),))
+
+
+def _minus_nf(gb: GroebnerBasis, m) -> Polynomial:
+    """The ideal element m - NF(m) of a nonstandard monomial m; every key of
+    NF(m) is below m."""
+    field = gb.ring.field
+    neg = field.neg
+    return Polynomial(gb.ring, ((m, field.one),) + tuple(
+        (k, neg(c)) for k, c in _nf_terms(gb, m).items()))
 
 
 def _variable_rows(gb: GroebnerBasis, j: int, d: int) -> dict:
@@ -242,7 +250,7 @@ def _variable_rows(gb: GroebnerBasis, j: int, d: int) -> dict:
     def build():
         codec = gb.ring.codec
         vk = codec.var_key(j)
-        return {m: dict(_nf_terms(gb, codec.mul(vk, m)))
+        return {m: _nf_terms(gb, codec.mul(vk, m))
                 for m in standard_monomials(gb, d)}
 
     return _cache(gb, ("varmul", j, d), build)
@@ -371,7 +379,7 @@ def _generator_rows(gb: GroebnerBasis, d: int) -> list:
             t = codec.mul(vk, m)
             if t in nonstd_set:
                 acc[t] = field.one
-            for k, c in nf_prev:
+            for k, c in nf_prev.items():
                 t = codec.mul(vk, k)
                 if t in nonstd_set:
                     w = field.sub(acc.get(t, field.zero), c)
@@ -423,8 +431,7 @@ def minimal_generators(x) -> tuple:
             for m in nonstd_d:
                 # NF(m) is standard, so m - NF(m) touches nonstd_d in m only.
                 if ech.add({m: one}):
-                    out.append(Polynomial(gb.ring, ((m, one),))
-                               - Polynomial(gb.ring, _nf_terms(gb, m)))
+                    out.append(_minus_nf(gb, m))
         return tuple(out)
 
     return _cache(gb, "mingens", build)
@@ -437,9 +444,7 @@ def ideal_degree_basis(x, d: int) -> tuple:
     """A basis of the degree-d part of the ideal: one element m - NF(m) per
     non-standard monomial m of degree d."""
     gb = as_basis(x)
-    return tuple(Polynomial(gb.ring, ((m, gb.ring.field.one),))
-                 - Polynomial(gb.ring, _nf_terms(gb, m))
-                 for m in nonstandard_monomials(gb, d))
+    return tuple(_minus_nf(gb, m) for m in nonstandard_monomials(gb, d))
 
 
 def contains_quadric_regular_sequence(x, seed: int = 0,

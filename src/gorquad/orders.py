@@ -70,11 +70,27 @@ def elimination_order(elim_count: int) -> MonomialOrder:
     return MonomialOrder("block", elim_count)
 
 
-class _DrlCodec:
+class _Codec:
+    """What the three codecs share, written in terms of their key/exps."""
+
+    __slots__ = ("nvars", "one")
+
+    def lcm(self, ka, kb):
+        ea, eb = self.exps(ka), self.exps(kb)
+        return self.key(tuple(a if a > b else b for a, b in zip(ea, eb)))
+
+    def var_key(self, j):
+        """Key of the variable with zero-based index j."""
+        e = [0] * self.nvars
+        e[j] = 1
+        return self.key(tuple(e))
+
+
+class _DrlCodec(_Codec):
     """degrevlex: key = (degree, packed complement bytes, last variable most
     significant).  Bigger key tuple <=> bigger monomial."""
 
-    __slots__ = ("nvars", "_cbase", "_guard", "one")
+    __slots__ = ("_cbase", "_guard")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
@@ -106,27 +122,17 @@ class _DrlCodec:
         g = self._guard
         return ((ka[1] | g) - kb[1]) & g == g
 
-    def lcm(self, ka, kb):
-        ea, eb = self.exps(ka), self.exps(kb)
-        return self.key(tuple(a if a > b else b for a, b in zip(ea, eb)))
-
     def degree(self, key):
         return key[0]
 
     def tail_degree(self, key):
         return key[0]
 
-    def var_key(self, j):
-        """Key of the variable with zero-based index j."""
-        e = [0] * self.nvars
-        e[j] = 1
-        return self.key(tuple(e))
 
-
-class _LexCodec:
+class _LexCodec(_Codec):
     """lex: key = (packed direct bytes, first variable most significant)."""
 
-    __slots__ = ("nvars", "_guard", "one")
+    __slots__ = ("_guard",)
 
     def __init__(self, nvars: int):
         self.nvars = nvars
@@ -157,27 +163,18 @@ class _LexCodec:
         g = self._guard
         return ((kb[0] | g) - ka[0]) & g == g
 
-    def lcm(self, ka, kb):
-        ea, eb = self.exps(ka), self.exps(kb)
-        return self.key(tuple(a if a > b else b for a, b in zip(ea, eb)))
-
     def degree(self, key):
         return sum(self.exps(key))
 
     def tail_degree(self, key):
         return self.degree(key)
 
-    def var_key(self, j):
-        e = [0] * self.nvars
-        e[j] = 1
-        return self.key(tuple(e))
 
-
-class _BlockCodec:
+class _BlockCodec(_Codec):
     """Elimination block order: degrevlex on the first k variables, then
     degrevlex on the rest.  key = (deg1, packed1, deg2, packed2)."""
 
-    __slots__ = ("nvars", "k", "_left", "_right", "one")
+    __slots__ = ("k", "_left", "_right")
 
     def __init__(self, nvars: int, k: int):
         if not 1 <= k < nvars:
@@ -208,21 +205,12 @@ class _BlockCodec:
         return (((ka[1] | gl) - kb[1]) & gl == gl
                 and ((ka[3] | gr) - kb[3]) & gr == gr)
 
-    def lcm(self, ka, kb):
-        ea, eb = self.exps(ka), self.exps(kb)
-        return self.key(tuple(a if a > b else b for a, b in zip(ea, eb)))
-
     def degree(self, key):
         return key[0] + key[2]
 
     def tail_degree(self, key):
         """Degree in the non-eliminated block (the x-grading for t-tricks)."""
         return key[2]
-
-    def var_key(self, j):
-        e = [0] * self.nvars
-        e[j] = 1
-        return self.key(tuple(e))
 
 
 @lru_cache(maxsize=None)

@@ -86,12 +86,6 @@ class RingCtx:
     def variable(self, name: str) -> "Polynomial":
         return self.variables()[self._name_index[name]]
 
-    def monomial(self, exps, coeff=None) -> "Polynomial":
-        c = self.field.one if coeff is None else self.field.normalize(coeff)
-        if c == self.field.zero:
-            return self.zero
-        return Polynomial(self, ((self.codec.key(tuple(exps)), c),))
-
     def monomials_of_degree(self, d: int) -> tuple:
         """All degree-d monomial keys, descending in the ring order."""
         if d < 0:
@@ -166,37 +160,8 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][0]
 
-    def leading_coeff(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][1]
-
-    def leading_monomial(self) -> "Polynomial":
-        return Polynomial(self.ring, ((self.leading_key(), self.ring.field.one),))
-
-    def coefficient(self, key):
-        for k, c in self.terms:
-            if k == key:
-                return c
-        return self.ring.field.zero
-
     def support(self) -> tuple:
         return tuple(k for k, _ in self.terms)
-
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        deg = self.ring.codec.degree
-        return Polynomial(self.ring,
-                          tuple((k, c) for k, c in self.terms if deg(k) == d))
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        field = self.ring.field
-        inv = field.inv(self.terms[0][1])
-        if inv == field.one:
-            return self
-        return Polynomial(self.ring,
-                          tuple((k, field.mul(c, inv)) for k, c in self.terms))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -329,10 +329,10 @@ class _Evaluator:
         if "r" not in call.kwargs:
             self.fail(call, "needs r=<int>")
         r = self.int_arg(call, "r", call.kwargs["r"])
-        style = "monomial"
-        if "style" in call.kwargs:
-            style = call.kwargs["style"][1]
-        return quadric_ci(r, self.field, style=style, seed=step_seed)
+        style = call.kwargs.get("style", ("atom", "monomial"))
+        if isinstance(style, _Call):
+            self.fail(call, "style must be a word, not a step")
+        return quadric_ci(r, self.field, style=style[1], seed=step_seed)
 
     def op_apolar(self, call, step_seed):
         self.take(call, positional=1, keys=("vars",))

@@ -1,9 +1,11 @@
 """Groebner engine cross-checked against sympy's implementation."""
 
+import hashlib
 import random
 
 import pytest
 
+from gorquad.constructions import apolar_ideal, random_homogeneous
 from gorquad.core import AlgebraError, CappedComputationError
 from gorquad.groebner import Ideal, interreduce_known_basis
 from gorquad.poly import ring
@@ -50,8 +52,9 @@ def test_basis_is_generator_order_independent():
     assert bases[0] == bases[1] == bases[2]
 
 
-def test_membership_and_normal_form():
-    R = ring(Q, 3)
+@pytest.mark.parametrize("field", [Q, GF2], ids=["q", "gf2"])
+def test_membership_and_normal_form(field):
+    R = ring(field, 3)
     I = Ideal.from_texts(R, ["x1^2", "x2^2"])
     gb = I.groebner()
     member = R.parse("x1^3 + x1*x2^2")
@@ -110,8 +113,9 @@ def test_ideal_dedupes_and_drops_zero():
     assert I.gens == (p,)
 
 
-def test_interreduce_known_basis():
-    R = ring(Q, 2)
+@pytest.mark.parametrize("field", [Q, GF2], ids=["q", "gf2"])
+def test_interreduce_known_basis(field):
+    R = ring(field, 2)
     gb = Ideal.from_texts(R, ["x1^2", "x1*x2 + x2^2"]).groebner()
     # feeding redundant combinations back in must reproduce the same basis
     padded = list(gb.elements) + [gb.elements[0] + gb.elements[1],
@@ -129,3 +133,39 @@ def test_truncated_basis_guards_tail_queries():
     with pytest.raises(AlgebraError):
         cut.normal_form(probe)
     assert full.normal_form(probe) is not None
+
+
+def _gf2_apolar(n, degree, seed):
+    # random_dual_form draws every coefficient over GF(2) as 1, so a seeded
+    # dense form would not depend on its seed; draw a plain random one.
+    R = ring(GF2, n)
+    F = random_homogeneous(R, degree, random.Random(seed))
+    return Ideal(R, apolar_ideal(F).gens)
+
+
+def _gf2_quadrics(n, count, seed):
+    R = ring(GF2, n)
+    rng = random.Random(seed)
+    return Ideal(R, [random_homogeneous(R, 2, rng) for _ in range(count)])
+
+
+# sha256 of the printed reduced bases of GF(2) ideals whose bases take
+# several rounds of S-pairs (up to degree 6 and 50 elements).
+@pytest.mark.parametrize("build, want", [
+    (lambda: _gf2_apolar(6, 3, 1),
+     "3037124dbd0f2f83baddc52e19467e55a18a91060a0b99246f0104ed2f85ce2c"),
+    (lambda: _gf2_apolar(7, 3, 2),
+     "8adb2312cf87df43c21a7a521c2aba501876e14dd204d56607a25d472d635021"),
+    (lambda: _gf2_apolar(6, 4, 3),
+     "3401c59d25f07aab195146dda2453130d7ece97df7d4aee7c1fbe9982aa6d2f0"),
+    (lambda: _gf2_quadrics(6, 6, 4),
+     "94fd75290f1df3e1f5e91f063af32090e55fe28e0caf31c1b165d1ed8cf75554"),
+    (lambda: _gf2_quadrics(6, 5, 6),
+     "621aeaddfc912a2f807edd6b265be5381791e4373e9c7e2d64e34b8c6677b286"),
+    (lambda: _gf2_quadrics(7, 5, 7),
+     "42c1ec2ae7e1001e6c61a6812b0668395c35ab842e4c7f1859d02f1a880299e3"),
+], ids=["apolar-6-3", "apolar-7-3", "apolar-6-4", "quadrics-6-6",
+        "quadrics-6-5", "quadrics-7-5"])
+def test_gf2_reduced_bases_are_pinned(build, want):
+    text = "\n".join(str(g) for g in build().groebner().elements)
+    assert hashlib.sha256(text.encode()).hexdigest() == want

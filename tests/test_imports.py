@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private name it defines is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,43 @@ def test_no_unused_imports(path):
                     for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level private functions, classes and constants -> their node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    out[t.id] = node
+    return {name: node for name, node in out.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree: ast.AST) -> list:
+    """Every name read in the tree, as a bare name or an attribute."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.append(node.attr)
+    return refs
+
+
+PACKAGE = {p: ast.parse(p.read_text(encoding="utf-8"))
+           for p in sorted(SRC.glob("*.py"))}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_orphaned_private_names(path):
+    everywhere = [name for tree in PACKAGE.values() for name in _references(tree)]
+    orphans = sorted(
+        f"{name} (line {node.lineno})"
+        for name, node in _private_definitions(PACKAGE[path]).items()
+        if everywhere.count(name) == _references(node).count(name))
+    assert not orphans, f"{path.name} defines but nothing uses: {orphans}"

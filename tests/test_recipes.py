@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gorquad.cli import main
 from gorquad.constructions import link_by_squares, regular_sequence_in
 from gorquad.core import AlgebraError, ParseError
 from gorquad.groebner import Ideal
@@ -232,6 +233,17 @@ def test_recipe_errors():
         run_recipe("ci r=3 (\n")
     with pytest.raises((ParseError, AlgebraError)):
         run_recipe("apolar \"x1 + x2^2\" vars=2\n")  # inhomogeneous form
+
+
+def test_recipe_ci_style_must_be_a_word(tmp_path, capsys):
+    with pytest.raises(ParseError, match="style"):
+        run_recipe("ci r=3 style=(ci r=2)\n")
+    I, _ = run_recipe('ci r=3 style="random"\n', field=GF7)
+    assert hilbert_function(I) == HVector((1, 3, 3, 1))
+    recipe = tmp_path / "bad.recipe"
+    recipe.write_text("ci r=3 style=(ci r=2)\n")
+    assert main(["construct", str(recipe)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_recipe_last_line_is_result():
