@@ -29,9 +29,8 @@ from .invariants import (
     classify,
     hilbert_function,
     ideal_degree_basis,
-    standard_monomials,
 )
-from .linalg import left_kernel
+from .linalg import Echelon, left_kernel
 from .poly import Polynomial, RingCtx, ring
 
 __all__ = [
@@ -79,8 +78,10 @@ def random_homogeneous(R: RingCtx, degree: int, rng: random.Random,
 
 def random_dual_form(R: RingCtx, degree: int, rng: random.Random) -> Polynomial:
     """Dense random form used as a dual socle generator (all coefficients
-    nonzero, so no accidental rank drop at the monomial level)."""
-    return random_homogeneous(R, degree, rng, all_nonzero=True)
+    nonzero, so no accidental rank drop at the monomial level).  Over GF(2)
+    that form is the sum of all monomials whatever the seed, so there the
+    coefficients are drawn uniformly instead."""
+    return random_homogeneous(R, degree, rng, all_nonzero=R.field.p != 2)
 
 
 # -- complete intersections ------------------------------------------------------
@@ -151,13 +152,32 @@ def contract(p: Polynomial, F: Polynomial) -> Polynomial:
     return p.ring.from_terms(acc.items())
 
 
+def _linear_multiples(vectors, R: RingCtx, room: int) -> Echelon:
+    """Echelon form of the products x_j * v ({monomial key: coeff}), which
+    spans R_1 * span(vectors); its pivots are that span's leading terms.
+    It stops early once its rank fills room, the dimension of a space known
+    to contain that span."""
+    codec = R.codec
+    var_keys = [codec.var_key(j) for j in range(R.nvars)]
+    span = Echelon(R.field)
+    for v in vectors:
+        for vk in var_keys:
+            if span.rank == room:
+                return span
+            span.add({codec.mul(vk, m): c for m, c in v.items()})
+    return span
+
+
 def apolar_ideal(F: Polynomial) -> Ideal:
     """Annihilator of a homogeneous dual form under contraction.
 
-    Built degreewise from catalecticant kernels in degrees 1..deg(F) and
-    completed by the surviving monomials one degree higher; the quotient is
-    Gorenstein with socle degree deg(F) and h-vector given by the
-    catalecticant ranks.
+    Ann(F)_d is the degree-d catalecticant kernel for d <= e = deg(F), and
+    R_{e+1} lies in Ann(F).  A kernel vector is a new generator when it lies
+    outside R_1 * Ann(F)_{d-1}, and the degree-(e+1) generators are the
+    monomials leading no element of R_1 * Ann(F)_e.  That span test needs
+    no Groebner basis and is exact: the generators below degree d span
+    Ann(F) in each lower degree, so their degree-d part is R_1 * Ann(F)_{d-1},
+    and an echelon form's pivots are the leading terms of its span.
     """
     R = F.ring
     if F.is_zero() or not F.is_homogeneous():
@@ -165,37 +185,23 @@ def apolar_ideal(F: Polynomial) -> Ideal:
     e = F.degree()
     if e < 1:
         raise ValueError("the dual form must have positive degree")
-    field = R.field
     codec = R.codec
     gens: list[Polynomial] = []
-    gb = None
+    kernel: list[dict] = []         # Ann(F)_{d-1}, as {monomial key: coeff}
     for d in range(1, e + 1):
         mons = R.monomials_of_degree(d)
-        rows = []
-        for m in mons:
-            row = {}
-            for kf, cf in F.terms:
-                if codec.divides(m, kf):
-                    row[codec.div(kf, m)] = cf
-            rows.append(row)
-        batch = []
-        for vec in left_kernel(rows, field):
-            p = R.from_terms(zip(mons, vec))
-            if not p.is_zero():
-                batch.append(p)
-        if batch and gens:
-            gb = Ideal(R, gens).groebner()
-            batch = [p for p in batch if not gb.reduces_to_zero(p)]
-        gens.extend(batch)
-    one = field.one
-    if gens:
-        gb = Ideal(R, gens).groebner()
-        extra = [Polynomial(R, ((k, one),)) for k in standard_monomials(gb, e + 1)]
-    else:
-        extra = [Polynomial(R, ((k, one),)) for k in R.monomials_of_degree(e + 1)]
-    if not extra:
-        return Ideal(R, gens)
-    return Ideal(R, tuple(gens) + tuple(extra))
+        rows = [{codec.div(kf, m): cf for kf, cf in F.terms if codec.divides(m, kf)}
+                for m in mons]
+        prev, kernel = kernel, [{mons[i]: c for i, c in v.items()}
+                                for v in left_kernel(rows, R.field)]
+        below = _linear_multiples(prev, R, len(kernel))
+        if below.rank < len(kernel):    # else R_1 * Ann(F)_{d-1} = Ann(F)_d
+            gens.extend(R.from_terms(v.items()) for v in kernel if below.reduce(v))
+    top = R.monomials_of_degree(e + 1)
+    leading = _linear_multiples(kernel, R, len(top)).pivots
+    one = R.field.one
+    return Ideal(R, gens + [Polynomial(R, ((k, one),)) for k in top
+                            if k not in leading])
 
 
 # -- tensor products and the (r, i) family ---------------------------------------

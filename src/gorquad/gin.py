@@ -185,17 +185,6 @@ def gin(I: Ideal, seed: int = 0) -> GinResult:
         candidates=tuple(sorted({keys for keys, _ in seen})))
 
 
-def _gin_divisible_count(gin_result: GinResult, d: int) -> int:
-    """Standard monomials of the gin in degree d divisible by the last
-    variable: the rank of multiplication by a general linear form from
-    degree d-1, counted combinatorially."""
-    gb = gin_result.monomial_ideal.groebner()
-    codec = gb.ring.codec
-    last = gb.ring.nvars - 1
-    return sum(1 for m in standard_monomials(gb, d)
-               if codec.exps(m)[last] > 0)
-
-
 def times_L_rank(I: Ideal, d: int, L: Polynomial,
                  gin_result: GinResult | None = None) -> RankReport:
     """Exact rank of multiplication by L from degree d to d+1 on R/I.
@@ -214,7 +203,7 @@ def times_L_rank(I: Ideal, d: int, L: Polynomial,
     report = RankReport(degree=d, rank=rank, kernel_dim=kernel_dim,
                         method="direct_linear_algebra")
     if gin_result is not None:
-        expected = _gin_divisible_count(gin_result, d + 1)
+        expected = gin_monomial_census(gin_result, d + 1).standard_divisible
         if expected != rank:
             raise GenericityError(
                 f"direct rank {rank} at degree {d} disagrees with the gin "
@@ -237,7 +226,7 @@ def generic_times_rank(I: Ideal, d: int,
         if best is None or report.rank > best.rank:
             best = report
     if gin_result is not None:
-        expected = _gin_divisible_count(gin_result, d + 1)
+        expected = gin_monomial_census(gin_result, d + 1).standard_divisible
         if expected != best.rank:
             raise GenericityError(
                 f"sampled maximal rank {best.rank} at degree {d} disagrees "

@@ -308,8 +308,7 @@ def annihilator(x, gens, d: int) -> list:
         if part is not rows:
             for m, row in part.items():
                 rows[m].update(((gi, k), v) for k, v in row.items())
-    zero = field.zero
-    return [{m: c for m, c in zip(std, v) if c != zero}
+    return [{std[i]: c for i, c in v.items()}
             for v in left_kernel(rows.values(), field)]
 
 

@@ -4,7 +4,9 @@ Rows are dicts {column: coeff} with totally ordered column labels (monomial
 keys in practice); the same code serves the rationals and every GF(p).
 
 left_kernel(rows) returns a basis of vectors v with sum_i v[i]*rows[i] == 0,
-i.e. the kernel of the linear map whose images are the given rows.
+i.e. the kernel of the linear map whose images are the given rows.  Its
+vectors are sparse too, dicts {row index: coeff} with no zero entries, so a
+caller maps them straight onto its own row labels (monomials, in practice).
 """
 
 from __future__ import annotations
@@ -71,10 +73,10 @@ def rank_of(rows, field: FieldSpec) -> int:
 
 
 def left_kernel(rows, field: FieldSpec) -> list:
-    """Basis of {v : sum_i v[i]*rows[i] == 0}, as coefficient tuples."""
-    rows = list(rows)
-    n = len(rows)
-    zero, one = field.zero, field.one
+    """Basis of {v : sum_i v[i]*rows[i] == 0}, as dicts {row index: coeff}
+    without zero entries.  The vector found at row i has coefficient one
+    there and touches no later row, so the basis is triangular."""
+    one = field.one
     pivots = {}
     kernel = []
     for i, r in enumerate(rows):
@@ -95,5 +97,5 @@ def left_kernel(rows, field: FieldSpec) -> list:
                 aug = {k: field.mul(inv, v) for k, v in aug.items()}
             pivots[max(main)] = (main, aug)
         else:
-            kernel.append(tuple(aug.get(j, zero) for j in range(n)))
+            kernel.append(aug)
     return kernel

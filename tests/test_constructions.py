@@ -18,12 +18,14 @@ from gorquad.constructions import (LinkageError, LinkStep, apolar_ideal,
                                    regular_sequence_in, squarefree_full_form,
                                    tensor_algebras)
 from gorquad.core import FieldSpec, GenericityError
+import gorquad.groebner as groebner_module
 from gorquad.groebner import Ideal
 from gorquad.idealops import colon_ideal
 from gorquad.invariants import (HVector, classify, hilbert_function,
                                 is_gorenstein, minimal_generator_counts,
-                                presented_by_quadrics)
-from gorquad.poly import ring
+                                presented_by_quadrics, standard_monomials)
+from gorquad.linalg import left_kernel
+from gorquad.poly import Polynomial, ring
 from gorquad.recipes import format_ideal
 
 from conftest import GF2, GF7, GFBIG, Q, random_poly
@@ -136,6 +138,93 @@ def test_squarefree_full_form():
         squarefree_full_form(R, 5)
     with pytest.raises(ValueError):
         squarefree_full_form(R, 0)
+
+
+def test_random_dual_form_over_gf2_depends_on_its_seed():
+    R = ring(GF2, 5)
+    forms = {random_dual_form(R, 3, random.Random(seed)) for seed in range(4)}
+    assert len(forms) > 1
+    # over odd p and Q the draw stays dense
+    for field in (GF7, Q):
+        F = random_dual_form(ring(field, 3), 3, random.Random(2))
+        assert len(F.terms) == len(F.ring.monomials_of_degree(3))
+
+
+# -- apolar ideals against the Groebner-basis construction -------------------------
+
+
+def groebner_apolar_gens(F):
+    """apolar_ideal's generators found with Groebner bases: a catalecticant
+    kernel vector is kept when a basis of the lower-degree generators does
+    not reduce it to zero, and the degree-(e+1) generators are the standard
+    monomials of that basis."""
+    R, codec, field = F.ring, F.ring.codec, F.ring.field
+    e = F.degree()
+    gens = []
+    for d in range(1, e + 1):
+        mons = R.monomials_of_degree(d)
+        rows = [{codec.div(kf, m): cf for kf, cf in F.terms
+                 if codec.divides(m, kf)} for m in mons]
+        batch = [R.from_terms((mons[i], c) for i, c in v.items())
+                 for v in left_kernel(rows, field)]
+        if batch and gens:
+            gb = Ideal(R, gens).groebner()
+            batch = [p for p in batch if not gb.reduces_to_zero(p)]
+        gens.extend(batch)
+    if gens:
+        extra = standard_monomials(Ideal(R, gens).groebner(), e + 1)
+    else:
+        extra = R.monomials_of_degree(e + 1)
+    return Ideal(R, gens + [Polynomial(R, ((k, field.one),))
+                            for k in extra]).gens
+
+
+def _without_last_variable(F):
+    codec, last = F.ring.codec, F.ring.nvars - 1
+    return F.ring.from_terms((k, c) for k, c in F.terms
+                             if codec.exps(k)[last] == 0)
+
+
+def _seeded_dual_forms(field):
+    for n in range(2, 7):
+        for e in range(1, 5):
+            if n + e > 8:
+                continue
+            rng = random.Random(100 * n + e)
+            R = ring(field, n)
+            yield random_homogeneous(R, e, rng)
+            G = _without_last_variable(random_homogeneous(R, e, rng))
+            if not G.is_zero():
+                yield G                          # h_1 < n
+            yield random_poly(R, e, rng, density=0.3)
+    for n, d in ((3, 2), (4, 2), (4, 3), (5, 3), (6, 2), (6, 4)):
+        yield squarefree_full_form(ring(field, n), d)
+
+
+@pytest.mark.parametrize("field", [GF2, GF7, GFBIG, Q], ids=str)
+def test_apolar_ideal_matches_groebner_construction(field):
+    cases = 0
+    for F in _seeded_dual_forms(field):
+        if F.is_zero():
+            continue
+        assert apolar_ideal(F).gens == groebner_apolar_gens(F), str(F)
+        cases += 1
+    assert cases >= 40
+
+
+@pytest.mark.parametrize("field", [GF2, GF7, Q], ids=str)
+def test_apolar_ideal_computes_no_groebner_basis(field, monkeypatch):
+    R = ring(field, 4)
+    forms = [random_homogeneous(R, 3, random.Random(5)),
+             _without_last_variable(random_homogeneous(R, 4, random.Random(6))),
+             squarefree_full_form(R, 2)]
+    want = [groebner_apolar_gens(F) for F in forms]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Groebner basis was computed")
+
+    monkeypatch.setattr(groebner_module, "_compute_basis", refuse)
+    assert [apolar_ideal(F).gens for F in forms] == want
 
 
 # -- tensor products ---------------------------------------------------------------

@@ -136,8 +136,8 @@ def test_truncated_basis_guards_tail_queries():
 
 
 def _gf2_apolar(n, degree, seed):
-    # random_dual_form draws every coefficient over GF(2) as 1, so a seeded
-    # dense form would not depend on its seed; draw a plain random one.
+    # Over GF(2) random_dual_form draws its coefficients uniformly, exactly
+    # as random_homogeneous does here; these hashes pin such forms.
     R = ring(GF2, n)
     F = random_homogeneous(R, degree, random.Random(seed))
     return Ideal(R, apolar_ideal(F).gens)

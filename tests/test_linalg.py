@@ -54,19 +54,36 @@ def test_left_kernel_annihilates_rows(field, seed):
     nrows, ncols = 7, 5
     rows = random_rows(field, nrows, ncols, rng)
     kernel = left_kernel(rows, field)
-    rank = rank_of(rows, field)
+    rank = dense_rref_rank([densify(r, ncols, field) for r in rows], field)
     assert len(kernel) == nrows - rank
     for combo in kernel:
+        assert combo and set(combo) <= set(range(nrows))
+        assert all(c != field.zero for c in combo.values())
         acc = {}
-        for i, c in enumerate(combo):
+        for i, c in combo.items():
             for j, v in rows[i].items():
                 acc[j] = field.add(acc.get(j, field.zero), field.mul(c, v))
         assert all(v == field.zero for v in acc.values())
     # kernel vectors are linearly independent
-    as_rows = [{i: c for i, c in enumerate(v) if c != field.zero} for v in kernel]
-    assert rank_of(as_rows, field) == len(kernel)
+    assert rank_of(kernel, field) == len(kernel)
+
+
+@pytest.mark.parametrize("field", [Q, GF7, GF2])
+@pytest.mark.parametrize("shape", [(3, 8), (12, 4), (9, 9)])
+def test_left_kernel_is_sparse_with_dense_oracle_dimension(field, shape):
+    nrows, ncols = shape
+    rows = random_rows(field, nrows, ncols, random.Random(nrows * ncols), 0.3)
+    rows[1] = {}                         # a zero row is a kernel vector alone
+    kernel = left_kernel(rows, field)
+    dense = [densify(r, ncols, field) for r in rows]
+    assert len(kernel) == nrows - dense_rref_rank(dense, field)
+    assert {1: field.one} in kernel
+    for combo in kernel:
+        assert all(isinstance(i, int) and 0 <= i < nrows for i in combo)
+        assert field.zero not in combo.values()
 
 
 def test_empty_inputs():
     assert rank_of([], Q) == 0
-    assert left_kernel([{}], Q) == [(Q.one,)]
+    assert left_kernel([], Q) == []
+    assert left_kernel([{}], Q) == [{0: Q.one}]

@@ -124,6 +124,15 @@ def test_recipe_seed_determinism():
     assert d.gens == e.gens
 
 
+def test_recipe_apolar_generic_over_gf2_uses_its_seed():
+    # over GF(2) an all-nonzero cubic is the sum of all monomials, which is
+    # degenerate in five variables; the seeded draws must vary instead
+    built = [run_recipe("apolar-generic 5 3\n", field=GF2, seed=s)[0]
+             for s in range(4)]
+    assert all(hilbert_function(I)[1] == 5 for I in built)
+    assert len({I.gens for I in built}) > 1
+
+
 def test_recipe_colon_and_link():
     text = """\
 cover = ci r=3
