@@ -33,14 +33,17 @@ from dataclasses import dataclass
 from .constructions import LinkStep, link, quadric_ci
 from .core import AlgebraError, FieldSpec
 from .groebner import Ideal
-from .invariants import (HVector, QuadricClassification, _variable_rows,
+from .invariants import (HVector, QuadricClassification, _monomial_rows,
                          annihilator, as_basis, hilbert_function,
                          hilbert_value, minimal_generators)
 from .linalg import Echelon, axpy
 from .poly import Polynomial, RingCtx, ring
 
-# The three h2 values the r = 6 sweep can legally produce; anything else is
-# surfaced as a finding rather than silently recorded.
+# The r = 6 findings check, for every field and cover: the three h2 values
+# a presented colon can have; anything else is surfaced as a finding rather
+# than silently recorded.  The exhaustive GF(2) squares-cover sweep presents
+# h2 = 10 only, for 18228 of its 32767 forms (`gorquad census --field 2
+# --r 6 --jobs 2`; ROADMAP direction 1).
 H2_SUPPORT_R6 = (10, 11, 12)
 
 CSV_HEADER = ("field", "r", "ci_style", "ci_seed", "mode", "f_index",
@@ -201,7 +204,8 @@ def classify(state: dict, F: Polynomial) -> QuadricClassification:
     for d in range(3, r):
         target = hilbert_value(gb, d) - h[d]
         span = Echelon(field)
-        times_var = [_variable_rows(gb, j, d - 1) for j in range(r)]
+        times_var = [_monomial_rows(gb, d - 1, x.leading_key())
+                     for x in gb.ring.variables()]
         for v, rows in itertools.product(kernels[d - 1], times_var):
             if span.rank == target:
                 break

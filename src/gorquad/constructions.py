@@ -178,6 +178,11 @@ def apolar_ideal(F: Polynomial) -> Ideal:
     no Groebner basis and is exact: the generators below degree d span
     Ann(F) in each lower degree, so their degree-d part is R_1 * Ann(F)_{d-1},
     and an echelon form's pivots are the leading terms of its span.
+
+    The generating set need not be minimal: kernel vectors that depend on
+    one another modulo R_1 * Ann(F)_{d-1} are all kept, so F = x1^2 + x1*x2
+    + x1*x3 over GF(2) gives 6 generators for 3 minimal ones.  Use
+    `invariants.minimal_generators` for a minimal set.
     """
     R = F.ring
     if F.is_zero() or not F.is_homogeneous():

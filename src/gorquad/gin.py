@@ -111,8 +111,8 @@ def is_borel_fixed(x) -> bool:
     else:
         raise TypeError(f"expected Ideal or GroebnerBasis, got {type(x).__name__}")
     codec = ring_.codec
-    divides = codec.divides
     for m in leads:
+        std = gb._level(codec.degree(m))[1]
         exps = codec.exps(m)
         for j, e in enumerate(exps):
             if not e:
@@ -121,8 +121,7 @@ def is_borel_fixed(x) -> bool:
                 shifted = list(exps)
                 shifted[j] -= 1
                 shifted[i] += 1
-                k = codec.key(tuple(shifted))
-                if not any(divides(lk, k) for lk in leads):
+                if codec.key(tuple(shifted)) in std:
                     return False
     return True
 
@@ -260,16 +259,13 @@ def reduction_number(I: Ideal, s: int,
         k = h.socle_degree
         best = k if best is None else min(best, k)
     if gin_result is not None and 0 <= s < ring_.nvars:
-        codec = ring_.codec
+        gin_gb = gin_result.monomial_ideal.groebner()
         j = ring_.nvars - s - 1
-        divides = codec.divides
-        leads = gin_result.lead_keys
         k = 0
         while True:
             e = [0] * ring_.nvars
             e[j] = k + 1
-            key = codec.key(tuple(e))
-            if any(divides(lk, key) for lk in leads):
+            if ring_.codec.key(tuple(e)) not in gin_gb._level(k + 1)[1]:
                 break
             k += 1
             if k > 2 * ring_.nvars + hilbert_function(gb).socle_degree:

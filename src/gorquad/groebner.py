@@ -3,11 +3,14 @@
 The engine works on packed monomial keys (see orders.py) and holds every
 polynomial as a {key: coeff} dict, over QQ and every GF(p) alike, GF(2)
 included.  One normal-form routine, _nf, serves the S-pair loop, the final
-interreduction, GroebnerBasis.normal_form and the multiplication maps of
-invariants.py.  Pair selection is the normal strategy (minimal lcm degree,
-then smallest lcm) with Gebauer-Moeller pruning; the result is always the
-unique reduced Groebner basis, elements monic and sorted descending by
-leading monomial.
+interreduction and GroebnerBasis.normal_form.  Pair selection is the normal
+strategy (minimal lcm degree, then smallest lcm) with Gebauer-Moeller
+pruning; the result is always the unique reduced Groebner basis, elements
+monic and sorted descending by leading monomial.
+
+A basis of a homogeneous ideal I also tabulates B = R/I degree by degree
+(GroebnerBasis._level): the standard monomials as an order ideal and their
+products' normal forms, as in FGLM; invariants.py reads B from there.
 
 Two guard rails:
 
@@ -27,6 +30,7 @@ import heapq
 from bisect import insort
 
 from .core import AlgebraError, CappedComputationError, RingMismatchError
+from .linalg import axpy
 from .orders import MAX_PACKED_DEGREE
 from .poly import Polynomial, RingCtx
 
@@ -260,31 +264,89 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def _reduce_terms(self, terms) -> dict:
-        """_nf of (key, coeff) pairs against this basis; the reducers are
-        built on first use."""
-        if self._reducers is None:
-            degree = self.ring.codec.degree
-            self._reducers = sorted(
-                ((degree(p.terms[0][0]), p.terms[0][0], dict(p.terms[1:]))
-                 for p in self.elements), key=lambda e: (e[0], e[1]))
-        return _nf(self.ring, terms, self._reducers)
-
-    def _check_within_truncation(self, p: Polynomial):
-        if self.truncated_at is None or p.is_zero():
-            return
-        tail_degree = self.ring.codec.tail_degree
-        worst = max(tail_degree(k) for k, _ in p.terms)
-        if worst > self.truncated_at:
+    def _level(self, d: int) -> tuple:
+        """(std, std_set, nf) of degree d: the standard monomials, descending
+        and as a set, and NF(m) as {key: coeff} dicts for every m in
+        B_1 * std_{d-1} (standard m as {m: 1}) plus those _monomial_nf
+        memoises.  The dicts are shared with callers, who must not change them."""
+        if self.truncated_at is not None and d > self.truncated_at:
             raise AlgebraError(
-                f"normal form of degree {worst} requested from a basis "
-                f"truncated at degree {self.truncated_at}")
+                f"degree {d} is beyond the basis truncation {self.truncated_at}")
+        levels = self._caches.setdefault("levels", [])
+        while len(levels) <= d:
+            levels.append(self._build_level(levels))
+        return levels[d]
+
+    def _build_level(self, levels: list) -> tuple:
+        """The degree after ``levels``.  A monomial b = x_j * s, s standard,
+        is standard iff it is no leading term and every b / x_k is standard.
+        The table fills in ascending order: a leading term has NF(b) = -tail;
+        any other nonstandard b has a nonstandard b / x_k in the table one
+        degree down, and NF(b) = sum c_t NF(x_k * t) over NF(b / x_k), where
+        each x_k * t lies below b and so is in the table already."""
+        d = len(levels)
+        codec, field = self.ring.codec, self.ring.field
+        mul, div, divides = codec.mul, codec.div, codec.divides
+        neg, one = field.neg, field.one
+        var_keys = [codec.var_key(j) for j in range(self.ring.nvars)]
+        tails = {p.terms[0][0]: p.terms[1:] for p in self.elements
+                 if codec.degree(p.terms[0][0]) == d}
+        if d == 0:
+            prev_set, prev_nf, candidates = frozenset(), {}, {codec.one}
+        else:
+            prev_std, prev_set, prev_nf = levels[d - 1]
+            candidates = {mul(v, s) for v in var_keys for s in prev_std}
+        nf = {}
+        std = []
+        for b in sorted(candidates):
+            tail = tails.get(b)
+            if tail is not None:
+                nf[b] = {k: neg(c) for k, c in tail}
+                continue
+            vk = next((v for v in var_keys
+                       if divides(v, b) and div(b, v) not in prev_set), None)
+            if vk is None:
+                std.append(b)
+                nf[b] = {b: one}
+                continue
+            row = nf[b] = {}
+            for t, c in prev_nf[div(b, vk)].items():
+                axpy(row, c, nf[mul(vk, t)], field)
+        std.reverse()
+        return tuple(std), frozenset(std), nf
+
+    def _monomial_nf(self, m) -> dict:
+        """NF(m) of a monomial key, from the table of its degree.  A monomial
+        outside B_1 * std_{d-1} has every m / x_k nonstandard, so NF(m) =
+        sum c_t NF(x_k * t) over NF(m / x_k) for its first variable x_k; the
+        recursion goes down one degree a step and is memoised."""
+        codec = self.ring.codec
+        nf = self._level(codec.degree(m))[2]
+        row = nf.get(m)
+        if row is None:
+            vk = codec.var_key(next(j for j, e in enumerate(codec.exps(m)) if e))
+            row = {}
+            for t, c in self._monomial_nf(codec.div(m, vk)).items():
+                axpy(row, c, nf[codec.mul(vk, t)], self.ring.field)
+            nf[m] = row
+        return row
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial is not in the basis ring")
-        self._check_within_truncation(p)
-        return Polynomial(self.ring, tuple(self._reduce_terms(p.terms).items()))
+        if self.truncated_at is not None and not p.is_zero():
+            worst = max(self.ring.codec.tail_degree(k) for k, _ in p.terms)
+            if worst > self.truncated_at:
+                raise AlgebraError(
+                    f"normal form of degree {worst} requested from a basis "
+                    f"truncated at degree {self.truncated_at}")
+        if self._reducers is None:
+            degree = self.ring.codec.degree
+            self._reducers = sorted(
+                ((degree(g.terms[0][0]), g.terms[0][0], dict(g.terms[1:]))
+                 for g in self.elements), key=lambda e: (e[0], e[1]))
+        rep = _nf(self.ring, p.terms, self._reducers)
+        return Polynomial(self.ring, tuple(rep.items()))
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -309,13 +371,8 @@ class GroebnerBasis:
             return True
         if self.ring.order.kind == "block":
             return False  # only meaningful when the tail grading is total degree
-        t = self.truncated_at
-        codec = self.ring.codec
-        divides = codec.divides
-        leads = self.lead_keys
-        for m in self.ring.monomials_of_degree(t):
-            if not any(divides(lk, m) for lk in leads):
-                return False
+        if self._level(self.truncated_at)[0]:
+            return False
         self.truncated_at = None
         return True
 

@@ -12,8 +12,9 @@ containing I (a complete intersection, in linkage) the colon I : J is I
 plus the lifts of the annihilator of J.  The linear algebra is linalg's on
 sparse dict rows, one code path for every coefficient field.
 
-Functions accept either an Ideal or a GroebnerBasis; per-basis results,
-the multiplication rows of B among them, are cached on the basis object.
+Functions accept either an Ideal or a GroebnerBasis.  Standard monomials
+and normal forms come from the basis's degree-by-degree table of B
+(GroebnerBasis._level); per-basis results are cached on the basis object.
 """
 
 from __future__ import annotations
@@ -166,29 +167,13 @@ def is_artinian(x) -> bool:
 
 def standard_monomials(x, d: int) -> tuple:
     """Degree-d monomial keys outside the leading-term ideal, descending."""
-    gb = as_basis(x)
-
-    def build():
-        if gb.truncated_at is not None and d > gb.truncated_at:
-            raise AlgebraError(
-                f"degree {d} is beyond the basis truncation {gb.truncated_at}")
-        divides = gb.ring.codec.divides
-        degree = gb.ring.codec.degree
-        leads = [k for k in gb.lead_keys if degree(k) <= d]
-        return tuple(m for m in gb.ring.monomials_of_degree(d)
-                     if not any(divides(lk, m) for lk in leads))
-
-    return _cache(gb, ("std", d), build)
+    return as_basis(x)._level(d)[0] if d >= 0 else ()
 
 
 def nonstandard_monomials(x, d: int) -> tuple:
     gb = as_basis(x)
-
-    def build():
-        std = set(standard_monomials(gb, d))
-        return tuple(m for m in gb.ring.monomials_of_degree(d) if m not in std)
-
-    return _cache(gb, ("nonstd", d), build)
+    std = gb._level(d)[1]
+    return tuple(m for m in gb.ring.monomials_of_degree(d) if m not in std)
 
 
 def hilbert_value(x, d: int) -> int:
@@ -227,61 +212,25 @@ def socle_degree(x) -> int:
 # -- multiplication maps ----------------------------------------------------------
 
 
-def _nf_terms(gb: GroebnerBasis, key) -> dict:
-    """The normal form of a single monomial, as a {key: coeff} dict with its
-    keys in descending order."""
-    return gb._reduce_terms(((key, gb.ring.field.one),))
-
-
 def _minus_nf(gb: GroebnerBasis, m) -> Polynomial:
     """The ideal element m - NF(m) of a nonstandard monomial m; every key of
     NF(m) is below m."""
     field = gb.ring.field
     neg = field.neg
-    return Polynomial(gb.ring, ((m, field.one),) + tuple(
-        (k, neg(c)) for k, c in _nf_terms(gb, m).items()))
-
-
-def _variable_rows(gb: GroebnerBasis, j: int, d: int) -> dict:
-    """NF(x_j * m) for each standard monomial m of degree d, as a dict
-    {m: normal form as a dict over standard keys}, in the order of
-    standard_monomials(gb, d)."""
-
-    def build():
-        codec = gb.ring.codec
-        vk = codec.var_key(j)
-        return {m: _nf_terms(gb, codec.mul(vk, m))
-                for m in standard_monomials(gb, d)}
-
-    return _cache(gb, ("varmul", j, d), build)
+    return Polynomial(gb.ring, ((m, field.one),) + tuple(sorted(
+        ((k, neg(c)) for k, c in gb._monomial_nf(m).items()), reverse=True)))
 
 
 def _monomial_rows(gb: GroebnerBasis, d: int, q) -> dict:
-    """NF(q * m) for each standard monomial m of degree d, keyed like
-    _variable_rows; a zero product is an empty dict.  For q = x_j * q' the
-    rows are NF(x_j * NF(q' * m)), composed from the cached rows of q' and
-    of x_j one degree below the product."""
-    key = ("monmul", d, q)
-    rows = gb._caches.get(key)
-    if rows is not None:
-        return rows
-    codec, field = gb.ring.codec, gb.ring.field
-    exps = codec.exps(q)
-    e = sum(exps)
-    if e == 0:
-        rows = {m: {m: field.one} for m in standard_monomials(gb, d)}
-    else:
-        j = next(i for i, v in enumerate(exps) if v)
-        if e == 1:
-            return _variable_rows(gb, j, d)
-        var = _variable_rows(gb, j, d + e - 1)
-        prev = _monomial_rows(gb, d, codec.div(q, codec.var_key(j)))
-        rows = {}
-        for m, nf in prev.items():
-            acc = rows[m] = {}
-            for k, c in nf.items():
-                axpy(acc, c, var[k], field)
-    gb._caches[key] = rows
+    """NF(q * m) for each standard monomial m of degree d, as a dict
+    {m: normal form as a dict over standard keys} in the order of
+    standard_monomials(gb, d); a zero product is an empty dict.  The normal
+    forms are the basis's own table entries, read-only."""
+    rows = gb._caches.get(("monmul", d, q))
+    if rows is None:
+        mul = gb.ring.codec.mul
+        rows = gb._caches[("monmul", d, q)] = {
+            m: gb._monomial_nf(mul(q, m)) for m in standard_monomials(gb, d)}
     return rows
 
 
@@ -365,29 +314,19 @@ def _generator_rows(gb: GroebnerBasis, d: int) -> list:
     """The nonzero products x_j * (m - NF(m)), m nonstandard of degree d-1,
     as dict rows over the nonstandard monomials of degree d.  Those columns
     suffice: [I]_d has the triangular basis { m - NF(m) }, so an element of
-    [I]_d is fixed by its nonstandard coefficients."""
+    [I]_d is fixed by its nonstandard coefficients.  Multiplying by x_j
+    keeps the terms of m - NF(m) distinct."""
     codec = gb.ring.codec
-    field = gb.ring.field
-    nonstd_set = set(nonstandard_monomials(gb, d))
+    std = gb._level(d)[1]
     rows = []
     for m in nonstandard_monomials(gb, d - 1):
-        nf_prev = _nf_terms(gb, m)
+        element = _minus_nf(gb, m).terms
         for j in range(gb.ring.nvars):
             vk = codec.var_key(j)
-            acc = {}
-            t = codec.mul(vk, m)
-            if t in nonstd_set:
-                acc[t] = field.one
-            for k, c in nf_prev.items():
-                t = codec.mul(vk, k)
-                if t in nonstd_set:
-                    w = field.sub(acc.get(t, field.zero), c)
-                    if w == field.zero:
-                        acc.pop(t, None)
-                    else:
-                        acc[t] = w
-            if acc:
-                rows.append(acc)
+            row = {t: c for t, c in ((codec.mul(vk, k), c) for k, c in element)
+                   if t not in std}
+            if row:
+                rows.append(row)
     return rows
 
 
@@ -468,8 +407,7 @@ def contains_quadric_regular_sequence(x, seed: int = 0,
             for b in basis:
                 c = R.field.random(rng)
                 if c != R.field.zero:
-                    q = q + Polynomial(R, tuple((k, R.field.mul(c, v))
-                                                for k, v in b.terms))
+                    q = q + b.scale(c)
             combos.append(q)
         try:
             if hilbert_function(Ideal(R, combos)) == expected:

@@ -37,20 +37,17 @@ class Echelon:
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True iff it enlarged the span."""
+        work = self.reduce(row)
+        if not work:
+            return False
         field = self.field
-        work = dict(row)
-        while work:
-            p = max(work)
-            hit = self.pivots.get(p)
-            if hit is None:
-                inv = field.inv(work[p])
-                if inv != field.one:
-                    work = {k: field.mul(inv, v) for k, v in work.items()}
-                self.pivots[p] = work
-                self.rank += 1
-                return True
-            axpy(work, field.neg(work[p]), hit, field)
-        return False
+        p = max(work)
+        inv = field.inv(work[p])
+        if inv != field.one:
+            work = {k: field.mul(inv, v) for k, v in work.items()}
+        self.pivots[p] = work
+        self.rank += 1
+        return True
 
     def reduce(self, row: dict) -> dict:
         """Remainder of row modulo the current span (row unchanged)."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import FieldSpec, ParseError, RingMismatchError
-from .orders import DEGREVLEX, MonomialOrder
+from .orders import DEGREVLEX, MAX_PACKED_DEGREE, MonomialOrder
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -189,7 +189,6 @@ class Polynomial:
         self._check(other)
         if not self.terms or not other.terms:
             return self.ring.zero
-        from .orders import MAX_PACKED_DEGREE
         if self.degree() + other.degree() > MAX_PACKED_DEGREE:
             raise ValueError(
                 f"product degree exceeds the packed-monomial bound "
@@ -456,9 +455,11 @@ class _Parser:
                 if den_tok[0] != "int":
                     self._err("expected integer denominator", den_tok)
                 den = int(den_tok[1])
-                if den == 0:
-                    self._err("zero denominator", den_tok)
-                return self.ring.constant(Fraction(num, den))
+                try:
+                    return self.ring.constant(Fraction(num, den))
+                except ZeroDivisionError:
+                    self._err(f"denominator {den} is not invertible in "
+                              f"{self.ring.field}", den_tok)
             return self.ring.constant(num)
         if kind == "name":
             idx = self.ring._name_index.get(val)

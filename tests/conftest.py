@@ -66,6 +66,17 @@ def dense_rref_rank(rows, field: FieldSpec) -> int:
     return rank
 
 
+# -- leading-term scan oracle (every monomial against every leading term) -------
+
+
+def lead_scan_standard_monomials(gb, d: int) -> tuple:
+    """Degree-d monomial keys that no leading term of gb divides, descending
+    in the ring order."""
+    divides = gb.ring.codec.divides
+    return tuple(m for m in gb.ring.monomials_of_degree(d)
+                 if not any(divides(lk, m) for lk in gb.lead_keys))
+
+
 # -- sympy bridge -----------------------------------------------------------------
 
 

@@ -5,18 +5,21 @@ import random
 
 import pytest
 
+from gorquad import groebner
 from gorquad.core import AlgebraError
 from gorquad.groebner import Ideal
-from gorquad.invariants import (HVector, classify,
+from gorquad.invariants import (HVector, annihilator, classify,
                                 contains_quadric_regular_sequence,
                                 hilbert_function, hilbert_value,
                                 ideal_degree_basis, is_artinian, is_gorenstein,
                                 minimal_generator_counts, minimal_generators,
                                 presented_by_quadrics, socle_degree,
                                 socle_type, standard_monomials)
-from gorquad.poly import ring
+from gorquad.orders import DEGREVLEX, LEX, elimination_order
+from gorquad.poly import Polynomial, ring
 
-from conftest import GF2, GF7, GFBIG, Q, dense_rref_rank, random_poly
+from conftest import (GF2, GF7, GFBIG, Q, dense_rref_rank,
+                      lead_scan_standard_monomials, random_poly)
 
 # -- HVector ----------------------------------------------------------------------
 
@@ -99,6 +102,61 @@ def test_standard_monomials_partition_degree():
         std = standard_monomials(I, d)
         assert len(std) == hilbert_value(I, d)
         assert len(set(std)) == len(std)
+
+
+QUOTIENT_CASES = [
+    (GF2, DEGREVLEX, 4, None), (GF7, DEGREVLEX, 4, None),
+    (Q, DEGREVLEX, 3, None), (GF7, LEX, 3, None), (Q, LEX, 3, None),
+    (GF2, LEX, 4, None), (GF7, elimination_order(1), 4, None),
+    (Q, elimination_order(2), 4, None), (GF7, DEGREVLEX, 4, 3),
+    (GF2, DEGREVLEX, 5, 4),
+]
+
+
+@pytest.mark.parametrize("field, order, n, truncate", QUOTIENT_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_quotient_table_matches_scan_and_normal_form(field, order, n,
+                                                     truncate, seed):
+    """standard_monomials against the leading-term scan, and each monomial's
+    table normal form against GroebnerBasis.normal_form, degree by degree
+    (through the truncation for a truncated basis)."""
+    R = ring(field, n, order)
+    rng = random.Random(seed)
+    gens = [random_poly(R, 2, rng) for _ in range(n - 1)]
+    gens.append(R.variables()[seed % n] ** 3)
+    gb = Ideal(R, gens).groebner(truncate_tail_at=truncate)
+    top = 5 if truncate is None else truncate
+    for d in range(top + 1):
+        assert standard_monomials(gb, d) == lead_scan_standard_monomials(gb, d)
+        for m in R.monomials_of_degree(d):
+            table = gb._monomial_nf(m)
+            want = gb.normal_form(Polynomial(R, ((m, field.one),)))
+            assert R.from_terms(table.items()) == want
+    if truncate is not None:
+        with pytest.raises(AlgebraError):
+            standard_monomials(gb, truncate + 1)
+
+
+def test_invariants_read_the_table_not_the_reducer(monkeypatch):
+    R = ring(GF7, 4)
+    rng = random.Random(3)
+    gb = Ideal(R, [random_poly(R, 2, rng) for _ in range(4)]).groebner()
+    x1 = R.variables()[0]
+
+    def invariants(basis):
+        return (hilbert_function(basis), socle_type(basis),
+                annihilator(basis, [x1], 2), minimal_generators(basis),
+                ideal_degree_basis(basis, 3))
+
+    want = invariants(groebner.GroebnerBasis(R, gb.elements, gb.degree_cap))
+    assert want[0] == HVector((1, 4, 6, 4, 1))
+
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("an invariant called the Buchberger normal form")
+
+    monkeypatch.setattr(groebner, "_nf", no_reduction)
+    fresh = groebner.GroebnerBasis(R, gb.elements, gb.degree_cap)
+    assert invariants(fresh) == want
 
 
 def test_ideal_degree_basis_spans():

@@ -70,6 +70,23 @@ def test_parse_ideal_rejects_bad_input():
         parse_ideal("field 7\nvars two\nx1^2\n")
 
 
+def test_parse_ideal_rejects_a_denominator_the_characteristic_divides():
+    with pytest.raises(ParseError) as info:
+        parse_ideal("field 7\nvars 2\nx1^2 - 1/7*x2^2\n")
+    assert "line 3" in str(info.value) and "col 10" in str(info.value)
+    assert parse_ideal("field 7\nvars 2\nx1^2 - 14/7*x2^2\n").gens
+    with pytest.raises(ParseError, match="col 10"):
+        parse_ideal("field q\nvars 2\nx1^2 - 1/0*x2^2\n")
+
+
+def test_hilbert_cli_reports_a_bad_denominator(tmp_path, capsys):
+    path = tmp_path / "bad.ideal"
+    path.write_text("field 7\nvars 2\nx1^2\nx2^2 - 1/7*x1*x2\n")
+    assert main(["hilbert", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 4" in err and "col 10" in err
+
+
 def test_format_parse_roundtrip():
     R = ring(GF7, 3)
     from gorquad.groebner import Ideal
