@@ -261,12 +261,14 @@ def _record_from_payload(state: dict, payload: tuple,
         return CensusRecord(f_index=f_index, F=F, classification=None,
                             presented=None, h2=None, skip_reason=detail,
                             seed=seed, errored=(status == "error"))
+    nu = dict(nu_items)
     cls = QuadricClassification(
         hvector=HVector(hv_values),
         socle_tuple=None,
-        generator_counts=dict(nu_items),
+        generator_counts=nu,
         gorenstein=None,
         presented_by_quadrics=(status == "True"),
+        had_linear_forms=1 in nu,
     )
     return CensusRecord(f_index=f_index, F=F, classification=cls,
                         presented=(status == "True"), h2=h2, seed=seed)

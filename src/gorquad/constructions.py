@@ -294,10 +294,9 @@ def expected_link_hvector(h_ci: HVector, h_inside: HVector) -> HVector:
 @dataclass(frozen=True)
 class LinkStep:
     """One linkage step: the generators of the complete intersection to
-    colon by, plus a free-text direction note for provenance files."""
+    colon by."""
 
     ci_gens: tuple
-    direction: str = ""
 
 
 def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
@@ -486,9 +485,9 @@ def double_link(r: int, field: FieldSpec | None = None) -> tuple:
     I0 = Ideal(R, seed_gens)
     first = tuple([xs[r - 3]] + [xs[j] * xs[j] for j in range(r - 3)]
                   + [xs[r - 2] * xs[r - 2], xs[r - 1] * xs[r - 1]])
-    J1 = link(I0, LinkStep(first, direction="one linear form and r-1 squares"))
+    J1 = link(I0, LinkStep(first))
     second = tuple(v * v for v in xs)
-    J2 = link(J1, LinkStep(second, direction="all squares"))
+    J2 = link(J1, LinkStep(second))
     return J1, J2
 
 

@@ -15,13 +15,15 @@ class RingMismatchError(AlgebraError):
 
 
 class ParseError(AlgebraError):
-    """Polynomial or recipe text failed to parse."""
+    """Polynomial or recipe text failed to parse.  ``message`` is the text
+    without the location, which ``line`` and ``col`` carry."""
 
     def __init__(self, message, line=None, col=None):
         loc = ""
         if line is not None:
             loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
         super().__init__(message + loc)
+        self.message = message
         self.line = line
         self.col = col
 

@@ -147,9 +147,6 @@ def gin(I: Ideal, seed: int = 0) -> GinResult:
     if not (field.is_rationals or field.p >= MIN_GIN_PRIME):
         raise ValueError(
             f"gin needs the rationals or GF(p), p >= {MIN_GIN_PRIME}; got {field}")
-    for g in I.gens:
-        if not g.is_homogeneous():
-            raise ValueError("gin expects a homogeneous ideal")
     seen: list = []   # (lead_keys, seed) in draw order
     borel_broke = False
     for attempt in range(6):
@@ -254,7 +251,7 @@ def reduction_number(I: Ideal, s: int,
     best = None
     for _ in range(max(policy.num_samples, 1)):
         forms = [random_linear_form(ring_, rng) for _ in range(s)]
-        sliced = Ideal(ring_, list(I.gens) + forms) if forms else I
+        sliced = Ideal(ring_, gb.elements + tuple(forms)) if forms else gb
         h = hilbert_function(sliced)
         k = h.socle_degree
         best = k if best is None else min(best, k)

@@ -2,21 +2,24 @@
 
 The engine works on packed monomial keys (see orders.py) and holds every
 polynomial as a {key: coeff} dict, over QQ and every GF(p) alike, GF(2)
-included.  One normal-form routine, _nf, serves the S-pair loop, the final
-interreduction and GroebnerBasis.normal_form.  Pair selection is the normal
-strategy (minimal lcm degree, then smallest lcm) with Gebauer-Moeller
-pruning; the result is always the unique reduced Groebner basis, elements
-monic and sorted descending by leading monomial.
+included.  One reduction routine, _nf, serves the S-pair loop and the final
+interreduction, and nothing else.  Pair selection is the normal strategy
+(minimal lcm degree, then smallest lcm) with Gebauer-Moeller pruning; the
+result is always the unique reduced Groebner basis, elements monic and
+sorted descending by leading monomial.
 
-A basis of a homogeneous ideal I also tabulates B = R/I degree by degree
-(GroebnerBasis._level): the standard monomials as an order ideal and their
-products' normal forms, as in FGLM; invariants.py reads B from there.
+Every Ideal is homogeneous.  A finished basis tabulates B = R/I degree by
+degree (GroebnerBasis._level): the standard monomials as an order ideal and
+their products' normal forms, as in FGLM.  That table is the only normal
+form of a finished basis: normal_form, contains and the invariants in
+invariants.py all read B from there.
 
 Two guard rails:
 
-  * degree_cap: raise CappedComputationError instead of processing any
-    S-pair whose lcm degree exceeds the cap (the pair queue pops degrees in
-    ascending order, so the first offending pop proves the cap is exceeded).
+  * DEFAULT_DEGREE_CAP: raise CappedComputationError instead of processing
+    any S-pair whose lcm degree exceeds the cap (the pair queue pops degrees
+    in ascending order, so the first offending pop proves the cap is
+    exceeded).  The engine reads the module value when it is called.
   * truncate_tail_at: silently skip pairs whose lcm exceeds the given degree
     in the codec's tail grading (total degree for plain orders, the
     non-eliminated block for elimination orders).  This is exact for inputs
@@ -31,7 +34,6 @@ from bisect import insort
 
 from .core import AlgebraError, CappedComputationError, RingMismatchError
 from .linalg import axpy
-from .orders import MAX_PACKED_DEGREE
 from .poly import Polynomial, RingCtx
 
 DEFAULT_DEGREE_CAP = 40
@@ -110,7 +112,8 @@ def _split_monic(ring: RingCtx, rep: dict):
 # -- the engine ----------------------------------------------------------------
 
 
-def _compute_basis(ring: RingCtx, polys, degree_cap: int, truncate_tail_at):
+def _compute_basis(ring: RingCtx, polys, truncate_tail_at):
+    degree_cap = DEFAULT_DEGREE_CAP
     codec = ring.codec
     degree, divides, lcm = codec.degree, codec.divides, codec.lcm
     tail_degree = codec.tail_degree
@@ -230,13 +233,12 @@ def _reduce_basis(ring: RingCtx, entries):
     return tuple(elements)
 
 
-def interreduce_known_basis(ring: RingCtx, polys, degree_cap: int = DEFAULT_DEGREE_CAP,
-                            truncated_at=None) -> GroebnerBasis:
+def interreduce_known_basis(ring: RingCtx, polys, truncated_at=None) -> GroebnerBasis:
     """Build the reduced-basis object from polynomials the caller knows form
     a Groebner basis already (no S-pair processing)."""
     entries = [_split_monic(ring, dict(p.terms)) for p in polys if not p.is_zero()]
     elements = _reduce_basis(ring, entries)
-    return GroebnerBasis(ring, elements, degree_cap, truncated_at)
+    return GroebnerBasis(ring, elements, DEFAULT_DEGREE_CAP, truncated_at)
 
 
 # -- public API ----------------------------------------------------------------
@@ -246,7 +248,7 @@ class GroebnerBasis:
     """A reduced Groebner basis; elements monic, descending by leading term."""
 
     __slots__ = ("ring", "elements", "lead_keys", "degree_cap", "truncated_at",
-                 "_reducers", "_caches")
+                 "_caches")
 
     def __init__(self, ring: RingCtx, elements: tuple, degree_cap: int,
                  truncated_at=None):
@@ -255,7 +257,6 @@ class GroebnerBasis:
         self.lead_keys = tuple(p.terms[0][0] for p in elements)
         self.degree_cap = degree_cap
         self.truncated_at = truncated_at
-        self._reducers = None
         self._caches = {}
 
     def __len__(self):
@@ -268,11 +269,16 @@ class GroebnerBasis:
         """(std, std_set, nf) of degree d: the standard monomials, descending
         and as a set, and NF(m) as {key: coeff} dicts for every m in
         B_1 * std_{d-1} (standard m as {m: 1}) plus those _monomial_nf
-        memoises.  The dicts are shared with callers, who must not change them."""
+        memoises.  The dicts are shared with callers, who must not change them.
+        Raises AlgebraError on a basis with an inhomogeneous element."""
         if self.truncated_at is not None and d > self.truncated_at:
             raise AlgebraError(
                 f"degree {d} is beyond the basis truncation {self.truncated_at}")
-        levels = self._caches.setdefault("levels", [])
+        levels = self._caches.get("levels")
+        if levels is None:
+            if not all(p.is_homogeneous() for p in self.elements):
+                raise AlgebraError("the quotient table needs a homogeneous basis")
+            levels = self._caches["levels"] = []
         while len(levels) <= d:
             levels.append(self._build_level(levels))
         return levels[d]
@@ -331,7 +337,9 @@ class GroebnerBasis:
             nf[m] = row
         return row
 
-    def normal_form(self, p: Polynomial) -> Polynomial:
+    def _reduce(self, p: Polynomial) -> dict:
+        """NF(p) as a {key: coeff} dict: the table rows of p's monomials,
+        summed with p's coefficients."""
         if p.ring != self.ring:
             raise RingMismatchError("polynomial is not in the basis ring")
         if self.truncated_at is not None and not p.is_zero():
@@ -340,19 +348,20 @@ class GroebnerBasis:
                 raise AlgebraError(
                     f"normal form of degree {worst} requested from a basis "
                     f"truncated at degree {self.truncated_at}")
-        if self._reducers is None:
-            degree = self.ring.codec.degree
-            self._reducers = sorted(
-                ((degree(g.terms[0][0]), g.terms[0][0], dict(g.terms[1:]))
-                 for g in self.elements), key=lambda e: (e[0], e[1]))
-        rep = _nf(self.ring, p.terms, self._reducers)
-        return Polynomial(self.ring, tuple(rep.items()))
+        field = self.ring.field
+        rep = {}
+        for m, c in p.terms:
+            axpy(rep, c, self._monomial_nf(m), field)
+        return rep
+
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        return Polynomial(self.ring, tuple(sorted(self._reduce(p).items(),
+                                                  reverse=True)))
 
     def contains(self, p: Polynomial) -> bool:
-        return self.normal_form(p).is_zero()
+        return not self._reduce(p)
 
-    def reduces_to_zero(self, p: Polynomial) -> bool:
-        return self.contains(p)
+    reduces_to_zero = contains
 
     def leading_term_ideal(self) -> tuple:
         one = self.ring.field.one
@@ -388,7 +397,7 @@ class Ideal:
 
     __slots__ = ("ring", "gens", "_gb_cache")
 
-    def __init__(self, ring_: RingCtx, gens, require_homogeneous: bool = True):
+    def __init__(self, ring_: RingCtx, gens):
         gens = tuple(gens)
         seen = set()
         kept = []
@@ -399,7 +408,7 @@ class Ideal:
                 raise RingMismatchError("generator from a different ring")
             if g.is_zero():
                 continue
-            if require_homogeneous and not g.is_homogeneous():
+            if not g.is_homogeneous():
                 raise AlgebraError(f"inhomogeneous generator: {g}")
             if g.terms not in seen:
                 seen.add(g.terms)
@@ -412,34 +421,27 @@ class Ideal:
     def from_texts(cls, ring_: RingCtx, texts) -> "Ideal":
         return cls(ring_, [ring_.parse(t) for t in texts])
 
-    def groebner(self, degree_cap: int | None = None,
-                 truncate_tail_at: int | None = None) -> GroebnerBasis:
-        cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-        if not 1 <= cap <= MAX_PACKED_DEGREE:
-            raise ValueError(
-                f"degree cap must be in [1, {MAX_PACKED_DEGREE}], got {cap}")
-        key = (cap, truncate_tail_at)
-        gb = self._gb_cache.get(key)
+    def groebner(self, truncate_tail_at: int | None = None) -> GroebnerBasis:
+        gb = self._gb_cache.get(truncate_tail_at)
         if gb is None:
-            elements = _compute_basis(self.ring, self.gens, cap, truncate_tail_at)
-            gb = GroebnerBasis(self.ring, elements, cap, truncate_tail_at)
-            self._gb_cache[key] = gb
+            elements = _compute_basis(self.ring, self.gens, truncate_tail_at)
+            gb = GroebnerBasis(self.ring, elements, DEFAULT_DEGREE_CAP,
+                               truncate_tail_at)
+            self._gb_cache[truncate_tail_at] = gb
         return gb
 
     def attach_groebner(self, gb: GroebnerBasis):
         """Record a basis computed elsewhere (e.g. read off an elimination)
-        as this ideal's default basis."""
+        as this ideal's basis at its truncation."""
         if gb.ring != self.ring:
             raise RingMismatchError("basis ring does not match ideal ring")
-        self._gb_cache[(gb.degree_cap, gb.truncated_at)] = gb
-        if gb.truncated_at is None:
-            self._gb_cache[(DEFAULT_DEGREE_CAP, None)] = gb
+        self._gb_cache[gb.truncated_at] = gb
 
-    def normal_form(self, p: Polynomial, **kw) -> Polynomial:
-        return self.groebner(**kw).normal_form(p)
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        return self.groebner().normal_form(p)
 
-    def contains(self, p: Polynomial, **kw) -> bool:
-        return self.groebner(**kw).contains(p)
+    def contains(self, p: Polynomial) -> bool:
+        return self.groebner().contains(p)
 
     def __str__(self):
         inside = ", ".join(str(g) for g in self.gens[:6])

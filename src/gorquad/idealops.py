@@ -6,17 +6,18 @@ I ∩ J, so one elimination basis suffices.  A colon by a single polynomial f
 is (I ∩ (f)) / f; dividing a basis of the intersection termwise by f gives a
 basis of the colon, which we interreduce without re-running the engine.
 
-Everything here is exact.  The auxiliary computations are homogeneous in the
-x-grading even though they are not homogeneous in total degree, so the
-engine's tail-degree truncation stays sound; callers that truncate are
-expected to certify the result (see GroebnerBasis.certify_complete).
+Everything here is exact.  The auxiliary generators are homogeneous in the
+x-grading but not in total degree, so they form no Ideal: the elimination
+hands them to the engine (_compute_basis) directly.  Its tail-degree
+truncation stays sound in the x-grading; callers that truncate are expected
+to certify the result (see GroebnerBasis.certify_complete).
 """
 
 from __future__ import annotations
 
 from .core import AlgebraError, RingMismatchError
 from .groebner import (DEFAULT_DEGREE_CAP, GroebnerBasis, Ideal,
-                       interreduce_known_basis)
+                       _compute_basis, interreduce_known_basis)
 from .orders import elimination_order
 from .poly import Polynomial, RingCtx, ring
 
@@ -93,33 +94,28 @@ def _aux_combination(I: Ideal, J: Ideal, aux: RingCtx):
     return gens
 
 
-def _elimination_basis(I: Ideal, J: Ideal, degree_cap, truncate_tail_at):
+def _elimination_basis(I: Ideal, J: Ideal, truncate_tail_at):
     """Reduced basis elements of (t*I + (1-t)*J) ∩ k[x], still in the aux ring."""
-    base = I.ring
-    aux = _aux_ring(base)
-    K = Ideal(aux, _aux_combination(I, J, aux), require_homogeneous=False)
-    gb = K.groebner(degree_cap=degree_cap, truncate_tail_at=truncate_tail_at)
-    return [p for p in gb.elements if p.terms[0][0][0] == 0], aux
+    aux = _aux_ring(I.ring)
+    elements = _compute_basis(aux, _aux_combination(I, J, aux), truncate_tail_at)
+    return [p for p in elements if p.terms[0][0][0] == 0], aux
 
 
-def intersect(I: Ideal, J: Ideal, degree_cap: int | None = None,
-              truncate_at: int | None = None) -> Ideal:
+def intersect(I: Ideal, J: Ideal, truncate_at: int | None = None) -> Ideal:
     """I ∩ J, with the reduced basis of the intersection attached."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
-    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-    free, _ = _elimination_basis(I, J, cap, truncate_at)
+    free, _ = _elimination_basis(I, J, truncate_at)
     base = I.ring
     elements = tuple(_restrict(p, base) for p in free)
-    gb = GroebnerBasis(base, elements, cap, truncate_at)
+    gb = GroebnerBasis(base, elements, DEFAULT_DEGREE_CAP, truncate_at)
     gb.certify_complete()
     out = Ideal(base, elements)
     out.attach_groebner(gb)
     return out
 
 
-def colon_form(I: Ideal, f: Polynomial, truncate_at: int | None = None,
-               degree_cap: int | None = None) -> Ideal:
+def colon_form(I: Ideal, f: Polynomial, truncate_at: int | None = None) -> Ideal:
     """The colon I : f for a single nonzero homogeneous f, as an ideal with
     its reduced basis attached.
 
@@ -133,21 +129,19 @@ def colon_form(I: Ideal, f: Polynomial, truncate_at: int | None = None,
         raise AlgebraError("colon by the zero polynomial")
     if not f.is_homogeneous():
         raise AlgebraError("colon divisor must be homogeneous")
-    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
     base = I.ring
     aux_truncate = None if truncate_at is None else truncate_at + f.degree()
-    free, aux = _elimination_basis(I, Ideal(base, [f]), cap, aux_truncate)
+    free, aux = _elimination_basis(I, Ideal(base, [f]), aux_truncate)
     f_aux = f.extend(aux, tuple(range(1, aux.nvars)))
     quotients = [_restrict(exact_divide(p, f_aux), base) for p in free]
-    gb = interreduce_known_basis(base, quotients, cap, truncate_at)
+    gb = interreduce_known_basis(base, quotients, truncate_at)
     gb.certify_complete()
     out = Ideal(base, gb.elements)
     out.attach_groebner(gb)
     return out
 
 
-def colon_ideal(I: Ideal, J: Ideal, truncate_at: int | None = None,
-                degree_cap: int | None = None) -> Ideal:
+def colon_ideal(I: Ideal, J: Ideal, truncate_at: int | None = None) -> Ideal:
     """The colon I : J, intersecting single-generator colons; generators of J
     already inside I contribute the unit ideal and are skipped."""
     if I.ring != J.ring:
@@ -156,12 +150,11 @@ def colon_ideal(I: Ideal, J: Ideal, truncate_at: int | None = None,
     for f in J.gens:
         if I.contains(f):
             continue
-        step = colon_form(I, f, truncate_at=truncate_at, degree_cap=degree_cap)
+        step = colon_form(I, f, truncate_at=truncate_at)
         if result is None:
             result = step
         else:
-            result = intersect(result, step, degree_cap=degree_cap,
-                               truncate_at=truncate_at)
+            result = intersect(result, step, truncate_at=truncate_at)
     if result is None:
         return Ideal(I.ring, [I.ring.one])
     return result

@@ -83,7 +83,7 @@ def parse_ideal(text: str, field: FieldSpec | None = None,
             except ValueError:
                 raise ParseError(f"bad variable count {rest!r}", no)
             continue
-        gen_lines.append((no, line))
+        gen_lines.append((no, len(raw) - len(raw.lstrip()), line))
     if header_field is not None and field is not None and header_field != field:
         raise ParseError(f"field header {header_field.token} contradicts "
                          f"--field {field.token}")
@@ -99,15 +99,15 @@ def parse_ideal(text: str, field: FieldSpec | None = None,
         raise ParseError("no generators")
     R = ring(field, nvars)
     gens = []
-    for no, line in gen_lines:
+    for no, indent, line in gen_lines:
         try:
             p = R.parse(line)
         except ParseError as exc:
-            raise ParseError(f"line {no}: {exc}")
+            raise ParseError(exc.message, no, exc.col + indent) from None
         if p.is_zero():
             continue
         if not p.is_homogeneous():
-            raise ParseError(f"line {no}: generator is not homogeneous", no)
+            raise ParseError("generator is not homogeneous", no)
         gens.append(p)
     if not gens:
         raise ParseError("no generators")
@@ -398,8 +398,7 @@ class _Evaluator:
         else:
             cover = regular_sequence_in(I, [2] * I.ring.nvars,
                                         random.Random(step_seed))
-        return link(I, LinkStep(ci_gens=cover,
-                                direction=f"recipe:{call.line}"))
+        return link(I, LinkStep(cover))
 
     def op_embed(self, call, step_seed):
         self.take(call, positional=1, keys=("vars",))

@@ -77,6 +77,20 @@ def lead_scan_standard_monomials(gb, d: int) -> tuple:
                  if not any(divides(lk, m) for lk in gb.lead_keys))
 
 
+# -- Buchberger reducer oracle (the engine's scan over the leading terms) -------
+
+
+def engine_normal_form(gb, p: Polynomial) -> Polynomial:
+    """NF(p) by the engine's own reducer, _nf, over gb's elements: an oracle
+    for GroebnerBasis.normal_form, which reads the quotient table."""
+    from gorquad.groebner import _nf
+
+    degree = gb.ring.codec.degree
+    reducers = sorted(((degree(g.terms[0][0]), g.terms[0][0], dict(g.terms[1:]))
+                       for g in gb.elements), key=lambda e: (e[0], e[1]))
+    return gb.ring.from_terms(_nf(gb.ring, p.terms, reducers).items())
+
+
 # -- sympy bridge -----------------------------------------------------------------
 
 

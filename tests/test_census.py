@@ -51,6 +51,16 @@ def test_presented_records_have_socle_degree_r_minus_2(r4_sweep):
             assert rec.h2 == 1
 
 
+def test_records_keep_the_classification(r4_sweep):
+    cfg, records, _ = r4_sweep
+    state = _build_worker_state(cfg)
+    for rec in records:
+        want, got = classify(state, rec.F), rec.classification
+        assert (got.had_linear_forms, got.generator_counts, got.hvector) == (
+            want.had_linear_forms, want.generator_counts, want.hvector), str(rec.F)
+    assert any(rec.classification.had_linear_forms for rec in records)
+
+
 def test_form_from_index_enumerates_squarefree_sums():
     R = ring(GF2, 4)
     keys = squarefree_quadric_keys(R)

@@ -147,6 +147,11 @@ def test_reduction_numbers_of_ci4(ci4, gin_ci4):
     assert values == [4, 2, 1, 1, 0]
 
 
+def test_reduction_number_accepts_a_basis(ci4):
+    for s in range(ci4.ring.nvars):
+        assert reduction_number(ci4, s) == reduction_number(ci4.groebner(), s)
+
+
 def test_reduction_number_validates_input():
     with pytest.raises(ValueError):
         reduction_number(quadric_ci(2, GFBIG), -1)

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from gorquad import groebner
 from gorquad.constructions import apolar_ideal, random_homogeneous
 from gorquad.core import AlgebraError, CappedComputationError
-from gorquad.groebner import Ideal, interreduce_known_basis
+from gorquad.groebner import GroebnerBasis, Ideal, interreduce_known_basis
+from gorquad.invariants import hilbert_function
 from gorquad.poly import ring
 
 from conftest import (GF2, GF7, GFBIG, Q, gorquad_gb_normalized, random_poly,
@@ -83,27 +85,39 @@ def test_leading_term_ideal_and_degrees():
     assert gb.certify_complete()
 
 
-def test_degree_cap_escalation():
+def test_degree_cap_escalation(monkeypatch):
     R = ring(Q, 3)
     I = Ideal.from_texts(R, ["x1^2 - x2*x3", "x2^3 - x1*x3^2"])
-    with pytest.raises(CappedComputationError) as info:
-        I.groebner(degree_cap=2)
-    # the cubic input itself is over the cap
-    assert (info.value.cap, info.value.degree) == (2, 3)
-    assert "degree cap 2" in str(info.value)
-    gb = I.groebner()  # default cap succeeds
-    assert gb.certify_complete()
     # two quadrics whose S-pair has degree 3
     J = Ideal.from_texts(R, ["x1^2 - x2*x3", "x1*x2"])
-    with pytest.raises(CappedComputationError) as info:
-        J.groebner(degree_cap=2)
-    assert (info.value.cap, info.value.degree) == (2, 3)
+    with monkeypatch.context() as patch:
+        # the engine reads the cap when it is called
+        patch.setattr(groebner, "DEFAULT_DEGREE_CAP", 2)
+        with pytest.raises(CappedComputationError) as info:
+            I.groebner()
+        # the cubic input itself is over the cap
+        assert (info.value.cap, info.value.degree) == (2, 3)
+        assert "degree cap 2" in str(info.value)
+        with pytest.raises(CappedComputationError) as info:
+            J.groebner()
+        assert (info.value.cap, info.value.degree) == (2, 3)
+    gb = I.groebner()  # default cap succeeds
+    assert gb.certify_complete()
 
 
 def test_inhomogeneous_generators_rejected():
     R = ring(Q, 2)
     with pytest.raises(AlgebraError):
         Ideal.from_texts(R, ["x1^2 + x2"])
+
+
+def test_inhomogeneous_basis_has_no_quotient_table():
+    R = ring(GF7, 2)
+    gb = GroebnerBasis(R, (R.parse("x1^2 - x2"), R.parse("x2^2")), 40)
+    with pytest.raises(AlgebraError, match="homogeneous"):
+        hilbert_function(gb)
+    with pytest.raises(AlgebraError, match="homogeneous"):
+        gb.normal_form(R.parse("x1^3"))
 
 
 def test_ideal_dedupes_and_drops_zero():

@@ -2,10 +2,13 @@
 
 import math
 import random
+import sys
 
 import pytest
 
 from gorquad import groebner
+from gorquad.census import CensusConfig, records_to_csv, run_census
+from gorquad.constructions import LinkStep, link
 from gorquad.core import AlgebraError
 from gorquad.groebner import Ideal
 from gorquad.invariants import (HVector, annihilator, classify,
@@ -18,7 +21,7 @@ from gorquad.invariants import (HVector, annihilator, classify,
 from gorquad.orders import DEGREVLEX, LEX, elimination_order
 from gorquad.poly import Polynomial, ring
 
-from conftest import (GF2, GF7, GFBIG, Q, dense_rref_rank,
+from conftest import (GF2, GF7, GFBIG, Q, dense_rref_rank, engine_normal_form,
                       lead_scan_standard_monomials, random_poly)
 
 # -- HVector ----------------------------------------------------------------------
@@ -117,9 +120,10 @@ QUOTIENT_CASES = [
 @pytest.mark.parametrize("seed", range(3))
 def test_quotient_table_matches_scan_and_normal_form(field, order, n,
                                                      truncate, seed):
-    """standard_monomials against the leading-term scan, and each monomial's
-    table normal form against GroebnerBasis.normal_form, degree by degree
-    (through the truncation for a truncated basis)."""
+    """standard_monomials against the leading-term scan, and the table
+    normal forms of each monomial and of a random form against the engine's
+    reducer, degree by degree (through the truncation for a truncated
+    basis)."""
     R = ring(field, n, order)
     rng = random.Random(seed)
     gens = [random_poly(R, 2, rng) for _ in range(n - 1)]
@@ -129,9 +133,13 @@ def test_quotient_table_matches_scan_and_normal_form(field, order, n,
     for d in range(top + 1):
         assert standard_monomials(gb, d) == lead_scan_standard_monomials(gb, d)
         for m in R.monomials_of_degree(d):
-            table = gb._monomial_nf(m)
-            want = gb.normal_form(Polynomial(R, ((m, field.one),)))
-            assert R.from_terms(table.items()) == want
+            monomial = Polynomial(R, ((m, field.one),))
+            want = engine_normal_form(gb, monomial)
+            assert R.from_terms(gb._monomial_nf(m).items()) == want
+            assert gb.normal_form(monomial) == want
+        p = random_poly(R, d, rng)
+        assert gb.normal_form(p) == engine_normal_form(gb, p)
+        assert gb.contains(p) == engine_normal_form(gb, p).is_zero()
     if truncate is not None:
         with pytest.raises(AlgebraError):
             standard_monomials(gb, truncate + 1)
@@ -157,6 +165,39 @@ def test_invariants_read_the_table_not_the_reducer(monkeypatch):
     monkeypatch.setattr(groebner, "_nf", no_reduction)
     fresh = groebner.GroebnerBasis(R, gb.elements, gb.degree_cap)
     assert invariants(fresh) == want
+
+
+def test_membership_and_linkage_read_the_table_not_the_reducer(monkeypatch):
+    """With _nf failing for every caller but the engine's own two,
+    membership, link and a census give their unpatched answers."""
+    R = ring(GF7, 4)
+    rng = random.Random(5)
+    cover = tuple(v * v for v in R.variables())
+    gens = cover + (random_poly(R, 2, rng),)
+    probes = [random_poly(R, d, rng) for d in (1, 2, 2, 3)] + [
+        R.zero, gens[-1], R.variables()[0] * gens[-1] + cover[1]]
+
+    def answers():
+        I = Ideal(R, gens)
+        gb = I.groebner()
+        membership = [(gb.normal_form(p), gb.contains(p), gb.reduces_to_zero(p),
+                       I.contains(p)) for p in probes]
+        linked = link(I, LinkStep(cover)).groebner().elements
+        records, summary = run_census(CensusConfig(field=GF2, r=4))
+        return membership, linked, records_to_csv(summary.config, records)
+
+    want = answers()
+    assert {m[1] for m in want[0]} == {True, False}
+    real = groebner._nf
+
+    def engine_only(*args):
+        caller = sys._getframe(1).f_code.co_name
+        if caller not in ("_compute_basis", "_reduce_basis"):
+            raise AssertionError(f"{caller} called the Buchberger normal form")
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_nf", engine_only)
+    assert answers() == want
 
 
 def test_ideal_degree_basis_spans():

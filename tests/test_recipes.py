@@ -79,6 +79,19 @@ def test_parse_ideal_rejects_a_denominator_the_characteristic_divides():
         parse_ideal("field q\nvars 2\nx1^2 - 1/0*x2^2\n")
 
 
+def test_parse_ideal_errors_carry_the_file_location():
+    with pytest.raises(ParseError) as info:
+        parse_ideal("field 7\nvars 2\nx1^2\nx2^2 - 1/7*x1*x2\n")
+    assert info.value.line == 4 and info.value.col == 10
+    assert str(info.value).count("line") == 1
+    with pytest.raises(ParseError) as info:
+        parse_ideal("field 7\nvars 2\nx1^2\n  x2^2 - 1/7*x1*x2\n")
+    assert (info.value.line, info.value.col) == (4, 12)
+    with pytest.raises(ParseError) as info:
+        parse_ideal("field 7\nvars 2\nx1^2\nx1^2 + x2\n")
+    assert info.value.line == 4 and str(info.value).count("line") == 1
+
+
 def test_hilbert_cli_reports_a_bad_denominator(tmp_path, capsys):
     path = tmp_path / "bad.ideal"
     path.write_text("field 7\nvars 2\nx1^2\nx2^2 - 1/7*x1*x2\n")
