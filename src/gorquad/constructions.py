@@ -407,11 +407,13 @@ def regular_sequence_in(I: Ideal, degrees, rng: random.Random,
     degrees = tuple(degrees)
     for attempt in range(attempts + _DENSE_ATTEMPTS):
         # start with very sparse combinations and widen on each retry; any
-        # verified regular sequence gives the same linkage arithmetic, and
-        # sparse covers keep every downstream elimination cheap.  Then draw
-        # uniform elements of the whole degree-d part: over GF(2) a sparse
-        # draw is a plain sum of a few basis elements, and once the width
-        # reaches the basis size it is always the same sum.
+        # verified regular sequence gives the same linkage arithmetic, and a
+        # sparse cover has short generators, which makes its h-vector check
+        # (a Groebner basis) cheaper; link's annihilator in R/cover costs
+        # about the same either way.  Then draw uniform elements of the
+        # whole degree-d part: over GF(2) a sparse draw is a plain sum of a
+        # few basis elements, and once the width reaches the basis size it
+        # is always the same sum.
         picks = []
         for d in degrees:
             if attempt < attempts:

@@ -20,11 +20,11 @@ Two guard rails:
     any S-pair whose lcm degree exceeds the cap (the pair queue pops degrees
     in ascending order, so the first offending pop proves the cap is
     exceeded).  The engine reads the module value when it is called.
-  * truncate_tail_at: silently skip pairs whose lcm exceeds the given degree
-    in the codec's tail grading (total degree for plain orders, the
-    non-eliminated block for elimination orders).  This is exact for inputs
-    homogeneous in that grading; callers are expected to verify the result
-    (e.g. via Hilbert-function checks) and may then certify it complete.
+  * truncate_at: silently skip pairs whose lcm degree exceeds the given
+    degree.  Every Ideal is homogeneous, so the result is exactly the reduced
+    basis's elements of degree <= truncate_at, and the quotient table refuses
+    higher degrees; certify_complete promotes it when no standard monomial
+    is left at the truncation degree.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from bisect import insort
 
 from .core import AlgebraError, CappedComputationError, RingMismatchError
 from .linalg import axpy
+from .orders import _FIELD_MAX
 from .poly import Polynomial, RingCtx
 
 DEFAULT_DEGREE_CAP = 40
@@ -112,11 +113,10 @@ def _split_monic(ring: RingCtx, rep: dict):
 # -- the engine ----------------------------------------------------------------
 
 
-def _compute_basis(ring: RingCtx, polys, truncate_tail_at):
+def _compute_basis(ring: RingCtx, polys, truncate_at):
     degree_cap = DEFAULT_DEGREE_CAP
     codec = ring.codec
     degree, divides, lcm = codec.degree, codec.divides, codec.lcm
-    tail_degree = codec.tail_degree
 
     G = []          # (lm, tail dict)
     lm_degs = []    # degree of each lm, parallel to G
@@ -181,29 +181,25 @@ def _compute_basis(ring: RingCtx, polys, truncate_tail_at):
             raise CappedComputationError(
                 f"input of degree {p.degree()} exceeds the degree cap "
                 f"{degree_cap}", cap=degree_cap, degree=p.degree())
+        if truncate_at is not None and p.degree() > truncate_at:
+            continue
         rep = _nf(ring, p.terms, reducers)
-        if not rep:
-            continue
-        if truncate_tail_at is not None and tail_degree(max(rep)) > truncate_tail_at:
-            continue
-        install(*_split_monic(ring, rep))
+        if rep:
+            install(*_split_monic(ring, rep))
 
     while heap:
         d, l, i, j = heapq.heappop(heap)
+        if truncate_at is not None and d > truncate_at:
+            break   # the heap pops degrees in ascending order
         if active.pop((i, j), None) is None:
-            continue
-        if truncate_tail_at is not None and tail_degree(l) > truncate_tail_at:
             continue
         if d > degree_cap:
             raise CappedComputationError(
                 f"S-pair of degree {d} exceeds the degree cap {degree_cap}",
                 cap=degree_cap, degree=d)
         s = _nf(ring, _spoly(ring, G[i], G[j], l), reducers)
-        if not s:
-            continue
-        if truncate_tail_at is not None and tail_degree(max(s)) > truncate_tail_at:
-            continue
-        install(*_split_monic(ring, s))
+        if s:
+            install(*_split_monic(ring, s))
 
     return _reduce_basis(ring, G)
 
@@ -270,7 +266,8 @@ class GroebnerBasis:
         and as a set, and NF(m) as {key: coeff} dicts for every m in
         B_1 * std_{d-1} (standard m as {m: 1}) plus those _monomial_nf
         memoises.  The dicts are shared with callers, who must not change them.
-        Raises AlgebraError on a basis with an inhomogeneous element."""
+        Raises AlgebraError past the truncation or the packed exponent range
+        (orders._FIELD_MAX) and on a basis with an inhomogeneous element."""
         if self.truncated_at is not None and d > self.truncated_at:
             raise AlgebraError(
                 f"degree {d} is beyond the basis truncation {self.truncated_at}")
@@ -280,6 +277,9 @@ class GroebnerBasis:
                 raise AlgebraError("the quotient table needs a homogeneous basis")
             levels = self._caches["levels"] = []
         while len(levels) <= d:
+            if len(levels) > _FIELD_MAX:
+                raise AlgebraError(
+                    f"degree {d} is beyond the packed exponent range {_FIELD_MAX}")
             levels.append(self._build_level(levels))
         return levels[d]
 
@@ -342,12 +342,6 @@ class GroebnerBasis:
         summed with p's coefficients."""
         if p.ring != self.ring:
             raise RingMismatchError("polynomial is not in the basis ring")
-        if self.truncated_at is not None and not p.is_zero():
-            worst = max(self.ring.codec.tail_degree(k) for k, _ in p.terms)
-            if worst > self.truncated_at:
-                raise AlgebraError(
-                    f"normal form of degree {worst} requested from a basis "
-                    f"truncated at degree {self.truncated_at}")
         field = self.ring.field
         rep = {}
         for m, c in p.terms:
@@ -378,8 +372,6 @@ class GroebnerBasis:
         degrees of all reduced-basis elements below the truncation)."""
         if self.truncated_at is None:
             return True
-        if self.ring.order.kind == "block":
-            return False  # only meaningful when the tail grading is total degree
         if self._level(self.truncated_at)[0]:
             return False
         self.truncated_at = None
@@ -421,13 +413,15 @@ class Ideal:
     def from_texts(cls, ring_: RingCtx, texts) -> "Ideal":
         return cls(ring_, [ring_.parse(t) for t in texts])
 
-    def groebner(self, truncate_tail_at: int | None = None) -> GroebnerBasis:
-        gb = self._gb_cache.get(truncate_tail_at)
+    def groebner(self, truncate_at: int | None = None) -> GroebnerBasis:
+        """The reduced basis, or with truncate_at = D its elements of degree
+        <= D (a basis exact through degree D)."""
+        gb = self._gb_cache.get(truncate_at)
         if gb is None:
-            elements = _compute_basis(self.ring, self.gens, truncate_tail_at)
+            elements = _compute_basis(self.ring, self.gens, truncate_at)
             gb = GroebnerBasis(self.ring, elements, DEFAULT_DEGREE_CAP,
-                               truncate_tail_at)
-            self._gb_cache[truncate_tail_at] = gb
+                               truncate_at)
+            self._gb_cache[truncate_at] = gb
         return gb
 
     def attach_groebner(self, gb: GroebnerBasis):

@@ -1,23 +1,22 @@
 """Ideal arithmetic: sums, products, intersections, colons, embeddings.
 
-Intersections and colons use the single-auxiliary-variable trick: for ideals
-I, J in R = k[x], the ideal t*I + (1-t)*J of k[t, x] meets k[x] exactly in
-I ∩ J, so one elimination basis suffices.  A colon by a single polynomial f
-is (I ∩ (f)) / f; dividing a basis of the intersection termwise by f gives a
-basis of the colon, which we interreduce without re-running the engine.
-
-Everything here is exact.  The auxiliary generators are homogeneous in the
-x-grading but not in total degree, so they form no Ideal: the elimination
-hands them to the engine (_compute_basis) directly.  Its tail-degree
-truncation stays sound in the x-grading; callers that truncate are expected
-to certify the result (see GroebnerBasis.certify_complete).
+Intersections and colons eliminate one auxiliary variable.  For homogeneous
+ideals I, J in R = k[x], the ideal K = t*I + (u-t)*J of k[t, x, u] is
+homogeneous, and K ∩ k[x, u] = u*(I ∩ J): setting t = 0 sends K into u*J and
+t = u sends it into u*I, while u*p = t*p + (u-t)*p for p in I ∩ J.  So the
+t-free elements of K's reduced basis in the order eliminating t are u*q, q
+running over the reduced basis of I ∩ J, and a basis of K truncated at
+degree D + 1 gives that of I ∩ J through degree D.  A colon by a single
+polynomial f is (I ∩ (f)) / f; dividing a basis of the intersection termwise
+by f gives a basis of the colon, which we interreduce without re-running the
+engine.  Everything here is exact.
 """
 
 from __future__ import annotations
 
 from .core import AlgebraError, RingMismatchError
 from .groebner import (DEFAULT_DEGREE_CAP, GroebnerBasis, Ideal,
-                       _compute_basis, interreduce_known_basis)
+                       interreduce_known_basis)
 from .orders import elimination_order
 from .poly import Polynomial, RingCtx, ring
 
@@ -60,54 +59,32 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     return Polynomial(ringc, tuple(q_terms))
 
 
-# -- the auxiliary-variable machinery -------------------------------------------
+# -- the auxiliary-variable elimination ------------------------------------------
 
 
-def _aux_ring(base: RingCtx) -> RingCtx:
-    for candidate in ("t", "t0", "t1", "t2"):
-        if candidate not in base.names:
-            return ring(base.field, base.nvars + 1, elimination_order(1),
-                        names=(candidate,) + base.names)
-    raise AlgebraError("could not pick an auxiliary variable name")
-
-
-def _restrict(p: Polynomial, base: RingCtx) -> Polynomial:
-    """Map an aux-variable-free polynomial back down to the base ring."""
-    exps = p.ring.codec.exps
-    key = base.codec.key
-    terms = []
-    for k, c in p.terms:
-        e = exps(k)
-        if e[0]:
-            raise AlgebraError("polynomial still involves the auxiliary variable")
-        terms.append((key(e[1:]), c))
-    return base.from_terms(terms)
-
-
-def _aux_combination(I: Ideal, J: Ideal, aux: RingCtx):
-    """Generators of t*I + (1-t)*J inside the auxiliary ring."""
-    shift = tuple(range(1, aux.nvars))
-    t = aux.variables()[0]
-    one_minus_t = aux.one - t
+def _elimination_basis(I: Ideal, J: Ideal, truncate_at):
+    """The reduced basis of I ∩ J (through degree truncate_at), read off the
+    t-free elements u*q of the basis of t*I + (u-t)*J in k[t, x, u]."""
+    base = I.ring
+    aux = ring(base.field, base.nvars + 2, elimination_order(1))
+    shift = tuple(range(1, base.nvars + 1))
+    t, u = aux.variables()[0], aux.variables()[-1]
     gens = [t * g.extend(aux, shift) for g in I.gens]
-    gens.extend(one_minus_t * h.extend(aux, shift) for h in J.gens)
-    return gens
-
-
-def _elimination_basis(I: Ideal, J: Ideal, truncate_tail_at):
-    """Reduced basis elements of (t*I + (1-t)*J) ∩ k[x], still in the aux ring."""
-    aux = _aux_ring(I.ring)
-    elements = _compute_basis(aux, _aux_combination(I, J, aux), truncate_tail_at)
-    return [p for p in elements if p.terms[0][0][0] == 0], aux
+    gens.extend((u - t) * h.extend(aux, shift) for h in J.gens)
+    gb = Ideal(aux, gens).groebner(
+        truncate_at=None if truncate_at is None else truncate_at + 1)
+    exps, key = aux.codec.exps, base.codec.key
+    # every term of a t-free element is u times a term of q
+    return [base.from_terms([(key(exps(k)[1:-1]), c) for k, c in p.terms])
+            for p in gb.elements if not exps(p.terms[0][0])[0]]
 
 
 def intersect(I: Ideal, J: Ideal, truncate_at: int | None = None) -> Ideal:
     """I ∩ J, with the reduced basis of the intersection attached."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
-    free, _ = _elimination_basis(I, J, truncate_at)
     base = I.ring
-    elements = tuple(_restrict(p, base) for p in free)
+    elements = tuple(_elimination_basis(I, J, truncate_at))
     gb = GroebnerBasis(base, elements, DEFAULT_DEGREE_CAP, truncate_at)
     gb.certify_complete()
     out = Ideal(base, elements)
@@ -119,9 +96,9 @@ def colon_form(I: Ideal, f: Polynomial, truncate_at: int | None = None) -> Ideal
     """The colon I : f for a single nonzero homogeneous f, as an ideal with
     its reduced basis attached.
 
-    With truncate_at = D, the basis is exact through degree D (the auxiliary
-    elimination is truncated at D + deg f, which is what dividing by f
-    consumes); pass None for the fully computed colon.
+    With truncate_at = D, the basis is exact through degree D (the
+    intersection with (f) is truncated at D + deg f, which is what dividing
+    by f consumes); pass None for the fully computed colon.
     """
     if f.ring != I.ring:
         raise RingMismatchError("polynomial is not in the ideal's ring")
@@ -130,10 +107,9 @@ def colon_form(I: Ideal, f: Polynomial, truncate_at: int | None = None) -> Ideal
     if not f.is_homogeneous():
         raise AlgebraError("colon divisor must be homogeneous")
     base = I.ring
-    aux_truncate = None if truncate_at is None else truncate_at + f.degree()
-    free, aux = _elimination_basis(I, Ideal(base, [f]), aux_truncate)
-    f_aux = f.extend(aux, tuple(range(1, aux.nvars)))
-    quotients = [_restrict(exact_divide(p, f_aux), base) for p in free]
+    meet_truncate = None if truncate_at is None else truncate_at + f.degree()
+    quotients = [exact_divide(q, f)
+                 for q in _elimination_basis(I, Ideal(base, [f]), meet_truncate)]
     gb = interreduce_known_basis(base, quotients, truncate_at)
     gb.certify_complete()
     out = Ideal(base, gb.elements)

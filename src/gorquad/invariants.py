@@ -190,16 +190,8 @@ def hilbert_function(x) -> HVector:
         if not is_artinian(gb):
             raise AlgebraError("quotient is not artinian; h-vector is infinite")
         vals = []
-        d = 0
-        while True:
-            if gb.truncated_at is not None and d > gb.truncated_at:
-                raise AlgebraError(
-                    "h-vector does not terminate below the basis truncation")
-            c = hilbert_value(gb, d)
-            if c == 0:
-                break
+        while c := hilbert_value(gb, len(vals)):
             vals.append(c)
-            d += 1
         return HVector(tuple(vals))
 
     return _cache(gb, "hf", build)

@@ -7,8 +7,10 @@ A codec maps an exponent vector to a small tuple of ints (the *key*) such that
     rev-lex packed fields) realizes monomial multiplication, and
   * divisibility is a constant number of big-int operations (guard-bit test).
 
-Exponents are packed 8 bits per variable, so every total degree handled by the
-engine must stay <= MAX_PACKED_DEGREE; the Groebner layer enforces this.
+Exponents are packed 8 bits per variable, so no exponent may exceed
+_FIELD_MAX.  Polynomial multiplication refuses products of degree above
+MAX_PACKED_DEGREE, and the quotient table (GroebnerBasis._level) refuses
+degrees above _FIELD_MAX.
 """
 
 from __future__ import annotations
@@ -125,9 +127,6 @@ class _DrlCodec(_Codec):
     def degree(self, key):
         return key[0]
 
-    def tail_degree(self, key):
-        return key[0]
-
 
 class _LexCodec(_Codec):
     """lex: key = (packed direct bytes, first variable most significant)."""
@@ -165,9 +164,6 @@ class _LexCodec(_Codec):
 
     def degree(self, key):
         return sum(self.exps(key))
-
-    def tail_degree(self, key):
-        return self.degree(key)
 
 
 class _BlockCodec(_Codec):
@@ -207,10 +203,6 @@ class _BlockCodec(_Codec):
 
     def degree(self, key):
         return key[0] + key[2]
-
-    def tail_degree(self, key):
-        """Degree in the non-eliminated block (the x-grading for t-tricks)."""
-        return key[2]
 
 
 @lru_cache(maxsize=None)

@@ -160,9 +160,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][0]
 
-    def support(self) -> tuple:
-        return tuple(k for k, _ in self.terms)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "Polynomial"):

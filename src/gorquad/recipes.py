@@ -221,9 +221,12 @@ class _StepParser:
             if closing[0] != ")":
                 self._err("expected ')'", closing)
             return call
-        if kind in ("atom", "quoted"):
+        if kind == "quoted":
             self._next()
-            return ("quoted", val) if kind == "quoted" else ("atom", val)
+            return ("quoted", val, col)   # col: the opening quote
+        if kind == "atom":
+            self._next()
+            return ("atom", val)
         self._err(f"unexpected {val!r}", (kind, val, no, col))
 
 
@@ -233,12 +236,13 @@ def parse_recipe(text: str):
     stmts = []
     source = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+        line = _strip_comment(raw)
+        if not line.strip():
             continue
+        # tokens carry their columns in the unstripped line
         parser = _StepParser(_tokenize_step(line, no))
         stmts.append(parser.parse_stmt())
-        source.append(line)
+        source.append(line.strip())
     if not stmts:
         raise ParseError("empty recipe")
     return stmts, source
@@ -299,7 +303,11 @@ class _Evaluator:
     def poly_arg(self, call, label, value, R: RingCtx) -> Polynomial:
         if not (isinstance(value, tuple) and value[0] == "quoted"):
             self.fail(call, f"{label} must be a quoted polynomial")
-        p = R.parse(value[1])
+        try:
+            p = R.parse(value[1])
+        except ParseError as exc:
+            raise ParseError(f"{call.op}: {exc.message}", call.line,
+                             value[2] + exc.col) from None
         if p.is_zero() or not p.is_homogeneous():
             self.fail(call, f"{label} must be homogeneous and nonzero")
         return p

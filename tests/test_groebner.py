@@ -10,6 +10,7 @@ from gorquad.constructions import apolar_ideal, random_homogeneous
 from gorquad.core import AlgebraError, CappedComputationError
 from gorquad.groebner import GroebnerBasis, Ideal, interreduce_known_basis
 from gorquad.invariants import hilbert_function
+from gorquad.orders import DEGREVLEX, LEX, elimination_order
 from gorquad.poly import ring
 
 from conftest import (GF2, GF7, GFBIG, Q, gorquad_gb_normalized, random_poly,
@@ -142,11 +143,30 @@ def test_truncated_basis_guards_tail_queries():
     R = ring(Q, 3)
     I = Ideal.from_texts(R, ["x1^2 - x2*x3", "x2^2 - x1*x3", "x3^2 - x1*x2"])
     full = I.groebner()
-    cut = I.groebner(truncate_tail_at=2)
+    cut = I.groebner(truncate_at=2)
     probe = R.parse("x1*x2*x3")
     with pytest.raises(AlgebraError):
         cut.normal_form(probe)
     assert full.normal_form(probe) is not None
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX, elimination_order(1),
+                                   elimination_order(2)], ids=str)
+@pytest.mark.parametrize("field", [GF7, GFBIG], ids=["gf7", "gf32003"])
+@pytest.mark.parametrize("truncate", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_truncated_basis_is_the_low_degree_part(order, field, truncate, seed):
+    """A basis truncated at D is the full reduced basis's elements of total
+    degree <= D, block orders included."""
+    R = ring(field, 4, order)
+    rng = random.Random(seed)
+    gens = [random_poly(R, 2, rng) for _ in range(3)]
+    gens.append(R.variables()[seed % 4] ** 3)
+    I = Ideal(R, gens)
+    degree = R.codec.degree
+    want = [p for p in I.groebner().elements
+            if degree(p.leading_key()) <= truncate]
+    assert list(I.groebner(truncate_at=truncate).elements) == want
 
 
 def _gf2_apolar(n, degree, seed):

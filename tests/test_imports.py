@@ -83,3 +83,32 @@ def test_no_orphaned_private_names(path):
         for name, node in _private_definitions(PACKAGE[path]).items()
         if everywhere.count(name) == _references(node).count(name))
     assert not orphans, f"{path.name} defines but nothing uses: {orphans}"
+
+
+ROOT = SRC.parent.parent
+READERS = [ROOT / "src" / "gorquad", ROOT / "tests", ROOT / "perfbench"]
+
+
+def _methods(tree: ast.Module):
+    """(class, name) of every non-dunder method or property a class defines."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not (node.name.startswith("__")
+                                 and node.name.endswith("__"))):
+                    yield cls.name, node.name
+
+
+def test_every_method_is_read_as_an_attribute():
+    """A method nothing reads as ``x.name`` is dead code.  The recipe
+    evaluator's ``op_*`` handlers are found by getattr and are exempt."""
+    read = {node.attr
+            for folder in READERS for path in sorted(folder.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{cls}.{name}"
+                    for tree in PACKAGE.values() for cls, name in _methods(tree)
+                    if name not in read
+                    and not (cls == "_Evaluator" and name.startswith("op_")))
+    assert not unread, f"methods nothing reads: {unread}"

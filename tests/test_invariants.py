@@ -107,6 +107,19 @@ def test_standard_monomials_partition_degree():
         assert len(set(std)) == len(std)
 
 
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX, elimination_order(1)],
+                         ids=str)
+def test_quotient_table_stops_at_the_packed_exponent_range(order):
+    # one exponent byte holds at most 127: the table answers through degree
+    # 127 and refuses degree 128 instead of listing wrapped-around keys
+    R = ring(GF7, 2, order)
+    I = Ideal.from_texts(R, ["x2^2"])
+    std = standard_monomials(I, 127)
+    assert sorted(R.codec.exps(m) for m in std) == [(126, 1), (127, 0)]
+    with pytest.raises(AlgebraError, match="packed exponent range"):
+        standard_monomials(I, 128)
+
+
 QUOTIENT_CASES = [
     (GF2, DEGREVLEX, 4, None), (GF7, DEGREVLEX, 4, None),
     (Q, DEGREVLEX, 3, None), (GF7, LEX, 3, None), (Q, LEX, 3, None),
@@ -128,7 +141,7 @@ def test_quotient_table_matches_scan_and_normal_form(field, order, n,
     rng = random.Random(seed)
     gens = [random_poly(R, 2, rng) for _ in range(n - 1)]
     gens.append(R.variables()[seed % n] ** 3)
-    gb = Ideal(R, gens).groebner(truncate_tail_at=truncate)
+    gb = Ideal(R, gens).groebner(truncate_at=truncate)
     top = 5 if truncate is None else truncate
     for d in range(top + 1):
         assert standard_monomials(gb, d) == lead_scan_standard_monomials(gb, d)

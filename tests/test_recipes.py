@@ -274,6 +274,21 @@ def test_recipe_errors():
         run_recipe("apolar \"x1 + x2^2\" vars=2\n")  # inhomogeneous form
 
 
+def test_recipe_literal_errors_carry_the_recipe_location(tmp_path, capsys):
+    text = '# colon by an unknown variable\na = ci r=4\nb = a\ncolon b by="x1*x5"\n'
+    with pytest.raises(ParseError) as info:
+        run_recipe(text, field=GF7)
+    assert (info.value.line, info.value.col) == (4, 16)
+    assert str(info.value).count("line") == 1
+    with pytest.raises(ParseError) as info:
+        run_recipe('  colon (ci r=4) by="x1*x5"\n', field=GF7)
+    assert (info.value.line, info.value.col) == (1, 25)
+    recipe = tmp_path / "bad.recipe"
+    recipe.write_text(text)
+    assert main(["construct", "--field", "7", str(recipe)]) == 1
+    assert "unknown variable 'x5' (line 4, col 16)" in capsys.readouterr().err
+
+
 def test_recipe_ci_style_must_be_a_word(tmp_path, capsys):
     with pytest.raises(ParseError, match="style"):
         run_recipe("ci r=3 style=(ci r=2)\n")
