@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import multiprocessing
 import random
@@ -36,7 +35,7 @@ from .groebner import Ideal
 from .invariants import (HVector, QuadricClassification, _monomial_rows,
                          annihilator, as_basis, hilbert_function,
                          hilbert_value, minimal_generators)
-from .linalg import Echelon, axpy
+from .linalg import Echelon, axpy, echelon
 from .poly import Polynomial, RingCtx, ring
 
 # The r = 6 findings check, for every field and cover: the three h2 values
@@ -180,6 +179,14 @@ def _init_worker(cfg: CensusConfig) -> None:
     _WORKER.update(_build_worker_state(cfg))
 
 
+def _image(v: dict, rows: dict, field) -> dict:
+    """The vector v over standard monomials, mapped through rows {m: row}."""
+    w = {}
+    for m, c in v.items():
+        axpy(w, c, rows[m], field)
+    return w
+
+
 def classify(state: dict, F: Polynomial) -> QuadricClassification:
     """Classify R/(𝔠 : F) by the ranks of multiplication by F on B = R/𝔠.
 
@@ -203,17 +210,11 @@ def classify(state: dict, F: Polynomial) -> QuadricClassification:
     counts = {1: r - h[1], 2: math.comb(h[1] + 1, 2) - h[2]}
     for d in range(3, r):
         target = hilbert_value(gb, d) - h[d]
-        span = Echelon(field)
         times_var = [_monomial_rows(gb, d - 1, x.leading_key())
                      for x in gb.ring.variables()]
-        for v, rows in itertools.product(kernels[d - 1], times_var):
-            if span.rank == target:
-                break
-            w = {}
-            for m, c in v.items():
-                axpy(w, c, rows[m], field)
-            span.add(w)
-        counts[d] = target - span.rank
+        products = (_image(v, rows, field)
+                    for v in kernels[d - 1] for rows in times_var)
+        counts[d] = target - echelon(products, field, target).rank
     nu = {d: n for d, n in counts.items() if n}
     return QuadricClassification(
         hvector=HVector(tuple(h)),

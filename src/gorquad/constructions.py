@@ -22,7 +22,7 @@ from .core import (
     RingMismatchError,
 )
 from .groebner import Ideal
-from .idealops import random_linear_form
+from .idealops import random_homogeneous, random_linear_form
 from .invariants import (
     HVector,
     annihilator,
@@ -30,7 +30,7 @@ from .invariants import (
     hilbert_function,
     ideal_degree_basis,
 )
-from .linalg import Echelon, left_kernel
+from .linalg import echelon, left_kernel
 from .poly import Polynomial, RingCtx, ring
 
 __all__ = [
@@ -56,24 +56,6 @@ __all__ = [
 
 
 # -- random forms ----------------------------------------------------------------
-
-
-def random_homogeneous(R: RingCtx, degree: int, rng: random.Random,
-                       all_nonzero: bool = False) -> Polynomial:
-    """Random homogeneous form of the given degree, resampled until nonzero.
-
-    With ``all_nonzero`` every monomial gets a nonzero coefficient, which is
-    the right notion of "dense" for small fields.
-    """
-    mons = R.monomials_of_degree(degree)
-    if not mons:
-        raise ValueError(f"no monomials of degree {degree}")
-    field = R.field
-    draw = field.random_nonzero if all_nonzero else field.random
-    while True:
-        p = R.from_terms((k, draw(rng)) for k in mons)
-        if not p.is_zero():
-            return p
 
 
 def random_dual_form(R: RingCtx, degree: int, rng: random.Random) -> Polynomial:
@@ -152,20 +134,13 @@ def contract(p: Polynomial, F: Polynomial) -> Polynomial:
     return p.ring.from_terms(acc.items())
 
 
-def _linear_multiples(vectors, R: RingCtx, room: int) -> Echelon:
-    """Echelon form of the products x_j * v ({monomial key: coeff}), which
-    spans R_1 * span(vectors); its pivots are that span's leading terms.
-    It stops early once its rank fills room, the dimension of a space known
-    to contain that span."""
+def _linear_multiples(vectors, R: RingCtx):
+    """The products x_j * v of vectors {monomial key: coeff}, spanning
+    R_1 * span(vectors), read lazily."""
     codec = R.codec
     var_keys = [codec.var_key(j) for j in range(R.nvars)]
-    span = Echelon(R.field)
-    for v in vectors:
-        for vk in var_keys:
-            if span.rank == room:
-                return span
-            span.add({codec.mul(vk, m): c for m, c in v.items()})
-    return span
+    return ({codec.mul(vk, m): c for m, c in v.items()}
+            for v in vectors for vk in var_keys)
 
 
 def apolar_ideal(F: Polynomial) -> Ideal:
@@ -199,11 +174,11 @@ def apolar_ideal(F: Polynomial) -> Ideal:
                 for m in mons]
         prev, kernel = kernel, [{mons[i]: c for i, c in v.items()}
                                 for v in left_kernel(rows, R.field)]
-        below = _linear_multiples(prev, R, len(kernel))
+        below = echelon(_linear_multiples(prev, R), R.field, len(kernel))
         if below.rank < len(kernel):    # else R_1 * Ann(F)_{d-1} = Ann(F)_d
             gens.extend(R.from_terms(v.items()) for v in kernel if below.reduce(v))
     top = R.monomials_of_degree(e + 1)
-    leading = _linear_multiples(kernel, R, len(top)).pivots
+    leading = echelon(_linear_multiples(kernel, R), R.field, len(top)).pivots
     one = R.field.one
     return Ideal(R, gens + [Polynomial(R, ((k, one),)) for k in top
                             if k not in leading])
@@ -496,19 +471,6 @@ def double_link(r: int, field: FieldSpec | None = None) -> tuple:
 # -- pairs with matching border data ----------------------------------------------
 
 
-def _offdiagonal_quadric_apolar(m: int, field: FieldSpec) -> Ideal:
-    """Annihilator of the squarefree full quadric: same (1, m, 1) quotient
-    as the sum of squares when char does not divide m - 1, but containing
-    every variable square, which square-cover linkage needs."""
-    Rm = ring(field, m)
-    xs = Rm.variables()
-    F = Rm.zero
-    for a in range(m):
-        for b in range(a + 1, m):
-            F = F + xs[a] * xs[b]
-    return apolar_ideal(F)
-
-
 def _residual_almost_ci(G: Ideal, cover: list, new_count: int) -> tuple:
     """Embed a Gorenstein stage with fresh leading variables and link it by
     the quadric complete intersection (new squares) + cover.
@@ -631,13 +593,15 @@ def _alpha1_towers(r: int, field: FieldSpec) -> tuple:
     """Two alternating linkage towers ending in r variables: one seeded on a
     complete intersection of squares, one on an apolar algebra of the same
     socle degree with one more variable."""
+    # The squarefree quadric's annihilator has the (1, 3, 1) quotient of a
+    # sum of squares and contains every square, as square covers need.
+    offdiagonal = apolar_ideal(squarefree_full_form(ring(field, 3), 2))
     if r % 2:
         seed_a, jump_a = quadric_ci(2, field), 2
-        seed_b = _offdiagonal_quadric_apolar(3, field)
+        seed_b = offdiagonal
     else:
         seed_a, jump_a = quadric_ci(3, field), 2
-        seed_b = tensor_algebras(_offdiagonal_quadric_apolar(3, field),
-                                 quadric_ci(1, field))
+        seed_b = tensor_algebras(offdiagonal, quadric_ci(1, field))
     pair = []
     for G, jump in ((seed_a, jump_a), (seed_b, 1)):
         rounds = (r - G.ring.nvars - jump + 1) // 2

@@ -26,7 +26,7 @@ from .invariants import (
     is_artinian,
     standard_monomials,
 )
-from .linalg import rank_of
+from .linalg import echelon
 from .poly import Polynomial, RingCtx
 
 MIN_GIN_PRIME = 32003
@@ -84,7 +84,7 @@ def random_coordinate_change(R: RingCtx, rng: random.Random) -> list:
                       for _ in range(n)]
         rows = [{j: a for j, a in enumerate(row) if a != field.zero}
                 for row in matrix]
-        if rank_of(rows, field) != n:
+        if echelon(rows, field).rank != n:
             continue
         images = []
         for row in matrix:

@@ -229,14 +229,6 @@ def _reduce_basis(ring: RingCtx, entries):
     return tuple(elements)
 
 
-def interreduce_known_basis(ring: RingCtx, polys, truncated_at=None) -> GroebnerBasis:
-    """Build the reduced-basis object from polynomials the caller knows form
-    a Groebner basis already (no S-pair processing)."""
-    entries = [_split_monic(ring, dict(p.terms)) for p in polys if not p.is_zero()]
-    elements = _reduce_basis(ring, entries)
-    return GroebnerBasis(ring, elements, DEFAULT_DEGREE_CAP, truncated_at)
-
-
 # -- public API ----------------------------------------------------------------
 
 

@@ -5,18 +5,18 @@ ideals I, J in R = k[x], the ideal K = t*I + (u-t)*J of k[t, x, u] is
 homogeneous, and K ∩ k[x, u] = u*(I ∩ J): setting t = 0 sends K into u*J and
 t = u sends it into u*I, while u*p = t*p + (u-t)*p for p in I ∩ J.  So the
 t-free elements of K's reduced basis in the order eliminating t are u*q, q
-running over the reduced basis of I ∩ J, and a basis of K truncated at
-degree D + 1 gives that of I ∩ J through degree D.  A colon by a single
-polynomial f is (I ∩ (f)) / f; dividing a basis of the intersection termwise
-by f gives a basis of the colon, which we interreduce without re-running the
-engine.  Everything here is exact.
+running over the degrevlex reduced basis of I ∩ J, and a basis of K
+truncated at degree D + 1 gives that of I ∩ J through degree D.  A colon by
+a single polynomial f is (I ∩ (f)) / f; dividing a basis of the intersection
+termwise by f gives generators of the colon.  The attached basis is
+Ideal.groebner's on those generators, in the ring's own order.  Everything
+here is exact.
 """
 
 from __future__ import annotations
 
-from .core import AlgebraError, RingMismatchError
-from .groebner import (DEFAULT_DEGREE_CAP, GroebnerBasis, Ideal,
-                       interreduce_known_basis)
+from .core import AlgebraError, GenericityError, RingMismatchError
+from .groebner import Ideal
 from .orders import elimination_order
 from .poly import Polynomial, RingCtx, ring
 
@@ -63,8 +63,8 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
 
 
 def _elimination_basis(I: Ideal, J: Ideal, truncate_at):
-    """The reduced basis of I ∩ J (through degree truncate_at), read off the
-    t-free elements u*q of the basis of t*I + (u-t)*J in k[t, x, u]."""
+    """The degrevlex reduced basis of I ∩ J (through degree truncate_at),
+    read off the t-free elements u*q of the basis of t*I + (u-t)*J."""
     base = I.ring
     aux = ring(base.field, base.nvars + 2, elimination_order(1))
     shift = tuple(range(1, base.nvars + 1))
@@ -83,11 +83,9 @@ def intersect(I: Ideal, J: Ideal, truncate_at: int | None = None) -> Ideal:
     """I ∩ J, with the reduced basis of the intersection attached."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
-    base = I.ring
-    elements = tuple(_elimination_basis(I, J, truncate_at))
-    gb = GroebnerBasis(base, elements, DEFAULT_DEGREE_CAP, truncate_at)
+    out = Ideal(I.ring, _elimination_basis(I, J, truncate_at))
+    gb = out.groebner(truncate_at)
     gb.certify_complete()
-    out = Ideal(base, elements)
     out.attach_groebner(gb)
     return out
 
@@ -110,7 +108,7 @@ def colon_form(I: Ideal, f: Polynomial, truncate_at: int | None = None) -> Ideal
     meet_truncate = None if truncate_at is None else truncate_at + f.degree()
     quotients = [exact_divide(q, f)
                  for q in _elimination_basis(I, Ideal(base, [f]), meet_truncate)]
-    gb = interreduce_known_basis(base, quotients, truncate_at)
+    gb = Ideal(base, quotients).groebner(truncate_at)
     gb.certify_complete()
     out = Ideal(base, gb.elements)
     out.attach_groebner(gb)
@@ -139,23 +137,30 @@ def colon_ideal(I: Ideal, J: Ideal, truncate_at: int | None = None) -> Ideal:
 # -- linear forms and ring embeddings --------------------------------------------
 
 
+def random_homogeneous(ring_: RingCtx, degree: int, rng,
+                       all_nonzero: bool = False) -> Polynomial:
+    """Random homogeneous form of the given degree, resampled until nonzero;
+    raises GenericityError after 1000 zero draws.
+
+    With ``all_nonzero`` every monomial gets a nonzero coefficient, which is
+    the right notion of "dense" for small fields.
+    """
+    mons = ring_.monomials_of_degree(degree)
+    if not mons:
+        raise ValueError(f"no monomials of degree {degree}")
+    field = ring_.field
+    draw = field.random_nonzero if all_nonzero else field.random
+    for _ in range(1000):
+        p = ring_.from_terms((k, draw(rng)) for k in mons)
+        if not p.is_zero():
+            return p
+    raise GenericityError(f"no nonzero form of degree {degree} in 1000 draws")
+
+
 def random_linear_form(ring_: RingCtx, rng, all_nonzero: bool = False) -> Polynomial:
     """A random nonzero linear form; with all_nonzero, every coordinate is a
     unit (useful as a cheap genericity proxy over small fields)."""
-    field = ring_.field
-    vs = ring_.variables()
-    for _ in range(1000):
-        if all_nonzero:
-            coeffs = [field.random_nonzero(rng) for _ in vs]
-        else:
-            coeffs = [field.random(rng) for _ in vs]
-        if any(c != field.zero for c in coeffs):
-            out = ring_.zero
-            for c, v in zip(coeffs, vs):
-                if c != field.zero:
-                    out = out + v.scale(c)
-            return out
-    raise AlgebraError("could not sample a nonzero linear form")
+    return random_homogeneous(ring_, 1, rng, all_nonzero)
 
 
 def embed_ideal(I: Ideal, target: RingCtx, var_map=None) -> Ideal:

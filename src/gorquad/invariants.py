@@ -1,8 +1,9 @@
 """Numerical invariants of artinian graded quotients.
 
 Everything is computed from a reduced Groebner basis.  Hilbert functions
-count standard monomials, and minimal generator counts are the rank of
-(degree d-1 part) * (linear forms) inside the degree-d part.  The
+count standard monomials.  Minimal generators are the elements m - NF(m)
+outside (linear forms) * (degree d-1 part), found by linalg.echelon's span
+test, and their counts are the degree tally of those generators.  The
 multiplication maps of the quotient B = R/I go through one function,
 `annihilator`: the degree-d elements of B that given forms multiply to
 zero, as the left kernel of the normal forms NF(m * g).  The socle is the
@@ -22,11 +23,12 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import AlgebraError
 from .groebner import GroebnerBasis, Ideal
-from .linalg import Echelon, axpy, left_kernel, rank_of
+from .linalg import axpy, echelon, left_kernel
 from .poly import Polynomial
 
 _HVEC_RE = re.compile(r"\(\s*(-?\d+\s*(,\s*-?\d+\s*)*)?\)")
@@ -280,55 +282,26 @@ def is_gorenstein(x) -> bool:
 
 def minimal_generator_counts(x) -> dict:
     """Number of minimal generators of the ideal in each degree, as a dict
-    {degree: count} with only nonzero entries.
-
-    Only degrees occurring in the reduced basis can carry minimal generators,
-    so the linear algebra runs just there: in degree d the count is
-    dim [I]_d - rank of { x_j * b : b basis of [I]_{d-1} }, and [I]_{d-1} has
-    the triangular basis { m - NF(m) : m nonstandard of degree d-1 }.
-    """
-    gb = as_basis(x)
-
-    def build():
-        degree = gb.ring.codec.degree
-        candidates = sorted({degree(k) for k in gb.lead_keys})
-        out = {}
-        for d in candidates:
-            nu = _generator_count_at(gb, d)
-            if nu:
-                out[d] = nu
-        return out
-
-    return _cache(gb, "nu", build)
+    {degree: count} with only nonzero entries, ascending: the degree tally
+    of `minimal_generators`."""
+    degree = as_basis(x).ring.codec.degree
+    return dict(Counter(degree(g.leading_key()) for g in minimal_generators(x)))
 
 
-def _generator_rows(gb: GroebnerBasis, d: int) -> list:
-    """The nonzero products x_j * (m - NF(m)), m nonstandard of degree d-1,
-    as dict rows over the nonstandard monomials of degree d.  Those columns
-    suffice: [I]_d has the triangular basis { m - NF(m) }, so an element of
-    [I]_d is fixed by its nonstandard coefficients.  Multiplying by x_j
-    keeps the terms of m - NF(m) distinct."""
+def _generator_rows(gb: GroebnerBasis, d: int, column: dict):
+    """The products x_j * (m - NF(m)), m nonstandard of degree d-1, as dict
+    rows over the nonstandard monomials of degree d, read lazily; column
+    maps each of those monomials to its row key.  Those columns suffice:
+    [I]_d has the triangular basis { m - NF(m) }, so an element of [I]_d is
+    fixed by its nonstandard coefficients.  Multiplying by x_j keeps the
+    terms of m - NF(m) distinct."""
     codec = gb.ring.codec
-    std = gb._level(d)[1]
-    rows = []
+    var_keys = [codec.var_key(j) for j in range(gb.ring.nvars)]
     for m in nonstandard_monomials(gb, d - 1):
         element = _minus_nf(gb, m).terms
-        for j in range(gb.ring.nvars):
-            vk = codec.var_key(j)
-            row = {t: c for t, c in ((codec.mul(vk, k), c) for k, c in element)
-                   if t not in std}
-            if row:
-                rows.append(row)
-    return rows
-
-
-def _generator_count_at(gb: GroebnerBasis, d: int) -> int:
-    nonstd_d = nonstandard_monomials(gb, d)
-    if not nonstd_d:
-        return 0
-    if d == 0:
-        return len(nonstd_d)  # unit ideal
-    return len(nonstd_d) - rank_of(_generator_rows(gb, d), gb.ring.field)
+        for vk in var_keys:
+            yield {column[t]: c for t, c in
+                   ((codec.mul(vk, k), c) for k, c in element) if t in column}
 
 
 def presented_by_quadrics(x) -> bool:
@@ -338,30 +311,29 @@ def presented_by_quadrics(x) -> bool:
 
 
 def minimal_generators(x) -> tuple:
-    """An explicit minimal generating set, degreewise: in each candidate
-    degree, the elements m - NF(m) whose images enlarge the span of
-    (linear forms) * (previous degree)."""
+    """An explicit minimal generating set, ascending by degree: in each
+    degree d of a reduced-basis element, the elements m - NF(m) that lie
+    outside R_1 * [I]_{d-1} plus the span of the m' - NF(m') with m' > m."""
     gb = as_basis(x)
 
     def build():
-        field = gb.ring.field
         degree = gb.ring.codec.degree
-        one = field.one
         out = []
         for d in sorted({degree(k) for k in gb.lead_keys}):
-            nonstd_d = nonstandard_monomials(gb, d)
-            if not nonstd_d:
-                continue
             if d == 0:
-                out.append(gb.ring.one)
+                out.append(gb.ring.one)  # the unit ideal
                 continue
-            ech = Echelon(field)
-            for row in _generator_rows(gb, d):
-                ech.add(row)
-            for m in nonstd_d:
-                # NF(m) is standard, so m - NF(m) touches nonstd_d in m only.
-                if ech.add({m: one}):
-                    out.append(_minus_nf(gb, m))
+            nonstd_d = nonstandard_monomials(gb, d)
+            # Over these columns m - NF(m) is the unit vector at m, so it lies
+            # in R_1 * [I]_{d-1} plus the span of the m' - NF(m'), m' > m,
+            # exactly when m is the lowest term of an element of the former.
+            # Keyed by position in the descending nonstd_d, the echelon's
+            # pivots are those lowest terms.
+            column = {m: i for i, m in enumerate(nonstd_d)}
+            span = echelon(_generator_rows(gb, d, column), gb.ring.field,
+                           len(nonstd_d))
+            out.extend(_minus_nf(gb, m) for m, i in column.items()
+                       if i not in span.pivots)
         return tuple(out)
 
     return _cache(gb, "mingens", build)

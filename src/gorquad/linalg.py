@@ -3,10 +3,12 @@
 Rows are dicts {column: coeff} with totally ordered column labels (monomial
 keys in practice); the same code serves the rationals and every GF(p).
 
-left_kernel(rows) returns a basis of vectors v with sum_i v[i]*rows[i] == 0,
-i.e. the kernel of the linear map whose images are the given rows.  Its
-vectors are sparse too, dicts {row index: coeff} with no zero entries, so a
-caller maps them straight onto its own row labels (monomials, in practice).
+echelon(rows, field, room) is the one span test: it reads rows lazily and
+stops once their rank fills room, the dimension of a space known to contain
+their span.  left_kernel(rows) returns a basis of vectors v with
+sum_i v[i]*rows[i] == 0, i.e. the kernel of the linear map whose images are
+the given rows.  Its vectors are sparse too, dicts {row index: coeff} with
+no zero entries, so a caller maps them straight onto its own row labels.
 """
 
 from __future__ import annotations
@@ -62,11 +64,15 @@ class Echelon:
         return work
 
 
-def rank_of(rows, field: FieldSpec) -> int:
+def echelon(rows, field: FieldSpec, room: int | None = None) -> Echelon:
+    """The Echelon of rows, read lazily: none is read once the rank is room."""
     ech = Echelon(field)
-    for r in rows:
-        ech.add(r)
-    return ech.rank
+    if ech.rank != room:
+        for row in rows:
+            ech.add(row)
+            if ech.rank == room:
+                break
+    return ech
 
 
 def left_kernel(rows, field: FieldSpec) -> list:

@@ -20,7 +20,7 @@ from gorquad.constructions import (LinkageError, LinkStep, apolar_ideal,
 from gorquad.core import FieldSpec, GenericityError
 import gorquad.groebner as groebner_module
 from gorquad.groebner import Ideal
-from gorquad.idealops import colon_ideal
+from gorquad.idealops import colon_ideal, random_linear_form
 from gorquad.invariants import (HVector, classify, hilbert_function,
                                 is_gorenstein, minimal_generator_counts,
                                 presented_by_quadrics, standard_monomials)
@@ -539,3 +539,28 @@ def test_random_homogeneous_determinism():
     a = random_homogeneous(R, 2, random.Random(9))
     b = random_homogeneous(R, 2, random.Random(9))
     assert a == b and a.degree() == 2 and a.is_homogeneous()
+
+
+class ZeroRng:
+    """Draws zero every time, and raises after 10^5 draws so that a sampler
+    which never gives up fails instead of hanging."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def _draw(self, *args):
+        self.draws += 1
+        if self.draws > 10**5:
+            raise RuntimeError("the sampler is not bounded")
+        return 0
+
+    randrange = randint = _draw
+
+
+@pytest.mark.parametrize("field", [GF7, Q], ids=["gf7", "q"])
+def test_random_forms_give_up_on_zero_draws(field):
+    R = ring(field, 3)
+    with pytest.raises(GenericityError):
+        random_homogeneous(R, 2, ZeroRng())
+    with pytest.raises(GenericityError):
+        random_linear_form(R, ZeroRng())

@@ -8,7 +8,7 @@ import pytest
 from gorquad import groebner
 from gorquad.constructions import apolar_ideal, random_homogeneous
 from gorquad.core import AlgebraError, CappedComputationError
-from gorquad.groebner import GroebnerBasis, Ideal, interreduce_known_basis
+from gorquad.groebner import GroebnerBasis, Ideal
 from gorquad.invariants import hilbert_function
 from gorquad.orders import DEGREVLEX, LEX, elimination_order
 from gorquad.poly import ring
@@ -126,17 +126,6 @@ def test_ideal_dedupes_and_drops_zero():
     p = R.parse("x1*x2")
     I = Ideal(R, [p, p, R.zero, p + p - p - p])
     assert I.gens == (p,)
-
-
-@pytest.mark.parametrize("field", [Q, GF2], ids=["q", "gf2"])
-def test_interreduce_known_basis(field):
-    R = ring(field, 2)
-    gb = Ideal.from_texts(R, ["x1^2", "x1*x2 + x2^2"]).groebner()
-    # feeding redundant combinations back in must reproduce the same basis
-    padded = list(gb.elements) + [gb.elements[0] + gb.elements[1],
-                                  gb.elements[0].scale(3)]
-    redone = interreduce_known_basis(R, padded)
-    assert sorted(str(g) for g in redone) == sorted(str(g) for g in gb.elements)
 
 
 def test_truncated_basis_guards_tail_queries():

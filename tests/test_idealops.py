@@ -11,6 +11,7 @@ from gorquad.idealops import (colon_form, colon_ideal, embed_ideal,
                               exact_divide, ideal_product, ideal_sum,
                               intersect, random_linear_form)
 from gorquad.invariants import hilbert_value
+from gorquad.orders import LEX, elimination_order
 from gorquad.poly import ring
 
 from conftest import (GF7, GFBIG, Q, from_sympy, gorquad_gb_normalized,
@@ -170,6 +171,25 @@ def test_random_linear_form_is_deterministic():
     a = random_linear_form(R, random.Random(5))
     b = random_linear_form(R, random.Random(5))
     assert a == b
+
+
+# Outside degrevlex, the elimination's degrevlex basis of a colon or an
+# intersection is only a generating set; the attached basis must be the
+# one the engine computes in the ring's own order.
+@pytest.mark.parametrize("order", [LEX, elimination_order(1)], ids=str)
+@pytest.mark.parametrize("field", [GF7, Q], ids=["gf7", "q"])
+@pytest.mark.parametrize("op", ["colon_form", "intersect", "colon_ideal"])
+def test_colon_and_intersection_bases_follow_the_ring_order(order, field, op):
+    R = ring(field, 3, order)
+    I = Ideal.from_texts(R, ["x1^2 + x2*x3", "x3^2 + x1*x2"])
+    f = R.parse("x1 + x3")
+    if op == "colon_form":
+        out = colon_form(I, f)
+    elif op == "intersect":
+        out = intersect(colon_form(I, f), Ideal.from_texts(R, ["x1*x2", "x3^2"]))
+    else:
+        out = colon_ideal(I, Ideal(R, [f, R.parse("x2^2")]))
+    assert out.groebner().elements == Ideal(R, out.gens).groebner().elements
 
 
 def test_embed_ideal():

@@ -112,3 +112,14 @@ def test_every_method_is_read_as_an_attribute():
                     if name not in read
                     and not (cls == "_Evaluator" and name.startswith("op_")))
     assert not unread, f"methods nothing reads: {unread}"
+
+
+def test_random_steps_are_bounded():
+    """A function taking an ``rng`` has no while loop: every random step
+    draws from a fixed budget and raises GenericityError when it runs out."""
+    unbounded = sorted(
+        node.name for tree in PACKAGE.values() for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(a.arg == "rng" for a in node.args.args + node.args.kwonlyargs)
+        and any(isinstance(n, ast.While) for n in ast.walk(node)))
+    assert not unbounded, f"functions drawing from rng with a while loop: {unbounded}"

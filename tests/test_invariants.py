@@ -1,5 +1,6 @@
 """Hilbert functions, socle data, minimal generators, classification."""
 
+import hashlib
 import math
 import random
 import sys
@@ -8,7 +9,9 @@ import pytest
 
 from gorquad import groebner
 from gorquad.census import CensusConfig, records_to_csv, run_census
-from gorquad.constructions import LinkStep, link
+from gorquad.constructions import (LinkStep, apolar_ideal, link,
+                                   penultimate_socle_algebras,
+                                   random_dual_form, random_homogeneous)
 from gorquad.core import AlgebraError
 from gorquad.groebner import Ideal
 from gorquad.invariants import (HVector, annihilator, classify,
@@ -338,6 +341,60 @@ def test_generator_counts_match_brute_force_random(seed):
         pytest.skip("empty sample")
     I = Ideal(R, gens)
     assert minimal_generator_counts(I) == brute_force_generator_counts(I)
+
+
+@pytest.mark.parametrize("order", [LEX, elimination_order(1),
+                                   elimination_order(2)], ids=str)
+@pytest.mark.parametrize("seed", range(12))
+def test_generator_counts_match_brute_force_in_other_orders(order, seed):
+    """The counts agree with dense ranks and with the degree tally of
+    minimal_generators, which generate the ideal, outside degrevlex too."""
+    rng = random.Random(200 + seed)
+    R = ring((GF2, GF7, GFBIG, Q)[seed % 4], 3, order)
+    gens = [random_poly(R, rng.choice((1, 2, 2, 3)), rng, density=0.6)
+            for _ in range(rng.choice((1, 2, 3)))]
+    gens.append(R.variables()[seed % 3] ** 3)
+    I = Ideal(R, gens)
+    counts = minimal_generator_counts(I)
+    assert counts == brute_force_generator_counts(I)
+    mingens = minimal_generators(I)
+    tally = {}
+    for g in mingens:
+        tally[g.degree()] = tally.get(g.degree(), 0) + 1
+    assert counts == tally
+    assert Ideal(R, mingens).groebner().elements == I.groebner().elements
+
+
+def _mingens_sha(*ideals) -> str:
+    text = "\n".join(str(g) for I in ideals for g in minimal_generators(I))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the printed minimal generators of a seeded cubic's apolar ideal
+# and of six seeded quadrics, in 5 variables; a change to which elements
+# m - NF(m) are kept shows here.
+@pytest.mark.parametrize("field, apolar_sha, quadrics_sha", [
+    (GF2, "af08a1fcac29da37597033bc44fa808d4b049167330cc288e4059fb2e1239bdf",
+     "f758ba894c6e02b8e76fac8cfc3dbbf5eebf40010a87b929dde24216c27e7219"),
+    (GF7, "c94f978bd75bd44726f95be68581a7df2fd19dddf931a5ebe233957bb41301ef",
+     "a05cef29ad9ae6cde0a22876e2a9aac9b26f19591f8bbd23bc13b226a0b5aca1"),
+    (GFBIG, "1c24fbe0a2dceb71ec384364df6f0fd3db24c0986d09da25e921501111aa5523",
+     "741bc7fb01b833e935156c28c60d0b96a50342014d2066f444264b761019a921"),
+    (Q, "357d711cef649aae809351f942c573c1b38c3837b7437192e971fa5eb3340ba6",
+     "84f5008a8438c704ae1e77c8493f6f19cd6b86842ebc178f8d3e7aefcae246e0"),
+], ids=["gf2", "gf7", "gf32003", "q"])
+def test_minimal_generators_are_pinned(field, apolar_sha, quadrics_sha):
+    R = ring(field, 5)
+    apolar = apolar_ideal(random_dual_form(R, 3, random.Random(4)))
+    rng = random.Random(5)
+    quadrics = Ideal(R, [random_homogeneous(R, 2, rng) for _ in range(6)])
+    assert _mingens_sha(apolar) == apolar_sha
+    assert _mingens_sha(quadrics) == quadrics_sha
+
+
+def test_penultimate_socle_minimal_generators_are_pinned():
+    assert _mingens_sha(*penultimate_socle_algebras(6)) == (
+        "08bb837c8eccd77f58cfffd594bde0a134eec704d24721cfd6e093d29d1043c5")
 
 
 @pytest.mark.parametrize("field", [GF7, GF2, Q])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gorquad.linalg import Echelon, left_kernel, rank_of
+from gorquad.linalg import Echelon, echelon, left_kernel
 
 from conftest import GF2, GF7, Q, dense_rref_rank
 
@@ -32,7 +32,25 @@ def test_rank_matches_dense_oracle(field, seed):
     rng = random.Random(seed)
     rows = random_rows(field, 8, 6, rng)
     expected = dense_rref_rank([densify(r, 6, field) for r in rows], field)
-    assert rank_of(rows, field) == expected
+    assert echelon(rows, field).rank == expected
+
+
+@pytest.mark.parametrize("field", [Q, GF7, GF2])
+@pytest.mark.parametrize("seed", range(4))
+def test_echelon_reads_no_row_once_the_rank_is_room(field, seed):
+    rows = random_rows(field, 10, 6, random.Random(200 + seed))
+    full = echelon(rows, field).rank
+    for room in range(full + 2):
+        # the first prefix of rows whose rank is room; none when room > full
+        cut = next((k for k in range(len(rows) + 1)
+                    if echelon(rows[:k], field).rank == room), None)
+
+        def guarded():
+            yield from rows[:cut]
+            if cut is not None:
+                raise AssertionError(f"read a row past room {room}")
+
+        assert echelon(guarded(), field, room).rank == min(room, full)
 
 
 @pytest.mark.parametrize("field", [Q, GF7, GF2])
@@ -65,7 +83,7 @@ def test_left_kernel_annihilates_rows(field, seed):
                 acc[j] = field.add(acc.get(j, field.zero), field.mul(c, v))
         assert all(v == field.zero for v in acc.values())
     # kernel vectors are linearly independent
-    assert rank_of(kernel, field) == len(kernel)
+    assert echelon(kernel, field).rank == len(kernel)
 
 
 @pytest.mark.parametrize("field", [Q, GF7, GF2])
@@ -84,6 +102,6 @@ def test_left_kernel_is_sparse_with_dense_oracle_dimension(field, shape):
 
 
 def test_empty_inputs():
-    assert rank_of([], Q) == 0
+    assert echelon([], Q).rank == 0
     assert left_kernel([], Q) == []
     assert left_kernel([{}], Q) == [{0: Q.one}]
