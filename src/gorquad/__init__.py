@@ -5,7 +5,7 @@ and census sweeps of quadric-colon quotients."""
 
 from .census import (CensusConfig, CensusRecord, CensusSummary,
                      h2_13_exclusion_check, run_census, summary_markdown,
-                     verify_socle4_duality, write_records_csv)
+                     verify_socle4_duality)
 from .core import (AlgebraError, CappedComputationError, FieldSpec,
                    GenericityError, GinUncertifiedError, LinkageError,
                    ParseError, RingMismatchError)
@@ -54,5 +54,5 @@ __all__ = [
     "reduction_number", "ring", "run_census", "run_recipe", "socle_degree",
     "socle_type", "squarefree_full_form", "summary_markdown",
     "tensor_algebras", "times_L_rank",
-    "verify_socle4_duality", "write_records_csv",
+    "verify_socle4_duality",
 ]

@@ -12,12 +12,14 @@ persisted as an append-only CSV stream plus a Markdown summary table.
 No Groebner basis is computed per form.  g lies in 𝔠 : F exactly when gF
 lies in 𝔠, so (𝔠 : F)/𝔠 is the annihilator of F in B = R/𝔠
 (`invariants.annihilator`), and the h-vector of R/(𝔠 : F) is the rank
-sequence of multiplication by F on B.  The multiplication rows of B are
-cached on the cover's basis, which each process builds once; each form then
-costs a few small kernels and ranks, the same for the monomial cover and
-for a random one.  `colon_quotient` and the linkage round trip of
-`verify_socle4_duality` take their colons through `constructions.link`,
-which builds them from the same annihilator.
+sequence of multiplication by F on B.  `_cover` caches the cover once per
+process and (field, r, cover style, cover seed), for every sweep, pool
+worker and duality check on it, and the cover's basis caches the
+multiplication rows of B; each form then costs a few small kernels and
+ranks, the same for the monomial cover and for a random one.
+`colon_quotient` and the linkage round trip of `verify_socle4_duality`
+take their colons through `constructions.link`, which builds them from
+the same annihilator.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ import math
 import multiprocessing
 import random
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .constructions import LinkStep, link, quadric_ci
 from .core import AlgebraError, FieldSpec
-from .groebner import Ideal
+from .groebner import GroebnerBasis, Ideal
 from .invariants import (HVector, QuadricClassification, _monomial_rows,
                          annihilator, as_basis, hilbert_function,
                          hilbert_value, minimal_generators)
@@ -71,8 +74,10 @@ class CensusConfig:
             raise ValueError(f"unknown census mode: {self.mode!r}")
         if self.mode == "exhaustive_squarefree" and self.field.p != 2:
             raise ValueError(
-                "the exhaustive square-free sweep is only meaningful over "
-                "GF(2); use random_sample elsewhere")
+                "the exhaustive sweep enumerates the 0/1 sums of the "
+                "square-free quadratic monomials, which are all the "
+                "square-free forms only over GF(2); over GF(p) there are "
+                "p^C(r,2) of them, so sample them with random_sample")
         if self.mode == "random_sample" and self.sample_count < 1:
             raise ValueError("random_sample needs a positive sample_count")
         if self.parallelism < 1:
@@ -151,32 +156,19 @@ def _form_from_coeffs(R: RingCtx, coeffs: tuple) -> Polynomial:
 
 # -- the per-form pipeline --------------------------------------------------------
 
-# Worker processes rebuild this state once from the picklable config; the
-# single-process path fills the same slots inline.
-_WORKER: dict = {}
+@lru_cache(maxsize=None)
+def _cover(field: FieldSpec, r: int, ci_style: str, ci_seed: int) -> Ideal:
+    """The complete intersection a sweep colons out of, built once per
+    process and cover; its basis keeps the multiplication rows of B = R/𝔠
+    for every later sweep and duality check on the same cover."""
+    return quadric_ci(r, field, style=ci_style, seed=ci_seed)
 
 
-def _task_form(state: dict, spec) -> Polynomial:
+def _task_form(R: RingCtx, spec) -> Polynomial:
     """The form a task names: an exhaustive-sweep mask or a coefficient tuple."""
     if isinstance(spec, int):
-        return form_from_index(state["ring"], state["keys"], spec)
-    return _form_from_coeffs(state["ring"], spec)
-
-
-def _build_worker_state(cfg: CensusConfig) -> dict:
-    R = ring(cfg.field, cfg.r)
-    ci = quadric_ci(cfg.r, cfg.field, style=cfg.ci_style, seed=cfg.ci_seed)
-    return {
-        "cfg": cfg,
-        "ring": R,
-        "ci": ci,
-        "ci_gb": ci.groebner(),
-        "keys": squarefree_quadric_keys(R),
-    }
-
-
-def _init_worker(cfg: CensusConfig) -> None:
-    _WORKER.update(_build_worker_state(cfg))
+        return form_from_index(R, squarefree_quadric_keys(R), spec)
+    return _form_from_coeffs(R, spec)
 
 
 def _image(v: dict, rows: dict, field) -> dict:
@@ -187,7 +179,7 @@ def _image(v: dict, rows: dict, field) -> dict:
     return w
 
 
-def classify(state: dict, F: Polynomial) -> QuadricClassification:
+def classify(cover_gb: GroebnerBasis, F: Polynomial) -> QuadricClassification:
     """Classify R/(𝔠 : F) by the ranks of multiplication by F on B = R/𝔠.
 
     g lies in 𝔠 : F exactly when gF lies in 𝔠, so (𝔠 : F)_d / 𝔠_d is
@@ -200,18 +192,18 @@ def classify(state: dict, F: Polynomial) -> QuadricClassification:
     """
     if not (F.is_homogeneous() and F.degree() == 2):
         raise AlgebraError(f"the census colons by quadrics, not by {F}")
-    gb = state["ci_gb"]
-    r, field = gb.ring.nvars, gb.ring.field
-    kernels = [annihilator(gb, [F], d) for d in range(r - 1)]
+    r, field = cover_gb.ring.nvars, cover_gb.ring.field
+    kernels = [annihilator(cover_gb, [F], d) for d in range(r - 1)]
     # h_{r-1} = h_r = 0: F*B_{r-1} lies in B_{r+1} = 0.
-    h = [hilbert_value(gb, d) - len(J) for d, J in enumerate(kernels)] + [0, 0]
+    h = [hilbert_value(cover_gb, d) - len(J)
+         for d, J in enumerate(kernels)] + [0, 0]
     if h[0] == 0:
         raise AlgebraError("the form lies in the cover")
     counts = {1: r - h[1], 2: math.comb(h[1] + 1, 2) - h[2]}
     for d in range(3, r):
-        target = hilbert_value(gb, d) - h[d]
-        times_var = [_monomial_rows(gb, d - 1, x.leading_key())
-                     for x in gb.ring.variables()]
+        target = hilbert_value(cover_gb, d) - h[d]
+        times_var = [_monomial_rows(cover_gb, d - 1, x.leading_key())
+                     for x in cover_gb.ring.variables()]
         products = (_image(v, rows, field)
                     for v in kernels[d - 1] for rows in times_var)
         counts[d] = target - echelon(products, field, target).rank
@@ -226,53 +218,25 @@ def classify(state: dict, F: Polynomial) -> QuadricClassification:
     )
 
 
-def colon_quotient(state: dict, F: Polynomial) -> Ideal:
+def colon_quotient(cover: Ideal, F: Polynomial) -> Ideal:
     """𝔠 : F, linked out of the cover as 𝔠 : (𝔠 + F)."""
-    cover = tuple(state["ci"].gens)
-    return link(Ideal(state["ring"], cover + (F,)), LinkStep(cover))
+    return link(Ideal(cover.ring, cover.gens + (F,)), LinkStep(cover.gens))
 
 
-def _sweep_one(state: dict, task: tuple) -> tuple:
-    """Classify one form; returns a plain picklable payload, the task
-    followed by its outcome: (f_index, spec, status, h2, hvector values,
-    nu items, detail)."""
-    F = _task_form(state, task[1])
-    if state["ci_gb"].reduces_to_zero(F):
+def _sweep_one(cfg: CensusConfig, task: tuple) -> tuple:
+    """Classify one form: the task followed by (classification or None,
+    skip or error reason, errored).  A process pool returns the same
+    payload pickled, so every form goes through this one function."""
+    gb = _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed).groebner()
+    F = _task_form(gb.ring, task[1])
+    if gb.reduces_to_zero(F):
         reason = ("the zero form" if F.is_zero()
                   else "the form lies in the cover")
-        return task + ("skipped", None, None, None, reason)
+        return task + (None, reason, False)
     try:
-        cls = classify(state, F)
+        return task + (classify(gb, F), "", False)
     except AlgebraError as exc:
-        return task + ("error", None, None, None, str(exc))
-    status = "True" if cls.presented_by_quadrics else "False"
-    return task + (status, cls.hvector[2], cls.hvector.values,
-                   tuple(sorted(cls.generator_counts.items())), "")
-
-
-def _sweep_one_global(task: tuple) -> tuple:
-    return _sweep_one(_WORKER, task)
-
-
-def _record_from_payload(state: dict, payload: tuple,
-                         seed: int | None) -> CensusRecord:
-    f_index, spec, status, h2, hv_values, nu_items, detail = payload
-    F = _task_form(state, spec)
-    if status in ("skipped", "error"):
-        return CensusRecord(f_index=f_index, F=F, classification=None,
-                            presented=None, h2=None, skip_reason=detail,
-                            seed=seed, errored=(status == "error"))
-    nu = dict(nu_items)
-    cls = QuadricClassification(
-        hvector=HVector(hv_values),
-        socle_tuple=None,
-        generator_counts=nu,
-        gorenstein=None,
-        presented_by_quadrics=(status == "True"),
-        had_linear_forms=1 in nu,
-    )
-    return CensusRecord(f_index=f_index, F=F, classification=cls,
-                        presented=(status == "True"), h2=h2, seed=seed)
+        return task + (None, str(exc), True)
 
 
 def _record_findings(rec: CensusRecord, r: int) -> list:
@@ -300,27 +264,31 @@ def run_census(cfg: CensusConfig) -> tuple:
     The record list is in sweep order (stable form indices); the summary is a
     commutative aggregate, so worker count never changes either.
     """
-    state = _build_worker_state(cfg)
-    R = state["ring"]
-    keys = state["keys"]
+    R = ring(cfg.field, cfg.r)
     if cfg.mode == "exhaustive_squarefree":
-        tasks = [(m, m) for m in range(1, 1 << len(keys))]
+        tasks = [(m, m) for m in range(1, 1 << math.comb(cfg.r, 2))]
         seed = None
     else:
         tasks = list(enumerate(_sample_coefficient_lists(cfg, R)))
         seed = cfg.sample_seed
 
-    if cfg.parallelism > 1:
-        chunk = max(1, len(tasks) // (cfg.parallelism * 8))
-        with multiprocessing.Pool(cfg.parallelism, initializer=_init_worker,
-                                  initargs=(cfg,)) as pool:
-            payloads = list(pool.imap(_sweep_one_global, tasks,
-                                      chunksize=chunk))
+    # Built before the pool starts, so forked workers inherit the cover.
+    cover = _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed)
+    sweep = partial(_sweep_one, cfg)
+    if cfg.parallelism == 1:
+        payloads = list(map(sweep, tasks))
     else:
-        payloads = [_sweep_one(state, task) for task in tasks]
+        chunk = max(1, len(tasks) // (cfg.parallelism * 8))
+        with multiprocessing.Pool(cfg.parallelism) as pool:
+            payloads = list(pool.imap(sweep, tasks, chunksize=chunk))
 
-    records = [_record_from_payload(state, payload, seed)
-               for payload in payloads]
+    records = [
+        CensusRecord(f_index=f_index, F=_task_form(R, spec),
+                     classification=cls,
+                     presented=None if cls is None else cls.presented_by_quadrics,
+                     h2=None if cls is None else cls.hvector[2],
+                     skip_reason=reason, seed=seed, errored=errored)
+        for f_index, spec, cls, reason, errored in payloads]
 
     counts: dict = {}
     presented = swept = skipped = errored = 0
@@ -346,7 +314,7 @@ def run_census(cfg: CensusConfig) -> tuple:
         total_errored=errored,
         findings=tuple(findings),
         config=cfg,
-        ci_gens=tuple(str(g) for g in state["ci"].gens),
+        ci_gens=tuple(str(g) for g in cover.gens),
     )
     return records, summary
 
@@ -360,10 +328,9 @@ def verify_socle4_duality(cfg: CensusConfig, sample: CensusRecord) -> bool:
     back I.  Skipped records are vacuously fine."""
     if sample.presented is None:
         return True
-    state = _build_worker_state(cfg)
-    ci_gb = state["ci_gb"]
-    I = colon_quotient(state, sample.F)
-    J = link(I, LinkStep(tuple(state["ci"].gens)))
+    cover = _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed)
+    I = colon_quotient(cover, sample.F)
+    J = link(I, LinkStep(cover.gens))
     # The new quadric: exactly one degree-2 minimal generator of J survives
     # reduction modulo the cover.
     fresh = Echelon(J.ring.field)
@@ -371,18 +338,18 @@ def verify_socle4_duality(cfg: CensusConfig, sample: CensusRecord) -> bool:
     for g in minimal_generators(as_basis(J)):
         if g.degree() != 2:
             continue
-        nf = ci_gb.normal_form(g)
+        nf = cover.groebner().normal_form(g)
         if not nf.is_zero() and fresh.add(dict(nf.terms)):
             extra.append(nf)
     if len(extra) != 1:
         return False
     F_prime = extra[0]
     # J must be the cover plus that quadric and nothing more ...
-    rebuilt = Ideal(J.ring, tuple(state["ci"].gens) + (F_prime,))
+    rebuilt = Ideal(J.ring, cover.gens + (F_prime,))
     if hilbert_function(rebuilt) != hilbert_function(J):
         return False
     # ... and the quadric must colon back to the ideal we started from.
-    I_back = colon_quotient(state, F_prime)
+    I_back = colon_quotient(cover, F_prime)
     return as_basis(I_back).elements == as_basis(I).elements
 
 
@@ -425,11 +392,6 @@ def records_to_csv(cfg: CensusConfig, records) -> str:
     for rec in records:
         writer.writerow(_csv_row(cfg, rec))
     return buf.getvalue()
-
-
-def write_records_csv(cfg: CensusConfig, records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(records_to_csv(cfg, records))
 
 
 def summary_markdown(summary: CensusSummary) -> str:

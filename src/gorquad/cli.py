@@ -38,6 +38,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _census_out(path: str) -> str:
+    if path == "-":
+        raise argparse.ArgumentTypeError(
+            "the census writes a CSV file and a Markdown file beside it, so "
+            "--out must name a file, not standard output")
+    return path
+
+
 def _field_flag(value: str | None) -> FieldSpec | None:
     return None if value is None else FieldSpec.from_token(value)
 
@@ -184,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--samples", type=int, default=0)
     cen.add_argument("--seed", type=int, default=0)
     cen.add_argument("--jobs", type=int, default=1)
-    cen.add_argument("--out", default=None,
+    cen.add_argument("--out", default=None, type=_census_out,
                      help="CSV output path; the Markdown summary lands "
                           "next to it with extension .md")
     cen.set_defaults(func=cmd_census)

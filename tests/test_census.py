@@ -1,6 +1,7 @@
 """Census sweeps: exhaustive counts, sampling, CSV persistence, findings."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 
@@ -9,14 +10,14 @@ import pytest
 import gorquad.census
 from gorquad import invariants
 from gorquad.census import (CSV_HEADER, H2_SUPPORT_R6, CensusConfig,
-                            CensusRecord, _build_worker_state,
-                            _form_from_coeffs, _sample_coefficient_lists,
-                            _sweep_one, classify, colon_quotient,
-                            form_from_index, h2_13_exclusion_check,
-                            records_to_csv, run_census, squarefree_quadric_keys,
-                            summary_markdown, verify_socle4_duality)
+                            CensusRecord, _cover, _form_from_coeffs,
+                            _sample_coefficient_lists, _sweep_one, classify,
+                            colon_quotient, form_from_index,
+                            h2_13_exclusion_check, records_to_csv, run_census,
+                            squarefree_quadric_keys, summary_markdown,
+                            verify_socle4_duality)
 from gorquad.cli import build_parser, main
-from gorquad.constructions import apolar_ideal, contract
+from gorquad.constructions import apolar_ideal, contract, quadric_ci
 from gorquad.core import AlgebraError, FieldSpec
 from gorquad.idealops import colon_form
 from gorquad.invariants import HVector, QuadricClassification, as_basis
@@ -51,11 +52,15 @@ def test_presented_records_have_socle_degree_r_minus_2(r4_sweep):
             assert rec.h2 == 1
 
 
+def _cover_of(cfg):
+    return _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed)
+
+
 def test_records_keep_the_classification(r4_sweep):
     cfg, records, _ = r4_sweep
-    state = _build_worker_state(cfg)
+    cover_gb = _cover_of(cfg).groebner()
     for rec in records:
-        want, got = classify(state, rec.F), rec.classification
+        want, got = classify(cover_gb, rec.F), rec.classification
         assert (got.had_linear_forms, got.generator_counts, got.hvector) == (
             want.had_linear_forms, want.generator_counts, want.hvector), str(rec.F)
     assert any(rec.classification.had_linear_forms for rec in records)
@@ -99,18 +104,37 @@ def test_sampled_skip_reasons_are_explained():
 def test_sweep_one_skip_payloads_directly():
     cfg = CensusConfig(field=GF2, r=3, mode="random_sample",
                        sample_count=1, sample_seed=0)
-    state = _build_worker_state(cfg)
-    R = state["ring"]
+    R = ring(cfg.field, cfg.r)
     width = len(R.monomials_of_degree(2))
-    zero = _sweep_one(state, (0, (0,) * width))
-    assert zero[2] == "skipped" and zero[6] == "the zero form"
+    zero = _sweep_one(cfg, (0, (0,) * width))
+    assert zero[2:] == (None, "the zero form", False)
     # a pure square lies in the cover of variable squares
     square_pos = [i for i, k in enumerate(R.monomials_of_degree(2))
                   if max(R.codec.exps(k)) == 2][0]
     coeffs = [0] * width
     coeffs[square_pos] = 1
-    cover = _sweep_one(state, (1, tuple(coeffs)))
-    assert cover[2] == "skipped" and cover[6] == "the form lies in the cover"
+    cover = _sweep_one(cfg, (1, tuple(coeffs)))
+    assert cover[2:] == (None, "the form lies in the cover", False)
+
+
+def test_the_cover_is_built_once_per_process(monkeypatch):
+    # Two sweeps with different samples and a duality check on one random
+    # cover draw its quadrics and run Buchberger once between them.
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return quadric_ci(*args, **kwargs)
+
+    monkeypatch.setattr(gorquad.census, "quadric_ci", counting)
+    _cover.cache_clear()
+    cfg = CensusConfig(field=GFBIG, r=4, ci_style="random", ci_seed=6,
+                       mode="random_sample", sample_count=4, sample_seed=1)
+    run_census(cfg)
+    records, _ = run_census(dataclasses.replace(cfg, sample_seed=2))
+    presented = next(rec for rec in records if rec.presented)
+    assert verify_socle4_duality(cfg, presented)
+    assert len(builds) == 1
 
 
 def test_parallel_sweep_is_byte_identical(r4_sweep):
@@ -242,18 +266,18 @@ def test_random_cover_and_sample_seeds_must_differ(capsys):
     assert (summary.total_skipped, summary.total_swept) == (0, 8)
 
 
-def _groebner_oracle(state, F):
+def _groebner_oracle(cfg, F):
     """The census classification by Groebner bases: the apolar ideal of F
     contracted into x1*...*xr for the monomial cover, elimination for a
     random one.  Socle degree r - 2 <= 3 keeps every generator of the
     random covers below the truncation."""
-    R = state["ring"]
-    if state["cfg"].ci_style == "monomial":
+    R = F.ring
+    if cfg.ci_style == "monomial":
         W = R.one
         for v in R.variables():
             W = W * v
         return apolar_ideal(contract(F, W))
-    return colon_form(state["ci"], F, truncate_at=5)
+    return colon_form(_cover_of(cfg), F, truncate_at=5)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -273,39 +297,39 @@ def _groebner_oracle(state, F):
 ], ids=["gf2-r4", "gf2-r5", "gf2-r6", "gf3-r5", "gf7-r4-random",
         "gfbig-r5-random", "q-r4-random"])
 def test_classify_matches_the_groebner_oracle(cfg):
-    state = _build_worker_state(cfg)
-    R = state["ring"]
+    cover = _cover_of(cfg)
+    cover_gb, R = cover.groebner(), cover.ring
     if cfg.mode == "exhaustive_squarefree":
-        forms = [form_from_index(R, state["keys"], m)
-                 for m in range(1, 1 << len(state["keys"]))]
+        keys = squarefree_quadric_keys(R)
+        forms = [form_from_index(R, keys, m) for m in range(1, 1 << len(keys))]
     else:
         forms = [_form_from_coeffs(R, coeffs)
                  for coeffs in _sample_coefficient_lists(cfg, R)]
     checked = 0
     for F in forms:
-        if state["ci_gb"].reduces_to_zero(F):
+        if cover_gb.reduces_to_zero(F):
             continue
-        I = _groebner_oracle(state, F)
+        I = _groebner_oracle(cfg, F)
         want = invariants.classify(I, with_socle=False)
-        got = classify(state, F)
+        got = classify(cover_gb, F)
         assert (got.hvector, got.presented_by_quadrics,
                 got.generator_counts) == (want.hvector,
                                           want.presented_by_quadrics,
                                           want.generator_counts), str(F)
         # the ideal itself, not only its invariants
-        assert (as_basis(colon_quotient(state, F)).elements
+        assert (as_basis(colon_quotient(cover, F)).elements
                 == as_basis(I).elements), str(F)
         checked += 1
     assert checked >= len(forms) // 2
 
 
 def test_classify_rejects_what_the_census_never_colons():
-    state = _build_worker_state(CensusConfig(field=GF2, r=4))
-    R = state["ring"]
+    cover_gb = _cover_of(CensusConfig(field=GF2, r=4)).groebner()
+    R = cover_gb.ring
     with pytest.raises(AlgebraError):
-        classify(state, R.parse("x1^2 + x2^2"))
+        classify(cover_gb, R.parse("x1^2 + x2^2"))
     with pytest.raises(AlgebraError):
-        classify(state, R.parse("x1*x2*x3"))
+        classify(cover_gb, R.parse("x1*x2*x3"))
 
 
 # sha256 of the CSV and the Markdown; a change to the classification or to
@@ -332,10 +356,24 @@ def test_classify_rejects_what_the_census_never_colons():
 ], ids=["gf2-r4", "gf2-r6-sample", "gf2-r5", "gfbig-r5-random",
         "gf7-r4-random"])
 def test_census_output_is_pinned(cfg, csv_sha, md_sha):
-    records, summary = run_census(cfg)
-    for text, want in ((records_to_csv(cfg, records), csv_sha),
-                       (summary_markdown(summary), md_sha)):
-        assert hashlib.sha256(text.encode()).hexdigest() == want
+    # A pool gives the same bytes: its workers inherit or build the cached
+    # cover and return the classifications pickled.
+    for jobs in (1, 2) if cfg.ci_style == "random" else (1,):
+        records, summary = run_census(
+            dataclasses.replace(cfg, parallelism=jobs))
+        for text, want in ((records_to_csv(cfg, records), csv_sha),
+                           (summary_markdown(summary), md_sha)):
+            assert hashlib.sha256(text.encode()).hexdigest() == want, jobs
+
+
+def test_census_cli_refuses_standard_output(monkeypatch, tmp_path):
+    # --out names the CSV and, with .md, the Markdown beside it; '-' would
+    # print the CSV and leave a file named "-.md" in the working directory.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--field", "2", "--r", "3", "--out", "-"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_validation():
@@ -345,8 +383,8 @@ def test_config_validation():
         CensusConfig(field=GF2, ci_style="sparse")
     with pytest.raises(ValueError):
         CensusConfig(field=GF2, mode="all")
-    with pytest.raises(ValueError):
-        CensusConfig(field=GF3)  # exhaustive sweep is GF(2)-only
+    with pytest.raises(ValueError, match=r"only over GF\(2\).*random_sample"):
+        CensusConfig(field=GF3)
     with pytest.raises(ValueError):
         CensusConfig(field=GF2, mode="random_sample", sample_count=0)
     with pytest.raises(ValueError):

@@ -123,3 +123,20 @@ def test_random_steps_are_bounded():
         and any(a.arg == "rng" for a in node.args.args + node.args.kwonlyargs)
         and any(isinstance(n, ast.While) for n in ast.walk(node)))
     assert not unbounded, f"functions drawing from rng with a while loop: {unbounded}"
+
+
+def test_no_module_level_mutable_state():
+    """No module binds a dict, list or set at module level, `__all__` aside:
+    a cache goes through ``functools.lru_cache``, so no process or pool
+    worker keeps state that a call fills in behind its arguments."""
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                ast.SetComp)
+    bound = sorted(
+        f"{path.stem}.{target.id} (line {node.lineno})"
+        for path, tree in PACKAGE.items() for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, displays)
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        if isinstance(target, ast.Name) and target.id != "__all__")
+    assert not bound, f"module-level mutable state: {bound}"
