@@ -39,10 +39,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _census_out(path: str) -> str:
-    if path == "-":
+    if path == "-" or os.path.splitext(path)[1] == ".md":
         raise argparse.ArgumentTypeError(
-            "the census writes a CSV file and a Markdown file beside it, so "
-            "--out must name a file, not standard output")
+            "the census writes a CSV file and a Markdown file beside it with "
+            "extension .md, so --out must name a file other than standard "
+            "output or a .md file")
     return path
 
 

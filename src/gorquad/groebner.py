@@ -25,12 +25,21 @@ Two guard rails:
     basis's elements of degree <= truncate_at, and the quotient table refuses
     higher degrees; certify_complete promotes it when no standard monomial
     is left at the truncation degree.
+
+The engine's private hint hilbert: d -> h_d (Traverso, J. Symb. Comput. 22,
+1996): pairs pop in ascending degree, so once the partial leading ideal
+leaves h_d standard monomials in degree d, the remaining degree-d pairs
+reduce to zero and are skipped.  That is exact only for the true Hilbert
+function; an over-large hint silently drops pairs, an under-large one never
+closes a degree.  So no public call takes it, and its one caller is gin's
+coordinate changes: h(g.I) = h(I) for every invertible linear change g.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
+from collections import namedtuple
 
 from .core import AlgebraError, CappedComputationError, RingMismatchError
 from .linalg import axpy
@@ -38,6 +47,13 @@ from .orders import _FIELD_MAX
 from .poly import Polynomial, RingCtx
 
 DEFAULT_DEGREE_CAP = 40
+
+# Counters of one engine run: pairs queued; pairs pruned by Gebauer-Moeller,
+# coprime and chain criteria; popped pairs reduced (to zero) or skipped by the
+# hint; the reduced basis's size and top degree.
+EngineStats = namedtuple("EngineStats", (
+    "queued gm_pruned coprime_pruned chain_pruned reduced reduced_to_zero "
+    "hint_skipped basis_size top_degree"))
 
 
 # -- polynomials as {key: coeff} dicts -----------------------------------------
@@ -113,16 +129,19 @@ def _split_monic(ring: RingCtx, rep: dict):
 # -- the engine ----------------------------------------------------------------
 
 
-def _compute_basis(ring: RingCtx, polys, truncate_at):
+def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
     degree_cap = DEFAULT_DEGREE_CAP
     codec = ring.codec
     degree, divides, lcm = codec.degree, codec.divides, codec.lcm
+    var_keys = [codec.var_key(j) for j in range(ring.nvars)]
+    n = dict.fromkeys(EngineStats._fields[:-2], 0)   # the run's counters
 
     G = []          # (lm, tail dict)
     lm_degs = []    # degree of each lm, parallel to G
     reducers = []   # (lm_degree, lm, tail dict), ascending, shared objects
     heap = []       # (lcm_degree, lcm_key, i, j)
     active = {}     # (i, j) -> lcm_key
+    std = [{codec.one}]   # std[e]: standard monomials of degree e, for the hint
 
     def install(lm, tail):
         """Add a monic element, wire up reducers, and run the pair update."""
@@ -131,6 +150,8 @@ def _compute_basis(ring: RingCtx, polys, truncate_at):
         G.append((lm, tail))
         lm_degs.append(lm_deg)
         insort(reducers, (lm_deg, lm, tail), key=lambda e: (e[0], e[1]))
+        if lm_deg < len(std):
+            std[lm_deg].discard(lm)
 
         # Gebauer-Moeller pruning of the candidate pairs (i, h).
         lcms = [lcm(G[i][0], lm) for i in range(h)]
@@ -151,6 +172,7 @@ def _compute_basis(ring: RingCtx, polys, truncate_at):
                     break
             if not drop:
                 kept.append(i)
+        n["gm_pruned"] += h - len(kept)
         for i in kept:
             li = lcms[i]
             li_deg = degree(li)
@@ -161,7 +183,9 @@ def _compute_basis(ring: RingCtx, polys, truncate_at):
                 lcms[j] == li and li_deg == lm_degs[j] + lm_deg
                 for j in range(h))
             if coprime:
+                n["coprime_pruned"] += 1
                 continue
+            n["queued"] += 1
             active[(i, h)] = li
             heapq.heappush(heap, (li_deg, li, i, h))
         # Chain criterion against pairs that predate h.
@@ -171,7 +195,20 @@ def _compute_basis(ring: RingCtx, polys, truncate_at):
                            and divides(lm, l)
                            and lcm(G[kij[0]][0], lm) != l
                            and lcm(G[kij[1]][0], lm) != l]:
+                n["chain_pruned"] += 1
                 del active[key_ij]
+
+    def std_count(d):
+        """Standard monomials of degree d of the partial leading ideal, grown
+        as in GroebnerBasis._build_level; every degree below d is final."""
+        mul, div = codec.mul, codec.div
+        while len(std) <= d:
+            prev = std[-1]
+            level = {b for b in {mul(v, t) for v in var_keys for t in prev}
+                     if all(div(b, v) in prev
+                            for v in var_keys if divides(v, b))}
+            std.append(level.difference(lm for lm, _ in G))
+        return len(std[d])
 
     # Seed with the inputs, normal-formed against what is already there.
     inputs = [p for p in polys if not p.is_zero()]
@@ -197,11 +234,19 @@ def _compute_basis(ring: RingCtx, polys, truncate_at):
             raise CappedComputationError(
                 f"S-pair of degree {d} exceeds the degree cap {degree_cap}",
                 cap=degree_cap, degree=d)
+        if hilbert is not None and std_count(d) == hilbert(d):
+            n["hint_skipped"] += 1
+            continue
         s = _nf(ring, _spoly(ring, G[i], G[j], l), reducers)
+        n["reduced"] += 1
+        n["reduced_to_zero"] += not s
         if s:
             install(*_split_monic(ring, s))
 
-    return _reduce_basis(ring, G)
+    elements = _reduce_basis(ring, G)
+    return GroebnerBasis(ring, elements, degree_cap, truncate_at, EngineStats(
+        **n, basis_size=len(elements),
+        top_degree=max((degree(p.terms[0][0]) for p in elements), default=0)))
 
 
 def _reduce_basis(ring: RingCtx, entries):
@@ -233,18 +278,20 @@ def _reduce_basis(ring: RingCtx, entries):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis; elements monic, descending by leading term."""
+    """A reduced Groebner basis; elements monic, descending by leading term.
+    ``stats`` holds the EngineStats of the run that computed it, or None."""
 
     __slots__ = ("ring", "elements", "lead_keys", "degree_cap", "truncated_at",
-                 "_caches")
+                 "stats", "_caches")
 
     def __init__(self, ring: RingCtx, elements: tuple, degree_cap: int,
-                 truncated_at=None):
+                 truncated_at=None, stats=None):
         self.ring = ring
         self.elements = elements
         self.lead_keys = tuple(p.terms[0][0] for p in elements)
         self.degree_cap = degree_cap
         self.truncated_at = truncated_at
+        self.stats = stats
         self._caches = {}
 
     def __len__(self):
@@ -410,10 +457,8 @@ class Ideal:
         <= D (a basis exact through degree D)."""
         gb = self._gb_cache.get(truncate_at)
         if gb is None:
-            elements = _compute_basis(self.ring, self.gens, truncate_at)
-            gb = GroebnerBasis(self.ring, elements, DEFAULT_DEGREE_CAP,
-                               truncate_at)
-            self._gb_cache[truncate_at] = gb
+            gb = self._gb_cache[truncate_at] = _compute_basis(
+                self.ring, self.gens, truncate_at)
         return gb
 
     def attach_groebner(self, gb: GroebnerBasis):

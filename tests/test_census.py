@@ -376,6 +376,16 @@ def test_census_cli_refuses_standard_output(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_census_cli_refuses_a_markdown_out(monkeypatch, tmp_path):
+    # the Markdown goes to --out with extension .md, which would overwrite
+    # a CSV written to table.md
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--field", "2", "--r", "3", "--out", "table.md"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         CensusConfig(field=GF2, r=1)

@@ -59,6 +59,33 @@ def test_gin_preserves_hilbert_function(ci4, gin_ci4):
     assert is_borel_fixed(gin_ci4.monomial_ideal)
 
 
+def _unhinted_consensus(I, seed):
+    """gin's consensus rebuilt from unhinted bases of its coordinate changes:
+    the first lead ideal three changes agree on, and their seeds."""
+    tally = {}
+    for s in range(seed, seed + 6):
+        images = random_coordinate_change(I.ring, random.Random(s))
+        moved = Ideal(I.ring, [g.compose(images) for g in I.gens])
+        keys = tuple(sorted(moved.groebner().lead_keys))
+        tally.setdefault(keys, []).append(s)
+        if len(tally[keys]) == 3:
+            return keys, tuple(tally[keys])
+    raise AssertionError("no 3-way agreement")
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_gin_of_a_non_artinian_ideal_matches_unhinted_bases(seed):
+    # gin hints its engine with I's Hilbert function, which here is infinite
+    I = Ideal.from_texts(ring(Q, 3), ["x1^2", "x1*x2"])
+    res = gin(I, seed=seed)
+    assert (res.lead_keys, res.seeds) == _unhinted_consensus(I, seed)
+    assert is_borel_fixed(res.monomial_ideal)
+
+
+def test_gin_of_ci4_matches_unhinted_bases(ci4, gin_ci4):
+    assert (gin_ci4.lead_keys, gin_ci4.seeds) == _unhinted_consensus(ci4, 1)
+
+
 def test_gin_refuses_small_fields():
     I = quadric_ci(3, GF7)
     with pytest.raises(ValueError):

@@ -6,15 +6,16 @@ import random
 import pytest
 
 from gorquad import groebner
-from gorquad.constructions import apolar_ideal, random_homogeneous
+from gorquad.constructions import apolar_ideal, quadric_ci, random_homogeneous
 from gorquad.core import AlgebraError, CappedComputationError
-from gorquad.groebner import GroebnerBasis, Ideal
-from gorquad.invariants import hilbert_function
+from gorquad.gin import random_coordinate_change
+from gorquad.groebner import GroebnerBasis, Ideal, _compute_basis
+from gorquad.invariants import hilbert_function, hilbert_value
 from gorquad.orders import DEGREVLEX, LEX, elimination_order
 from gorquad.poly import ring
 
-from conftest import (GF2, GF7, GFBIG, Q, gorquad_gb_normalized, random_poly,
-                      sympy_reduced_gb)
+from conftest import (GF2, GF7, GFBIG, Q, gorquad_gb_normalized, poly_as_dict,
+                      random_poly, sympy_reduced_gb)
 
 FIXED_SYSTEMS = [
     (Q, 3, ["x1^2 - x2*x3", "x2^2 - x1*x3", "x3^2 - x1*x2"]),
@@ -192,3 +193,86 @@ def _gf2_quadrics(n, count, seed):
 def test_gf2_reduced_bases_are_pinned(build, want):
     text = "\n".join(str(g) for g in build().groebner().elements)
     assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+# -- the Hilbert hint: the unhinted engine and sympy are the oracles ------------
+
+
+def _moved(I, seed):
+    """I in seeded random coordinates, as gin draws them."""
+    images = random_coordinate_change(I.ring, random.Random(seed))
+    return Ideal(I.ring, [g.compose(images) for g in I.gens])
+
+
+def _hinted(moved, I, shift=0):
+    """The engine on ``moved`` with I's Hilbert function (plus ``shift``) as
+    its hint; h(g.I) = h(I), so shift 0 is the true Hilbert function."""
+    gb = I.groebner()
+    return _compute_basis(moved.ring, moved.gens, None,
+                          hilbert=lambda d: hilbert_value(gb, d) + shift)
+
+
+def _non_artinian(field):
+    return Ideal.from_texts(ring(field, 3), ["x1^2", "x1*x2"])
+
+
+HINT_INPUTS = [
+    pytest.param(lambda s: quadric_ci(4, GFBIG, style="random", seed=s),
+                 id="ci4-gf32003"),
+    pytest.param(lambda s: quadric_ci(4, GF7, style="random", seed=s),
+                 id="ci4-gf7"),
+    pytest.param(lambda s: quadric_ci(4, Q, style="random", seed=s),
+                 id="ci4-q"),
+    pytest.param(lambda s: _non_artinian(Q), id="non-artinian-q"),
+]
+
+
+@pytest.mark.parametrize("build", HINT_INPUTS)
+@pytest.mark.parametrize("seed", range(3))
+def test_hinted_basis_equals_the_unhinted_and_sympy(build, seed):
+    I = build(seed)
+    moved = _moved(I, 20 + seed)
+    plain = moved.groebner()
+    hinted = _hinted(moved, I)
+    assert hinted.elements == plain.elements
+    assert (sorted((poly_as_dict(g) for g in hinted.elements), key=sorted)
+            == sympy_reduced_gb(moved.gens, moved.ring))
+    assert plain.stats.hint_skipped == 0
+    assert hinted.stats.reduced_to_zero <= plain.stats.reduced_to_zero
+
+
+@pytest.mark.parametrize("build", HINT_INPUTS)
+def test_under_large_hint_changes_nothing(build):
+    I = build(1)
+    moved = _moved(I, 7)
+    under = _hinted(moved, I, shift=-1)
+    assert under.elements == moved.groebner().elements
+    assert under.stats.hint_skipped == 0
+    assert under.stats == moved.groebner().stats
+
+
+@pytest.mark.parametrize("field", [GFBIG, GF7, Q], ids=str)
+def test_engine_counters_add_up(field):
+    I = quadric_ci(4, field, style="random", seed=2)
+    moved = _moved(I, 3)
+    for gb in (moved.groebner(), _hinted(moved, I)):
+        st = gb.stats
+        # every queued pair is chain-pruned or popped, and every popped pair
+        # is reduced or skipped
+        assert st.queued == st.chain_pruned + st.reduced + st.hint_skipped
+        assert st.reduced_to_zero <= st.reduced
+        # each installed element meets every earlier one once as a candidate
+        installed = len(moved.gens) + st.reduced - st.reduced_to_zero
+        assert (st.gm_pruned + st.coprime_pruned + st.queued
+                == installed * (installed - 1) // 2)
+        assert st.basis_size == len(gb)
+        assert st.top_degree == max(gb.generator_degrees())
+    hinted = _hinted(moved, I).stats
+    assert hinted.hint_skipped > 0
+    assert hinted.reduced < moved.groebner().stats.reduced
+
+
+def test_bases_built_by_hand_carry_no_counters():
+    R = ring(GF7, 2)
+    gb = GroebnerBasis(R, (R.parse("x1^2"), R.parse("x2^2")), 40, None)
+    assert gb.stats is None

@@ -140,3 +140,21 @@ def test_no_module_level_mutable_state():
                        else [node.target])
         if isinstance(target, ast.Name) and target.id != "__all__")
     assert not bound, f"module-level mutable state: {bound}"
+
+
+def test_the_hilbert_hint_stays_internal():
+    """The engine's hint skips pairs it believes reduce to zero, so a wrong
+    hint gives a wrong basis: no public function or method takes a
+    ``hilbert`` parameter, and gin, whose coordinate changes keep the
+    Hilbert function, is the only module that passes one."""
+    public = sorted(
+        f"{path.stem}.{node.name}"
+        for path, tree in PACKAGE.items() for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and any(a.arg == "hilbert" for a in node.args.args
+                + node.args.posonlyargs + node.args.kwonlyargs))
+    assert not public, f"public callables taking a hilbert hint: {public}"
+    passers = {path.stem for path, tree in PACKAGE.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and any(k.arg == "hilbert" for k in node.keywords)}
+    assert passers == {"gin"}
