@@ -48,6 +48,8 @@ from .poly import Polynomial, RingCtx, ring
 # --r 6 --jobs 2`; ROADMAP direction 1).
 H2_SUPPORT_R6 = (10, 11, 12)
 
+_EXHAUSTIVE_BITS = 21   # the exhaustive sweep holds a task per form: r <= 7
+
 CSV_HEADER = ("field", "r", "ci_style", "ci_seed", "mode", "f_index",
               "f_poly", "presented", "h2", "socle_degree", "hvector", "seed")
 
@@ -78,6 +80,12 @@ class CensusConfig:
                 "square-free quadratic monomials, which are all the "
                 "square-free forms only over GF(2); over GF(p) there are "
                 "p^C(r,2) of them, so sample them with random_sample")
+        bits = math.comb(self.r, 2)
+        if self.mode == "exhaustive_squarefree" and bits > _EXHAUSTIVE_BITS:
+            raise ValueError(
+                f"an exhaustive sweep at r={self.r} has 2^{bits} - 1 forms, "
+                f"more than {(1 << _EXHAUSTIVE_BITS) - 1:,} (r <= 7); sample "
+                f"them with random_sample")
         if self.mode == "random_sample" and self.sample_count < 1:
             raise ValueError("random_sample needs a positive sample_count")
         if self.parallelism < 1:

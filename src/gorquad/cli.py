@@ -47,6 +47,16 @@ def _census_out(path: str) -> str:
     return path
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return count
+
+
 def _field_flag(value: str | None) -> FieldSpec | None:
     return None if value is None else FieldSpec.from_token(value)
 
@@ -184,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sweep quadratic forms against a complete "
                                "intersection of quadrics")
     cen.add_argument("--field", required=True, help="q or a prime")
-    cen.add_argument("--r", type=int, default=6)
+    cen.add_argument("--r", type=_at_least(2), default=6)
     cen.add_argument("--ci", choices=("monomial", "random"),
                      default="monomial")
     cen.add_argument("--ci-seed", type=int, default=1)
@@ -192,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="exhaustive")
     cen.add_argument("--samples", type=int, default=0)
     cen.add_argument("--seed", type=int, default=0)
-    cen.add_argument("--jobs", type=int, default=1)
+    cen.add_argument("--jobs", type=_at_least(1), default=1)
     cen.add_argument("--out", default=None, type=_census_out,
                      help="CSV output path; the Markdown summary lands "
                           "next to it with extension .md")

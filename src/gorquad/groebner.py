@@ -26,6 +26,16 @@ Two guard rails:
     higher degrees; certify_complete promotes it when no standard monomial
     is left at the truncation degree.
 
+_nf finds a key's reducer through a divisor index (_Reducers), not a scan.
+A key k of degree d is rewritten by its first reducer in (degree, lm) order:
+one of lower degree, memoised per degree, or else the one of degree d whose
+lm is k, read from a {lm: tail} dict.  The memo of degree d reads only
+reducers of lower degree, so installing one of degree e drops the memo above
+e; that keeps it exact while the inputs are seeded in key order, not degree
+order in lex and block orders.  Every input is homogeneous and pairs pop in
+ascending degree, so a degree's memo is then filled once and read by every
+pair of that degree.
+
 The engine's private hint hilbert: d -> h_d (Traverso, J. Symb. Comput. 22,
 1996): pairs pop in ascending degree, so once the partial leading ideal
 leaves h_d standard monomials in degree d, the remaining degree-d pairs
@@ -42,7 +52,7 @@ from bisect import insort
 from collections import namedtuple
 
 from .core import AlgebraError, CappedComputationError, RingMismatchError
-from .linalg import axpy
+from .linalg import axpy, scaled
 from .orders import _FIELD_MAX
 from .poly import Polynomial, RingCtx
 
@@ -59,39 +69,61 @@ EngineStats = namedtuple("EngineStats", (
 # -- polynomials as {key: coeff} dicts -----------------------------------------
 
 
-def _nf(ring: RingCtx, terms, reducers) -> dict:
+class _Reducers:
+    """The engine's monic (lm degree, lm, tail dict) entries, ascending by
+    (degree, lm), with _nf's divisor index: heads {lm: tail} and memo
+    {degree: {key: (quotient, tail) of its first lower-degree reducer, or
+    None}}."""
+
+    __slots__ = ("entries", "heads", "memo")
+
+    def __init__(self, entries=()):
+        self.entries = list(entries)
+        self.heads = {lm: tail for _, lm, tail in self.entries}
+        self.memo = {}
+
+    def install(self, lm_deg, lm, tail):
+        insort(self.entries, (lm_deg, lm, tail), key=lambda e: (e[0], e[1]))
+        self.heads[lm] = tail
+        for d in [d for d in self.memo if d > lm_deg]:
+            del self.memo[d]
+
+
+def _nf(ring: RingCtx, terms, reducers: _Reducers) -> dict:
     """Full normal form of ``terms`` ({key: coeff} or (key, coeff) pairs)
-    against ``reducers``, a list of (lm degree, lm, monic tail dict) in
-    ascending (degree, lm) order.  Each step emits or rewrites the largest
-    remaining key, so the result lists its keys in descending order."""
+    against ``reducers``.  Each step emits or rewrites the largest remaining
+    key, so the result lists its keys in descending order."""
     codec = ring.codec
     div, mul, degree, divides = codec.div, codec.mul, codec.degree, codec.divides
-    field = ring.field
-    fsub, fmul, zero = field.sub, field.mul, field.zero
+    p = ring.field.p
+    entries, heads, memo = reducers.entries, reducers.heads, reducers.memo
     work = dict(terms)
+    get = work.get
     out = {}
     while work:
         k = max(work)
         c = work.pop(k)
         kd = degree(k)
-        tail = None
-        for ld, lkey, ltail in reducers:
-            if ld > kd:
-                break
-            if divides(lkey, k):
-                q = div(k, lkey)
-                tail = ltail
-                break
-        if tail is None:
-            out[k] = c
-            continue
+        known = memo.get(kd) or memo.setdefault(kd, {})
+        if k not in known:
+            known[k] = next(((div(k, lm), tail) for ld, lm, tail in entries
+                             if ld < kd and divides(lm, k)), None)
+        hit = known[k]
+        if hit is None:
+            if k not in heads:
+                out[k] = c
+                continue
+            hit = codec.one, heads[k]
+        q, tail = hit
         for kt, ct in tail.items():
             t = mul(q, kt)
-            w = fsub(work.get(t, zero), fmul(c, ct))
-            if w == zero:
-                work.pop(t, None)
-            else:
+            w = get(t, 0) - c * ct
+            if p:
+                w %= p
+            if w:
                 work[t] = w
+            else:
+                work.pop(t, None)
     return out
 
 
@@ -99,31 +131,18 @@ def _spoly(ring: RingCtx, fa, fb, lcm_key) -> dict:
     """S-polynomial of two monic (lm, tail dict) entries, leading terms
     cancelled."""
     codec = ring.codec
-    div, mul = codec.div, codec.mul
-    field = ring.field
-    fsub, zero = field.sub, field.zero
-    qa = div(lcm_key, fa[0])
-    qb = div(lcm_key, fb[0])
-    acc = {mul(qa, k): c for k, c in fa[1].items()}
-    for k, c in fb[1].items():
-        t = mul(qb, k)
-        w = fsub(acc.get(t, zero), c)
-        if w == zero:
-            acc.pop(t, None)
-        else:
-            acc[t] = w
+    qa = codec.div(lcm_key, fa[0])
+    qb = codec.div(lcm_key, fb[0])
+    acc = {codec.mul(qa, k): c for k, c in fa[1].items()}
+    axpy(acc, -1, {codec.mul(qb, k): c for k, c in fb[1].items()}, ring.field)
     return acc
 
 
 def _split_monic(ring: RingCtx, rep: dict):
     """rep -> (lm, monic tail dict); consumes rep."""
     lm = max(rep)
-    field = ring.field
-    inv = field.inv(rep.pop(lm))
-    if inv == field.one:
-        return lm, rep
-    mul = field.mul
-    return lm, {k: mul(inv, c) for k, c in rep.items()}
+    inv = ring.field.inv(rep.pop(lm))
+    return lm, rep if inv == 1 else scaled(rep, inv, ring.field)
 
 
 # -- the engine ----------------------------------------------------------------
@@ -138,7 +157,7 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
 
     G = []          # (lm, tail dict)
     lm_degs = []    # degree of each lm, parallel to G
-    reducers = []   # (lm_degree, lm, tail dict), ascending, shared objects
+    reducers = _Reducers()   # the same (lm, tail) objects, indexed for _nf
     heap = []       # (lcm_degree, lcm_key, i, j)
     active = {}     # (i, j) -> lcm_key
     std = [{codec.one}]   # std[e]: standard monomials of degree e, for the hint
@@ -149,7 +168,7 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
         lm_deg = degree(lm)
         G.append((lm, tail))
         lm_degs.append(lm_deg)
-        insort(reducers, (lm_deg, lm, tail), key=lambda e: (e[0], e[1]))
+        reducers.install(lm_deg, lm, tail)
         if lm_deg < len(std):
             std[lm_deg].discard(lm)
 
@@ -266,9 +285,10 @@ def _reduce_basis(ring: RingCtx, entries):
 
     # Interreduce tails; full normal form against minimal lms is canonical.
     one = ring.field.one
+    index = _Reducers(minimal)
     elements = []
     for _, lm, tail in minimal:
-        tail_nf = _nf(ring, tail, minimal)
+        tail_nf = _nf(ring, tail, index)
         elements.append(Polynomial(ring, ((lm, one),) + tuple(tail_nf.items())))
     elements.sort(key=lambda p: p.terms[0][0], reverse=True)
     return tuple(elements)

@@ -1,7 +1,11 @@
 """Exact sparse linear algebra over the coefficient fields.
 
 Rows are dicts {column: coeff} with totally ordered column labels (monomial
-keys in practice); the same code serves the rationals and every GF(p).
+keys in practice); the same code serves the rationals and every GF(p).  A
+stored coefficient is never zero: over GF(p) it is an int in [1, p), over
+the rationals a Fraction.  The per-term loops do that arithmetic inline on
+p = field.p: each sum or product is taken as Python numbers and reduced mod
+p when p is set, so the scalars passed in may be negative or unreduced.
 
 echelon(rows, field, room) is the one span test: it reads rows lazily and
 stops once their rank fills room, the dimension of a space known to contain
@@ -18,13 +22,22 @@ from .core import FieldSpec
 
 def axpy(dst: dict, c, src: dict, field: FieldSpec):
     """dst += c * src, dropping zeros."""
-    add, mul, zero = field.add, field.mul, field.zero
+    p = field.p
+    get = dst.get
     for k, v in src.items():
-        w = add(dst.get(k, zero), mul(c, v))
-        if w == zero:
-            dst.pop(k, None)
-        else:
+        w = get(k, 0) + c * v
+        if p:
+            w %= p
+        if w:
             dst[k] = w
+        else:
+            dst.pop(k, None)
+
+
+def scaled(row: dict, c, field: FieldSpec) -> dict:
+    """c * row for a nonzero scalar c."""
+    p = field.p
+    return {k: c * v % p if p else c * v for k, v in row.items()}
 
 
 class Echelon:
@@ -42,25 +55,24 @@ class Echelon:
         work = self.reduce(row)
         if not work:
             return False
-        field = self.field
-        p = max(work)
-        inv = field.inv(work[p])
-        if inv != field.one:
-            work = {k: field.mul(inv, v) for k, v in work.items()}
-        self.pivots[p] = work
+        pivot = max(work)
+        inv = self.field.inv(work[pivot])
+        if inv != 1:
+            work = scaled(work, inv, self.field)
+        self.pivots[pivot] = work
         self.rank += 1
         return True
 
     def reduce(self, row: dict) -> dict:
         """Remainder of row modulo the current span (row unchanged)."""
-        field = self.field
+        field, pivots = self.field, self.pivots
         work = dict(row)
         while work:
-            p = max(work)
-            hit = self.pivots.get(p)
+            pivot = max(work)
+            hit = pivots.get(pivot)
             if hit is None:
                 return work
-            axpy(work, field.neg(work[p]), hit, field)
+            axpy(work, -work[pivot], hit, field)
         return work
 
 
@@ -86,18 +98,18 @@ def left_kernel(rows, field: FieldSpec) -> list:
         main = dict(r)
         aug = {i: one}
         while main:
-            p = max(main)
-            hit = pivots.get(p)
+            pivot = max(main)
+            hit = pivots.get(pivot)
             if hit is None:
                 break
-            c = field.neg(main[p])
+            c = -main[pivot]
             axpy(main, c, hit[0], field)
             axpy(aug, c, hit[1], field)
         if main:
             inv = field.inv(main[max(main)])
-            if inv != one:
-                main = {k: field.mul(inv, v) for k, v in main.items()}
-                aug = {k: field.mul(inv, v) for k, v in aug.items()}
+            if inv != 1:
+                main = scaled(main, inv, field)
+                aug = scaled(aug, inv, field)
             pivots[max(main)] = (main, aug)
         else:
             kernel.append(aug)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import FieldSpec, ParseError, RingMismatchError
+from .linalg import axpy
 from .orders import DEGREVLEX, MAX_PACKED_DEGREE, MonomialOrder
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -310,32 +311,9 @@ class Polynomial:
 
 
 def _add_terms(ring_: RingCtx, ta: tuple, tb: tuple, subtract: bool) -> Polynomial:
-    field = ring_.field
-    zero = field.zero
-    out = []
-    i = j = 0
-    na, nb = len(ta), len(tb)
-    while i < na and j < nb:
-        ka, ca = ta[i]
-        kb, cb = tb[j]
-        if ka > kb:
-            out.append((ka, ca))
-            i += 1
-        elif kb > ka:
-            out.append((kb, field.neg(cb) if subtract else cb))
-            j += 1
-        else:
-            c = field.sub(ca, cb) if subtract else field.add(ca, cb)
-            if c != zero:
-                out.append((ka, c))
-            i += 1
-            j += 1
-    out.extend(ta[i:])
-    if subtract:
-        out.extend((k, field.neg(c)) for k, c in tb[j:])
-    else:
-        out.extend(tb[j:])
-    return Polynomial(ring_, tuple(out))
+    acc = dict(ta)
+    axpy(acc, -1 if subtract else 1, dict(tb), ring_.field)
+    return Polynomial(ring_, tuple(sorted(acc.items(), reverse=True)))
 
 
 # -- parsing ------------------------------------------------------------------

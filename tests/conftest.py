@@ -83,12 +83,12 @@ def lead_scan_standard_monomials(gb, d: int) -> tuple:
 def engine_normal_form(gb, p: Polynomial) -> Polynomial:
     """NF(p) by the engine's own reducer, _nf, over gb's elements: an oracle
     for GroebnerBasis.normal_form, which reads the quotient table."""
-    from gorquad.groebner import _nf
+    from gorquad.groebner import _nf, _Reducers
 
     degree = gb.ring.codec.degree
     reducers = sorted(((degree(g.terms[0][0]), g.terms[0][0], dict(g.terms[1:]))
                        for g in gb.elements), key=lambda e: (e[0], e[1]))
-    return gb.ring.from_terms(_nf(gb.ring, p.terms, reducers).items())
+    return gb.ring.from_terms(_nf(gb.ring, p.terms, _Reducers(reducers)).items())
 
 
 # -- sympy bridge -----------------------------------------------------------------

@@ -399,3 +399,25 @@ def test_config_validation():
         CensusConfig(field=GF2, mode="random_sample", sample_count=0)
     with pytest.raises(ValueError):
         CensusConfig(field=GF2, parallelism=0)
+
+
+def test_exhaustive_sweeps_stop_at_21_square_free_monomials():
+    # only constructed: the sweep holds one task per form
+    assert CensusConfig(field=GF2, r=7).r == 7             # 2^21 - 1 forms
+    for r, bits in ((8, 28), (40, 780)):
+        with pytest.raises(ValueError,
+                           match=rf"2\^{bits} - 1 forms.*random_sample"):
+            CensusConfig(field=GF2, r=r)
+    assert CensusConfig(field=GF2, r=40, mode="random_sample",
+                        sample_count=1).r == 40
+
+
+@pytest.mark.parametrize("flags", [
+    ["--jobs", "0"], ["--jobs", "two"], ["--r", "1"], ["--r", "-3"]],
+    ids=["jobs-0", "jobs-text", "r-1", "r-negative"])
+def test_census_cli_usage_errors_exit_2(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--field", "3", "--r", "4", "--mode", "sample",
+              "--samples", "3"] + flags)
+    assert exc.value.code == 2
+    assert f"argument {flags[0]}: " in capsys.readouterr().err

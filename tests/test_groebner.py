@@ -276,3 +276,87 @@ def test_bases_built_by_hand_carry_no_counters():
     R = ring(GF7, 2)
     gb = GroebnerBasis(R, (R.parse("x1^2"), R.parse("x2^2")), 40, None)
     assert gb.stats is None
+
+
+# -- the divisor index: a plain scan over the reducers is the oracle ------------
+
+
+def _scan_nf(ring_, terms, reducers):
+    """_nf by a linear scan: the largest key is rewritten by the first
+    reducer, in (degree, lm) order, whose lm divides it."""
+    codec, field = ring_.codec, ring_.field
+    work = dict(terms)
+    out = {}
+    while work:
+        k = max(work)
+        c = work.pop(k)
+        hit = next(((lm, tail) for _, lm, tail in reducers.entries
+                    if codec.divides(lm, k)), None)
+        if hit is None:
+            out[k] = c
+            continue
+        q = codec.div(k, hit[0])
+        for kt, ct in hit[1].items():
+            t = codec.mul(q, kt)
+            w = field.sub(work.get(t, field.zero), field.mul(c, ct))
+            if w == field.zero:
+                work.pop(t, None)
+            else:
+                work[t] = w
+    return out
+
+
+def _indexed_and_scanned(monkeypatch, run):
+    """run() with the engine's divisor index, then with the plain scan."""
+    indexed = run()
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_nf", _scan_nf)
+        scanned = run()
+    return indexed, scanned
+
+
+def _mixed_degree_gens(R, rng):
+    """Seeded quadrics, a cubic and a quartic: in lex and block orders the
+    inputs are seeded out of degree order, and in every order pairs pop
+    below the quartic's degree."""
+    gens = [random_poly(R, 2, rng, 0.5) for _ in range(3)]
+    gens += [random_poly(R, 3, rng, 0.3), random_poly(R, 4, rng, 0.2)]
+    return [g for g in gens if not g.is_zero()]
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX, elimination_order(1)],
+                         ids=str)
+@pytest.mark.parametrize("field", [GF2, GF7, GFBIG, Q], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_divisor_index_matches_the_scan(monkeypatch, order, field, seed):
+    R = ring(field, 4, order)
+    gens = _mixed_degree_gens(R, random.Random(300 + seed))
+    indexed, scanned = _indexed_and_scanned(
+        monkeypatch, lambda: _compute_basis(R, gens, None))
+    assert indexed.elements == scanned.elements
+    assert indexed.stats == scanned.stats
+
+
+@pytest.mark.parametrize("build", HINT_INPUTS)
+@pytest.mark.parametrize("seed", range(2))
+def test_divisor_index_matches_the_scan_on_gins_changes(monkeypatch, build,
+                                                         seed):
+    I = build(seed)
+    moved = _moved(I, 40 + seed)
+    indexed, scanned = _indexed_and_scanned(
+        monkeypatch, lambda: _hinted(moved, I))
+    assert indexed.elements == scanned.elements
+    assert indexed.stats == scanned.stats
+
+
+def test_a_lower_degree_install_drops_the_memo_above_it():
+    R = ring(GF7, 3)
+    x1, x2, x3 = R.variables()
+    entries = groebner._Reducers()
+    cubic = (x1 * x2 * x3).terms
+    assert groebner._nf(R, cubic, entries) == dict(cubic)   # memoises "none"
+    assert entries.memo[3]
+    # x2*x3 + x1^2 divides the cubic: x1*x2*x3 reduces to -x1^3
+    entries.install(2, (x2 * x3).leading_key(), {(x1 ** 2).leading_key(): 1})
+    assert 3 not in entries.memo
+    assert R.from_terms(groebner._nf(R, cubic, entries).items()) == -(x1 ** 3)

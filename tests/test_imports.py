@@ -158,3 +158,66 @@ def test_the_hilbert_hint_stays_internal():
                for node in ast.walk(tree) if isinstance(node, ast.Call)
                and any(k.arg == "hilbert" for k in node.keywords)}
     assert passers == {"gin"}
+
+
+FIELD_ARITHMETIC = {"add", "sub", "mul", "neg"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _field_method(node) -> bool:
+    """node reads a field's arithmetic method: ``field.mul``,
+    ``ring.field.mul``, ``self.field.mul``."""
+    if not (isinstance(node, ast.Attribute) and node.attr in FIELD_ARITHMETIC):
+        return False
+    owner = node.value
+    return (isinstance(owner, ast.Name) and owner.id == "field"
+            or isinstance(owner, ast.Attribute) and owner.attr == "field")
+
+
+def _field_arithmetic_in_loops(scope) -> list:
+    """Lines where a loop in scope reads a field's arithmetic method, or
+    calls a name the scope bound to one."""
+    aliases = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ([(target, node.value)]
+                         if not (isinstance(target, ast.Tuple)
+                                 and isinstance(node.value, ast.Tuple))
+                         else zip(target.elts, node.value.elts))
+                aliases.update(t.id for t, v in pairs
+                               if isinstance(t, ast.Name) and _field_method(v))
+    return sorted({node.lineno
+                   for loop in ast.walk(scope) if isinstance(loop, LOOPS)
+                   for node in ast.walk(loop)
+                   if _field_method(node)
+                   or isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id in aliases})
+
+
+def test_the_loop_lint_sees_field_arithmetic():
+    caught = _field_arithmetic_in_loops(ast.parse(
+        "add, zero = field.add, field.zero\n"
+        "for k in src:\n"
+        "    w = add(w, zero)\n"
+        "rows = [ring.field.mul(c, v) for v in vs]\n"
+        "mul = codec.mul\n"
+        "while work:\n"
+        "    t = mul(q, k)\n"))
+    assert caught == [3, 4]
+
+
+def test_per_term_loops_do_their_arithmetic_inline():
+    """The exact kernels compute each term as Python numbers reduced mod
+    field.p, with no FieldSpec method call per term: all of linalg.py, and
+    the engine's _nf, _spoly and _split_monic."""
+    engine = {node.name: node for node in PACKAGE[SRC / "groebner.py"].body
+              if isinstance(node, ast.FunctionDef)}
+    scopes = {"linalg": PACKAGE[SRC / "linalg.py"]}
+    scopes.update((f"groebner.{name}", engine[name])
+                  for name in ("_nf", "_spoly", "_split_monic"))
+    found = [f"{name} (line {line})" for name, scope in scopes.items()
+             for line in _field_arithmetic_in_loops(scope)]
+    assert not found, f"field arithmetic calls inside loops: {found}"
