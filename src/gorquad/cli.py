@@ -57,13 +57,17 @@ def _at_least(low: int):
     return count
 
 
-def _field_flag(value: str | None) -> FieldSpec | None:
-    return None if value is None else FieldSpec.from_token(value)
+def _field(text: str) -> FieldSpec:
+    """An argparse type: a field token, 'q' or a prime."""
+    try:
+        return FieldSpec.from_token(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_ideal(args):
-    return parse_ideal(_read_text(args.ideal_file),
-                       field=_field_flag(args.field), nvars=args.vars)
+    return parse_ideal(_read_text(args.ideal_file), field=args.field,
+                       nvars=args.vars)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -83,7 +87,7 @@ def cmd_hilbert(args) -> int:
 
 def cmd_construct(args) -> int:
     ideal, source = run_recipe(_read_text(args.recipe_file),
-                               field=_field_flag(args.field), seed=args.seed)
+                               field=args.field, seed=args.seed)
     comments = [f"gorquad construct seed={args.seed} "
                 f"field={ideal.ring.field.token}", "recipe:"]
     comments += [f"  {line}" for line in source]
@@ -94,9 +98,9 @@ def cmd_construct(args) -> int:
 def cmd_census(args) -> int:
     mode = ("exhaustive_squarefree" if args.mode == "exhaustive"
             else "random_sample")
-    cfg = CensusConfig(field=FieldSpec.from_token(args.field), r=args.r,
+    cfg = CensusConfig(field=args.field, r=args.r,
                        ci_style=args.ci, ci_seed=args.ci_seed, mode=mode,
-                       sample_count=args.samples, sample_seed=args.seed,
+                       sample_count=args.samples or 0, sample_seed=args.seed,
                        parallelism=args.jobs)
     records, summary = run_census(cfg)
     if args.out:
@@ -160,7 +164,7 @@ def cmd_check(args) -> int:
 def _add_ideal_input(sub) -> None:
     sub.add_argument("ideal_file",
                      help="ideal file path, or '-' for standard input")
-    sub.add_argument("--field", default=None,
+    sub.add_argument("--field", type=_field, default=None,
                      help="field when the file has no header: q or a prime")
     sub.add_argument("--vars", type=int, default=None,
                      help="variable count when the file has no header")
@@ -183,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="evaluate a recipe file into an ideal file")
     con.add_argument("recipe_file",
                      help="recipe file path, or '-' for standard input")
-    con.add_argument("--field", default=None,
+    con.add_argument("--field", type=_field, default=None,
                      help="coefficient field: q or a prime (default q)")
     con.add_argument("--seed", type=int, default=0)
     con.add_argument("--out", default="-",
@@ -193,14 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
     cen = subs.add_parser("census",
                           help="sweep quadratic forms against a complete "
                                "intersection of quadrics")
-    cen.add_argument("--field", required=True, help="q or a prime")
+    cen.add_argument("--field", type=_field, required=True,
+                     help="q or a prime")
     cen.add_argument("--r", type=_at_least(2), default=6)
     cen.add_argument("--ci", choices=("monomial", "random"),
                      default="monomial")
     cen.add_argument("--ci-seed", type=int, default=1)
     cen.add_argument("--mode", choices=("exhaustive", "sample"),
                      default="exhaustive")
-    cen.add_argument("--samples", type=int, default=0)
+    cen.add_argument("--samples", type=_at_least(1), default=None,
+                     help="forms to draw; required with --mode sample")
     cen.add_argument("--seed", type=int, default=0)
     cen.add_argument("--jobs", type=_at_least(1), default=1)
     cen.add_argument("--out", default=None, type=_census_out,
@@ -218,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.subcommand == "census" and args.mode == "sample"
+            and args.samples is None):
+        parser.error("argument --samples: required with --mode sample")
     try:
         return args.func(args)
     except (AlgebraError, ValueError, OSError) as exc:

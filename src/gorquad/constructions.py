@@ -147,9 +147,11 @@ def apolar_ideal(F: Polynomial) -> Ideal:
     """Annihilator of a homogeneous dual form under contraction.
 
     Ann(F)_d is the degree-d catalecticant kernel for d <= e = deg(F), and
-    R_{e+1} lies in Ann(F).  A kernel vector is a new generator when it lies
-    outside R_1 * Ann(F)_{d-1}, and the degree-(e+1) generators are the
-    monomials leading no element of R_1 * Ann(F)_e.  That span test needs
+    R_{e+1} lies in Ann(F).  So h_d = dim R_d - dim ker Cat_d for d <= e and
+    h_d = 0 above e: that is the Hilbert function, and it hints the basis.
+    A kernel vector is a new generator when it lies outside
+    R_1 * Ann(F)_{d-1}, and the degree-(e+1) generators are the monomials
+    leading no element of R_1 * Ann(F)_e.  That span test needs
     no Groebner basis and is exact: the generators below degree d span
     Ann(F) in each lower degree, so their degree-d part is R_1 * Ann(F)_{d-1},
     and an echelon form's pivots are the leading terms of its span.
@@ -168,20 +170,24 @@ def apolar_ideal(F: Polynomial) -> Ideal:
     codec = R.codec
     gens: list[Polynomial] = []
     kernel: list[dict] = []         # Ann(F)_{d-1}, as {monomial key: coeff}
+    h = [1]
     for d in range(1, e + 1):
         mons = R.monomials_of_degree(d)
         rows = [{codec.div(kf, m): cf for kf, cf in F.terms if codec.divides(m, kf)}
                 for m in mons]
         prev, kernel = kernel, [{mons[i]: c for i, c in v.items()}
                                 for v in left_kernel(rows, R.field)]
+        h.append(len(mons) - len(kernel))
         below = echelon(_linear_multiples(prev, R), R.field, len(kernel))
         if below.rank < len(kernel):    # else R_1 * Ann(F)_{d-1} = Ann(F)_d
             gens.extend(R.from_terms(v.items()) for v in kernel if below.reduce(v))
     top = R.monomials_of_degree(e + 1)
     leading = echelon(_linear_multiples(kernel, R), R.field, len(top)).pivots
     one = R.field.one
-    return Ideal(R, gens + [Polynomial(R, ((k, one),)) for k in top
-                            if k not in leading])
+    I = Ideal(R, gens + [Polynomial(R, ((k, one),)) for k in top
+                         if k not in leading])
+    I._hilbert = HVector(tuple(h)).__getitem__
+    return I
 
 
 # -- tensor products and the (r, i) family ---------------------------------------
@@ -277,20 +283,29 @@ class LinkStep:
 def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
     """cover : (gens) for an artinian complete intersection cover: the cover
     plus the lifts of the annihilator of the gens in B = R/cover, degree 1
-    through one past the predicted socle degree, where the colon takes in
-    everything.  Raises LinkageError unless the result has the predicted
-    h-vector."""
+    through top, one past the predicted socle degree or B's socle degree if
+    that is lower.  Raises LinkageError unless the result has the predicted
+    h-vector, and otherwise hints its basis with that h-vector.
+
+    Per degree: the annihilator is an ideal of B, so for d <= top the result
+    J has J_d = cover_d + lift(ann_d) = (cover : gens)_d, and h_d = h_B(d) -
+    len(ann_d).  Above top h_d = 0 once that vector is the prediction: then
+    B_{top+1} = 0, or h_top = 0, so J_top = R_top."""
     R = cover.ring
     gb = cover.groebner()
+    h_B = hilbert_function(gb)
     out = list(cover.gens)
-    top = min(expected.socle_degree + 1, hilbert_function(gb).socle_degree)
-    for d in range(1, top + 1):
-        out.extend(R.from_terms(v.items()) for v in annihilator(gb, gens, d))
-    colon = Ideal(R, out)
-    got = hilbert_function(colon)
+    got = [h_B[0]]
+    for d in range(1, min(expected.socle_degree + 1, h_B.socle_degree) + 1):
+        ann = annihilator(gb, gens, d)
+        out.extend(R.from_terms(v.items()) for v in ann)
+        got.append(h_B[d] - len(ann))
+    got = HVector(tuple(got))
     if got != expected:
         raise LinkageError(
             f"linked h-vector {got} does not match the predicted {expected}")
+    colon = Ideal(R, out)
+    colon._hilbert = got.__getitem__
     return colon
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .core import AlgebraError, GenericityError, GinUncertifiedError
-from .groebner import GroebnerBasis, Ideal, _compute_basis
+from .groebner import GroebnerBasis, Ideal
 from .idealops import random_linear_form
 from .invariants import (
     annihilator,
@@ -131,9 +131,8 @@ def _lead_ideal_in_random_coordinates(I: Ideal, seed: int) -> tuple:
     images = random_coordinate_change(I.ring, rng)
     moved = Ideal(I.ring, [g.compose(images) for g in I.gens])
     # h(g.I) = h(I) for an invertible change g, so the engine's hint is exact.
-    gb = _compute_basis(I.ring, moved.gens, None,
-                        hilbert=lambda d: hilbert_value(I.groebner(), d))
-    return gb.lead_keys
+    moved._hilbert = lambda d: hilbert_value(I.groebner(), d)
+    return moved.groebner().lead_keys
 
 
 def gin(I: Ideal, seed: int = 0) -> GinResult:

@@ -28,21 +28,31 @@ Two guard rails:
 
 _nf finds a key's reducer through a divisor index (_Reducers), not a scan.
 A key k of degree d is rewritten by its first reducer in (degree, lm) order:
-one of lower degree, memoised per degree, or else the one of degree d whose
-lm is k, read from a {lm: tail} dict.  The memo of degree d reads only
-reducers of lower degree, so installing one of degree e drops the memo above
-e; that keeps it exact while the inputs are seeded in key order, not degree
-order in lex and block orders.  Every input is homogeneous and pairs pop in
-ascending degree, so a degree's memo is then filled once and read by every
-pair of that degree.
+one of lower degree, whose tail the memo of degree d keeps already shifted
+by the quotient ({q * t: c}, so rewriting k needs no monomial product), or
+else the one of degree d whose lm is k, read from a {lm: tail} dict.  The
+memo of degree d reads only reducers of lower degree, so installing one of
+degree e drops the memo above e; that keeps it exact while the inputs are
+seeded in key order, not degree order in lex and block orders.  Every input
+is homogeneous, inputs are seeded first and pairs pop in ascending degree,
+so a degree's memo is filled once and read by every pair of that degree;
+once a pair of degree d pops, nothing reads the levels below d again, and
+they are dropped.  The pair update (_gm_kept) is Gebauer-Moeller's (J. Symb.
+Comput. 6, 1988), tested against the minimal lcms only.
 
 The engine's private hint hilbert: d -> h_d (Traverso, J. Symb. Comput. 22,
 1996): pairs pop in ascending degree, so once the partial leading ideal
 leaves h_d standard monomials in degree d, the remaining degree-d pairs
 reduce to zero and are skipped.  That is exact only for the true Hilbert
 function; an over-large hint silently drops pairs, an under-large one never
-closes a degree.  So no public call takes it, and its one caller is gin's
-coordinate changes: h(g.I) = h(I) for every invertible linear change g.
+closes a degree.  So no public call takes it: an Ideal carries it in its
+private _hilbert slot, None unless the constructor proves it, and
+Ideal.groebner hands it to the engine.  Three constructors set it, each
+with its own proof: constructions.apolar_ideal (catalecticant ranks),
+constructions._colon_out_of (the annihilator's dimensions, checked against
+the linkage prediction) and gin's coordinate changes (h(g.I) = h(I) for
+every invertible linear change g).  An ideal whose h-vector is the check,
+such as quadric_ci's or a linkage residual's, stays unhinted.
 """
 
 from __future__ import annotations
@@ -72,8 +82,8 @@ EngineStats = namedtuple("EngineStats", (
 class _Reducers:
     """The engine's monic (lm degree, lm, tail dict) entries, ascending by
     (degree, lm), with _nf's divisor index: heads {lm: tail} and memo
-    {degree: {key: (quotient, tail) of its first lower-degree reducer, or
-    None}}."""
+    {degree: {key: the tail of its first lower-degree reducer shifted by the
+    quotient, {q * t: c}, or None}}."""
 
     __slots__ = ("entries", "heads", "memo")
 
@@ -87,6 +97,11 @@ class _Reducers:
         self.heads[lm] = tail
         for d in [d for d in self.memo if d > lm_deg]:
             del self.memo[d]
+
+    def forget_below(self, d):
+        """Drop the memo levels below degree d."""
+        for e in [e for e in self.memo if e < d]:
+            del self.memo[e]
 
 
 def _nf(ring: RingCtx, terms, reducers: _Reducers) -> dict:
@@ -105,18 +120,21 @@ def _nf(ring: RingCtx, terms, reducers: _Reducers) -> dict:
         c = work.pop(k)
         kd = degree(k)
         known = memo.get(kd) or memo.setdefault(kd, {})
-        if k not in known:
-            known[k] = next(((div(k, lm), tail) for ld, lm, tail in entries
-                             if ld < kd and divides(lm, k)), None)
-        hit = known[k]
-        if hit is None:
-            if k not in heads:
+        if k in known:
+            tail = known[k]
+        else:
+            hit = next(((lm, tail) for ld, lm, tail in entries
+                        if ld < kd and divides(lm, k)), None)
+            if hit is not None:
+                q = div(k, hit[0])
+                hit = {mul(q, t): ct for t, ct in hit[1].items()}
+            tail = known[k] = hit
+        if tail is None:
+            tail = heads.get(k)
+            if tail is None:
                 out[k] = c
                 continue
-            hit = codec.one, heads[k]
-        q, tail = hit
-        for kt, ct in tail.items():
-            t = mul(q, kt)
+        for t, ct in tail.items():
             w = get(t, 0) - c * ct
             if p:
                 w %= p
@@ -143,6 +161,27 @@ def _split_monic(ring: RingCtx, rep: dict):
     lm = max(rep)
     inv = ring.field.inv(rep.pop(lm))
     return lm, rep if inv == 1 else scaled(rep, inv, ring.field)
+
+
+def _gm_kept(codec, lcms, lm_degs, lm_deg) -> list:
+    """The new element's candidate pairs (i, new), lcms[i] = lcm(lm_i, lm),
+    in classes of equal lcm: those whose lcm no other class's lcm properly
+    divides, as (lcm degree, lcm, first i, coprime) ascending by degree.
+    coprime: a pair of the class has coprime leading monomials, so the
+    class reduces to zero.  A proper divisor has lower degree, so testing
+    each class only against the minimal lcms before it decides the same."""
+    degree, divides = codec.degree, codec.divides
+    classes = {}
+    for i, li in enumerate(lcms):
+        li_deg = degree(li)
+        cls = classes.setdefault(li, [li_deg, i, False])
+        if li_deg == lm_degs[i] + lm_deg:
+            cls[2] = True
+    kept = []
+    for li, (li_deg, i, coprime) in sorted(classes.items(), key=lambda c: c[1]):
+        if not any(divides(m[1], li) for m in kept):
+            kept.append((li_deg, li, i, coprime))
+    return kept
 
 
 # -- the engine ----------------------------------------------------------------
@@ -172,35 +211,10 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
         if lm_deg < len(std):
             std[lm_deg].discard(lm)
 
-        # Gebauer-Moeller pruning of the candidate pairs (i, h).
         lcms = [lcm(G[i][0], lm) for i in range(h)]
-        kept = []
-        for i in range(h):
-            li = lcms[i]
-            drop = False
-            for j in range(h):
-                if j == i:
-                    continue
-                lj = lcms[j]
-                if lj == li:
-                    if j < i:
-                        drop = True
-                        break
-                elif divides(lj, li):
-                    drop = True
-                    break
-            if not drop:
-                kept.append(i)
+        kept = _gm_kept(codec, lcms, lm_degs, lm_deg)
         n["gm_pruned"] += h - len(kept)
-        for i in kept:
-            li = lcms[i]
-            li_deg = degree(li)
-            # Buchberger's coprime criterion, applied classwise: if any pair
-            # sharing this lcm has coprime leading monomials, the whole class
-            # reduces to zero.
-            coprime = any(
-                lcms[j] == li and li_deg == lm_degs[j] + lm_deg
-                for j in range(h))
+        for li_deg, li, i, coprime in kept:
             if coprime:
                 n["coprime_pruned"] += 1
                 continue
@@ -208,14 +222,13 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
             active[(i, h)] = li
             heapq.heappush(heap, (li_deg, li, i, h))
         # Chain criterion against pairs that predate h.
-        if h:
-            for key_ij in [kij for kij, l in active.items()
-                           if kij[1] != h
-                           and divides(lm, l)
-                           and lcm(G[kij[0]][0], lm) != l
-                           and lcm(G[kij[1]][0], lm) != l]:
-                n["chain_pruned"] += 1
-                del active[key_ij]
+        for key_ij in [kij for kij, l in active.items()
+                       if kij[1] != h
+                       and divides(lm, l)
+                       and lcms[kij[0]] != l
+                       and lcms[kij[1]] != l]:
+            n["chain_pruned"] += 1
+            del active[key_ij]
 
     def std_count(d):
         """Standard monomials of degree d of the partial leading ideal, grown
@@ -256,6 +269,7 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
         if hilbert is not None and std_count(d) == hilbert(d):
             n["hint_skipped"] += 1
             continue
+        reducers.forget_below(d)    # every later _nf is of degree >= d
         s = _nf(ring, _spoly(ring, G[i], G[j], l), reducers)
         n["reduced"] += 1
         n["reduced_to_zero"] += not s
@@ -444,9 +458,11 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """A homogeneous ideal given by generators, with cached Groebner bases."""
+    """A homogeneous ideal given by generators, with cached Groebner bases.
+    ``_hilbert`` is the engine's hint d -> h_d, or None; only a constructor
+    that proves it is the ideal's Hilbert function sets it."""
 
-    __slots__ = ("ring", "gens", "_gb_cache")
+    __slots__ = ("ring", "gens", "_gb_cache", "_hilbert")
 
     def __init__(self, ring_: RingCtx, gens):
         gens = tuple(gens)
@@ -467,6 +483,7 @@ class Ideal:
         self.ring = ring_
         self.gens = tuple(kept)
         self._gb_cache = {}
+        self._hilbert = None
 
     @classmethod
     def from_texts(cls, ring_: RingCtx, texts) -> "Ideal":
@@ -478,7 +495,7 @@ class Ideal:
         gb = self._gb_cache.get(truncate_at)
         if gb is None:
             gb = self._gb_cache[truncate_at] = _compute_basis(
-                self.ring, self.gens, truncate_at)
+                self.ring, self.gens, truncate_at, hilbert=self._hilbert)
         return gb
 
     def attach_groebner(self, gb: GroebnerBasis):

@@ -5,7 +5,8 @@ A codec maps an exponent vector to a small tuple of ints (the *key*) such that
   * plain tuple comparison of keys realizes the monomial order, and
   * componentwise integer addition (with a complement-base correction for the
     rev-lex packed fields) realizes monomial multiplication, and
-  * divisibility is a constant number of big-int operations (guard-bit test).
+  * divisibility and lcm are a constant number of big-int operations
+    (guard-bit test).
 
 Exponents are packed 8 bits per variable, so no exponent may exceed
 _FIELD_MAX.  Polynomial multiplication refuses products of degree above
@@ -28,6 +29,14 @@ def _guard_mask(n: int) -> int:
     for j in range(n):
         g |= 0x80 << (_BITS * j)
     return g
+
+
+def _ge_bytes(a: int, b: int, guard: int) -> int:
+    """0x7F in each packed byte where a's byte >= b's byte, else 0: with the
+    guard bits set, a - b borrows from no byte, and each guard bit survives
+    exactly where a's byte >= b's."""
+    g = ((a | guard) - b) & guard
+    return g - (g >> 7)
 
 
 def _complement_base(n: int) -> int:
@@ -73,7 +82,8 @@ def elimination_order(elim_count: int) -> MonomialOrder:
 
 
 class _Codec:
-    """What the three codecs share, written in terms of their key/exps."""
+    """What the three codecs share, written in terms of their key/exps.  Each
+    codec packs its own lcm; this one is their test oracle."""
 
     __slots__ = ("nvars", "one")
 
@@ -92,12 +102,13 @@ class _DrlCodec(_Codec):
     """degrevlex: key = (degree, packed complement bytes, last variable most
     significant).  Bigger key tuple <=> bigger monomial."""
 
-    __slots__ = ("_cbase", "_guard")
+    __slots__ = ("_cbase", "_guard", "_top")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
         self._cbase = _complement_base(nvars)
         self._guard = _guard_mask(nvars)
+        self._top = _FIELD_MAX * nvars
         self.one = (0, self._cbase)
 
     def key(self, exps):
@@ -123,6 +134,12 @@ class _DrlCodec(_Codec):
         # does monomial(ka) divide monomial(kb)?
         g = self._guard
         return ((ka[1] | g) - kb[1]) & g == g
+
+    def lcm(self, ka, kb):
+        # the bytewise min of the complements
+        a, b = ka[1], kb[1]
+        m = a ^ ((a ^ b) & _ge_bytes(a, b, self._guard))
+        return (self._top - sum(m.to_bytes(self.nvars, "little")), m)
 
     def degree(self, key):
         return key[0]
@@ -162,6 +179,11 @@ class _LexCodec(_Codec):
         g = self._guard
         return ((kb[0] | g) - ka[0]) & g == g
 
+    def lcm(self, ka, kb):
+        # the bytewise max
+        a, b = ka[0], kb[0]
+        return (b ^ ((a ^ b) & _ge_bytes(a, b, self._guard)),)
+
     def degree(self, key):
         return sum(self.exps(key))
 
@@ -200,6 +222,10 @@ class _BlockCodec(_Codec):
         gl, gr = self._left._guard, self._right._guard
         return (((ka[1] | gl) - kb[1]) & gl == gl
                 and ((ka[3] | gr) - kb[3]) & gr == gr)
+
+    def lcm(self, ka, kb):
+        return (self._left.lcm(ka[:2], kb[:2])
+                + self._right.lcm(ka[2:], kb[2:]))
 
     def degree(self, key):
         return key[0] + key[2]

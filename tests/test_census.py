@@ -413,11 +413,31 @@ def test_exhaustive_sweeps_stop_at_21_square_free_monomials():
 
 
 @pytest.mark.parametrize("flags", [
-    ["--jobs", "0"], ["--jobs", "two"], ["--r", "1"], ["--r", "-3"]],
-    ids=["jobs-0", "jobs-text", "r-1", "r-negative"])
+    ["--jobs", "0"], ["--jobs", "two"], ["--r", "1"], ["--r", "-3"],
+    ["--samples", "0"], ["--samples", "-3"], ["--field", "4"]],
+    ids=["jobs-0", "jobs-text", "r-1", "r-negative", "samples-0",
+         "samples-negative", "field-not-prime"])
 def test_census_cli_usage_errors_exit_2(flags, capsys):
+    # the later flag overrides the base's valid one
     with pytest.raises(SystemExit) as exc:
         main(["census", "--field", "3", "--r", "4", "--mode", "sample",
               "--samples", "3"] + flags)
     assert exc.value.code == 2
     assert f"argument {flags[0]}: " in capsys.readouterr().err
+
+
+def test_census_cli_sample_mode_needs_samples(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--field", "3", "--r", "4", "--mode", "sample"])
+    assert exc.value.code == 2
+    assert "argument --samples: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["hilbert", "-"], ["check", "--what", "wlp", "-"], ["construct", "-"]],
+    ids=["hilbert", "check", "construct"])
+def test_cli_field_usage_errors_exit_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--field", "4"])
+    assert exc.value.code == 2
+    assert "argument --field: not a prime: 4" in capsys.readouterr().err

@@ -17,9 +17,10 @@ from gorquad.constructions import (LinkageError, LinkStep, apolar_ideal,
                                    random_dual_form, random_homogeneous,
                                    regular_sequence_in, squarefree_full_form,
                                    tensor_algebras)
+from gorquad import constructions
 from gorquad.core import FieldSpec, GenericityError
 import gorquad.groebner as groebner_module
-from gorquad.groebner import Ideal
+from gorquad.groebner import Ideal, _compute_basis
 from gorquad.idealops import colon_ideal, random_linear_form
 from gorquad.invariants import (HVector, classify, hilbert_function,
                                 is_gorenstein, minimal_generator_counts,
@@ -458,6 +459,103 @@ def test_linkage_grow_needs_square_cover():
         linkage_grow(I)
     with pytest.raises(ValueError):
         linkage_grow(quadric_ci(2, GFBIG), rounds=0)
+
+
+# -- proven Hilbert hints: the unhinted engine is the oracle ----------------------
+
+
+HINT_FIELDS = [GF7, GFBIG, Q]
+
+
+def _hint_vector(I: Ideal, h: HVector) -> HVector:
+    """I's hint read through two degrees past the socle degree of h."""
+    return HVector(tuple(I._hilbert(d) for d in range(len(h) + 2)))
+
+
+def _check_hinted(I: Ideal):
+    """I's hint is its unhinted Hilbert function, and its hinted basis is the
+    unhinted engine's, element for element; returns the pairs it skipped."""
+    plain = _compute_basis(I.ring, I.gens, None)
+    h = hilbert_function(Ideal(I.ring, I.gens))
+    assert _hint_vector(I, h) == h
+    hinted = I.groebner()
+    assert hinted.elements == plain.elements
+    assert plain.stats.hint_skipped == 0
+    assert hinted.stats.reduced_to_zero <= plain.stats.reduced_to_zero
+    return hinted.stats.hint_skipped
+
+
+@pytest.fixture
+def colons(monkeypatch):
+    """Every ideal _colon_out_of returns while the test runs."""
+    seen = []
+    real = constructions._colon_out_of
+
+    def record(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(constructions, "_colon_out_of", record)
+    return seen
+
+
+@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_hinted_apolar_ideals_match_the_unhinted_engine(field, seed):
+    rng = random.Random(700 + seed)
+    skipped = 0
+    for n, e in ((3, 2), (3, 4), (4, 3), (5, 2), (5, 3)):
+        R = ring(field, n)
+        skipped += _check_hinted(apolar_ideal(random_dual_form(R, e, rng)))
+        sparse = random_poly(R, e, rng, density=0.3)
+        if not sparse.is_zero():
+            skipped += _check_hinted(apolar_ideal(sparse))
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_hinted_links_match_the_unhinted_engine(field, seed, colons):
+    rng = random.Random(800 + seed)
+    R = ring(field, 4)
+    squares = [v * v for v in R.variables()]
+    I = Ideal(R, squares + [random_homogeneous(R, 2, rng),
+                            random_homogeneous(R, 3, rng)])
+    link_by_squares(I)
+    G = apolar_ideal(random_dual_form(ring(field, 4), 3, rng))
+    linked = link(G, LinkStep(regular_sequence_in(G, [2] * 4, rng)))
+    assert len(colons) == 2
+    assert linked.groebner() is colons[-1].groebner()
+    assert sum(_check_hinted(colon) for colon in colons) > 0
+
+
+@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+def test_hinted_growth_and_double_links_match_the_unhinted_engine(field,
+                                                                  colons):
+    aci, gor = linkage_grow(seed_131(field), rounds=1)
+    assert aci._hilbert is None      # the residual's h-vector is its check
+    assert colons == [gor]
+    double_link(5, field)
+    assert len(colons) == 3
+    assert sum(_check_hinted(colon) for colon in colons) > 0
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda h: HVector(h.values[:-1]),
+    lambda h: HVector(h.values + (1,)),
+    lambda h: HVector((1, h[1] + 1) + h.values[2:]),
+    lambda h: HVector((1, h[1], h[2] - 1) + h.values[3:]),
+], ids=["shorter", "longer", "bigger-h1", "smaller-h2"])
+def test_a_wrong_prediction_still_raises(wrong):
+    R = ring(GF7, 4)
+    squares = [v * v for v in R.variables()]
+    I = Ideal(R, squares + [R.parse("x1*x2 + 3*x3*x4 - x2*x4")])
+    cover = Ideal(R, squares)
+    right = expected_link_hvector(hilbert_function(cover), hilbert_function(I))
+    assert hilbert_function(
+        constructions._colon_out_of(cover, I.gens, right)) == right
+    with pytest.raises(LinkageError, match="does not match the predicted"):
+        constructions._colon_out_of(cover, I.gens, wrong(right))
 
 
 def test_penultimate_socle_family():

@@ -6,12 +6,13 @@ import random
 import pytest
 
 from gorquad import groebner
+from gorquad import orders as orders_module
 from gorquad.constructions import apolar_ideal, quadric_ci, random_homogeneous
 from gorquad.core import AlgebraError, CappedComputationError
 from gorquad.gin import random_coordinate_change
 from gorquad.groebner import GroebnerBasis, Ideal, _compute_basis
 from gorquad.invariants import hilbert_function, hilbert_value
-from gorquad.orders import DEGREVLEX, LEX, elimination_order
+from gorquad.orders import _FIELD_MAX, DEGREVLEX, LEX, elimination_order
 from gorquad.poly import ring
 
 from conftest import (GF2, GF7, GFBIG, Q, gorquad_gb_normalized, poly_as_dict,
@@ -360,3 +361,74 @@ def test_a_lower_degree_install_drops_the_memo_above_it():
     entries.install(2, (x2 * x3).leading_key(), {(x1 ** 2).leading_key(): 1})
     assert 3 not in entries.memo
     assert R.from_terms(groebner._nf(R, cubic, entries).items()) == -(x1 ** 3)
+
+
+# -- the pair update: the all-pairs Gebauer-Moeller scan is the oracle ----------
+
+
+def _scan_gm_kept(codec, lcms, lm_degs, lm_deg):
+    """_gm_kept by comparing every candidate lcm with every other one: pair
+    i is dropped when an earlier pair has its lcm or another pair's lcm
+    properly divides it; a kept pair's class is coprime when one of its
+    pairs has coprime leading monomials."""
+    kept = []
+    for i, li in enumerate(lcms):
+        if any(j != i and (lj == li and j < i
+                           or lj != li and codec.divides(lj, li))
+               for j, lj in enumerate(lcms)):
+            continue
+        li_deg = codec.degree(li)
+        coprime = any(lj == li and li_deg == lm_degs[j] + lm_deg
+                      for j, lj in enumerate(lcms))
+        kept.append((li_deg, li, i, coprime))
+    return kept
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX, elimination_order(1)],
+                         ids=str)
+@pytest.mark.parametrize("field", [GF2, GF7, GFBIG, Q], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_update_matches_the_scan(monkeypatch, order, field, seed):
+    R = ring(field, 4, order)
+    gens = _mixed_degree_gens(R, random.Random(500 + seed))
+    minimal = _compute_basis(R, gens, None)
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_gm_kept", _scan_gm_kept)
+        scanned = _compute_basis(R, gens, None)
+    assert minimal.elements == scanned.elements
+    assert minimal.stats == scanned.stats
+    assert minimal.stats.gm_pruned > 0
+
+
+@pytest.mark.parametrize("build", HINT_INPUTS)
+def test_pair_update_matches_the_scan_on_gins_changes(monkeypatch, build):
+    I = build(2)
+    moved = _moved(I, 60)
+    minimal = _hinted(moved, I)
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_gm_kept", _scan_gm_kept)
+        scanned = _hinted(moved, I)
+    assert minimal.elements == scanned.elements
+    assert minimal.stats == scanned.stats
+
+
+# -- packed lcm: the exponent-vector lcm of _Codec is the oracle -----------------
+
+
+@pytest.mark.parametrize("nvars", range(1, 11))
+def test_packed_lcm_matches_the_exponent_lcm(nvars):
+    rng = random.Random(nvars)
+    orders = [DEGREVLEX, LEX] + [elimination_order(k) for k in range(1, nvars)]
+    picks = (0, 1, 2, _FIELD_MAX - 1, _FIELD_MAX)
+    for order in orders:
+        codec = order.codec(nvars)
+        zero = (0,) * nvars
+        for _ in range(60):
+            a, b = ([rng.choice(picks + (rng.randrange(_FIELD_MAX + 1),))
+                     for _ in range(nvars)] for _ in range(2))
+            for ea, eb in ((a, b), (a, zero), (zero, b), (zero, zero),
+                           (a, a)):
+                ka, kb = codec.key(tuple(ea)), codec.key(tuple(eb))
+                want = orders_module._Codec.lcm(codec, ka, kb)
+                assert codec.lcm(ka, kb) == want, (order, ea, eb)
+                assert codec.exps(want) == tuple(map(max, ea, eb))

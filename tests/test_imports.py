@@ -142,22 +142,66 @@ def test_no_module_level_mutable_state():
     assert not bound, f"module-level mutable state: {bound}"
 
 
+def _functions(scope, prefix=""):
+    """(qualified name, node) of every function and method under scope."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{node.name}", node
+            yield from _functions(node, f"{prefix}{node.name}.")
+
+
 def test_the_hilbert_hint_stays_internal():
     """The engine's hint skips pairs it believes reduce to zero, so a wrong
-    hint gives a wrong basis: no public function or method takes a
-    ``hilbert`` parameter, and gin, whose coordinate changes keep the
-    Hilbert function, is the only module that passes one."""
+    hint gives a wrong basis.  No public callable takes a hint.  An ideal's
+    ``_hilbert`` is None from ``Ideal.__init__`` and is set only by the
+    constructors that prove it: ``apolar_ideal``, ``_colon_out_of`` and
+    gin's coordinate changes.  Only ``Ideal.groebner`` hands it to the
+    engine."""
+    functions = [(f"{path.stem}.{name}", node)
+                 for path, tree in PACKAGE.items()
+                 for name, node in _functions(tree)]
     public = sorted(
-        f"{path.stem}.{node.name}"
-        for path, tree in PACKAGE.items() for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        and any(a.arg == "hilbert" for a in node.args.args
-                + node.args.posonlyargs + node.args.kwonlyargs))
+        name for name, fn in functions
+        if (not fn.name.startswith("_") or fn.name in ("__init__", "__call__"))
+        and any("hilbert" in a.arg for a in fn.args.args
+                + fn.args.posonlyargs + fn.args.kwonlyargs))
     assert not public, f"public callables taking a hilbert hint: {public}"
-    passers = {path.stem for path, tree in PACKAGE.items()
-               for node in ast.walk(tree) if isinstance(node, ast.Call)
-               and any(k.arg == "hilbert" for k in node.keywords)}
-    assert passers == {"gin"}
+
+    setters = set()
+    for name, fn in functions:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(isinstance(t, ast.Attribute) and t.attr == "_hilbert"
+                   for t in targets):
+                unset = (isinstance(node.value, ast.Constant)
+                         and node.value.value is None)
+                setters.add(name if not unset else f"{name} = None")
+    assert setters == {"groebner.Ideal.__init__ = None",
+                       "constructions.apolar_ideal",
+                       "constructions._colon_out_of",
+                       "gin._lead_ideal_in_random_coordinates"}
+    named = [path.stem for path, tree in PACKAGE.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == "_hilbert"]
+    assert named == ["groebner"], "only Ideal.__slots__ names the slot"
+
+    calls = [(name, node) for name, fn in functions for node in ast.walk(fn)
+             if isinstance(node, ast.Call)]
+    passers = sorted(name for name, call in calls
+                     if any(k.arg == "hilbert" for k in call.keywords))
+    assert passers == ["groebner.Ideal.groebner"]
+    positional = sorted(name for name, call in calls
+                        if isinstance(call.func, ast.Name)
+                        and call.func.id == "_compute_basis"
+                        and len(call.args) > 3)
+    assert not positional, f"hints passed by position: {positional}"
 
 
 FIELD_ARITHMETIC = {"add", "sub", "mul", "neg"}
