@@ -54,6 +54,15 @@ CSV_HEADER = ("field", "r", "ci_style", "ci_seed", "mode", "f_index",
               "f_poly", "presented", "h2", "socle_degree", "hvector", "seed")
 
 
+class CensusConfigError(ValueError):
+    """A CensusConfig refused its arguments; ``attribute`` names the
+    attribute at fault."""
+
+    def __init__(self, message, attribute):
+        super().__init__(message)
+        self.attribute = attribute
+
+
 @dataclass(frozen=True)
 class CensusConfig:
     """One sweep: which field, which cover, which forms, how many workers."""
@@ -69,34 +78,38 @@ class CensusConfig:
 
     def __post_init__(self):
         if self.r < 2:
-            raise ValueError("census needs at least two variables")
+            raise CensusConfigError("census needs at least two variables", "r")
         if self.ci_style not in ("monomial", "random"):
-            raise ValueError(f"unknown ci_style: {self.ci_style!r}")
+            raise CensusConfigError(f"unknown ci_style: {self.ci_style!r}",
+                                    "ci_style")
         if self.mode not in ("exhaustive_squarefree", "random_sample"):
-            raise ValueError(f"unknown census mode: {self.mode!r}")
+            raise CensusConfigError(f"unknown census mode: {self.mode!r}",
+                                    "mode")
         if self.mode == "exhaustive_squarefree" and self.field.p != 2:
-            raise ValueError(
+            raise CensusConfigError(
                 "the exhaustive sweep enumerates the 0/1 sums of the "
                 "square-free quadratic monomials, which are all the "
                 "square-free forms only over GF(2); over GF(p) there are "
-                "p^C(r,2) of them, so sample them with random_sample")
+                "p^C(r,2) of them, so sample them with random_sample", "mode")
         bits = math.comb(self.r, 2)
         if self.mode == "exhaustive_squarefree" and bits > _EXHAUSTIVE_BITS:
-            raise ValueError(
+            raise CensusConfigError(
                 f"an exhaustive sweep at r={self.r} has 2^{bits} - 1 forms, "
                 f"more than {(1 << _EXHAUSTIVE_BITS) - 1:,} (r <= 7); sample "
-                f"them with random_sample")
+                f"them with random_sample", "r")
         if self.mode == "random_sample" and self.sample_count < 1:
-            raise ValueError("random_sample needs a positive sample_count")
+            raise CensusConfigError(
+                "random_sample needs a positive sample_count", "sample_count")
         if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
+            raise CensusConfigError("parallelism must be at least 1",
+                                    "parallelism")
         # quadric_ci and the sampler draw from random.Random(seed) alike, so
         # one seed for both would sample the cover's own generators first.
         if (self.ci_style == "random" and self.mode == "random_sample"
                 and self.ci_seed == self.sample_seed):
-            raise ValueError(
+            raise CensusConfigError(
                 f"a random cover and the sampled forms need different seeds "
-                f"(both are {self.ci_seed})")
+                f"(both are {self.ci_seed})", "sample_seed")
 
 
 @dataclass(frozen=True)

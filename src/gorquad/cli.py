@@ -14,8 +14,8 @@ import argparse
 import os
 import sys
 
-from .census import (CensusConfig, run_census, records_to_csv,
-                     summary_markdown)
+from .census import (CensusConfig, CensusConfigError, run_census,
+                     records_to_csv, summary_markdown)
 from .constructions import link_by_squares
 from .core import AlgebraError, FieldSpec
 from .gin import gin, check_injectivity_conjecture, check_wlp
@@ -75,8 +75,15 @@ def _load_ideal(args):
 
 def cmd_hilbert(args) -> int:
     """Print the h-vector line, socle degree, generator degrees, and the
-    initial degree of an ideal file."""
-    cls = classify(_load_ideal(args))
+    initial degree of an ideal file; with --stats, the basis's engine
+    counters as one line on standard error."""
+    gb = as_basis(_load_ideal(args))
+    cls = classify(gb)
+    if args.stats:
+        st = gb.stats
+        line = ("no run needed (monomial generators)" if st is None else
+                " ".join(f"{k}={v}" for k, v in st._asdict().items()))
+        print(f"engine: {line}", file=sys.stderr)
     print(cls)
     print(f"socle degree: {cls.socle_degree}")
     nu = " ".join(f"{d}:{n}" for d, n in sorted(cls.generator_counts.items()))
@@ -95,13 +102,36 @@ def cmd_construct(args) -> int:
     return 0
 
 
+# The census flag of each CensusConfig attribute.
+_CENSUS_FLAGS = (("field", "--field"), ("r", "--r"), ("ci_style", "--ci"),
+                 ("ci_seed", "--ci-seed"), ("mode", "--mode"),
+                 ("sample_count", "--samples"), ("sample_seed", "--seed"),
+                 ("parallelism", "--jobs"))
+
+
+def _census_config(parser, args) -> CensusConfig:
+    """The CensusConfig the census flags name; a refused combination is a
+    usage error (exit 2) that names the flag at fault."""
+    if args.mode == "sample" and args.samples is None:
+        parser.error("argument --samples: required with --mode sample")
+    try:
+        cfg = CensusConfig(
+            field=args.field, r=args.r, ci_style=args.ci,
+            ci_seed=args.ci_seed,
+            mode=("exhaustive_squarefree" if args.mode == "exhaustive"
+                  else "random_sample"),
+            sample_count=args.samples or 0, sample_seed=args.seed,
+            parallelism=args.jobs)
+    except CensusConfigError as exc:
+        parser.error(f"argument {dict(_CENSUS_FLAGS)[exc.attribute]}: {exc}")
+    if args.samples is not None and args.mode == "exhaustive":
+        parser.error("argument --samples: the exhaustive sweep takes every "
+                     "form; --samples needs --mode sample")
+    return cfg
+
+
 def cmd_census(args) -> int:
-    mode = ("exhaustive_squarefree" if args.mode == "exhaustive"
-            else "random_sample")
-    cfg = CensusConfig(field=args.field, r=args.r,
-                       ci_style=args.ci, ci_seed=args.ci_seed, mode=mode,
-                       sample_count=args.samples or 0, sample_seed=args.seed,
-                       parallelism=args.jobs)
+    cfg = args.config
     records, summary = run_census(cfg)
     if args.out:
         _write_text(args.out, records_to_csv(cfg, records))
@@ -181,6 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="classify an ideal: h-vector, socle degree, "
                                "generator degrees")
     _add_ideal_input(hil)
+    hil.add_argument("--stats", action="store_true",
+                     help="print the Groebner engine's counters on "
+                          "standard error")
     hil.set_defaults(func=cmd_hilbert)
 
     con = subs.add_parser("construct",
@@ -226,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.subcommand == "census" and args.mode == "sample"
-            and args.samples is None):
-        parser.error("argument --samples: required with --mode sample")
+    if args.subcommand == "census":
+        args.config = _census_config(parser, args)
     try:
         return args.func(args)
     except (AlgebraError, ValueError, OSError) as exc:

@@ -134,27 +134,38 @@ def contract(p: Polynomial, F: Polynomial) -> Polynomial:
     return p.ring.from_terms(acc.items())
 
 
-def _linear_multiples(vectors, R: RingCtx):
-    """The products x_j * v of vectors {monomial key: coeff}, spanning
-    R_1 * span(vectors), read lazily."""
-    codec = R.codec
-    var_keys = [codec.var_key(j) for j in range(R.nvars)]
-    return ({codec.mul(vk, m): c for m, c in v.items()}
-            for v in vectors for vk in var_keys)
+def _multiples_within(vectors, var_keys, mul, kept):
+    """The products x_j * v of vectors {monomial key: coeff}, with the keys
+    outside kept dropped, read lazily."""
+    for v in vectors:
+        for vk in var_keys:
+            yield {t: c for t, c in ((mul(vk, m), c) for m, c in v.items())
+                   if t in kept}
 
 
 def apolar_ideal(F: Polynomial) -> Ideal:
     """Annihilator of a homogeneous dual form under contraction.
 
     Ann(F)_d is the degree-d catalecticant kernel for d <= e = deg(F), and
-    R_{e+1} lies in Ann(F).  So h_d = dim R_d - dim ker Cat_d for d <= e and
-    h_d = 0 above e: that is the Hilbert function, and it hints the basis.
+    R_{e+1} lies in Ann(F).  A monomial that divides no term of F has an
+    empty catalecticant row, so Ann(F)_d is M_d, the span of those
+    non-divisors, plus the kernel K_d of the rows of the divisors D_d.
+    Hence h_d = |D_d| - dim K_d for d <= e, and h_d = 0 above e: that is
+    the Hilbert function, and it hints the basis.
+
     A kernel vector is a new generator when it lies outside
     R_1 * Ann(F)_{d-1}, and the degree-(e+1) generators are the monomials
-    leading no element of R_1 * Ann(F)_e.  That span test needs
-    no Groebner basis and is exact: the generators below degree d span
-    Ann(F) in each lower degree, so their degree-d part is R_1 * Ann(F)_{d-1},
-    and an echelon form's pivots are the leading terms of its span.
+    leading no element of R_1 * Ann(F)_e.  That span test needs no Groebner
+    basis and is exact: the generators below degree d span Ann(F) in each
+    lower degree, so their degree-d part is R_1 * Ann(F)_{d-1}, and an
+    echelon form's pivots are the leading terms of its span.  The test runs
+    modulo the monomial subspace P_d = R_1 * M_{d-1}, which lies in that
+    span, by dropping P_d's columns: outside P_d are the divisors and the
+    minimal non-divisors N_d (those whose every quotient by a variable is a
+    divisor), and modulo P_d the span is R_1 * K_{d-1}.  So the candidates,
+    in the descending order of the monomials they are found at, are the
+    unit vectors of N_d and the vectors of K_d, and R_d is never listed
+    (Iarrobino-Kanev, LNM 1721, 1999, for the inverse-system facts).
 
     The generating set need not be minimal: kernel vectors that depend on
     one another modulo R_1 * Ann(F)_{d-1} are all kept, so F = x1^2 + x1*x2
@@ -167,25 +178,44 @@ def apolar_ideal(F: Polynomial) -> Ideal:
     e = F.degree()
     if e < 1:
         raise ValueError("the dual form must have positive degree")
-    codec = R.codec
+    codec, field = R.codec, R.field
+    mul, div, divides = codec.mul, codec.div, codec.divides
+    var_keys = [codec.var_key(j) for j in range(R.nvars)]
+    one = field.one
+    divisors = [set() for _ in range(e + 2)]    # D_d, empty for d = e + 1
+    divisors[e].update(k for k, _ in F.terms)
+    for d in range(e, 0, -1):
+        divisors[d - 1].update(div(m, v) for m in divisors[d] for v in var_keys
+                               if divides(v, m))
     gens: list[Polynomial] = []
-    kernel: list[dict] = []         # Ann(F)_{d-1}, as {monomial key: coeff}
+    kernel: list[dict] = []         # K_{d-1}, as {monomial key: coeff}
     h = [1]
-    for d in range(1, e + 1):
-        mons = R.monomials_of_degree(d)
-        rows = [{codec.div(kf, m): cf for kf, cf in F.terms if codec.divides(m, kf)}
+    for d in range(1, e + 2):
+        D, below = divisors[d], divisors[d - 1]
+        fresh = {c for c in (mul(v, m) for m in below for v in var_keys)
+                 if c not in D and all(div(c, v) in below for v in var_keys
+                                       if divides(v, c))}
+        mons = sorted(D, reverse=True)
+        rows = [{div(kf, m): cf for kf, cf in F.terms if divides(m, kf)}
                 for m in mons]
         prev, kernel = kernel, [{mons[i]: c for i, c in v.items()}
-                                for v in left_kernel(rows, R.field)]
-        h.append(len(mons) - len(kernel))
-        below = echelon(_linear_multiples(prev, R), R.field, len(kernel))
-        if below.rank < len(kernel):    # else R_1 * Ann(F)_{d-1} = Ann(F)_d
-            gens.extend(R.from_terms(v.items()) for v in kernel if below.reduce(v))
-    top = R.monomials_of_degree(e + 1)
-    leading = echelon(_linear_multiples(kernel, R), R.field, len(top)).pivots
-    one = R.field.one
-    I = Ideal(R, gens + [Polynomial(R, ((k, one),)) for k in top
-                         if k not in leading])
+                                for v in left_kernel(rows, field)]
+        span = echelon(_multiples_within(prev, var_keys, mul, D | fresh),
+                       field, len(fresh) + len(kernel))
+        if d > e:
+            gens.extend(Polynomial(R, ((k, one),))
+                        for k in sorted(fresh, reverse=True)
+                        if k not in span.pivots)
+            break
+        h.append(len(D) - len(kernel))
+        if span.rank < len(fresh) + len(kernel):   # else it is Ann(F)_d mod P_d
+            # the vector found at a divisor row is 1 there, its lowest key
+            found = [(min(v), v) for v in kernel]
+            found += [(k, {k: one}) for k in fresh]
+            found.sort(key=lambda kv: kv[0], reverse=True)
+            gens.extend(R.from_terms(v.items()) for _, v in found
+                        if span.reduce(v))
+    I = Ideal(R, gens)
     I._hilbert = HVector(tuple(h)).__getitem__
     return I
 

@@ -8,6 +8,13 @@ interreduction, and nothing else.  Pair selection is the normal strategy
 result is always the unique reduced Groebner basis, elements monic and
 sorted descending by leading monomial.
 
+Monomial generators take no engine run (_monomial_basis): every
+S-polynomial of two monomials is zero, so their reduced basis is their
+monic minimal generators.  Ideal.groebner returns those, with the engine's
+truncation, and such a basis has stats None: no run computed it.  When an
+input or a pair the engine would pop could lie beyond the degree cap, the
+engine runs after all, so CappedComputationError is raised as before.
+
 Every Ideal is homogeneous.  A finished basis tabulates B = R/I degree by
 degree (GroebnerBasis._level): the standard monomials as an order ideal and
 their products' normal forms, as in FGLM.  That table is the only normal
@@ -282,6 +289,29 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
         top_degree=max((degree(p.terms[0][0]) for p in elements), default=0)))
 
 
+def _monomial_basis(ring: RingCtx, polys, truncate_at):
+    """The reduced basis of monomial generators, with no engine run: the
+    monic minimal generators, descending, of degree <= truncate_at when it
+    is set.  Every S-polynomial of two monomials is zero, so that is the
+    engine's answer.  Returns None, and leaves the engine to answer, unless
+    every generator is a monomial and the engine could meet nothing beyond
+    the degree cap, so that it would not raise CappedComputationError."""
+    degree_cap = DEFAULT_DEGREE_CAP
+    if not all(len(p.terms) == 1 for p in polys):
+        return None
+    degree = ring.codec.degree
+    keys = {p.terms[0][0] for p in polys}
+    # Every input meets the cap check; a pair's degree is at most the sum
+    # of its two degrees, and a pair beyond truncate_at stops the engine.
+    top = sorted(degree(k) for k in keys)[-2:]
+    if top and top[-1] > degree_cap or sum(top) > degree_cap and (
+            truncate_at is None or truncate_at > degree_cap):
+        return None
+    return GroebnerBasis(ring, _reduce_basis(ring, [
+        (k, {}) for k in keys if truncate_at is None or degree(k) <= truncate_at
+    ]), degree_cap, truncate_at)
+
+
 def _reduce_basis(ring: RingCtx, entries):
     """Minimalize and tail-reduce (lm, monic tail dict) entries that are known
     to form a Groebner basis; the result is the unique reduced basis."""
@@ -313,7 +343,8 @@ def _reduce_basis(ring: RingCtx, entries):
 
 class GroebnerBasis:
     """A reduced Groebner basis; elements monic, descending by leading term.
-    ``stats`` holds the EngineStats of the run that computed it, or None."""
+    ``stats`` holds the EngineStats of the run that computed it, or None
+    when no run did: a basis of monomial generators, or one built by hand."""
 
     __slots__ = ("ring", "elements", "lead_keys", "degree_cap", "truncated_at",
                  "stats", "_caches")
@@ -491,11 +522,15 @@ class Ideal:
 
     def groebner(self, truncate_at: int | None = None) -> GroebnerBasis:
         """The reduced basis, or with truncate_at = D its elements of degree
-        <= D (a basis exact through degree D)."""
+        <= D (a basis exact through degree D); monomial generators take
+        _monomial_basis, the rest the engine."""
         gb = self._gb_cache.get(truncate_at)
         if gb is None:
-            gb = self._gb_cache[truncate_at] = _compute_basis(
-                self.ring, self.gens, truncate_at, hilbert=self._hilbert)
+            gb = _monomial_basis(self.ring, self.gens, truncate_at)
+            if gb is None:
+                gb = _compute_basis(self.ring, self.gens, truncate_at,
+                                    hilbert=self._hilbert)
+            self._gb_cache[truncate_at] = gb
         return gb
 
     def attach_groebner(self, gb: GroebnerBasis):

@@ -3,7 +3,9 @@
 Everything is computed from a reduced Groebner basis.  Hilbert functions
 count standard monomials.  Minimal generators are the elements m - NF(m)
 outside (linear forms) * (degree d-1 part), found by linalg.echelon's span
-test, and their counts are the degree tally of those generators.  The
+test, and their counts are the degree tally of those generators; the
+multiples x_j * m of the monomials m in the ideal are pivots of that span
+without linear algebra, so only the other rows reach the echelon.  The
 multiplication maps of the quotient B = R/I go through one function,
 `annihilator`: the degree-d elements of B that given forms multiply to
 zero, as the left kernel of the normal forms NF(m * g).  The socle is the
@@ -288,16 +290,17 @@ def minimal_generator_counts(x) -> dict:
     return dict(Counter(degree(g.leading_key()) for g in minimal_generators(x)))
 
 
-def _generator_rows(gb: GroebnerBasis, d: int, column: dict):
-    """The products x_j * (m - NF(m)), m nonstandard of degree d-1, as dict
-    rows over the nonstandard monomials of degree d, read lazily; column
-    maps each of those monomials to its row key.  Those columns suffice:
-    [I]_d has the triangular basis { m - NF(m) }, so an element of [I]_d is
-    fixed by its nonstandard coefficients.  Multiplying by x_j keeps the
-    terms of m - NF(m) distinct."""
+def _generator_rows(gb: GroebnerBasis, lower, column: dict):
+    """The products x_j * (m - NF(m)) for the given nonstandard monomials m,
+    as dict rows over the nonstandard monomials of the next degree, read
+    lazily; column maps each monomial it keeps to its row key and the
+    others are dropped.  Those columns suffice: [I]_d has the triangular
+    basis { m - NF(m) }, so an element of [I]_d is fixed by its nonstandard
+    coefficients.  Multiplying by x_j keeps the terms of m - NF(m)
+    distinct."""
     codec = gb.ring.codec
     var_keys = [codec.var_key(j) for j in range(gb.ring.nvars)]
-    for m in nonstandard_monomials(gb, d - 1):
+    for m in lower:
         element = _minus_nf(gb, m).terms
         for vk in var_keys:
             yield {column[t]: c for t, c in
@@ -313,25 +316,37 @@ def presented_by_quadrics(x) -> bool:
 def minimal_generators(x) -> tuple:
     """An explicit minimal generating set, ascending by degree: in each
     degree d of a reduced-basis element, the elements m - NF(m) that lie
-    outside R_1 * [I]_{d-1} plus the span of the m' - NF(m') with m' > m."""
+    outside R_1 * [I]_{d-1} plus the span of the m' - NF(m') with m' > m.
+
+    The monomials of I do not reach the echelon: when m lies in I (NF(m) =
+    0), each x_j * m is a unit row, so its column is a pivot of the span
+    whatever the other rows are.  Those columns are dropped, and only the
+    rows of the other m - NF(m) are echeloned, in the space that is left.
+    The pivots of a span are its leading terms, which do not depend on how
+    the span is reached, so the set found is the same."""
     gb = as_basis(x)
 
     def build():
-        degree = gb.ring.codec.degree
+        codec = gb.ring.codec
+        var_keys = [codec.var_key(j) for j in range(gb.ring.nvars)]
         out = []
-        for d in sorted({degree(k) for k in gb.lead_keys}):
+        for d in sorted({codec.degree(k) for k in gb.lead_keys}):
             if d == 0:
                 out.append(gb.ring.one)  # the unit ideal
                 continue
-            nonstd_d = nonstandard_monomials(gb, d)
+            lower = nonstandard_monomials(gb, d - 1)
+            inside = {codec.mul(vk, m) for m in lower
+                      if not gb._monomial_nf(m) for vk in var_keys}
             # Over these columns m - NF(m) is the unit vector at m, so it lies
             # in R_1 * [I]_{d-1} plus the span of the m' - NF(m'), m' > m,
             # exactly when m is the lowest term of an element of the former.
-            # Keyed by position in the descending nonstd_d, the echelon's
-            # pivots are those lowest terms.
-            column = {m: i for i, m in enumerate(nonstd_d)}
-            span = echelon(_generator_rows(gb, d, column), gb.ring.field,
-                           len(nonstd_d))
+            # Keyed by position in the descending nonstandard monomials, the
+            # echelon's pivots are those lowest terms.
+            column = {m: i for i, m in enumerate(nonstandard_monomials(gb, d))
+                      if m not in inside}
+            rows = _generator_rows(
+                gb, (m for m in lower if gb._monomial_nf(m)), column)
+            span = echelon(rows, gb.ring.field, len(column))
             out.extend(_minus_nf(gb, m) for m, i in column.items()
                        if i not in span.pivots)
         return tuple(out)

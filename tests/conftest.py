@@ -167,3 +167,86 @@ def gorquad_gb_normalized(I) -> list:
     :func:`sympy_reduced_gb`."""
     gb = I.groebner()
     return sorted((poly_as_dict(g) for g in gb.elements), key=sorted)
+
+
+# -- catalecticant oracle (every monomial of R_d, every linear multiple) --------
+
+
+def _linear_multiples(vectors, R: RingCtx):
+    """The products x_j * v of vectors {monomial key: coeff}, spanning
+    R_1 * span(vectors), read lazily."""
+    codec = R.codec
+    var_keys = [codec.var_key(j) for j in range(R.nvars)]
+    return ({codec.mul(vk, m): c for m, c in v.items()}
+            for v in vectors for vk in var_keys)
+
+
+def oracle_apolar_ideal(F: Polynomial):
+    """apolar_ideal over all of R_d: one catalecticant row per monomial of
+    degree d, a kernel vector kept when it lies outside the span of the
+    products x_j * v over the whole previous kernel, and the degree-(e+1)
+    generators the monomials leading no product of the degree-e kernel.
+    Returns (generators, h-vector of the hint)."""
+    from gorquad.linalg import echelon, left_kernel
+
+    R = F.ring
+    e = F.degree()
+    codec = R.codec
+    gens = []
+    kernel = []
+    h = [1]
+    for d in range(1, e + 1):
+        mons = R.monomials_of_degree(d)
+        rows = [{codec.div(kf, m): cf for kf, cf in F.terms
+                 if codec.divides(m, kf)} for m in mons]
+        prev, kernel = kernel, [{mons[i]: c for i, c in v.items()}
+                                for v in left_kernel(rows, R.field)]
+        h.append(len(mons) - len(kernel))
+        below = echelon(_linear_multiples(prev, R), R.field, len(kernel))
+        if below.rank < len(kernel):
+            gens.extend(R.from_terms(v.items()) for v in kernel
+                        if below.reduce(v))
+    top = R.monomials_of_degree(e + 1)
+    leading = echelon(_linear_multiples(kernel, R), R.field, len(top)).pivots
+    one = R.field.one
+    gens += [Polynomial(R, ((k, one),)) for k in top if k not in leading]
+    return gens, tuple(h)
+
+
+# -- minimal generators oracle (every row x_j * (m - NF(m))) ---------------------
+
+
+def _generator_rows(gb, d: int, column: dict):
+    """The products x_j * (m - NF(m)), m nonstandard of degree d-1, as dict
+    rows over the nonstandard monomials of degree d, read lazily; column
+    maps each of those monomials to its row key."""
+    from gorquad.invariants import _minus_nf, nonstandard_monomials
+
+    codec = gb.ring.codec
+    var_keys = [codec.var_key(j) for j in range(gb.ring.nvars)]
+    for m in nonstandard_monomials(gb, d - 1):
+        element = _minus_nf(gb, m).terms
+        for vk in var_keys:
+            yield {column[t]: c for t, c in
+                   ((codec.mul(vk, k), c) for k, c in element) if t in column}
+
+
+def oracle_minimal_generators(gb) -> tuple:
+    """minimal_generators with every row of R_1 * [I]_{d-1} echeloned,
+    monomial ones included."""
+    from gorquad.invariants import _minus_nf, nonstandard_monomials
+    from gorquad.linalg import echelon
+
+    degree = gb.ring.codec.degree
+    out = []
+    for d in sorted({degree(k) for k in gb.lead_keys}):
+        if d == 0:
+            out.append(gb.ring.one)
+            continue
+        nonstd_d = nonstandard_monomials(gb, d)
+        column = {m: i for i, m in enumerate(nonstd_d)}
+        span = echelon(_generator_rows(gb, d, column), gb.ring.field,
+                       len(nonstd_d))
+        out.extend(_minus_nf(gb, m) for m, i in column.items()
+                   if i not in span.pivots)
+    return tuple(out)

@@ -250,9 +250,11 @@ def test_random_cover_and_sample_seeds_must_differ(capsys):
     with pytest.raises(ValueError):
         CensusConfig(field=GFBIG, r=5, ci_style="random", ci_seed=0,
                      mode="random_sample", sample_count=8, sample_seed=0)
-    assert main(["census", "--field", "7", "--r", "4", "--ci", "random",
-                 "--mode", "sample", "--samples", "8", "--ci-seed", "3",
-                 "--seed", "3"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--field", "7", "--r", "4", "--ci", "random",
+              "--mode", "sample", "--samples", "8", "--ci-seed", "3",
+              "--seed", "3"])
+    assert exc.value.code == 2      # a usage error
     assert "seed" in capsys.readouterr().err
     # the monomial cover draws nothing, so equal seeds are fine there
     CensusConfig(field=GF7, r=4, ci_seed=3, mode="random_sample",
@@ -414,9 +416,15 @@ def test_exhaustive_sweeps_stop_at_21_square_free_monomials():
 
 @pytest.mark.parametrize("flags", [
     ["--jobs", "0"], ["--jobs", "two"], ["--r", "1"], ["--r", "-3"],
-    ["--samples", "0"], ["--samples", "-3"], ["--field", "4"]],
+    ["--samples", "0"], ["--samples", "-3"], ["--field", "4"],
+    ["--seed", "1", "--ci", "random", "--ci-seed", "1"],
+    ["--mode", "exhaustive"],
+    ["--r", "8", "--field", "2", "--mode", "exhaustive"],
+    ["--samples", "2", "--field", "2", "--mode", "exhaustive"]],
     ids=["jobs-0", "jobs-text", "r-1", "r-negative", "samples-0",
-         "samples-negative", "field-not-prime"])
+         "samples-negative", "field-not-prime", "one-seed-for-cover-and-sample",
+         "exhaustive-over-gf3", "exhaustive-past-21-bits",
+         "samples-with-exhaustive"])
 def test_census_cli_usage_errors_exit_2(flags, capsys):
     # the later flag overrides the base's valid one
     with pytest.raises(SystemExit) as exc:
@@ -431,6 +439,23 @@ def test_census_cli_sample_mode_needs_samples(capsys):
         main(["census", "--field", "3", "--r", "4", "--mode", "sample"])
     assert exc.value.code == 2
     assert "argument --samples: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("texts, engine", [
+    (["x1^2 + x2*x3", "x2^2", "x3^2 - x1*x2"], "engine: queued="),
+    (["x1^2", "x2^2", "x3^2", "x1*x2*x3"],
+     "engine: no run needed (monomial generators)")], ids=["quadrics", "monomials"])
+def test_hilbert_stats_go_to_stderr_only(tmp_path, capsys, texts, engine):
+    path = tmp_path / "ideal.txt"
+    path.write_text("\n".join(texts) + "\n")
+    argv = ["hilbert", str(path), "--field", "7", "--vars", "3"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--stats"]) == 0
+    with_stats = capsys.readouterr()
+    assert with_stats.out == plain.out and plain.err == ""
+    lines = with_stats.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(engine)
 
 
 @pytest.mark.parametrize("command", [

@@ -26,10 +26,10 @@ from gorquad.invariants import (HVector, classify, hilbert_function,
                                 is_gorenstein, minimal_generator_counts,
                                 presented_by_quadrics, standard_monomials)
 from gorquad.linalg import left_kernel
-from gorquad.poly import Polynomial, ring
+from gorquad.poly import Polynomial, RingCtx, ring
 from gorquad.recipes import format_ideal
 
-from conftest import GF2, GF7, GFBIG, Q, random_poly
+from conftest import GF2, GF7, GFBIG, Q, oracle_apolar_ideal, random_poly
 
 # -- complete intersections --------------------------------------------------------
 
@@ -226,6 +226,57 @@ def test_apolar_ideal_computes_no_groebner_basis(field, monkeypatch):
 
     monkeypatch.setattr(groebner_module, "_compute_basis", refuse)
     assert [apolar_ideal(F).gens for F in forms] == want
+
+
+# -- apolar ideals modulo the monomial part: the catalecticant oracle ---------------
+
+
+def _oracle_forms(field):
+    """Seeded dense and sparse forms in 1-5 variables of degree 1-4."""
+    for n in range(1, 6):
+        for e in range(1, 5):
+            rng = random.Random(900 + 10 * n + e)
+            R = ring(field, n)
+            yield random_homogeneous(R, e, rng)
+            for density in (0.4, 0.15):
+                yield random_poly(R, e, rng, density=density)
+
+
+def _agrees_with_the_oracle(F):
+    I = apolar_ideal(F)
+    gens, h = oracle_apolar_ideal(F)
+    assert [str(g) for g in I.gens] == [str(g) for g in Ideal(F.ring, gens).gens]
+    assert tuple(I._hilbert(d) for d in range(len(h) + 2)) == h + (0, 0)
+
+
+@pytest.mark.parametrize("field", [GF2, GF7, GFBIG, Q], ids=str)
+def test_apolar_ideal_matches_the_catalecticant_oracle(field):
+    cases = 0
+    for F in _oracle_forms(field):
+        if not F.is_zero():
+            _agrees_with_the_oracle(F)
+            cases += 1
+    assert cases >= 40
+
+
+@pytest.mark.parametrize("n,d", [(5, 3), (6, 4), (7, 6), (8, 6)])
+def test_apolar_ideal_of_squarefree_forms_matches_the_oracle(n, d):
+    _agrees_with_the_oracle(squarefree_full_form(ring(GFBIG, n), d))
+
+
+def test_apolar_ideal_lists_no_monomials_past_degree_one(monkeypatch):
+    """Only the divisors of F's terms and their near-divisors are built."""
+    real = RingCtx.monomials_of_degree
+
+    def linear_only(self, d):
+        if d >= 2:
+            raise AssertionError(f"R_{d} was listed")
+        return real(self, d)
+
+    monkeypatch.setattr(RingCtx, "monomials_of_degree", linear_only)
+    I = apolar_ideal(squarefree_full_form(ring(GFBIG, 10), 8))
+    h = tuple(I._hilbert(d) for d in range(10))
+    assert h == tuple(math.comb(10, min(d, 8 - d)) for d in range(9)) + (0,)
 
 
 # -- tensor products ---------------------------------------------------------------
@@ -481,6 +532,9 @@ def _check_hinted(I: Ideal):
     hinted = I.groebner()
     assert hinted.elements == plain.elements
     assert plain.stats.hint_skipped == 0
+    if hinted.stats is None:        # monomial generators need no engine run
+        assert all(len(g.terms) == 1 for g in I.gens)
+        return 0
     assert hinted.stats.reduced_to_zero <= plain.stats.reduced_to_zero
     return hinted.stats.hint_skipped
 

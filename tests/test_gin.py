@@ -6,6 +6,7 @@ import random
 import pytest
 
 import gorquad
+from gorquad import groebner
 from gorquad.constructions import quadric_ci
 from gorquad.core import AlgebraError, GenericityError
 from gorquad.gin import (GenericityPolicy, GinUncertifiedError,
@@ -84,6 +85,28 @@ def test_gin_of_a_non_artinian_ideal_matches_unhinted_bases(seed):
 
 def test_gin_of_ci4_matches_unhinted_bases(ci4, gin_ci4):
     assert (gin_ci4.lead_keys, gin_ci4.seeds) == _unhinted_consensus(ci4, 1)
+
+
+def test_gin_runs_no_engine_on_monomial_ideals(monkeypatch, ci4, gin_ci4):
+    """The squares it starts from and the consensus ideal is_borel_fixed
+    reads take the monomial basis; only the coordinate changes run the
+    engine."""
+    real = groebner._compute_basis
+    runs = []
+
+    def non_monomial_only(ring_, polys, truncate_at, hilbert=None):
+        polys = list(polys)
+        if all(len(p.terms) == 1 for p in polys):
+            raise AssertionError("the engine ran on monomial generators")
+        runs.append(hilbert is not None)
+        return real(ring_, polys, truncate_at, hilbert=hilbert)
+
+    monkeypatch.setattr(groebner, "_compute_basis", non_monomial_only)
+    res = gin(Ideal(ci4.ring, ci4.gens), seed=1)
+    assert (res.lead_keys, res.seeds) == (gin_ci4.lead_keys, gin_ci4.seeds)
+    assert is_borel_fixed(res.monomial_ideal)
+    assert res.monomial_ideal.groebner().stats is None
+    assert runs == [True] * len(runs) and len(runs) >= 3
 
 
 def test_gin_refuses_small_fields():

@@ -160,6 +160,63 @@ def test_truncated_basis_is_the_low_degree_part(order, field, truncate, seed):
     assert list(I.groebner(truncate_at=truncate).elements) == want
 
 
+# -- monomial generators: the engine is the oracle ---------------------------------
+
+
+def _monomial_gens(R, rng, count):
+    """Seeded monomials of degrees 1-4 with random coefficients, repeats and
+    multiples of one another included."""
+    gens = []
+    for _ in range(count):
+        m = R.one
+        for _ in range(rng.randint(1, 4)):
+            m = m * R.variables()[rng.randrange(R.nvars)]
+        gens.append(m.scale(R.field.random_nonzero(rng)))
+    return gens
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX, elimination_order(1),
+                                   elimination_order(2)], ids=str)
+@pytest.mark.parametrize("field", [GF2, GF7, Q], ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_monomial_bases_match_the_engine(monkeypatch, order, field, seed):
+    R = ring(field, 4, order)
+    gens = _monomial_gens(R, random.Random(seed), 3 + 2 * seed)
+    want = {t: _compute_basis(R, Ideal(R, gens).gens, t)
+            for t in (None, 1, 2, 3)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine ran on monomial generators")
+
+    monkeypatch.setattr(groebner, "_compute_basis", refuse)
+    I = Ideal(R, gens)
+    for t, engine in want.items():
+        gb = I.groebner(truncate_at=t)
+        assert gb.elements == engine.elements
+        assert gb.truncated_at == engine.truncated_at == t
+        assert gb.degree_cap == engine.degree_cap
+        assert gb.stats is None
+
+
+def test_monomial_bases_keep_the_degree_cap(monkeypatch):
+    R = ring(GF7, 3)
+    monkeypatch.setattr(groebner, "DEFAULT_DEGREE_CAP", 5)
+    # an input beyond the cap, and two quartics whose pair has degree 6
+    for texts, degree in ((["x1^2", "x2^6"], 6), (["x1^3*x2", "x1*x2^3"], 6)):
+        I = Ideal.from_texts(R, texts)
+        with pytest.raises(CappedComputationError) as engine:
+            _compute_basis(R, I.gens, None)
+        with pytest.raises(CappedComputationError) as info:
+            I.groebner()
+        assert (info.value.cap, info.value.degree) == (5, degree)
+        assert str(info.value) == str(engine.value)
+    # truncated at the cap, no pair beyond it is popped
+    I = Ideal.from_texts(R, ["x1^3*x2", "x1*x2^3", "x3^5"])
+    cut = I.groebner(truncate_at=5)
+    assert cut.elements == _compute_basis(R, I.gens, 5).elements
+    assert cut.stats is None
+
+
 def _gf2_apolar(n, degree, seed):
     # Over GF(2) random_dual_form draws its coefficients uniformly, exactly
     # as random_homogeneous does here; these hashes pin such forms.

@@ -9,7 +9,8 @@ import pytest
 
 from gorquad import groebner
 from gorquad.census import CensusConfig, records_to_csv, run_census
-from gorquad.constructions import (LinkStep, apolar_ideal, link,
+from gorquad.constructions import (LinkStep, apolar_ideal, double_link, link,
+                                   nonunique_hf_pair,
                                    penultimate_socle_algebras,
                                    random_dual_form, random_homogeneous)
 from gorquad.core import AlgebraError
@@ -25,7 +26,8 @@ from gorquad.orders import DEGREVLEX, LEX, elimination_order
 from gorquad.poly import Polynomial, ring
 
 from conftest import (GF2, GF7, GFBIG, Q, dense_rref_rank, engine_normal_form,
-                      lead_scan_standard_monomials, random_poly)
+                      lead_scan_standard_monomials, oracle_minimal_generators,
+                      random_poly)
 
 # -- HVector ----------------------------------------------------------------------
 
@@ -406,6 +408,40 @@ def test_minimal_generators_generate(field):
     assert len(gens) == sum(counts.values())
     J = Ideal(R, gens)
     assert J.groebner().elements == I.groebner().elements
+
+
+# -- minimal generators without unit rows: every row of R_1 * [I]_{d-1} is the
+# oracle
+
+
+def _fresh(gb):
+    """A copy of gb with no cached table or invariant."""
+    return groebner.GroebnerBasis(gb.ring, gb.elements, gb.degree_cap)
+
+
+@pytest.mark.parametrize("r", [7, 8, 9])
+def test_minimal_generators_of_tower_outputs_match_the_oracle(r):
+    outputs = (penultimate_socle_algebras(r, GFBIG)
+               + nonunique_hf_pair(r, "alpha1", field=GFBIG)
+               + nonunique_hf_pair(r, "alpha0", field=GFBIG, seed=r)
+               + double_link(r, GFBIG))
+    for I in outputs:
+        gb = I.groebner()
+        assert minimal_generators(_fresh(gb)) == oracle_minimal_generators(
+            _fresh(gb))
+
+
+@pytest.mark.parametrize("field", [GF2, GF7, GFBIG, Q], ids=str)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_minimal_generators_of_quadric_ideals_match_the_oracle(field, n):
+    for seed in range(4):
+        rng = random.Random(60 + seed)
+        R = ring(field, n)
+        gens = [random_poly(R, 2, rng, 0.4) for _ in range(n + seed)]
+        gens += [v ** 3 for v in R.variables()]    # artinian, some in I
+        gb = Ideal(R, gens).groebner()
+        assert minimal_generators(_fresh(gb)) == oracle_minimal_generators(
+            _fresh(gb))
 
 
 def test_presented_by_quadrics():
