@@ -21,7 +21,7 @@ from .core import (
     LinkageError,
     RingMismatchError,
 )
-from .groebner import Ideal
+from .groebner import Ideal, _known_basis
 from .idealops import random_homogeneous, random_linear_form
 from .invariants import (
     HVector,
@@ -315,27 +315,46 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
     plus the lifts of the annihilator of the gens in B = R/cover, degree 1
     through top, one past the predicted socle degree or B's socle degree if
     that is lower.  Raises LinkageError unless the result has the predicted
-    h-vector, and otherwise hints its basis with that h-vector.
+    h-vector, and otherwise hints it with that h-vector and attaches its
+    reduced basis, read off B's table with no engine run.
 
     Per degree: the annihilator is an ideal of B, so for d <= top the result
     J has J_d = cover_d + lift(ann_d) = (cover : gens)_d, and h_d = h_B(d) -
     len(ann_d).  Above top h_d = 0 once that vector is the prediction: then
-    B_{top+1} = 0, or h_top = 0, so J_top = R_top."""
+    B_{top+1} = 0, or h_top = 0, so J_top = R_top.  The gens inside the
+    cover multiply B to zero, so they are dropped first: their columns are
+    empty, and the kernel is the same.
+
+    The basis (as in FGLM, Faugere-Gianni-Lazard-Mora 1993): the lifts of
+    ann_d are written over B's standard monomials, so the pivots of their
+    echelon form are leading terms of J_d outside LT(cover).  They number
+    dim ann_d = dim J_d - dim cover_d, so with LT(cover)_d they are all of
+    LT(J)_d, and the cover's basis plus the echelon rows of every degree
+    through top is a Groebner basis of J; above top, LT(J) is generated
+    already.  groebner._known_basis reduces it, unless the engine could
+    meet the degree cap on J's generators, and then it runs as before."""
     R = cover.ring
     gb = cover.groebner()
     h_B = hilbert_function(gb)
+    gens = [g for g in gens if not gb.contains(g)]
     out = list(cover.gens)
+    entries = [(p.terms[0][0], dict(p.terms[1:])) for p in gb.elements]
     got = [h_B[0]]
     for d in range(1, min(expected.socle_degree + 1, h_B.socle_degree) + 1):
         ann = annihilator(gb, gens, d)
         out.extend(R.from_terms(v.items()) for v in ann)
         got.append(h_B[d] - len(ann))
+        for lm, row in echelon(ann, R.field).pivots.items():
+            entries.append((lm, {k: c for k, c in row.items() if k != lm}))
     got = HVector(tuple(got))
     if got != expected:
         raise LinkageError(
             f"linked h-vector {got} does not match the predicted {expected}")
     colon = Ideal(R, out)
     colon._hilbert = got.__getitem__
+    basis = _known_basis(R, (g.degree() for g in colon.gens), entries)
+    if basis is not None:
+        colon.attach_groebner(basis)
     return colon
 
 
@@ -537,7 +556,10 @@ def _residual_almost_ci(G: Ideal, cover: list, new_count: int) -> tuple:
     inside = new_lin + [g.extend(R, vmap) for g in G.gens]
     expected = expected_link_hvector(
         complete_intersection_hvector([2] * n), hilbert_function(G))
-    sols = annihilator(Ideal(R, big_cover), inside, 2)
+    cover_gb = Ideal(R, big_cover).groebner()
+    # the embedded squares lie in the cover: empty columns, the same kernel
+    sols = annihilator(cover_gb, [g for g in inside if not cover_gb.contains(g)],
+                       2)
     if len(sols) != 1:
         raise LinkageError(
             f"expected one residual quadric over the cover, found {len(sols)}")
@@ -588,8 +610,9 @@ def linkage_grow(G: Ideal, rounds: int = 1, first_new_vars: int = 1) -> tuple:
     if rounds < 1:
         raise ValueError("need at least one growth round")
     cover = [v * v for v in G.ring.variables()]
+    listed = {g.terms for g in G.gens}
     for sq in cover:
-        if not G.contains(sq):
+        if sq.terms not in listed and not G.contains(sq):
             raise LinkageError(
                 "the growth seed must contain every variable square")
     stages = []

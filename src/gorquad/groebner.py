@@ -8,12 +8,16 @@ interreduction, and nothing else.  Pair selection is the normal strategy
 result is always the unique reduced Groebner basis, elements monic and
 sorted descending by leading monomial.
 
-Monomial generators take no engine run (_monomial_basis): every
-S-polynomial of two monomials is zero, so their reduced basis is their
-monic minimal generators.  Ideal.groebner returns those, with the engine's
-truncation, and such a basis has stats None: no run computed it.  When an
-input or a pair the engine would pop could lie beyond the degree cap, the
-engine runs after all, so CappedComputationError is raised as before.
+Two kinds of ideal take no engine run, and their bases have stats None.
+Monomial generators (_monomial_basis): every S-polynomial of two monomials
+is zero, so their reduced basis is their monic minimal generators, and
+Ideal.groebner returns those with the engine's truncation.  A colon out of
+a cover (constructions._colon_out_of): it arrives with a Groebner basis
+read off the cover's quotient table.  Both go through _known_basis, which
+minimalizes and tail-reduces a known Groebner basis into the reduced one.
+When an input or a pair the engine would pop could lie beyond the degree
+cap, the engine runs after all, so CappedComputationError is raised as
+before.
 
 Every Ideal is homogeneous.  A finished basis tabulates B = R/I degree by
 degree (GroebnerBasis._level): the standard monomials as an order ideal and
@@ -58,8 +62,11 @@ Ideal.groebner hands it to the engine.  Three constructors set it, each
 with its own proof: constructions.apolar_ideal (catalecticant ranks),
 constructions._colon_out_of (the annihilator's dimensions, checked against
 the linkage prediction) and gin's coordinate changes (h(g.I) = h(I) for
-every invertible linear change g).  An ideal whose h-vector is the check,
-such as quadric_ci's or a linkage residual's, stays unhinted.
+every invertible linear change g).  A colon's basis normally comes from the
+cover's table, so the engine reads its hint only past the degree cap's
+fallback; the hints of the first two are h-vectors, which
+invariants.hilbert_function returns with no basis.  An ideal whose h-vector
+is the check, such as quadric_ci's or a linkage residual's, stays unhinted.
 """
 
 from __future__ import annotations
@@ -289,27 +296,36 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
         top_degree=max((degree(p.terms[0][0]) for p in elements), default=0)))
 
 
+def _known_basis(ring: RingCtx, degrees, entries, truncate_at=None):
+    """The reduced basis, with no engine run, of an ideal whose inputs have
+    the given degrees, from (lm, monic tail dict) entries known to form its
+    Groebner basis through truncate_at.  Returns None, and leaves the
+    engine to answer, when the engine could meet a degree beyond the cap
+    on those inputs, so that it might raise CappedComputationError."""
+    degree_cap = DEFAULT_DEGREE_CAP
+    # Every input meets the cap check; a pair's degree is at most the sum
+    # of its two degrees, and a pair beyond truncate_at stops the engine.
+    top = sorted(degrees)[-2:]
+    if top and top[-1] > degree_cap or sum(top) > degree_cap and (
+            truncate_at is None or truncate_at > degree_cap):
+        return None
+    return GroebnerBasis(ring, _reduce_basis(ring, entries), degree_cap,
+                         truncate_at)
+
+
 def _monomial_basis(ring: RingCtx, polys, truncate_at):
     """The reduced basis of monomial generators, with no engine run: the
     monic minimal generators, descending, of degree <= truncate_at when it
     is set.  Every S-polynomial of two monomials is zero, so that is the
     engine's answer.  Returns None, and leaves the engine to answer, unless
-    every generator is a monomial and the engine could meet nothing beyond
-    the degree cap, so that it would not raise CappedComputationError."""
-    degree_cap = DEFAULT_DEGREE_CAP
+    every generator is a monomial and _known_basis accepts their degrees."""
     if not all(len(p.terms) == 1 for p in polys):
         return None
     degree = ring.codec.degree
     keys = {p.terms[0][0] for p in polys}
-    # Every input meets the cap check; a pair's degree is at most the sum
-    # of its two degrees, and a pair beyond truncate_at stops the engine.
-    top = sorted(degree(k) for k in keys)[-2:]
-    if top and top[-1] > degree_cap or sum(top) > degree_cap and (
-            truncate_at is None or truncate_at > degree_cap):
-        return None
-    return GroebnerBasis(ring, _reduce_basis(ring, [
+    return _known_basis(ring, (degree(k) for k in keys), [
         (k, {}) for k in keys if truncate_at is None or degree(k) <= truncate_at
-    ]), degree_cap, truncate_at)
+    ], truncate_at)
 
 
 def _reduce_basis(ring: RingCtx, entries):
@@ -344,7 +360,8 @@ def _reduce_basis(ring: RingCtx, entries):
 class GroebnerBasis:
     """A reduced Groebner basis; elements monic, descending by leading term.
     ``stats`` holds the EngineStats of the run that computed it, or None
-    when no run did: a basis of monomial generators, or one built by hand."""
+    when no run did: a basis of monomial generators, one read off a cover's
+    quotient table (constructions._colon_out_of), or one built by hand."""
 
     __slots__ = ("ring", "elements", "lead_keys", "degree_cap", "truncated_at",
                  "stats", "_caches")

@@ -8,16 +8,21 @@ multiples x_j * m of the monomials m in the ideal are pivots of that span
 without linear algebra, so only the other rows reach the echelon.  The
 multiplication maps of the quotient B = R/I go through one function,
 `annihilator`: the degree-d elements of B that given forms multiply to
-zero, as the left kernel of the normal forms NF(m * g).  The socle is the
-annihilator of the variables, the rank of multiplication by a linear form
-is h_d minus the dimension of its annihilator, and for an ideal J
-containing I (a complete intersection, in linkage) the colon I : J is I
-plus the lifts of the annihilator of J.  The linear algebra is linalg's on
-sparse dict rows, one code path for every coefficient field.
+zero, as the left kernel of the normal forms NF(m * g).  The rank of
+multiplication by a linear form is h_d minus the dimension of its
+annihilator, and for an ideal J containing I (a complete intersection, in
+linkage) the colon I : J is I plus the lifts of the annihilator of J.  The
+socle is the annihilator of the variables, but socle_type counts it
+without that kernel: the rows of the standard monomials m with some x_j * m
+standard are unitriangular, so only the corner monomials, those with
+every x_j * m nonstandard, reach an echelon.  The linear algebra is
+linalg's on sparse dict rows, one code path for every coefficient field.
 
 Functions accept either an Ideal or a GroebnerBasis.  Standard monomials
 and normal forms come from the basis's degree-by-degree table of B
 (GroebnerBasis._level); per-basis results are cached on the basis object.
+hilbert_function reads an Ideal's proven h-vector hint instead, when it
+has one, and builds no basis.
 """
 
 from __future__ import annotations
@@ -187,7 +192,12 @@ def hilbert_value(x, d: int) -> int:
 
 
 def hilbert_function(x) -> HVector:
-    """The full h-vector of an artinian quotient."""
+    """The full h-vector of an artinian quotient.  An Ideal whose proven
+    hint is an h-vector's lookup (constructions.apolar_ideal and
+    _colon_out_of set one) returns that h-vector, and no basis is built."""
+    hint = x._hilbert if isinstance(x, Ideal) else None
+    if isinstance(getattr(hint, "__self__", None), HVector):
+        return hint.__self__
     gb = as_basis(x)
 
     def build():
@@ -262,13 +272,56 @@ def annihilator(x, gens, d: int) -> list:
 
 def socle_type(x) -> tuple:
     """Dimension of the socle, the annihilator of the variables, in each
-    degree 0..socle degree."""
+    degree 0..socle degree, counted from the corner monomials.
+
+    socle_d is the left kernel of the rows (NF(x_j * m))_j of the standard
+    monomials m of degree d.  If some x_j * m is standard, m's row has a 1
+    at its own column (j, x_j * m), and another row m' is nonzero there
+    only if m' > m, since NF(x_j * m') has no term above x_j * m'.  So the
+    rows with an own column are unitriangular there, hence independent.
+    The corner rows are left: those of the corners C_d, the standard m with
+    every x_j * m nonstandard.  Clearing their own-column entries with the
+    triangular rows, largest m first, leaves rows whose rank is the corner
+    rows' rank modulo the others (clearing m's column touches only the own
+    columns of monomials below m), and socle_d = |C_d| - that rank.  A
+    degree without corners has no socle and runs no linear algebra."""
     gb = as_basis(x)
 
     def build():
-        xs = gb.ring.variables()
-        return tuple(len(annihilator(gb, xs, d))
-                     for d in range(hilbert_function(gb).socle_degree + 1))
+        codec, field = gb.ring.codec, gb.ring.field
+        mul = codec.mul
+        var_keys = [codec.var_key(j) for j in range(gb.ring.nvars)]
+        out = []
+        for d in range(hilbert_function(gb).socle_degree + 1):
+            above, nf = gb._level(d + 1)[1:]
+            owned = []      # (own column, m), m descending
+            corners = []
+            for m in standard_monomials(gb, d):
+                j = next((j for j, v in enumerate(var_keys)
+                          if mul(v, m) in above), None)
+                if j is None:
+                    corners.append(m)
+                else:
+                    owned.append(((j, mul(var_keys[j], m)), m))
+            rows = {}
+
+            def row(m):
+                if m not in rows:
+                    rows[m] = {(j, t): c for j, v in enumerate(var_keys)
+                               for t, c in nf[mul(v, m)].items()}
+                return rows[m]
+
+            def cleared(m):
+                work = dict(row(m))
+                for col, t in owned:
+                    if work.get(col):
+                        axpy(work, -work[col], row(t), field)
+                return work
+
+            out.append(len(corners) - echelon(map(cleared, corners), field,
+                                              len(corners)).rank
+                       if corners else 0)
+        return tuple(out)
 
     return _cache(gb, "socle", build)
 

@@ -250,3 +250,16 @@ def oracle_minimal_generators(gb) -> tuple:
         out.extend(_minus_nf(gb, m) for m, i in column.items()
                    if i not in span.pivots)
     return tuple(out)
+
+
+# -- socle oracle (the annihilator of the variables, every row) -----------------
+
+
+def oracle_socle_type(gb) -> tuple:
+    """socle_type as the annihilator of the variables: one left kernel of the
+    rows (NF(x_j * m))_j of every standard monomial m, in each degree."""
+    from gorquad.invariants import annihilator, hilbert_function
+
+    xs = gb.ring.variables()
+    return tuple(len(annihilator(gb, xs, d))
+                 for d in range(hilbert_function(gb).socle_degree + 1))

@@ -18,14 +18,17 @@ from gorquad.constructions import (LinkageError, LinkStep, apolar_ideal,
                                    regular_sequence_in, squarefree_full_form,
                                    tensor_algebras)
 from gorquad import constructions
-from gorquad.core import FieldSpec, GenericityError
+from gorquad.census import colon_quotient
+from gorquad.core import CappedComputationError, FieldSpec, GenericityError
 import gorquad.groebner as groebner_module
 from gorquad.groebner import Ideal, _compute_basis
 from gorquad.idealops import colon_ideal, random_linear_form
-from gorquad.invariants import (HVector, classify, hilbert_function,
-                                is_gorenstein, minimal_generator_counts,
+from gorquad.invariants import (HVector, annihilator, classify,
+                                hilbert_function, is_gorenstein,
+                                minimal_generator_counts,
                                 presented_by_quadrics, standard_monomials)
 from gorquad.linalg import left_kernel
+from gorquad.orders import DEGREVLEX, LEX
 from gorquad.poly import Polynomial, RingCtx, ring
 from gorquad.recipes import format_ideal
 
@@ -539,6 +542,17 @@ def _check_hinted(I: Ideal):
     return hinted.stats.hint_skipped
 
 
+def _check_colon(I: Ideal):
+    """A colon's basis is read off its cover's table: no engine run made it,
+    its elements are the unhinted engine's, and its hint is the engine's
+    h-vector."""
+    plain = _compute_basis(I.ring, I.gens, None)
+    assert I.groebner().stats is None
+    assert I.groebner().elements == plain.elements
+    h = hilbert_function(plain)
+    assert _hint_vector(I, h) == h
+
+
 @pytest.fixture
 def colons(monkeypatch):
     """Every ideal _colon_out_of returns while the test runs."""
@@ -580,7 +594,8 @@ def test_hinted_links_match_the_unhinted_engine(field, seed, colons):
     linked = link(G, LinkStep(regular_sequence_in(G, [2] * 4, rng)))
     assert len(colons) == 2
     assert linked.groebner() is colons[-1].groebner()
-    assert sum(_check_hinted(colon) for colon in colons) > 0
+    for colon in colons:
+        _check_colon(colon)
 
 
 @pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
@@ -591,7 +606,8 @@ def test_hinted_growth_and_double_links_match_the_unhinted_engine(field,
     assert colons == [gor]
     double_link(5, field)
     assert len(colons) == 3
-    assert sum(_check_hinted(colon) for colon in colons) > 0
+    for colon in colons:
+        _check_colon(colon)
 
 
 @pytest.mark.parametrize("wrong", [
@@ -610,6 +626,122 @@ def test_a_wrong_prediction_still_raises(wrong):
         constructions._colon_out_of(cover, I.gens, right)) == right
     with pytest.raises(LinkageError, match="does not match the predicted"):
         constructions._colon_out_of(cover, I.gens, wrong(right))
+
+
+# -- colon bases from the cover's quotient table: the unhinted engine is the
+# oracle
+
+
+def _seeded_colons(field, order, seed):
+    """link_by_squares, link by a regular sequence in an apolar ideal, and a
+    census colon, on seeded inputs in four variables."""
+    rng = random.Random(1100 + seed)
+    R = ring(field, 4, order)
+    squares = [v * v for v in R.variables()]
+    link_by_squares(Ideal(R, squares + [random_homogeneous(R, 2, rng),
+                                        random_homogeneous(R, 3, rng)]))
+    G = apolar_ideal(random_dual_form(R, 3, rng))
+    link(G, LinkStep(regular_sequence_in(G, [2] * 4, rng)))
+    colon_quotient(Ideal(R, squares), random_homogeneous(R, 2, rng))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(2))
+def test_colon_bases_from_the_table_match_the_engine(order, field, seed,
+                                                     colons):
+    _seeded_colons(field, order, seed)
+    assert len(colons) == 3
+    for colon in colons:
+        _check_colon(colon)
+    assert any(len(g.terms) > 1 for g in colons[1].groebner())
+
+
+@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_cover_members_leave_the_annihilator_unchanged(field, seed):
+    """Dropping the gens inside the cover drops empty columns only."""
+    rng = random.Random(1200 + seed)
+    R = ring(field, 4)
+    x1, x2 = R.variables()[:2]
+    squares = [v * v for v in R.variables()]
+    for cover in (Ideal(R, squares),
+                  quadric_ci(4, field, style="random", seed=seed)):
+        gb = cover.groebner()
+        inside = [cover.gens[0], x1 * cover.gens[1] + x2 * cover.gens[2]]
+        outside = [random_homogeneous(R, 2, rng), random_homogeneous(R, 3, rng)]
+        for gens in ([inside[0], outside[0], inside[1], outside[1]],
+                     [inside[0], outside[0], inside[1]], inside):
+            kept = [g for g in gens if not gb.contains(g)]
+            assert len(kept) == len(gens) - 2
+            for d in range(5):
+                assert annihilator(gb, gens, d) == annihilator(gb, kept, d)
+
+
+def _record_engine_inputs(monkeypatch) -> list:
+    """The generators of every _compute_basis run while the test runs, as
+    tuples of terms."""
+    inputs = []
+    real = groebner_module._compute_basis
+
+    def record(ring_, polys, *args, **kwargs):
+        inputs.append(tuple(p.terms for p in polys))
+        return real(ring_, polys, *args, **kwargs)
+
+    monkeypatch.setattr(groebner_module, "_compute_basis", record)
+    return inputs
+
+
+def test_liaison_runs_no_engine_on_a_colon(monkeypatch, colons):
+    inputs = _record_engine_inputs(monkeypatch)
+    R = ring(GF7, 4)
+    squares = [v * v for v in R.variables()]
+    I = Ideal(R, squares + [random_homogeneous(R, 2, random.Random(12))])
+    results = [link_by_squares(I), link(I, LinkStep(tuple(squares)))]
+    results += linkage_grow(seed_131(GF7), rounds=2)
+    results += double_link(5, GF7)
+    for J in results:
+        classify(J)
+    assert len(colons) == 6 and inputs
+    for colon in colons:
+        assert tuple(g.terms for g in colon.gens) not in inputs
+
+
+def test_penultimate_seeds_build_no_basis(monkeypatch):
+    """An apolar seed's h-vector is its proven hint, and its squares are
+    among its generators, so linkage_grow asks it for no basis."""
+    seeds = [apolar_ideal(squarefree_full_form(ring(GFBIG, 6 - beta), 3))
+             for beta in (1, 2, 3)]
+    assert [tuple(hilbert_function(G)) for G in seeds] == [
+        (1, 5, 5, 1), (1, 4, 4, 1), (1, 3, 3, 1)]
+    assert not any(G._gb_cache for G in seeds)
+    inputs = _record_engine_inputs(monkeypatch)
+    penultimate_socle_algebras(6, GFBIG)
+    assert inputs
+    for G in seeds:
+        assert tuple(g.terms for g in G.gens) not in inputs
+
+
+@pytest.mark.parametrize("cap, raises", [(2, True), (3, False), (5, False)])
+def test_colons_past_the_degree_cap_take_the_engine(monkeypatch, cap, raises):
+    R = ring(GF7, 4)
+    squares = [v * v for v in R.variables()]
+    I = Ideal(R, squares + [R.parse("x1*x2 + 3*x3*x4 - x2*x4")])
+    want = link_by_squares(I).groebner().elements
+    monkeypatch.setattr(groebner_module, "DEFAULT_DEGREE_CAP", cap)
+    colon = link_by_squares(I)
+    try:
+        plain = _compute_basis(R, colon.gens, None)
+    except CappedComputationError as exc:
+        assert raises
+        with pytest.raises(CappedComputationError) as caught:
+            colon.groebner()
+        assert (caught.value.cap, caught.value.degree) == (exc.cap, exc.degree)
+    else:
+        assert not raises
+        gb = colon.groebner()
+        assert gb.stats is not None
+        assert gb.elements == plain.elements == want
 
 
 def test_penultimate_socle_family():

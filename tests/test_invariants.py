@@ -1,5 +1,6 @@
 """Hilbert functions, socle data, minimal generators, classification."""
 
+import functools
 import hashlib
 import math
 import random
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from gorquad import groebner
+from gorquad import groebner, invariants
 from gorquad.census import CensusConfig, records_to_csv, run_census
 from gorquad.constructions import (LinkStep, apolar_ideal, double_link, link,
                                    nonunique_hf_pair,
@@ -27,7 +28,7 @@ from gorquad.poly import Polynomial, ring
 
 from conftest import (GF2, GF7, GFBIG, Q, dense_rref_rank, engine_normal_form,
                       lead_scan_standard_monomials, oracle_minimal_generators,
-                      random_poly)
+                      oracle_socle_type, random_poly)
 
 # -- HVector ----------------------------------------------------------------------
 
@@ -419,16 +420,97 @@ def _fresh(gb):
     return groebner.GroebnerBasis(gb.ring, gb.elements, gb.degree_cap)
 
 
+@functools.lru_cache(maxsize=3)
+def _tower_outputs(r: int) -> tuple:
+    """The outputs of the four tower jobs in r variables over GF(32003),
+    built once for the tests that read them (r = 7, 8, 9)."""
+    return (penultimate_socle_algebras(r, GFBIG)
+            + nonunique_hf_pair(r, "alpha1", field=GFBIG)
+            + nonunique_hf_pair(r, "alpha0", field=GFBIG, seed=r)
+            + double_link(r, GFBIG))
+
+
 @pytest.mark.parametrize("r", [7, 8, 9])
 def test_minimal_generators_of_tower_outputs_match_the_oracle(r):
-    outputs = (penultimate_socle_algebras(r, GFBIG)
-               + nonunique_hf_pair(r, "alpha1", field=GFBIG)
-               + nonunique_hf_pair(r, "alpha0", field=GFBIG, seed=r)
-               + double_link(r, GFBIG))
-    for I in outputs:
+    for I in _tower_outputs(r):
         gb = I.groebner()
         assert minimal_generators(_fresh(gb)) == oracle_minimal_generators(
             _fresh(gb))
+
+
+# -- the socle from corner monomials: the annihilator of the variables is the
+# oracle
+
+
+def _quotient_with_socle(field, seed) -> Ideal:
+    """A seeded artinian quotient, most often not Gorenstein."""
+    rng = random.Random(500 + seed)
+    R = ring(field, rng.choice((3, 4, 5)))
+    gens = [v ** rng.choice((2, 3)) for v in R.variables()]
+    gens += [random_poly(R, rng.choice((2, 3)), rng, density=0.4)
+             for _ in range(rng.choice((1, 2, 3)))]
+    return Ideal(R, gens)
+
+
+def _corner_counts(gb) -> dict:
+    """{d: the number of standard m of degree d with every x_j * m
+    nonstandard}, for the degrees where there is one."""
+    mul = gb.ring.codec.mul
+    xs = [v.leading_key() for v in gb.ring.variables()]
+    out = {}
+    for d in range(socle_degree(gb) + 1):
+        above = set(standard_monomials(gb, d + 1))
+        n = sum(all(mul(v, m) not in above for v in xs)
+                for m in standard_monomials(gb, d))
+        if n:
+            out[d] = n
+    return out
+
+
+@pytest.mark.parametrize("field", [GF2, GF7, GFBIG, Q], ids=str)
+def test_socle_type_matches_the_annihilator_oracle(field):
+    not_gorenstein = 0
+    for seed in range(12):
+        gb = _quotient_with_socle(field, seed).groebner()
+        st = socle_type(_fresh(gb))
+        assert st == oracle_socle_type(_fresh(gb))
+        not_gorenstein += sum(st) > 1
+    assert not_gorenstein >= 6
+
+
+@pytest.mark.parametrize("r", [7, 8, 9])
+def test_socle_type_of_tower_outputs_matches_the_oracle(r):
+    for I in _tower_outputs(r):
+        gb = I.groebner()
+        assert socle_type(_fresh(gb)) == oracle_socle_type(_fresh(gb))
+        if r == 9:      # the nine outputs have few corners, none below 4
+            corners = _corner_counts(gb)
+            assert min(corners) >= 4 and max(corners.values()) <= 14
+
+
+def test_socle_type_runs_no_kernel_without_corners(monkeypatch):
+    """socle_type echelons the corner rows once in each degree that has
+    corners, and runs no left kernel."""
+    cases = [_fresh(I.groebner()) for I in _tower_outputs(7)]
+    cases += [_quotient_with_socle(GF7, seed).groebner() for seed in range(6)]
+    want = [(oracle_socle_type(_fresh(gb)), list(_corner_counts(gb).values()))
+            for gb in cases]
+    rooms = []
+    real = invariants.echelon
+
+    def record(rows, field, room=None):
+        rooms.append(room)
+        return real(rows, field, room)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("socle_type ran a left kernel")
+
+    monkeypatch.setattr(invariants, "echelon", record)
+    monkeypatch.setattr(invariants, "left_kernel", refuse)
+    for gb, (st, corners) in zip(cases, want):
+        rooms.clear()
+        assert socle_type(gb) == st
+        assert rooms == corners
 
 
 @pytest.mark.parametrize("field", [GF2, GF7, GFBIG, Q], ids=str)
