@@ -10,16 +10,19 @@ monomials; over larger fields it samples seeded dense quadrics.  Results are
 persisted as an append-only CSV stream plus a Markdown summary table.
 
 No Groebner basis is computed per form.  g lies in 𝔠 : F exactly when gF
-lies in 𝔠, so (𝔠 : F)/𝔠 is the annihilator of F in B = R/𝔠
-(`invariants.annihilator`), and the h-vector of R/(𝔠 : F) is the rank
-sequence of multiplication by F on B.  `_cover` caches the cover once per
-process and (field, r, cover style, cover seed), for every sweep, pool
-worker and duality check on it, and the cover's basis caches the
-multiplication rows of B; each form then costs a few small kernels and
-ranks, the same for the monomial cover and for a random one.
+lies in 𝔠, so (𝔠 : F)/𝔠 is the annihilator J of F in B = R/𝔠, and the
+h-vector of R/(𝔠 : F) is the rank sequence of multiplication by F on B.
+`_cover` caches the cover once per process and (field, r, cover style,
+cover seed), for every sweep, pool worker and duality check on it, and the
+cover's basis caches the multiplication rows of B.  `classify` builds J
+degree by degree from NF(F), the same for the monomial cover and for a
+random one.  The leading terms x_j * lead(v) of J_{d-1}'s multiples that
+are standard are known without linear algebra, so only the rows of the
+other standard monomials reach left_kernel, and the generator count of a
+degree runs an echelon only when those leading terms do not fill J_d.
 `colon_quotient` and the linkage round trip of `verify_socle4_duality`
 take their colons through `constructions.link`, which builds them from
-the same annihilator.
+`invariants.annihilator`.
 """
 
 from __future__ import annotations
@@ -31,21 +34,22 @@ import multiprocessing
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 
 from .constructions import LinkStep, link, quadric_ci
 from .core import AlgebraError, FieldSpec
 from .groebner import GroebnerBasis, Ideal
 from .invariants import (HVector, QuadricClassification, _monomial_rows,
-                         annihilator, as_basis, hilbert_function,
-                         hilbert_value, minimal_generators)
-from .linalg import Echelon, axpy, echelon
+                         _product_rows, as_basis, hilbert_function,
+                         minimal_generators, standard_monomials)
+from .linalg import Echelon, axpy, echelon, left_kernel
 from .poly import Polynomial, RingCtx, ring
 
 # The r = 6 findings check, for every field and cover: the three h2 values
 # a presented colon can have; anything else is surfaced as a finding rather
 # than silently recorded.  The exhaustive GF(2) squares-cover sweep presents
 # h2 = 10 only, for 18228 of its 32767 forms (`gorquad census --field 2
-# --r 6 --jobs 2`; ROADMAP direction 1).
+# --r 6 --jobs 2`; ROADMAP direction 3).
 H2_SUPPORT_R6 = (10, 11, 12)
 
 _EXHAUSTIVE_BITS = 21   # the exhaustive sweep holds a task per form: r <= 7
@@ -200,6 +204,20 @@ def _image(v: dict, rows: dict, field) -> dict:
     return w
 
 
+def _standard_multiples(gb: GroebnerBasis, d: int) -> dict:
+    """{s: ((x_j * s, j) for the x_j * s standard)} over the standard
+    monomials s of degree d, cached on the basis."""
+    ups = gb._caches.get(("ups", d))
+    if ups is None:
+        codec = gb.ring.codec
+        above = gb._level(d + 1)[1]
+        ups = gb._caches[("ups", d)] = {
+            s: tuple((t, j) for j in range(gb.ring.nvars)
+                     if (t := codec.mul(codec.var_key(j), s)) in above)
+            for s in gb._level(d)[0]}
+    return ups
+
+
 def classify(cover_gb: GroebnerBasis, F: Polynomial) -> QuadricClassification:
     """Classify R/(𝔠 : F) by the ranks of multiplication by F on B = R/𝔠.
 
@@ -210,25 +228,70 @@ def classify(cover_gb: GroebnerBasis, F: Polynomial) -> QuadricClassification:
     multiples of the linear ones), and nu_d = dim J_d - dim(B_1*J_{d-1})
     for 3 <= d <= r-1: in those degrees 𝔠_d = R_1*𝔠_{d-1} is generated
     already.  Nothing is generated from degree r on, because B_r = B_1*B_{r-1}.
+
+    Each J_d is kept as an echelon basis, monic with distinct leading
+    monomials.  For v in J_{d-1} and a variable x_j with t = x_j*lead(v)
+    standard, x_j*v has leading monomial t: every other term of x_j*v lies
+    below t and normal forms only lower terms.  The first such product for
+    each t gives the rows Q_d, with leads K_d, and Q_d lies in J_d, so
+    J_d = Q_d + the kernel of F on the span of the standard monomials
+    outside K_d: only those monomials' rows NF(m*F) reach left_kernel.  In
+    the count of nu_d, Q_d's rows start the echelon of B_1*J_{d-1} as its
+    pivots, and when they fill J_d already, nu_d = 0 and no echelon runs.
     """
     if not (F.is_homogeneous() and F.degree() == 2):
         raise AlgebraError(f"the census colons by quadrics, not by {F}")
-    r, field = cover_gb.ring.nvars, cover_gb.ring.field
-    kernels = [annihilator(cover_gb, [F], d) for d in range(r - 1)]
-    # h_{r-1} = h_r = 0: F*B_{r-1} lies in B_{r+1} = 0.
-    h = [hilbert_value(cover_gb, d) - len(J)
-         for d, J in enumerate(kernels)] + [0, 0]
-    if h[0] == 0:
+    R = cover_gb.ring
+    r, field = R.nvars, R.field
+    f = cover_gb.normal_form(F)
+    if f.is_zero():
         raise AlgebraError("the form lies in the cover")
-    counts = {1: r - h[1], 2: math.comb(h[1] + 1, 2) - h[2]}
-    for d in range(3, r):
-        target = hilbert_value(cover_gb, d) - h[d]
-        times_var = [_monomial_rows(cover_gb, d - 1, x.leading_key())
-                     for x in cover_gb.ring.variables()]
-        products = (_image(v, rows, field)
-                    for v in kernels[d - 1] for rows in times_var)
-        counts[d] = target - echelon(products, field, target).rank
-    nu = {d: n for d, n in counts.items() if n}
+    var_keys = [R.codec.var_key(j) for j in range(r)]
+    # J_d as {lead: monic vector, or (s, j) for x_j times J_{d-1}'s vector
+    # at lead s, built on first use}; J_0 = 0.
+    ann = [{}]
+
+    def vector(d, t):
+        v = ann[d][t]
+        if isinstance(v, tuple):
+            v = ann[d][t] = product(d - 1, *v)
+        return v
+
+    def product(d, s, j):
+        """x_j times J_d's vector at lead s, in B_{d+1}."""
+        return _image(vector(d, s), _monomial_rows(cover_gb, d, var_keys[j]),
+                      field)
+
+    h, counts = [1], {}
+    for d in range(1, r):
+        std = standard_monomials(cover_gb, d)
+        free = {}
+        ups = _standard_multiples(cover_gb, d - 1)
+        for s in ann[d - 1]:
+            for t, j in ups[s]:
+                free.setdefault(t, (s, j))
+        if d < r - 1:
+            # Ascending rows: the kernel vector found at row i is monic
+            # there and touches no later row, so rest[i] is its lead.
+            rest = [m for m in reversed(std) if m not in free]
+            kernel = left_kernel(_product_rows(cover_gb, d, f, rest), field)
+            fresh = {rest[max(v)]: {rest[i]: c for i, c in v.items()}
+                     for v in kernel}
+        else:       # J_{r-1} = B_{r-1}
+            fresh = {m: {m: field.one} for m in std if m not in free}
+        ann.append({**free, **fresh})
+        h.append(len(std) - len(ann[d]))
+        if d >= 3 and fresh:
+            room = len(ann[d])
+            used = set(free.values())
+            pivots = (vector(d, t) for t in free)
+            products = (product(d - 1, s, j) for s in ann[d - 1]
+                        for j in range(r) if (s, j) not in used)
+            counts[d] = room - echelon(chain(pivots, products), field,
+                                       room).rank
+    h += [0]        # F*B_{r-1} lies in B_{r+1} = 0
+    counts[1], counts[2] = r - h[1], math.comb(h[1] + 1, 2) - h[2]
+    nu = {d: counts[d] for d in sorted(counts) if counts[d]}
     return QuadricClassification(
         hvector=HVector(tuple(h)),
         socle_tuple=None,

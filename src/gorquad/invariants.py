@@ -6,9 +6,12 @@ outside (linear forms) * (degree d-1 part), found by linalg.echelon's span
 test, and their counts are the degree tally of those generators; the
 multiples x_j * m of the monomials m in the ideal are pivots of that span
 without linear algebra, so only the other rows reach the echelon.  The
-multiplication maps of the quotient B = R/I go through one function,
-`annihilator`: the degree-d elements of B that given forms multiply to
-zero, as the left kernel of the normal forms NF(m * g).  The rank of
+multiplication maps of the quotient B = R/I go through one row builder,
+`_product_rows`: the normal forms NF(m * g) of given standard monomials m,
+summed from the basis's cached monomial products.  `annihilator`, the
+degree-d elements of B that given forms multiply to zero, is the left
+kernel of those rows over every standard monomial; census.classify passes
+only the monomials outside the leading terms it knows already.  The rank of
 multiplication by a linear form is h_d minus the dimension of its
 annihilator, and for an ideal J containing I (a complete intersection, in
 linkage) the colon I : J is I plus the lifts of the annihilator of J.  The
@@ -240,31 +243,41 @@ def _monomial_rows(gb: GroebnerBasis, d: int, q) -> dict:
     return rows
 
 
+def _product_rows(gb: GroebnerBasis, d: int, g: Polynomial, monomials) -> list:
+    """NF(m * g) for the given standard monomials m of degree d, in their
+    order, as dicts over standard keys; a zero product is an empty dict.
+    Assembled from the cached rows of the monomials of g, so g may be given
+    modulo the ideal: NF(m * g) depends only on NF(g)."""
+    field = gb.ring.field
+    rows = [{} for _ in monomials]
+    for q, c in g.terms:
+        table = _monomial_rows(gb, d, q)
+        for row, m in zip(rows, monomials):
+            nf = table[m]
+            if nf:
+                axpy(row, c, nf, field)
+    return rows
+
+
 def annihilator(x, gens, d: int) -> list:
     """A basis of {p in B_d : p * g = 0 in B for every g in gens}, where B is
     the quotient by the ideal of x, as dicts over standard_monomials(x, d).
 
-    The row of a standard monomial m holds the normal forms NF(m * g) side by
-    side, assembled from the cached rows of the monomials of each g; the
-    basis is left_kernel's on those rows, so it depends only on the order of
-    the standard monomials.  For an ideal I containing x's ideal c, the lifts
-    of these bases over all d, together with c, generate c : I."""
+    The row of a standard monomial m holds the normal forms NF(m * g) of
+    _product_rows side by side; the basis is left_kernel's on those rows, so
+    it depends only on the order of the standard monomials.  For an ideal I
+    containing x's ideal c, the lifts of these bases over all d, together
+    with c, generate c : I."""
     gb = as_basis(x)
-    field = gb.ring.field
     std = standard_monomials(gb, d)
-    gens = list(gens)
-    rows = {m: {} for m in std}
-    for gi, g in enumerate(gens):
-        part = rows if len(gens) == 1 else {m: {} for m in std}
-        for q, c in g.terms:
-            for m, nf in _monomial_rows(gb, d, q).items():
-                if nf:
-                    axpy(part[m], c, nf, field)
-        if part is not rows:
-            for m, row in part.items():
-                rows[m].update(((gi, k), v) for k, v in row.items())
+    parts = [_product_rows(gb, d, g, std) for g in gens]
+    if len(parts) == 1:
+        rows = parts[0]
+    else:
+        rows = [{(gi, k): v for gi, part in enumerate(parts)
+                 for k, v in part[i].items()} for i in range(len(std))]
     return [{std[i]: c for i, c in v.items()}
-            for v in left_kernel(rows.values(), field)]
+            for v in left_kernel(rows, gb.ring.field)]
 
 
 # -- socle --------------------------------------------------------------------

@@ -263,3 +263,51 @@ def oracle_socle_type(gb) -> tuple:
     xs = gb.ring.variables()
     return tuple(len(annihilator(gb, xs, d))
                  for d in range(hilbert_function(gb).socle_degree + 1))
+
+
+# -- census oracle (the annihilator of F in every degree, every product) --------
+
+
+def oracle_census_classify(cover_gb, F):
+    """census.classify with the whole annihilator of F in each degree below
+    r - 1 and every product x_j * v of the previous degree's kernel in the
+    echelon for nu_d, d >= 3."""
+    import math
+
+    from gorquad.core import AlgebraError
+    from gorquad.invariants import (HVector, QuadricClassification,
+                                    _monomial_rows, annihilator, hilbert_value)
+    from gorquad.linalg import axpy, echelon
+
+    if not (F.is_homogeneous() and F.degree() == 2):
+        raise AlgebraError(f"the census colons by quadrics, not by {F}")
+    r, field = cover_gb.ring.nvars, cover_gb.ring.field
+    kernels = [annihilator(cover_gb, [F], d) for d in range(r - 1)]
+    h = [hilbert_value(cover_gb, d) - len(J)
+         for d, J in enumerate(kernels)] + [0, 0]
+    if h[0] == 0:
+        raise AlgebraError("the form lies in the cover")
+
+    def image(v, rows):
+        w = {}
+        for m, c in v.items():
+            axpy(w, c, rows[m], field)
+        return w
+
+    counts = {1: r - h[1], 2: math.comb(h[1] + 1, 2) - h[2]}
+    for d in range(3, r):
+        target = hilbert_value(cover_gb, d) - h[d]
+        times_var = [_monomial_rows(cover_gb, d - 1, x.leading_key())
+                     for x in cover_gb.ring.variables()]
+        products = (image(v, rows)
+                    for v in kernels[d - 1] for rows in times_var)
+        counts[d] = target - echelon(products, field, target).rank
+    nu = {d: n for d, n in counts.items() if n}
+    return QuadricClassification(
+        hvector=HVector(tuple(h)),
+        socle_tuple=None,
+        generator_counts=nu,
+        gorenstein=None,
+        presented_by_quadrics=(set(nu) == {2}),
+        had_linear_forms=1 in nu,
+    )

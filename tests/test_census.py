@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -20,10 +21,12 @@ from gorquad.cli import build_parser, main
 from gorquad.constructions import apolar_ideal, contract, quadric_ci
 from gorquad.core import AlgebraError, FieldSpec
 from gorquad.idealops import colon_form
-from gorquad.invariants import HVector, QuadricClassification, as_basis
+from gorquad.invariants import (HVector, QuadricClassification, annihilator,
+                                as_basis, standard_monomials)
+from gorquad.linalg import Echelon, echelon, left_kernel
 from gorquad.poly import ring
 
-from conftest import GF2, GF3, GF7, GFBIG, Q
+from conftest import GF2, GF3, GF7, GFBIG, Q, oracle_census_classify
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +335,125 @@ def test_classify_rejects_what_the_census_never_colons():
         classify(cover_gb, R.parse("x1^2 + x2^2"))
     with pytest.raises(AlgebraError):
         classify(cover_gb, R.parse("x1*x2*x3"))
+
+
+def _sampled_forms(cfg):
+    """The forms a sweep of cfg classifies: the exhaustive square-free sums
+    or the sampled dense quadrics, without those in the cover."""
+    cover_gb = _cover_of(cfg).groebner()
+    R = cover_gb.ring
+    if cfg.mode == "exhaustive_squarefree":
+        keys = squarefree_quadric_keys(R)
+        forms = [form_from_index(R, keys, m) for m in range(1, 1 << len(keys))]
+    else:
+        forms = [_form_from_coeffs(R, coeffs)
+                 for coeffs in _sample_coefficient_lists(cfg, R)]
+    return cover_gb, [F for F in forms if not cover_gb.reduces_to_zero(F)]
+
+
+def _bench_configs(seed):
+    """The six samples of 50 GF(2), r = 6 forms of the census-gf2-r6 bench
+    workload at the given bench seed, whose sample seeds are drawn from
+    "sample/<seed>/<call>"."""
+    return [CensusConfig(field=GF2, r=6, mode="random_sample", sample_count=50,
+                         sample_seed=random.Random(f"sample/{seed}/{call}")
+                         .randrange(1 << 31))
+            for call in range(6)]
+
+
+_SAMPLED = dict(mode="random_sample", sample_seed=5)
+
+
+# Each configuration lists the kinds of colon its forms must include:
+# "high" has a minimal generator in some degree d >= 3 (nu_d from the
+# echelon that the free leads start), "linear" a linear generator.
+@pytest.mark.parametrize("cfgs, kinds", [
+    (_bench_configs(1), {"high", "linear"}),
+    (_bench_configs(2), {"high", "linear"}),
+    ([CensusConfig(field=GF2, r=4)], {"linear"}),
+    ([CensusConfig(field=GF2, r=5)], {"linear"}),
+    ([CensusConfig(field=GF2, r=7, sample_count=40, **_SAMPLED)], {"high"}),
+    ([CensusConfig(field=GF3, r=5, sample_count=40, **_SAMPLED)], {"linear"}),
+    ([CensusConfig(field=GF3, r=7, sample_count=20, **_SAMPLED)], {"high"}),
+    ([CensusConfig(field=GF7, r=4, ci_style="random", ci_seed=2,
+                   sample_count=40, **_SAMPLED)], {"linear"}),
+    ([CensusConfig(field=GFBIG, r=6, ci_style="random", ci_seed=2,
+                   sample_count=10, **_SAMPLED)], {"high"}),
+    ([CensusConfig(field=GFBIG, r=7, ci_style="random", ci_seed=2,
+                   sample_count=5, **_SAMPLED)], {"high"}),
+    ([CensusConfig(field=Q, r=4, ci_style="random", ci_seed=2,
+                   sample_count=10, **_SAMPLED)], set()),
+], ids=["bench-seed1", "bench-seed2", "gf2-r4", "gf2-r5", "gf2-r7", "gf3-r5",
+        "gf3-r7", "gf7-r4-random", "gfbig-r6-random", "gfbig-r7-random",
+        "q-r4-random"])
+def test_classify_matches_the_annihilator_oracle(cfgs, kinds):
+    seen = set()
+    for cfg in cfgs:
+        cover_gb, forms = _sampled_forms(cfg)
+        for F in forms:
+            want = oracle_census_classify(cover_gb, F)
+            assert classify(cover_gb, F) == want, str(F)
+            if any(d >= 3 for d in want.generator_counts):
+                seen.add("high")
+            if want.had_linear_forms:
+                seen.add("linear")
+    assert kinds <= seen
+
+
+def _free_leads(cover_gb, F, d):
+    """K_d: the standard x_j * t over the leading monomials t of the
+    annihilator of F in degree d - 1.  A subspace's leading monomials do
+    not depend on its basis, so the oracle's annihilator gives them."""
+    span = Echelon(cover_gb.ring.field)
+    for v in annihilator(cover_gb, [F], d - 1):
+        span.add(v)
+    codec = cover_gb.ring.codec
+    std = set(standard_monomials(cover_gb, d))
+    return {t for lead in span.pivots for x in cover_gb.ring.variables()
+            if (t := codec.mul(x.leading_key(), lead)) in std}
+
+
+def test_classify_skips_the_rows_of_known_leading_terms(monkeypatch):
+    """Only the standard monomials outside K_d reach left_kernel, and a
+    presented form runs no product echelon in a degree where K_d fills
+    J_d, the annihilator of F in B_d."""
+    calls = {"rows": 0, "degrees": set()}
+
+    def counting_kernel(rows, field):
+        rows = list(rows)
+        calls["rows"] += len(rows)
+        return left_kernel(rows, field)
+
+    def counting_echelon(rows, field, room=None):
+        def read():
+            for row in rows:
+                if row:
+                    calls["degrees"].add(degree(max(row)))
+                yield row
+        return echelon(read(), field, room)
+
+    monkeypatch.setattr(gorquad.census, "left_kernel", counting_kernel)
+    monkeypatch.setattr(gorquad.census, "echelon", counting_echelon)
+    cfg = CensusConfig(field=GF2, r=6, mode="random_sample", sample_count=60,
+                       sample_seed=13)
+    cover_gb, forms = _sampled_forms(cfg)
+    degree, r = cover_gb.ring.codec.degree, cfg.r
+    dims = [len(standard_monomials(cover_gb, d)) for d in range(r)]
+    filled = 0
+    for F in forms:
+        calls["rows"], calls["degrees"] = 0, set()
+        cls = classify(cover_gb, F)
+        free = {d: _free_leads(cover_gb, F, d) for d in range(1, r)}
+        assert calls["rows"] == sum(dims[d] - len(free[d])
+                                    for d in range(1, r - 1)), str(F)
+        assert calls["rows"] < sum(dims[:r - 1])
+        if not cls.presented_by_quadrics:
+            continue
+        for d in range(3, r):
+            if len(free[d]) == dims[d] - cls.hvector[d]:
+                assert d not in calls["degrees"], (str(F), d)
+                filled += 1
+    assert filled
 
 
 # sha256 of the CSV and the Markdown; a change to the classification or to
