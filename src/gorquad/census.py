@@ -238,12 +238,16 @@ def classify(cover_gb: GroebnerBasis, F: Polynomial) -> QuadricClassification:
     outside K_d: only those monomials' rows NF(m*F) reach left_kernel.  In
     the count of nu_d, Q_d's rows start the echelon of B_1*J_{d-1} as its
     pivots, and when they fill J_d already, nu_d = 0 and no echelon runs.
+
+    Only F modulo the cover counts; a sweep passes NF(F), which is not
+    reduced again.
     """
     if not (F.is_homogeneous() and F.degree() == 2):
         raise AlgebraError(f"the census colons by quadrics, not by {F}")
     R = cover_gb.ring
     r, field = R.nvars, R.field
-    f = cover_gb.normal_form(F)
+    std = cover_gb._level(2)[1]
+    f = F if all(k in std for k, _ in F.terms) else cover_gb.normal_form(F)
     if f.is_zero():
         raise AlgebraError("the form lies in the cover")
     var_keys = [R.codec.var_key(j) for j in range(r)]
@@ -313,12 +317,13 @@ def _sweep_one(cfg: CensusConfig, task: tuple) -> tuple:
     payload pickled, so every form goes through this one function."""
     gb = _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed).groebner()
     F = _task_form(gb.ring, task[1])
-    if gb.reduces_to_zero(F):
+    f = gb.normal_form(F)
+    if f.is_zero():
         reason = ("the zero form" if F.is_zero()
                   else "the form lies in the cover")
         return task + (None, reason, False)
     try:
-        return task + (classify(gb, F), "", False)
+        return task + (classify(gb, f), "", False)
     except AlgebraError as exc:
         return task + (None, str(exc), True)
 

@@ -25,6 +25,7 @@ from .groebner import Ideal, _known_basis
 from .idealops import random_homogeneous, random_linear_form
 from .invariants import (
     HVector,
+    _variable_multiples,
     annihilator,
     classify,
     hilbert_function,
@@ -134,15 +135,6 @@ def contract(p: Polynomial, F: Polynomial) -> Polynomial:
     return p.ring.from_terms(acc.items())
 
 
-def _multiples_within(vectors, var_keys, mul, kept):
-    """The products x_j * v of vectors {monomial key: coeff}, with the keys
-    outside kept dropped, read lazily."""
-    for v in vectors:
-        for vk in var_keys:
-            yield {t: c for t, c in ((mul(vk, m), c) for m, c in v.items())
-                   if t in kept}
-
-
 def apolar_ideal(F: Polynomial) -> Ideal:
     """Annihilator of a homogeneous dual form under contraction.
 
@@ -200,7 +192,9 @@ def apolar_ideal(F: Polynomial) -> Ideal:
                 for m in mons]
         prev, kernel = kernel, [{mons[i]: c for i, c in v.items()}
                                 for v in left_kernel(rows, field)]
-        span = echelon(_multiples_within(prev, var_keys, mul, D | fresh),
+        kept = {k: k for k in itertools.chain(D, fresh)}
+        span = echelon(_variable_multiples(codec, R.nvars,
+                                           (v.items() for v in prev), kept),
                        field, len(fresh) + len(kernel))
         if d > e:
             gens.extend(Polynomial(R, ((k, one),))
@@ -358,19 +352,15 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
     return colon
 
 
-def link(I: Ideal, step: LinkStep) -> Ideal:
-    """Colon the ideal out of a complete intersection contained in it.
-
-    Verifies that the given forms lie in the ideal and cut out a complete
-    intersection, predicts the linked h-vector, and computes the colon as
-    the cover plus the annihilator of the ideal in the cover quotient B:
-    (c : I)/c is {p in B : p*I = 0 in B}.  Returns the reduced Groebner
-    basis of the result, which must have the predicted h-vector; raises
-    LinkageError on any mismatch.  Linking an ideal to itself returns the
-    unit ideal.
-    """
+def _link(I: Ideal, gens) -> Ideal:
+    """The colon of the ideal out of the complete intersection of the gens,
+    checked: the gens must lie in the ideal's ring and in the ideal and form
+    a regular sequence, and the colon must have the predicted linked
+    h-vector; any failure raises LinkageError.  A cover with nothing left
+    over gives the unit ideal.  The generators are the cover's, then the
+    annihilator's degree by degree, as `_colon_out_of` builds them."""
     R = I.ring
-    gens = tuple(step.ci_gens)
+    gens = tuple(gens)
     if not gens:
         raise LinkageError("a linkage step needs at least one form")
     for g in gens:
@@ -388,8 +378,21 @@ def link(I: Ideal, step: LinkStep) -> Ideal:
     expected = expected_link_hvector(h_ci, hilbert_function(I))
     if expected.total == 0:
         return Ideal(R, [R.one])
-    gb = _colon_out_of(ci, I.gens, expected).groebner()
-    out = Ideal(R, gb.elements)
+    return _colon_out_of(ci, I.gens, expected)
+
+
+def link(I: Ideal, step: LinkStep) -> Ideal:
+    """Colon the ideal out of a complete intersection contained in it.
+
+    The colon is the cover c plus the annihilator of the ideal in the cover
+    quotient B: (c : I)/c is {p in B : p*I = 0 in B}.  The checks are
+    `_link`'s, so a LinkageError reports forms outside the ideal, forms
+    that are no regular sequence, or a colon off the predicted h-vector.
+    Returns the colon as its reduced Groebner basis, attached; linking an
+    ideal to itself returns the unit ideal.
+    """
+    gb = _link(I, step.ci_gens).groebner()
+    out = Ideal(I.ring, gb.elements)
     out.attach_groebner(gb)
     return out
 
@@ -397,23 +400,13 @@ def link(I: Ideal, step: LinkStep) -> Ideal:
 def link_by_squares(I: Ideal) -> Ideal:
     """Colon the ideal out of the complete intersection of variable squares.
 
-    The colon is the squares plus the annihilator of the ideal in
-    B = R/(x1^2, ..., xn^2), whose standard monomials are the squarefree
-    ones: in the inverse-system picture B is the apolar algebra of the dual
-    monomial x1...xn.  Unlike `link` the generators are returned as built,
-    the squares first and then the annihilator degree by degree, after the
-    result is verified against the predicted linked h-vector.
+    B = R/(x1^2, ..., xn^2) has the squarefree monomials as its standard
+    monomials: in the inverse-system picture it is the apolar algebra of
+    the dual monomial x1...xn.  The checks are `link`'s; unlike `link` the
+    generators are returned as built, the squares first and then the
+    annihilator degree by degree.
     """
-    R = I.ring
-    squares = [v * v for v in R.variables()]
-    for s in squares:
-        if not I.contains(s):
-            raise LinkageError("the ideal does not contain the variable squares")
-    expected = expected_link_hvector(
-        complete_intersection_hvector([2] * R.nvars), hilbert_function(I))
-    if expected.total == 0:
-        return Ideal(R, [R.one])
-    return _colon_out_of(Ideal(R, squares), I.gens, expected)
+    return _link(I, [v * v for v in I.ring.variables()])
 
 
 def _squarefree_exps(n: int, d: int):
@@ -424,16 +417,16 @@ def _squarefree_exps(n: int, d: int):
         yield tuple(e)
 
 
-# Dense draws regular_sequence_in makes after its sparse ones.
+# The sparse draws regular_sequence_in makes, then its dense ones.
+_SPARSE_ATTEMPTS = 10
 _DENSE_ATTEMPTS = 20
 
 
-def regular_sequence_in(I: Ideal, degrees, rng: random.Random,
-                        attempts: int = 10) -> tuple:
+def regular_sequence_in(I: Ideal, degrees, rng: random.Random) -> tuple:
     """Random forms of the prescribed degrees inside the ideal that form a
     regular sequence, certified by the complete-intersection h-vector.
-    ``attempts`` sparse draws come first, then 20 dense ones.
-    Raises GenericityError once the sample budget runs out."""
+    _SPARSE_ATTEMPTS sparse draws come first, then _DENSE_ATTEMPTS dense
+    ones.  Raises GenericityError once the sample budget runs out."""
     R = I.ring
     field = R.field
     gb = I.groebner()
@@ -444,7 +437,7 @@ def regular_sequence_in(I: Ideal, degrees, rng: random.Random,
         if not bases[d]:
             raise GenericityError(f"the ideal has no elements of degree {d}")
     degrees = tuple(degrees)
-    for attempt in range(attempts + _DENSE_ATTEMPTS):
+    for attempt in range(_SPARSE_ATTEMPTS + _DENSE_ATTEMPTS):
         # start with very sparse combinations and widen on each retry; any
         # verified regular sequence gives the same linkage arithmetic, and a
         # sparse cover has short generators, which makes its h-vector check
@@ -455,7 +448,7 @@ def regular_sequence_in(I: Ideal, degrees, rng: random.Random,
         # is always the same sum.
         picks = []
         for d in degrees:
-            if attempt < attempts:
+            if attempt < _SPARSE_ATTEMPTS:
                 p = _random_combination(bases[d], field, rng, 2 + attempt,
                                         field.random_nonzero)
             else:
@@ -474,7 +467,7 @@ def regular_sequence_in(I: Ideal, degrees, rng: random.Random,
             continue
     raise GenericityError(
         f"no regular sequence of degrees {degrees} in "
-        f"{attempts + _DENSE_ATTEMPTS} attempts")
+        f"{_SPARSE_ATTEMPTS + _DENSE_ATTEMPTS} attempts")
 
 
 def _random_combination(polys, field, rng, width, coefficient):
@@ -535,6 +528,16 @@ def double_link(r: int, field: FieldSpec | None = None) -> tuple:
 # -- pairs with matching border data ----------------------------------------------
 
 
+def _embedding(I: Ideal, new_count: int) -> tuple:
+    """The ring with new_count fresh leading variables, the map of the
+    ideal's variables into it, and the h-vector predicted for the ideal's
+    link there by a complete intersection of quadrics."""
+    n = I.ring.nvars + new_count
+    expected = expected_link_hvector(
+        complete_intersection_hvector([2] * n), hilbert_function(I))
+    return ring(I.ring.field, n), tuple(range(new_count, n)), expected
+
+
 def _residual_almost_ci(G: Ideal, cover: list, new_count: int) -> tuple:
     """Embed a Gorenstein stage with fresh leading variables and link it by
     the quadric complete intersection (new squares) + cover.
@@ -545,17 +548,10 @@ def _residual_almost_ci(G: Ideal, cover: list, new_count: int) -> tuple:
     of the embedded stage in the cover quotient.  Returns (residual, its
     cover, extra quadric).
     """
-    R_old = G.ring
-    field = R_old.field
-    n = R_old.nvars + new_count
-    R = ring(field, n)
-    vmap = tuple(j + new_count for j in range(R_old.nvars))
-    xs = R.variables()
-    new_lin = [xs[i] for i in range(new_count)]
+    R, vmap, expected = _embedding(G, new_count)
+    new_lin = list(R.variables()[:new_count])
     big_cover = [v * v for v in new_lin] + [g.extend(R, vmap) for g in cover]
     inside = new_lin + [g.extend(R, vmap) for g in G.gens]
-    expected = expected_link_hvector(
-        complete_intersection_hvector([2] * n), hilbert_function(G))
     cover_gb = Ideal(R, big_cover).groebner()
     # the embedded squares lie in the cover: empty columns, the same kernel
     sols = annihilator(cover_gb, [g for g in inside if not cover_gb.contains(g)],
@@ -582,16 +578,10 @@ def _residual_gorenstein(J: Ideal, cover: list, extra) -> tuple:
     annihilator of the new variable in the cover quotient.  Returns
     (residual, its cover).
     """
-    R_old = J.ring
-    field = R_old.field
-    n = R_old.nvars + 1
-    R = ring(field, n)
-    vmap = tuple(j + 1 for j in range(R_old.nvars))
+    R, vmap, expected = _embedding(J, 1)
     x0 = R.variables()[0]
     big_cover = ([x0 * x0 + extra.extend(R, vmap)]
                  + [g.extend(R, vmap) for g in cover])
-    expected = expected_link_hvector(
-        complete_intersection_hvector([2] * n), hilbert_function(J))
     return _colon_out_of(Ideal(R, big_cover), [x0], expected), big_cover
 
 

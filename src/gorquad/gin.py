@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .core import AlgebraError, GenericityError, GinUncertifiedError
-from .groebner import GroebnerBasis, Ideal
+from .groebner import Ideal
 from .idealops import random_linear_form
 from .invariants import (
     annihilator,
@@ -101,17 +101,12 @@ def is_borel_fixed(x) -> bool:
     """Borel (strong stability) exchange check for a monomial ideal: for
     every minimal generator m and every variable x_j dividing m, each
     x_i * m / x_j with i < j must again lie in the ideal."""
-    if isinstance(x, (Ideal, GroebnerBasis)):
-        gb = as_basis(x)
-        leads = gb.lead_keys
-        for g in (x.gens if isinstance(x, Ideal) else gb.elements):
-            if len(g.terms) != 1:
-                raise ValueError("Borel check expects a monomial ideal")
-        ring_ = gb.ring
-    else:
-        raise TypeError(f"expected Ideal or GroebnerBasis, got {type(x).__name__}")
-    codec = ring_.codec
-    for m in leads:
+    gb = as_basis(x)
+    for g in (x.gens if isinstance(x, Ideal) else gb.elements):
+        if len(g.terms) != 1:
+            raise ValueError("Borel check expects a monomial ideal")
+    codec = gb.ring.codec
+    for m in gb.lead_keys:
         std = gb._level(codec.degree(m))[1]
         exps = codec.exps(m)
         for j, e in enumerate(exps):
@@ -367,18 +362,22 @@ def gin_monomial_census(gin_result: GinResult, d: int) -> GinDegreeCounts:
                            generators_divisible=gens_div)
 
 
+# The general linear forms hyperplane_restriction_identity tries.
+_RESTRICTION_SAMPLES = 3
+
+
 def hyperplane_restriction_identity(I: Ideal, gin_result: GinResult,
-                                    seed: int = 0, samples: int = 3) -> bool:
+                                    seed: int = 0) -> bool:
     """Degreewise Hilbert-function form of the generic hyperplane identity:
     restricting the gin by the last variable matches restricting the ideal
-    by a general linear form."""
+    by one of _RESTRICTION_SAMPLES general linear forms."""
     ring_ = I.ring
     rng = random.Random(seed)
     x_last = ring_.variables()[-1]
     restricted_gin = Ideal(ring_, list(gin_result.monomial_ideal.gens)
                            + [x_last])
     h_gin = hilbert_function(restricted_gin)
-    for _ in range(samples):
+    for _ in range(_RESTRICTION_SAMPLES):
         L = random_linear_form(ring_, rng)
         h_cut = hilbert_function(Ideal(ring_, list(I.gens) + [L]))
         if h_cut == h_gin:

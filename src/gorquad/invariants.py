@@ -31,7 +31,6 @@ has one, and builds no basis.
 from __future__ import annotations
 
 import math
-import random
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -356,21 +355,16 @@ def minimal_generator_counts(x) -> dict:
     return dict(Counter(degree(g.leading_key()) for g in minimal_generators(x)))
 
 
-def _generator_rows(gb: GroebnerBasis, lower, column: dict):
-    """The products x_j * (m - NF(m)) for the given nonstandard monomials m,
-    as dict rows over the nonstandard monomials of the next degree, read
-    lazily; column maps each monomial it keeps to its row key and the
-    others are dropped.  Those columns suffice: [I]_d has the triangular
-    basis { m - NF(m) }, so an element of [I]_d is fixed by its nonstandard
-    coefficients.  Multiplying by x_j keeps the terms of m - NF(m)
-    distinct."""
-    codec = gb.ring.codec
-    var_keys = [codec.var_key(j) for j in range(gb.ring.nvars)]
-    for m in lower:
-        element = _minus_nf(gb, m).terms
+def _variable_multiples(codec, nvars: int, vectors, column: dict):
+    """The products x_j * v of vectors v, given as (monomial key, coeff)
+    pairs, as dict rows read lazily: column maps each monomial it keeps to
+    its row key, and the others are dropped.  Multiplying by x_j keeps the
+    terms of v distinct."""
+    var_keys = [codec.var_key(j) for j in range(nvars)]
+    for v in vectors:
         for vk in var_keys:
             yield {column[t]: c for t, c in
-                   ((codec.mul(vk, k), c) for k, c in element) if t in column}
+                   ((codec.mul(vk, m), c) for m, c in v) if t in column}
 
 
 def presented_by_quadrics(x) -> bool:
@@ -403,15 +397,18 @@ def minimal_generators(x) -> tuple:
             lower = nonstandard_monomials(gb, d - 1)
             inside = {codec.mul(vk, m) for m in lower
                       if not gb._monomial_nf(m) for vk in var_keys}
-            # Over these columns m - NF(m) is the unit vector at m, so it lies
-            # in R_1 * [I]_{d-1} plus the span of the m' - NF(m'), m' > m,
-            # exactly when m is the lowest term of an element of the former.
-            # Keyed by position in the descending nonstandard monomials, the
-            # echelon's pivots are those lowest terms.
+            # [I]_d has the triangular basis {m - NF(m)}, so an element of it
+            # is fixed by its nonstandard coefficients.  Over these columns
+            # m - NF(m) is the unit vector at m, so it lies in R_1 * [I]_{d-1}
+            # plus the span of the m' - NF(m'), m' > m, exactly when m is the
+            # lowest term of an element of the former.  Keyed by position in
+            # the descending nonstandard monomials, the echelon's pivots are
+            # those lowest terms.
             column = {m: i for i, m in enumerate(nonstandard_monomials(gb, d))
                       if m not in inside}
-            rows = _generator_rows(
-                gb, (m for m in lower if gb._monomial_nf(m)), column)
+            rows = _variable_multiples(
+                codec, gb.ring.nvars, (_minus_nf(gb, m).terms for m in lower
+                                       if gb._monomial_nf(m)), column)
             span = echelon(rows, gb.ring.field, len(column))
             out.extend(_minus_nf(gb, m) for m, i in column.items()
                        if i not in span.pivots)
@@ -430,38 +427,6 @@ def ideal_degree_basis(x, d: int) -> tuple:
     return tuple(_minus_nf(gb, m) for m in nonstandard_monomials(gb, d))
 
 
-def contains_quadric_regular_sequence(x, seed: int = 0,
-                                      attempts: int = 5) -> bool:
-    """Randomized test that the degree-2 part contains a regular sequence of
-    nvars quadrics: seeded dense combinations of a degree-2 basis are
-    accepted when the quotient by the drawn quadrics alone has the
-    complete-intersection h-vector.  Failure on every attempt is evidence
-    against, not a proof."""
-    gb = as_basis(x)
-    R = gb.ring
-    n = R.nvars
-    basis = ideal_degree_basis(gb, 2)
-    if len(basis) < n:
-        return False
-    expected = HVector(tuple(math.comb(n, i) for i in range(n + 1)))
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        combos = []
-        for _ in range(n):
-            q = R.zero
-            for b in basis:
-                c = R.field.random(rng)
-                if c != R.field.zero:
-                    q = q + b.scale(c)
-            combos.append(q)
-        try:
-            if hilbert_function(Ideal(R, combos)) == expected:
-                return True
-        except AlgebraError:
-            continue
-    return False
-
-
 @dataclass(frozen=True)
 class QuadricClassification:
     """Summary of one artinian quotient, as reported by the census and CLI.
@@ -475,7 +440,6 @@ class QuadricClassification:
     gorenstein: bool | None
     presented_by_quadrics: bool
     had_linear_forms: bool = False
-    contains_quadric_rs: bool | None = None
 
     @property
     def socle_degree(self) -> int:
@@ -499,19 +463,15 @@ class QuadricClassification:
         return " ".join(bits)
 
 
-def classify(x, with_socle: bool = True, with_quadric_rs: bool = False,
-             seed: int = 0) -> QuadricClassification:
+def classify(x, with_socle: bool = True) -> QuadricClassification:
     """Classify an artinian quotient.  ``with_socle=False`` skips the socle
     computation (the most expensive step) and leaves ``socle_tuple`` and
     ``gorenstein`` as None; bulk sweeps that already know the socle shape
-    use this.  ``with_quadric_rs=True`` additionally runs the randomized
-    regular-sequence-of-quadrics test."""
+    use this."""
     gb = as_basis(x)
     hv = hilbert_function(gb)
     nu = minimal_generator_counts(gb)
     st = socle_type(gb) if with_socle else None
-    rs = (contains_quadric_regular_sequence(gb, seed=seed)
-          if with_quadric_rs else None)
     return QuadricClassification(
         hvector=hv,
         socle_tuple=st,
@@ -520,5 +480,4 @@ def classify(x, with_socle: bool = True, with_quadric_rs: bool = False,
         if st is not None else None,
         presented_by_quadrics=(set(nu) == {2} if nu else False),
         had_linear_forms=1 in nu,
-        contains_quadric_rs=rs,
     )

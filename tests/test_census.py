@@ -11,7 +11,8 @@ import pytest
 import gorquad.census
 from gorquad import invariants
 from gorquad.census import (CSV_HEADER, H2_SUPPORT_R6, CensusConfig,
-                            CensusRecord, _cover, _form_from_coeffs,
+                            CensusRecord, CensusSummary, _cover,
+                            _form_from_coeffs, _record_findings,
                             _sample_coefficient_lists, _sweep_one, classify,
                             colon_quotient, form_from_index,
                             h2_13_exclusion_check, records_to_csv, run_census,
@@ -191,6 +192,73 @@ def test_socle4_duality_with_random_cover():
     presented = [rec for rec in records if rec.presented]
     assert presented, "generic quadrics over a big field should colon cleanly"
     assert verify_socle4_duality(cfg, presented[0])
+
+
+def _presented_record(F, hvector=(1, 6, 10, 6, 1)):
+    """A hand-built presented record; only what the checks read is real."""
+    hv = HVector(hvector)
+    cls = QuadricClassification(hvector=hv, socle_tuple=None,
+                                generator_counts={2: 1}, gorenstein=None,
+                                presented_by_quadrics=True)
+    return CensusRecord(f_index=7, F=F, classification=cls, presented=True,
+                        h2=hv[2])
+
+
+def test_socle4_duality_fails_for_a_linear_form():
+    # (c : (c : x1)) = c + (x1) has no degree-2 generator outside c.
+    cfg = CensusConfig(field=GF7, r=4, mode="random_sample", sample_count=1)
+    R = _cover_of(cfg).ring
+    assert verify_socle4_duality(cfg, _presented_record(R.parse("x1*x2")))
+    assert not verify_socle4_duality(cfg, _presented_record(R.parse("x1")))
+
+
+def test_socle4_duality_fails_when_cover_plus_quadric_is_too_small():
+    # Over this cover c : (c : x1) = (x1, x2^2) has one new quadric, x2^2,
+    # but c + (x2^2) has h-vector (1, 2), not (1, 1).
+    cfg = CensusConfig(field=GF7, r=2, ci_style="random", ci_seed=1,
+                       mode="random_sample", sample_count=1, sample_seed=2)
+    R = _cover_of(cfg).ring
+    assert not verify_socle4_duality(cfg, _presented_record(R.parse("x1")))
+
+
+def test_socle4_duality_fails_when_the_colon_back_differs(monkeypatch):
+    # A true colon always comes back; a wrong second colon must be caught.
+    cfg = CensusConfig(field=GF7, r=4, mode="random_sample", sample_count=1)
+    R = _cover_of(cfg).ring
+    real, calls = gorquad.census.colon_quotient, []
+
+    def second_differs(cover, F):
+        calls.append(F)
+        return real(cover, F if len(calls) == 1 else R.parse("x1*x3"))
+
+    monkeypatch.setattr(gorquad.census, "colon_quotient", second_differs)
+    assert not verify_socle4_duality(cfg, _presented_record(R.parse("x1*x2")))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("hvector, message", [
+    ((1, 6, 10, 6, 1, 1), "F #7: presented but socle degree 5, h-vector "
+                          "(1,6,10,6,1,1)"),
+    ((1, 6, 11, 5, 1), "F #7: presented but asymmetric h-vector (1,6,11,5,1)"),
+    ((1, 6, 13, 6, 1), "F #7: presented with h2 = 13 outside the known "
+                       "support {10, 11, 12}"),
+])
+def test_record_findings_messages(hvector, message):
+    F = ring(GF2, 6).parse("x1*x2")
+    assert _record_findings(_presented_record(F, hvector), 6) == [message]
+    assert _record_findings(_presented_record(F), 6) == []
+    skipped = dataclasses.replace(_presented_record(F, hvector),
+                                  presented=None, classification=None)
+    assert _record_findings(skipped, 6) == []
+
+
+def test_census_summary_checks_its_bookkeeping():
+    cfg = CensusConfig(field=GF2, r=4)
+    fields = dict(total_swept=3, total_skipped=0, total_errored=0,
+                  findings=(), config=cfg, ci_gens=())
+    assert CensusSummary(counts={1: 2}, total_presented=2, **fields)
+    with pytest.raises(AlgebraError, match="counts != presented"):
+        CensusSummary(counts={1: 2}, total_presented=3, **fields)
 
 
 def test_summary_markdown_layout(r4_sweep):

@@ -13,11 +13,11 @@ from gorquad.census import CensusConfig, records_to_csv, run_census
 from gorquad.constructions import (LinkStep, apolar_ideal, double_link, link,
                                    nonunique_hf_pair,
                                    penultimate_socle_algebras,
-                                   random_dual_form, random_homogeneous)
-from gorquad.core import AlgebraError
+                                   random_dual_form, random_homogeneous,
+                                   regular_sequence_in)
+from gorquad.core import AlgebraError, GenericityError
 from gorquad.groebner import Ideal
 from gorquad.invariants import (HVector, annihilator, classify,
-                                contains_quadric_regular_sequence,
                                 hilbert_function, hilbert_value,
                                 ideal_degree_basis, is_artinian, is_gorenstein,
                                 minimal_generator_counts, minimal_generators,
@@ -576,12 +576,13 @@ def test_classify_flags_linear_forms():
 def test_quadric_regular_sequence_detection():
     R = ring(GFBIG, 3)
     ci = Ideal.from_texts(R, ["x1^2", "x2^2", "x3^2"])
-    assert contains_quadric_regular_sequence(ci, seed=1)
-    cls = classify(ci, with_quadric_rs=True, seed=1)
-    assert cls.contains_quadric_rs is True
+    seq = regular_sequence_in(ci, [2] * 3, random.Random(1))
+    assert len(seq) == 3 and all(ci.contains(q) for q in seq)
+    assert hilbert_function(Ideal(R, seq)) == HVector((1, 3, 3, 1))
     # too few independent quadrics: the span of two squares in 3 variables
     thin = Ideal.from_texts(R, ["x1^2", "x2^2"])
-    assert not contains_quadric_regular_sequence(thin, seed=1)
+    with pytest.raises(GenericityError):
+        regular_sequence_in(thin, [2] * 3, random.Random(1))
 
 
 def test_gorenstein_detection_examples():
