@@ -199,7 +199,9 @@ def generic_times_rank(I: Ideal, d: int,
                        policy: GenericityPolicy | None = None,
                        gin_result: GinResult | None = None) -> RankReport:
     """Best (maximal) rank of multiplication by a random linear form from
-    degree d, over policy.num_samples draws."""
+    degree d.  policy.num_samples is the budget of draws: sampling stops
+    early once the best rank is min(h_d, h_{d+1}), which no later draw can
+    beat, so the report is the one the whole budget would give."""
     policy = policy or GenericityPolicy()
     gb = as_basis(I)
     rng = random.Random(policy.seed)
@@ -209,6 +211,8 @@ def generic_times_rank(I: Ideal, d: int,
         report = times_L_rank(gb, d, L)
         if best is None or report.rank > best.rank:
             best = report
+        if best.rank == min(hilbert_value(gb, d), hilbert_value(gb, d + 1)):
+            break
     if gin_result is not None:
         expected = gin_monomial_census(gin_result, d + 1).standard_divisible
         if expected != best.rank:
@@ -272,7 +276,7 @@ class InjectivityReport:
     injective: bool
     rank: int
     expected: int
-    num_samples: int
+    num_samples: int    # the sampling budget; the draws stop at full rank
 
 
 def check_injectivity_conjecture(I: Ideal,
@@ -284,7 +288,7 @@ def check_injectivity_conjecture(I: Ideal,
     Preconditions (quadric presentation, socle degree >= 3, odd or zero
     characteristic) are reported, not raised.  A full-rank sample proves
     injectivity for general L; failure across all samples is reported as
-    evidence, never as a disproof."""
+    evidence, never as a disproof.  num_samples is the budget of draws."""
     policy = policy or GenericityPolicy()
     gb = as_basis(I)
     cls = classify(gb, with_socle=False)
@@ -320,8 +324,9 @@ class WlpReport:
 
 def check_wlp(I: Ideal, policy: GenericityPolicy | None = None) -> WlpReport:
     """Sample the weak Lefschetz property: for each degree d below the socle
-    degree, the best rank of x L : [R/I]_d -> [R/I]_{d+1} over the sampled
-    forms, compared with min(h_d, h_{d+1})."""
+    degree, the best rank of x L : [R/I]_d -> [R/I]_{d+1} over at most
+    policy.num_samples sampled forms (generic_times_rank stops at the first
+    maximal rank), compared with min(h_d, h_{d+1})."""
     policy = policy or GenericityPolicy()
     gb = as_basis(I)
     h = hilbert_function(gb)

@@ -1,10 +1,11 @@
 """Monomial orders compiled to packed-integer key codecs.
 
-A codec maps an exponent vector to a small tuple of ints (the *key*) such that
+A codec maps an exponent vector to one int (the *key*; a pair of ints for a
+block order, one per block) such that
 
-  * plain tuple comparison of keys realizes the monomial order, and
-  * componentwise integer addition (with a complement-base correction for the
-    rev-lex packed fields) realizes monomial multiplication, and
+  * int comparison of keys realizes the monomial order, and
+  * integer addition (with a complement-base correction for the rev-lex
+    packed bytes) realizes monomial multiplication, and
   * divisibility and lcm are a constant number of big-int operations
     (guard-bit test).
 
@@ -24,11 +25,10 @@ _FIELD_MAX = 127          # complement base; per-variable exponent bound
 MAX_PACKED_DEGREE = 60    # sums of two in-cap degrees must stay < _FIELD_MAX
 
 
-def _guard_mask(n: int) -> int:
-    g = 0
-    for j in range(n):
-        g |= 0x80 << (_BITS * j)
-    return g
+def _repeated(byte: int, n: int) -> int:
+    """byte in each of n packed fields: 0x80 gives the guard bits, _FIELD_MAX
+    the complement base."""
+    return int.from_bytes(bytes((byte,)) * n, "little")
 
 
 def _ge_bytes(a: int, b: int, guard: int) -> int:
@@ -37,13 +37,6 @@ def _ge_bytes(a: int, b: int, guard: int) -> int:
     exactly where a's byte >= b's."""
     g = ((a | guard) - b) & guard
     return g - (g >> 7)
-
-
-def _complement_base(n: int) -> int:
-    c = 0
-    for j in range(n):
-        c |= _FIELD_MAX << (_BITS * j)
-    return c
 
 
 @dataclass(frozen=True)
@@ -99,17 +92,25 @@ class _Codec:
 
 
 class _DrlCodec(_Codec):
-    """degrevlex: key = (degree, packed complement bytes, last variable most
-    significant).  Bigger key tuple <=> bigger monomial."""
+    """degrevlex: key = degree << 8n | packed bytes, byte j holding the
+    complement _FIELD_MAX - e_j (the last variable most significant).  The
+    packed part lies below 2^(8n), so int comparison compares the degree,
+    then the complements: bigger key <=> bigger monomial.  mul and div add
+    keys less or plus the complement base.  divides sets the guard bit of
+    each packed byte of ka and subtracts kb: no byte borrows from the next,
+    a guard bit survives iff ka's complement is at least kb's there, and a
+    degree difference sits above the packed bytes, so never reaches them."""
 
-    __slots__ = ("_cbase", "_guard", "_top")
+    __slots__ = ("_cbase", "_guard", "_mask", "_shift", "_top")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self._cbase = _complement_base(nvars)
-        self._guard = _guard_mask(nvars)
+        self._shift = _BITS * nvars
+        self._mask = (1 << self._shift) - 1
+        self._cbase = _repeated(_FIELD_MAX, nvars)
+        self._guard = _repeated(0x80, nvars)
         self._top = _FIELD_MAX * nvars
-        self.one = (0, self._cbase)
+        self.one = self._cbase
 
     def key(self, exps):
         packed = 0
@@ -117,43 +118,44 @@ class _DrlCodec(_Codec):
             if not 0 <= e <= _FIELD_MAX:
                 raise ValueError(f"exponent {e} outside packed range")
             packed |= (_FIELD_MAX - e) << (_BITS * j)
-        return (sum(exps), packed)
+        return sum(exps) << self._shift | packed
 
     def exps(self, key):
-        p = key[1]
-        return tuple(_FIELD_MAX - ((p >> (_BITS * j)) & 0xFF) for j in range(self.nvars))
+        return tuple(_FIELD_MAX - ((key >> (_BITS * j)) & 0xFF) for j in range(self.nvars))
 
     def mul(self, ka, kb):
-        return (ka[0] + kb[0], ka[1] + kb[1] - self._cbase)
+        return ka + kb - self._cbase
 
     def div(self, ka, kb):
         # monomial(ka) / monomial(kb); caller guarantees divisibility
-        return (ka[0] - kb[0], ka[1] + self._cbase - kb[1])
+        return ka - kb + self._cbase
 
     def divides(self, ka, kb):
         # does monomial(ka) divide monomial(kb)?
         g = self._guard
-        return ((ka[1] | g) - kb[1]) & g == g
+        return ((ka | g) - kb) & g == g
 
     def lcm(self, ka, kb):
         # the bytewise min of the complements
-        a, b = ka[1], kb[1]
+        a, b = ka & self._mask, kb & self._mask
         m = a ^ ((a ^ b) & _ge_bytes(a, b, self._guard))
-        return (self._top - sum(m.to_bytes(self.nvars, "little")), m)
+        return (self._top - sum(m.to_bytes(self.nvars, "little"))) << self._shift | m
 
     def degree(self, key):
-        return key[0]
+        return key >> self._shift
 
 
 class _LexCodec(_Codec):
-    """lex: key = (packed direct bytes, first variable most significant)."""
+    """lex: key = packed direct bytes, byte n-1-j holding e_j (the first
+    variable most significant).  mul and div add and subtract keys, and
+    divides is the guard-bit test of _DrlCodec with the operands swapped."""
 
     __slots__ = ("_guard",)
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self._guard = _guard_mask(nvars)
-        self.one = (0,)
+        self._guard = _repeated(0x80, nvars)
+        self.one = 0
 
     def key(self, exps):
         n = self.nvars
@@ -162,35 +164,34 @@ class _LexCodec(_Codec):
             if not 0 <= e <= _FIELD_MAX:
                 raise ValueError(f"exponent {e} outside packed range")
             packed |= e << (_BITS * (n - 1 - j))
-        return (packed,)
+        return packed
 
     def exps(self, key):
-        p = key[0]
         n = self.nvars
-        return tuple((p >> (_BITS * (n - 1 - j))) & 0xFF for j in range(n))
+        return tuple((key >> (_BITS * (n - 1 - j))) & 0xFF for j in range(n))
 
     def mul(self, ka, kb):
-        return (ka[0] + kb[0],)
+        return ka + kb
 
     def div(self, ka, kb):
-        return (ka[0] - kb[0],)
+        return ka - kb
 
     def divides(self, ka, kb):
         g = self._guard
-        return ((kb[0] | g) - ka[0]) & g == g
+        return ((kb | g) - ka) & g == g
 
     def lcm(self, ka, kb):
         # the bytewise max
-        a, b = ka[0], kb[0]
-        return (b ^ ((a ^ b) & _ge_bytes(a, b, self._guard)),)
+        return kb ^ ((ka ^ kb) & _ge_bytes(ka, kb, self._guard))
 
     def degree(self, key):
-        return sum(self.exps(key))
+        return sum(key.to_bytes(self.nvars, "little"))
 
 
 class _BlockCodec(_Codec):
     """Elimination block order: degrevlex on the first k variables, then
-    degrevlex on the rest.  key = (deg1, packed1, deg2, packed2)."""
+    degrevlex on the rest.  key = (left key, right key), each a _DrlCodec
+    key, so tuple comparison ranks the first block before the second."""
 
     __slots__ = ("k", "_left", "_right")
 
@@ -201,34 +202,29 @@ class _BlockCodec(_Codec):
         self.k = k
         self._left = _DrlCodec(k)
         self._right = _DrlCodec(nvars - k)
-        self.one = self._left.one + self._right.one
+        self.one = (self._left.one, self._right.one)
 
     def key(self, exps):
         k = self.k
-        return self._left.key(exps[:k]) + self._right.key(exps[k:])
+        return (self._left.key(exps[:k]), self._right.key(exps[k:]))
 
     def exps(self, key):
-        return self._left.exps(key[:2]) + self._right.exps(key[2:])
+        return self._left.exps(key[0]) + self._right.exps(key[1])
 
     def mul(self, ka, kb):
-        cl, cr = self._left._cbase, self._right._cbase
-        return (ka[0] + kb[0], ka[1] + kb[1] - cl, ka[2] + kb[2], ka[3] + kb[3] - cr)
+        return (ka[0] + kb[0] - self._left._cbase, ka[1] + kb[1] - self._right._cbase)
 
     def div(self, ka, kb):
-        cl, cr = self._left._cbase, self._right._cbase
-        return (ka[0] - kb[0], ka[1] + cl - kb[1], ka[2] - kb[2], ka[3] + cr - kb[3])
+        return (ka[0] - kb[0] + self._left._cbase, ka[1] - kb[1] + self._right._cbase)
 
     def divides(self, ka, kb):
-        gl, gr = self._left._guard, self._right._guard
-        return (((ka[1] | gl) - kb[1]) & gl == gl
-                and ((ka[3] | gr) - kb[3]) & gr == gr)
+        return self._left.divides(ka[0], kb[0]) and self._right.divides(ka[1], kb[1])
 
     def lcm(self, ka, kb):
-        return (self._left.lcm(ka[:2], kb[:2])
-                + self._right.lcm(ka[2:], kb[2:]))
+        return (self._left.lcm(ka[0], kb[0]), self._right.lcm(ka[1], kb[1]))
 
     def degree(self, key):
-        return key[0] + key[2]
+        return self._left.degree(key[0]) + self._right.degree(key[1])
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ from .linalg import axpy
 from .orders import DEGREVLEX, MAX_PACKED_DEGREE, MonomialOrder
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_PAST_PACKED = f"product degree exceeds the packed-monomial bound {MAX_PACKED_DEGREE}"
 
 
 class RingCtx:
@@ -188,9 +189,7 @@ class Polynomial:
         if not self.terms or not other.terms:
             return self.ring.zero
         if self.degree() + other.degree() > MAX_PACKED_DEGREE:
-            raise ValueError(
-                f"product degree exceeds the packed-monomial bound "
-                f"{MAX_PACKED_DEGREE}")
+            raise ValueError(_PAST_PACKED)
         field, codec = self.ring.field, self.ring.codec
         mul_k, mul_c, add_c = codec.mul, field.mul, field.add
         acc = {}
@@ -239,7 +238,10 @@ class Polynomial:
     # -- structural maps -----------------------------------------------------
 
     def compose(self, images) -> "Polynomial":
-        """Substitute images[j] for the j-th variable (same field required)."""
+        """Substitute images[j] for the j-th variable (same field required).
+        Each monomial's image is a {key: coeff} dict built once per call,
+        image(m) = image(m / x_j) * images[j] for the first variable x_j of m;
+        the images are summed with axpy and sorted once."""
         images = tuple(images)
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
@@ -249,15 +251,28 @@ class Polynomial:
                 raise RingMismatchError("images live in different rings")
         if target.field != self.ring.field:
             raise RingMismatchError("composition must preserve the field")
-        exps = self.ring.codec.exps
-        out = target.zero
+        codec, field, shift = self.ring.codec, target.field, target.codec.mul
+        degrees = [im.degree() for im in images]
+        memo = {codec.one: {target.codec.one: field.one}}
+
+        def image(m):
+            if m not in memo:
+                j = next(j for j, e in enumerate(codec.exps(m)) if e)
+                sub, memo[m] = image(codec.div(m, codec.var_key(j))), {}
+                for kb, cb in images[j].terms:
+                    axpy(memo[m], cb, {shift(kb, t): c for t, c in sub.items()}, field)
+            return memo[m]
+
+        acc = {}
         for k, c in self.terms:
-            term = target.constant(c)
-            for j, e in enumerate(exps(k)):
-                if e:
-                    term = term * images[j] ** e
-            out = out + term
-        return out
+            # ValueError exactly where multiplying out the powers images[j] **
+            # e_j would raise it: a zero image (negative part) ends the product
+            parts = [e * d for e, d in zip(codec.exps(k), degrees) if e]
+            live = next((i for i, d in enumerate(parts) if d < 0), len(parts))
+            if max(max(parts, default=0), sum(parts[:live])) > MAX_PACKED_DEGREE:
+                raise ValueError(_PAST_PACKED)
+            axpy(acc, c, image(k), field)
+        return Polynomial(target, tuple(sorted(acc.items(), reverse=True)))
 
     def extend(self, target: RingCtx, var_map=None) -> "Polynomial":
         """Re-embed into target, sending variable j to variable var_map[j]

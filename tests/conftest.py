@@ -311,3 +311,43 @@ def oracle_census_classify(cover_gb, F):
         presented_by_quadrics=(set(nu) == {2}),
         had_linear_forms=1 in nu,
     )
+
+
+# -- compose oracle (each term rebuilt from Polynomial powers and products) -----
+
+
+def oracle_compose(p: Polynomial, images) -> Polynomial:
+    """Polynomial.compose term by term: each term is a constant times the
+    powers images[j] ** e_j, multiplied and added as Polynomials."""
+    images = tuple(images)
+    target = images[0].ring
+    exps = p.ring.codec.exps
+    out = target.zero
+    for k, c in p.terms:
+        term = target.constant(c)
+        for j, e in enumerate(exps(k)):
+            if e:
+                term = term * images[j] ** e
+        out = out + term
+    return out
+
+
+# -- WLP oracle (every draw of the budget) ----------------------------------------
+
+
+def oracle_generic_times_rank(I, d: int, policy=None):
+    """generic_times_rank drawing all policy.num_samples forms: the first
+    report of the highest rank."""
+    from gorquad.gin import GenericityPolicy, times_L_rank
+    from gorquad.idealops import random_linear_form
+    from gorquad.invariants import as_basis
+
+    policy = policy or GenericityPolicy()
+    gb = as_basis(I)
+    rng = random.Random(policy.seed)
+    best = None
+    for _ in range(max(policy.num_samples, 1)):
+        report = times_L_rank(gb, d, random_linear_form(gb.ring, rng))
+        if best is None or report.rank > best.rank:
+            best = report
+    return best

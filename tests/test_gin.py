@@ -20,7 +20,7 @@ from gorquad.idealops import random_linear_form
 from gorquad.invariants import hilbert_function
 from gorquad.poly import ring
 
-from conftest import GF2, GF7, GFBIG, Q
+from conftest import GF2, GF7, GFBIG, Q, oracle_generic_times_rank
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +249,42 @@ def test_wlp_fails_for_squares_over_gf2():
     assert not rep.has_wlp
     assert rep.failing_degrees() == (1,)
     assert [r.rank for r in rep.reports] == [1, 2, 1]
+
+
+# GF(7) with the squares reaches the bound in degree 2 at the second draw;
+# GF(2) never reaches it in degree 1.
+_WLP_CASES = ([(r, GFBIG, style) for r in range(3, 7)
+               for style in ("monomial", "random")]
+              + [(4, Q, "random"), (5, GF7, "monomial"), (3, GF2, "monomial")])
+
+
+@pytest.mark.parametrize("r, field, style", _WLP_CASES)
+def test_generic_times_rank_matches_the_full_budget(r, field, style):
+    I = quadric_ci(r, field, style, seed=r)
+    for d in range(hilbert_function(I).socle_degree + 1):
+        for policy in (GenericityPolicy(), GenericityPolicy(3, seed=7),
+                       GenericityPolicy(1, seed=2)):
+            assert (generic_times_rank(I, d, policy)
+                    == oracle_generic_times_rank(I, d, policy)), (d, policy)
+
+
+def test_check_wlp_draws_once_per_degree_when_the_first_form_is_maximal(
+        monkeypatch):
+    gin_module = importlib.import_module("gorquad.gin")
+    calls = []
+    real = gin_module.times_L_rank
+
+    def counted(I, d, L, gin_result=None):
+        calls.append(d)
+        return real(I, d, L, gin_result)
+
+    monkeypatch.setattr(gin_module, "times_L_rank", counted)
+    rep = check_wlp(quadric_ci(6, GFBIG))
+    assert rep.has_wlp
+    assert calls == list(range(6))
+    calls.clear()
+    assert not check_wlp(quadric_ci(3, GF2)).has_wlp
+    assert calls == [0, 1, 1, 1, 1, 1, 2]    # the budget at the failing degree
 
 
 # -- gin combinatorics -------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Monomial key packing and term-order laws."""
 
 import itertools
+import random
 
 import pytest
 
-from gorquad.orders import (DEGREVLEX, LEX, MAX_PACKED_DEGREE, MonomialOrder,
-                            elimination_order)
+from gorquad.orders import (_FIELD_MAX, DEGREVLEX, LEX, MAX_PACKED_DEGREE,
+                            MonomialOrder, elimination_order)
 
 
 def all_exps(nvars, max_deg):
@@ -88,3 +89,62 @@ def test_named_orders():
     assert MonomialOrder("lex") == LEX
     with pytest.raises(ValueError):
         MonomialOrder("weighted")
+
+
+# -- the codecs against exponent arithmetic -------------------------------------
+
+# byte extremes of a packed exponent
+_PICKS = (0, 1, 2, _FIELD_MAX - 1, _FIELD_MAX)
+
+
+def _orders(nvars):
+    return [DEGREVLEX, LEX] + [elimination_order(k) for k in range(1, nvars)]
+
+
+def _exponent_rank(order, e):
+    """The order written directly on exponent vectors, as a sort key."""
+    def drl(part):
+        return (sum(part),) + tuple(-x for x in reversed(part))
+    if order.kind == "lex":
+        return tuple(e)
+    if order.kind == "degrevlex":
+        return drl(e)
+    k = order.elim_count
+    return drl(e[:k]) + drl(e[k:])
+
+
+def _draw(rng, nvars, cap=None):
+    """An exponent vector of byte-extreme or uniform entries, each at most
+    cap[j] when cap is given."""
+    cap = cap or (_FIELD_MAX,) * nvars
+    return tuple(min(c, rng.choice(_PICKS + (rng.randrange(_FIELD_MAX + 1),)))
+                 for c in cap)
+
+
+@pytest.mark.parametrize("nvars", range(1, 11))
+def test_codecs_match_exponent_arithmetic(nvars):
+    rng = random.Random(nvars)
+    for order in _orders(nvars):
+        codec = order.codec(nvars)
+        if order.kind != "block":
+            assert type(codec.key((0,) * nvars)) is int
+        assert codec.exps(codec.one) == (0,) * nvars
+        for _ in range(60):
+            a = _draw(rng, nvars)
+            b = _draw(rng, nvars, tuple(_FIELD_MAX - x for x in a))  # a*b packs
+            c = _draw(rng, nvars, a)                                 # c | a
+            ka, kb, kc = (codec.key(e) for e in (a, b, c))
+            assert codec.exps(ka) == a and codec.degree(ka) == sum(a)
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert codec.mul(ka, kb) == codec.key(ab), (order, a, b)
+            assert codec.mul(ka, codec.one) == ka
+            assert codec.div(ka, kc) == codec.key(
+                tuple(x - y for x, y in zip(a, c))), (order, a, c)
+            assert codec.div(codec.key(ab), kb) == ka
+            for x, y in ((a, b), (b, a), (c, a), (a, c), (a, a)):
+                kx, ky = codec.key(x), codec.key(y)
+                assert codec.divides(kx, ky) == all(
+                    i <= j for i, j in zip(x, y)), (order, x, y)
+                assert (kx < ky) == (_exponent_rank(order, x)
+                                     < _exponent_rank(order, y)), (order, x, y)
+                assert (kx == ky) == (x == y)
