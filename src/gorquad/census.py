@@ -212,8 +212,8 @@ def _standard_multiples(gb: GroebnerBasis, d: int) -> dict:
         codec = gb.ring.codec
         above = gb._level(d + 1)[1]
         ups = gb._caches[("ups", d)] = {
-            s: tuple((t, j) for j in range(gb.ring.nvars)
-                     if (t := codec.mul(codec.var_key(j), s)) in above)
+            s: tuple((t, j) for j, v in enumerate(codec.var_keys)
+                     if (t := codec.mul(v, s)) in above)
             for s in gb._level(d)[0]}
     return ups
 
@@ -250,7 +250,7 @@ def classify(cover_gb: GroebnerBasis, F: Polynomial) -> QuadricClassification:
     f = F if all(k in std for k, _ in F.terms) else cover_gb.normal_form(F)
     if f.is_zero():
         raise AlgebraError("the form lies in the cover")
-    var_keys = [R.codec.var_key(j) for j in range(r)]
+    var_keys = R.codec.var_keys
     # J_d as {lead: monic vector, or (s, j) for x_j times J_{d-1}'s vector
     # at lead s, built on first use}; J_0 = 0.
     ann = [{}]

@@ -21,7 +21,7 @@ from .core import (
     LinkageError,
     RingMismatchError,
 )
-from .groebner import Ideal, _known_basis
+from .groebner import Ideal, _known_basis, _order_ideal_step
 from .idealops import random_homogeneous, random_linear_form
 from .invariants import (
     HVector,
@@ -171,30 +171,32 @@ def apolar_ideal(F: Polynomial) -> Ideal:
     if e < 1:
         raise ValueError("the dual form must have positive degree")
     codec, field = R.codec, R.field
-    mul, div, divides = codec.mul, codec.div, codec.divides
-    var_keys = [codec.var_key(j) for j in range(R.nvars)]
+    div, divides = codec.div, codec.divides
     one = field.one
     divisors = [set() for _ in range(e + 2)]    # D_d, empty for d = e + 1
     divisors[e].update(k for k, _ in F.terms)
     for d in range(e, 0, -1):
-        divisors[d - 1].update(div(m, v) for m in divisors[d] for v in var_keys
-                               if divides(v, m))
+        divisors[d - 1].update(div(m, v) for m in divisors[d]
+                               for v in codec.var_keys if divides(v, m))
     gens: list[Polynomial] = []
     kernel: list[dict] = []         # K_{d-1}, as {monomial key: coeff}
     h = [1]
+    below = {codec.one: 0}          # D_{d-1}, as {monomial key: support mask}
     for d in range(1, e + 2):
-        D, below = divisors[d], divisors[d - 1]
-        fresh = {c for c in (mul(v, m) for m in below for v in var_keys)
-                 if c not in D and all(div(c, v) in below for v in var_keys
-                                       if divides(v, c))}
+        D = divisors[d]
+        # D is an order ideal, so one step up from D_{d-1} gives every
+        # divisor's mask and, outside D, the minimal non-divisors N_d
+        gen, supp = _order_ideal_step(codec, below)
+        fresh = [c for c, m in supp.items() if gen[c] == m and c not in D]
+        below = {c: supp[c] for c in D}
         mons = sorted(D, reverse=True)
         rows = [{div(kf, m): cf for kf, cf in F.terms if divides(m, kf)}
                 for m in mons]
         prev, kernel = kernel, [{mons[i]: c for i, c in v.items()}
                                 for v in left_kernel(rows, field)]
         kept = {k: k for k in itertools.chain(D, fresh)}
-        span = echelon(_variable_multiples(codec, R.nvars,
-                                           (v.items() for v in prev), kept),
+        span = echelon(_variable_multiples(codec, (v.items() for v in prev),
+                                           kept),
                        field, len(fresh) + len(kernel))
         if d > e:
             gens.extend(Polynomial(R, ((k, one),))

@@ -106,17 +106,13 @@ def is_borel_fixed(x) -> bool:
         if len(g.terms) != 1:
             raise ValueError("Borel check expects a monomial ideal")
     codec = gb.ring.codec
+    mul, div, divides, vk = codec.mul, codec.div, codec.divides, codec.var_keys
     for m in gb.lead_keys:
         std = gb._level(codec.degree(m))[1]
-        exps = codec.exps(m)
-        for j, e in enumerate(exps):
-            if not e:
-                continue
-            for i in range(j):
-                shifted = list(exps)
-                shifted[j] -= 1
-                shifted[i] += 1
-                if codec.key(tuple(shifted)) in std:
+        for j in range(1, len(vk)):
+            if divides(vk[j], m):
+                below = div(m, vk[j])
+                if any(mul(below, vk[i]) in std for i in range(j)):
                     return False
     return True
 
@@ -249,14 +245,12 @@ def reduction_number(I: Ideal, s: int,
         best = k if best is None else min(best, k)
     if gin_result is not None and 0 <= s < ring_.nvars:
         gin_gb = gin_result.monomial_ideal.groebner()
-        j = ring_.nvars - s - 1
-        k = 0
-        while True:
-            e = [0] * ring_.nvars
-            e[j] = k + 1
-            if ring_.codec.key(tuple(e)) not in gin_gb._level(k + 1)[1]:
-                break
+        codec = ring_.codec
+        x = codec.var_keys[ring_.nvars - s - 1]
+        k, power = 0, x             # power = x^(k+1)
+        while power in gin_gb._level(k + 1)[1]:
             k += 1
+            power = codec.mul(power, x)
             if k > 2 * ring_.nvars + hilbert_function(gb).socle_degree:
                 raise AlgebraError("gin has no pure power of the expected "
                                    "variable; it is not artinian")

@@ -23,7 +23,13 @@ Every Ideal is homogeneous.  A finished basis tabulates B = R/I degree by
 degree (GroebnerBasis._level): the standard monomials as an order ideal and
 their products' normal forms, as in FGLM.  That table is the only normal
 form of a finished basis: normal_form, contains and the invariants in
-invariants.py all read B from there.
+invariants.py all read B from there.  Each degree of an order ideal comes
+from the one below in one pass over the products x_j * s
+(_order_ideal_step): a support bitmask per monomial, and per product the
+mask of the variables x_j with b / x_j in the degree below, decide that
+every b / x_k is there with one int comparison and no divisibility test.
+The table, the engine's hint (_std_count) and apolar_ideal's minimal
+non-divisors all take that step.
 
 Two guard rails:
 
@@ -54,9 +60,11 @@ Comput. 6, 1988), tested against the minimal lcms only.
 The engine's private hint hilbert: d -> h_d (Traverso, J. Symb. Comput. 22,
 1996): pairs pop in ascending degree, so once the partial leading ideal
 leaves h_d standard monomials in degree d, the remaining degree-d pairs
-reduce to zero and are skipped.  That is exact only for the true Hilbert
-function; an over-large hint silently drops pairs, an under-large one never
-closes a degree.  So no public call takes it: an Ideal carries it in its
+reduce to zero and are skipped; _std_count keeps that count, one
+_order_ideal_step per new degree, dropping each leading term as it is
+installed.  That is exact only for the true Hilbert function; an
+over-large hint silently drops pairs, an under-large one never closes a
+degree.  So no public call takes it: an Ideal carries it in its
 private _hilbert slot, None unless the constructor proves it, and
 Ideal.groebner hands it to the engine.  Three constructors set it, each
 with its own proof: constructions.apolar_ideal (catalecticant ranks),
@@ -198,6 +206,41 @@ def _gm_kept(codec, lcms, lm_degs, lm_deg) -> list:
     return kept
 
 
+def _order_ideal_step(codec, prev: dict):
+    """One degree up an order ideal: prev maps each monomial s of the
+    degree below to its support mask (bit j set iff x_j divides s).  Over
+    the products b = x_j * s, returns gen[b], with bit j set iff b / x_j
+    is in prev, and supp[b], b's support mask.  So every b / x_k lies in
+    prev iff gen[b] == supp[b], and otherwise the lowest bit of
+    supp[b] & ~gen[b] is the first x_k dividing b with b / x_k outside."""
+    mul = codec.mul
+    gen, supp = {}, {}
+    get = gen.get
+    for j, v in enumerate(codec.var_keys):
+        bit = 1 << j
+        for s, mask in prev.items():
+            b = mul(v, s)
+            g = get(b)
+            if g is None:
+                gen[b] = bit
+                supp[b] = mask | bit
+            else:
+                gen[b] = g | bit
+    return gen, supp
+
+
+def _std_count(codec, std, leads, d) -> int:
+    """The number of standard monomials of degree d of the partial leading
+    ideal with leading terms ``leads``.  std[e] holds those of degree e as
+    {monomial: support mask}, every degree below d final; std grows by
+    _order_ideal_step, as in GroebnerBasis._build_level."""
+    while len(std) <= d:
+        gen, supp = _order_ideal_step(codec, std[-1])
+        std.append({b: m for b, m in supp.items()
+                    if gen[b] == m and b not in leads})
+    return len(std[d])
+
+
 # -- the engine ----------------------------------------------------------------
 
 
@@ -205,7 +248,6 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
     degree_cap = DEFAULT_DEGREE_CAP
     codec = ring.codec
     degree, divides, lcm = codec.degree, codec.divides, codec.lcm
-    var_keys = [codec.var_key(j) for j in range(ring.nvars)]
     n = dict.fromkeys(EngineStats._fields[:-2], 0)   # the run's counters
 
     G = []          # (lm, tail dict)
@@ -213,7 +255,7 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
     reducers = _Reducers()   # the same (lm, tail) objects, indexed for _nf
     heap = []       # (lcm_degree, lcm_key, i, j)
     active = {}     # (i, j) -> lcm_key
-    std = [{codec.one}]   # std[e]: standard monomials of degree e, for the hint
+    std = [{codec.one: 0}]   # std[e]: degree-e standard monomials, for the hint
 
     def install(lm, tail):
         """Add a monic element, wire up reducers, and run the pair update."""
@@ -223,7 +265,7 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
         lm_degs.append(lm_deg)
         reducers.install(lm_deg, lm, tail)
         if lm_deg < len(std):
-            std[lm_deg].discard(lm)
+            std[lm_deg].pop(lm, None)
 
         lcms = [lcm(G[i][0], lm) for i in range(h)]
         kept = _gm_kept(codec, lcms, lm_degs, lm_deg)
@@ -243,18 +285,6 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
                        and lcms[kij[1]] != l]:
             n["chain_pruned"] += 1
             del active[key_ij]
-
-    def std_count(d):
-        """Standard monomials of degree d of the partial leading ideal, grown
-        as in GroebnerBasis._build_level; every degree below d is final."""
-        mul, div = codec.mul, codec.div
-        while len(std) <= d:
-            prev = std[-1]
-            level = {b for b in {mul(v, t) for v in var_keys for t in prev}
-                     if all(div(b, v) in prev
-                            for v in var_keys if divides(v, b))}
-            std.append(level.difference(lm for lm, _ in G))
-        return len(std[d])
 
     # Seed with the inputs, normal-formed against what is already there.
     inputs = [p for p in polys if not p.is_zero()]
@@ -280,7 +310,8 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
             raise CappedComputationError(
                 f"S-pair of degree {d} exceeds the degree cap {degree_cap}",
                 cap=degree_cap, degree=d)
-        if hilbert is not None and std_count(d) == hilbert(d):
+        if (hilbert is not None
+                and _std_count(codec, std, reducers.heads, d) == hilbert(d)):
             n["hint_skipped"] += 1
             continue
         reducers.forget_below(d)    # every later _nf is of degree >= d
@@ -383,10 +414,12 @@ class GroebnerBasis:
         return iter(self.elements)
 
     def _level(self, d: int) -> tuple:
-        """(std, std_set, nf) of degree d: the standard monomials, descending
-        and as a set, and NF(m) as {key: coeff} dicts for every m in
-        B_1 * std_{d-1} (standard m as {m: 1}) plus those _monomial_nf
-        memoises.  The dicts are shared with callers, who must not change them.
+        """(std, std_set, nf) of degree d: the standard monomials, descending;
+        std_set, the same as {monomial: support mask} (bit j set iff x_j
+        divides it), which callers read by membership; and NF(m) as
+        {key: coeff} dicts for every m in B_1 * std_{d-1} (standard m as
+        {m: 1}) plus those _monomial_nf memoises.  The dicts are shared with
+        callers, who must not change them.
         Raises AlgebraError past the truncation or the packed exponent range
         (orders._FIELD_MAX) and on a basis with an inhomogeneous element."""
         if self.truncated_at is not None and d > self.truncated_at:
@@ -405,42 +438,43 @@ class GroebnerBasis:
         return levels[d]
 
     def _build_level(self, levels: list) -> tuple:
-        """The degree after ``levels``.  A monomial b = x_j * s, s standard,
-        is standard iff it is no leading term and every b / x_k is standard.
-        The table fills in ascending order: a leading term has NF(b) = -tail;
+        """The degree after ``levels``, in one _order_ideal_step over the
+        products b = x_j * s, s standard: b is standard iff it is no leading
+        term and every b / x_k is standard, that is gen[b] == supp[b].  The
+        table fills in ascending order: a leading term has NF(b) = -tail;
         any other nonstandard b has a nonstandard b / x_k in the table one
-        degree down, and NF(b) = sum c_t NF(x_k * t) over NF(b / x_k), where
-        each x_k * t lies below b and so is in the table already."""
+        degree down, x_k the lowest bit of supp[b] & ~gen[b] (the first
+        variable whose quotient is nonstandard), and NF(b) = sum c_t
+        NF(x_k * t) over NF(b / x_k), where each x_k * t lies below b and
+        so is in the table already."""
         d = len(levels)
         codec, field = self.ring.codec, self.ring.field
-        mul, div, divides = codec.mul, codec.div, codec.divides
+        mul, div, var_keys = codec.mul, codec.div, codec.var_keys
         neg, one = field.neg, field.one
-        var_keys = [codec.var_key(j) for j in range(self.ring.nvars)]
         tails = {p.terms[0][0]: p.terms[1:] for p in self.elements
                  if codec.degree(p.terms[0][0]) == d}
         if d == 0:
-            prev_set, prev_nf, candidates = frozenset(), {}, {codec.one}
+            prev_nf, gen, supp = {}, {codec.one: 0}, {codec.one: 0}
         else:
-            prev_std, prev_set, prev_nf = levels[d - 1]
-            candidates = {mul(v, s) for v in var_keys for s in prev_std}
+            _, prev, prev_nf = levels[d - 1]
+            gen, supp = _order_ideal_step(codec, prev)
         nf = {}
-        std = []
-        for b in sorted(candidates):
+        level = {}      # standard b: its support mask, ascending
+        for b in sorted(supp):
             tail = tails.get(b)
             if tail is not None:
                 nf[b] = {k: neg(c) for k, c in tail}
                 continue
-            vk = next((v for v in var_keys
-                       if divides(v, b) and div(b, v) not in prev_set), None)
-            if vk is None:
-                std.append(b)
+            missing = supp[b] & ~gen[b]
+            if not missing:
+                level[b] = supp[b]
                 nf[b] = {b: one}
                 continue
+            vk = var_keys[(missing & -missing).bit_length() - 1]
             row = nf[b] = {}
             for t, c in prev_nf[div(b, vk)].items():
                 axpy(row, c, nf[mul(vk, t)], field)
-        std.reverse()
-        return tuple(std), frozenset(std), nf
+        return tuple(reversed(level)), level, nf
 
     def _monomial_nf(self, m) -> dict:
         """NF(m) of a monomial key, from the table of its degree.  A monomial

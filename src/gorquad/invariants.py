@@ -302,7 +302,7 @@ def socle_type(x) -> tuple:
     def build():
         codec, field = gb.ring.codec, gb.ring.field
         mul = codec.mul
-        var_keys = [codec.var_key(j) for j in range(gb.ring.nvars)]
+        var_keys = codec.var_keys
         out = []
         for d in range(hilbert_function(gb).socle_degree + 1):
             above, nf = gb._level(d + 1)[1:]
@@ -355,14 +355,13 @@ def minimal_generator_counts(x) -> dict:
     return dict(Counter(degree(g.leading_key()) for g in minimal_generators(x)))
 
 
-def _variable_multiples(codec, nvars: int, vectors, column: dict):
+def _variable_multiples(codec, vectors, column: dict):
     """The products x_j * v of vectors v, given as (monomial key, coeff)
     pairs, as dict rows read lazily: column maps each monomial it keeps to
     its row key, and the others are dropped.  Multiplying by x_j keeps the
     terms of v distinct."""
-    var_keys = [codec.var_key(j) for j in range(nvars)]
     for v in vectors:
-        for vk in var_keys:
+        for vk in codec.var_keys:
             yield {column[t]: c for t, c in
                    ((codec.mul(vk, m), c) for m, c in v) if t in column}
 
@@ -388,7 +387,6 @@ def minimal_generators(x) -> tuple:
 
     def build():
         codec = gb.ring.codec
-        var_keys = [codec.var_key(j) for j in range(gb.ring.nvars)]
         out = []
         for d in sorted({codec.degree(k) for k in gb.lead_keys}):
             if d == 0:
@@ -396,7 +394,7 @@ def minimal_generators(x) -> tuple:
                 continue
             lower = nonstandard_monomials(gb, d - 1)
             inside = {codec.mul(vk, m) for m in lower
-                      if not gb._monomial_nf(m) for vk in var_keys}
+                      if not gb._monomial_nf(m) for vk in codec.var_keys}
             # [I]_d has the triangular basis {m - NF(m)}, so an element of it
             # is fixed by its nonstandard coefficients.  Over these columns
             # m - NF(m) is the unit vector at m, so it lies in R_1 * [I]_{d-1}
@@ -406,9 +404,9 @@ def minimal_generators(x) -> tuple:
             # those lowest terms.
             column = {m: i for i, m in enumerate(nonstandard_monomials(gb, d))
                       if m not in inside}
-            rows = _variable_multiples(
-                codec, gb.ring.nvars, (_minus_nf(gb, m).terms for m in lower
-                                       if gb._monomial_nf(m)), column)
+            rows = _variable_multiples(codec, (_minus_nf(gb, m).terms
+                                               for m in lower
+                                               if gb._monomial_nf(m)), column)
             span = echelon(rows, gb.ring.field, len(column))
             out.extend(_minus_nf(gb, m) for m, i in column.items()
                        if i not in span.pivots)

@@ -76,9 +76,17 @@ def elimination_order(elim_count: int) -> MonomialOrder:
 
 class _Codec:
     """What the three codecs share, written in terms of their key/exps.  Each
-    codec packs its own lcm; this one is their test oracle."""
+    codec packs its own lcm; this one is their test oracle.  var_keys is the
+    tuple of the variables' keys, x_j at index j, built once per codec (and
+    codecs are cached per order and number of variables), so callers index
+    it instead of packing exponent vectors."""
 
-    __slots__ = ("nvars", "one")
+    __slots__ = ("nvars", "one", "var_keys")
+
+    def _set_var_keys(self):
+        n = self.nvars
+        self.var_keys = tuple(self.key(tuple(int(i == j) for i in range(n)))
+                              for j in range(n))
 
     def lcm(self, ka, kb):
         ea, eb = self.exps(ka), self.exps(kb)
@@ -86,9 +94,7 @@ class _Codec:
 
     def var_key(self, j):
         """Key of the variable with zero-based index j."""
-        e = [0] * self.nvars
-        e[j] = 1
-        return self.key(tuple(e))
+        return self.var_keys[j]
 
 
 class _DrlCodec(_Codec):
@@ -111,6 +117,7 @@ class _DrlCodec(_Codec):
         self._guard = _repeated(0x80, nvars)
         self._top = _FIELD_MAX * nvars
         self.one = self._cbase
+        self._set_var_keys()
 
     def key(self, exps):
         packed = 0
@@ -156,6 +163,7 @@ class _LexCodec(_Codec):
         self.nvars = nvars
         self._guard = _repeated(0x80, nvars)
         self.one = 0
+        self._set_var_keys()
 
     def key(self, exps):
         n = self.nvars
@@ -203,6 +211,7 @@ class _BlockCodec(_Codec):
         self._left = _DrlCodec(k)
         self._right = _DrlCodec(nvars - k)
         self.one = (self._left.one, self._right.one)
+        self._set_var_keys()
 
     def key(self, exps):
         k = self.k

@@ -80,9 +80,8 @@ class RingCtx:
     def variables(self) -> tuple:
         if self._vars is None:
             one = self.field.one
-            self._vars = tuple(
-                Polynomial(self, ((self.codec.var_key(j), one),))
-                for j in range(self.nvars))
+            self._vars = tuple(Polynomial(self, ((vk, one),))
+                               for vk in self.codec.var_keys)
         return self._vars
 
     def variable(self, name: str) -> "Polynomial":
@@ -258,7 +257,7 @@ class Polynomial:
         def image(m):
             if m not in memo:
                 j = next(j for j, e in enumerate(codec.exps(m)) if e)
-                sub, memo[m] = image(codec.div(m, codec.var_key(j))), {}
+                sub, memo[m] = image(codec.div(m, codec.var_keys[j])), {}
                 for kb, cb in images[j].terms:
                     axpy(memo[m], cb, {shift(kb, t): c for t, c in sub.items()}, field)
             return memo[m]

@@ -351,3 +351,81 @@ def oracle_generic_times_rank(I, d: int, policy=None):
         if best is None or report.rank > best.rank:
             best = report
     return best
+
+
+# -- order-ideal oracles (the divisor scan, per candidate monomial) -------------
+
+
+def oracle_build_level(gb, levels: list) -> tuple:
+    """GroebnerBasis._build_level by a divisor scan, on this oracle's own
+    levels (std descending, frozenset(std), nf): b = x_j * s, s standard,
+    is standard iff it is no leading term and every b / x_k is standard,
+    and a nonstandard b reduces through the first x_k dividing b with
+    b / x_k nonstandard."""
+    from gorquad.linalg import axpy
+
+    d = len(levels)
+    codec, field = gb.ring.codec, gb.ring.field
+    mul, div, divides = codec.mul, codec.div, codec.divides
+    neg, one = field.neg, field.one
+    var_keys = [codec.key(tuple(int(i == j) for i in range(codec.nvars)))
+                for j in range(codec.nvars)]
+    tails = {p.terms[0][0]: p.terms[1:] for p in gb.elements
+             if codec.degree(p.terms[0][0]) == d}
+    if d == 0:
+        prev_set, prev_nf, candidates = frozenset(), {}, {codec.one}
+    else:
+        prev_std, prev_set, prev_nf = levels[d - 1]
+        candidates = {mul(v, s) for v in var_keys for s in prev_std}
+    nf = {}
+    std = []
+    for b in sorted(candidates):
+        tail = tails.get(b)
+        if tail is not None:
+            nf[b] = {k: neg(c) for k, c in tail}
+            continue
+        vk = next((v for v in var_keys
+                   if divides(v, b) and div(b, v) not in prev_set), None)
+        if vk is None:
+            std.append(b)
+            nf[b] = {b: one}
+            continue
+        row = nf[b] = {}
+        for t, c in prev_nf[div(b, vk)].items():
+            axpy(row, c, nf[mul(vk, t)], field)
+    std.reverse()
+    return tuple(std), frozenset(std), nf
+
+
+def oracle_std_count(codec, std, leads, d) -> int:
+    """groebner._std_count by a divisor scan: each new degree keeps the
+    products whose every quotient by a variable lies in the degree below,
+    less the leading terms.  It stores zero masks, which it never reads."""
+    mul, div, divides = codec.mul, codec.div, codec.divides
+    var_keys = [codec.key(tuple(int(i == j) for i in range(codec.nvars)))
+                for j in range(codec.nvars)]
+    while len(std) <= d:
+        prev = std[-1]
+        level = {b for b in {mul(v, t) for v in var_keys for t in prev}
+                 if all(div(b, v) in prev for v in var_keys if divides(v, b))}
+        std.append(dict.fromkeys(level.difference(leads), 0))
+    return len(std[d])
+
+
+def oracle_is_borel_fixed(gb) -> bool:
+    """gin.is_borel_fixed on a monomial basis, on exponent vectors: each
+    x_i * m / x_j, i < j, of a leading term m must be nonstandard."""
+    codec = gb.ring.codec
+    for m in gb.lead_keys:
+        std = gb._level(codec.degree(m))[1]
+        exps = codec.exps(m)
+        for j, e in enumerate(exps):
+            if not e:
+                continue
+            for i in range(j):
+                shifted = list(exps)
+                shifted[j] -= 1
+                shifted[i] += 1
+                if codec.key(tuple(shifted)) in std:
+                    return False
+    return True

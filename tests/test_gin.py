@@ -18,9 +18,11 @@ from gorquad.gin import (GenericityPolicy, GinUncertifiedError,
 from gorquad.groebner import Ideal
 from gorquad.idealops import random_linear_form
 from gorquad.invariants import hilbert_function
-from gorquad.poly import ring
+from gorquad.orders import DEGREVLEX, LEX, elimination_order
+from gorquad.poly import Polynomial, ring
 
-from conftest import GF2, GF7, GFBIG, Q, oracle_generic_times_rank
+from conftest import (GF2, GF7, GFBIG, Q, oracle_generic_times_rank,
+                      oracle_is_borel_fixed)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +141,68 @@ def test_is_borel_fixed_fixtures():
     S = ring(Q, 3)
     assert is_borel_fixed(Ideal.from_texts(S, ["x1"]))
     assert not is_borel_fixed(Ideal.from_texts(S, ["x3"]))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX, elimination_order(1)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_is_borel_fixed_matches_the_exponent_oracle(order, n):
+    """On 40 seeded monomial ideals per ring, Borel-fixed or not, and on
+    the Borel closure of each ideal's generators."""
+    R = ring(Q, n, order)
+    rng = random.Random(10 * n + len(str(order)))
+    verdicts = set()
+    for _ in range(40):
+        gens = [_monomial(R, [rng.randrange(3) for _ in range(n)])
+                for _ in range(rng.randint(1, 4))]
+        gens = [g for g in gens if g.degree() > 0] or [R.variables()[-1]]
+        for I in (Ideal(R, gens), Ideal(R, _borel_closure(R, gens))):
+            want = oracle_is_borel_fixed(I.groebner())
+            assert is_borel_fixed(I) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _monomial(R, exps):
+    return Polynomial(R, ((R.codec.key(tuple(exps)), R.field.one),))
+
+
+def _borel_closure(R, gens):
+    """Each generator's moves x_i * m / x_j, i < j, repeated until none is
+    new: a Borel-fixed monomial set."""
+    exps, closed = R.codec.exps, {g.leading_key(): g for g in gens}
+    todo = list(closed.values())
+    while todo:
+        e = exps(todo.pop().leading_key())
+        for j in range(len(e)):
+            for i in range(j):
+                if e[j]:
+                    f = list(e)
+                    f[j] -= 1
+                    f[i] += 1
+                    g = _monomial(R, f)
+                    if g.leading_key() not in closed:
+                        closed[g.leading_key()] = g
+                        todo.append(g)
+    return list(closed.values())
+
+
+def test_gin_checks_pack_no_exponent_vectors(monkeypatch, ci4, gin_ci4):
+    """is_borel_fixed and reduction_number's pure-power check form their
+    monomials from the codec's variable keys."""
+    codec = ci4.ring.codec
+    real = type(codec).key
+    calls = []
+    monkeypatch.setattr(type(codec), "key", lambda self, e:
+                        calls.append(e) or real(self, e))
+    gb = gin_ci4.monomial_ideal.groebner()
+    assert is_borel_fixed(gb) and calls == []
+    for s in range(4):
+        reduction_number(ci4, s, gin_result=gin_ci4)    # fills the caches
+        start = len(calls)
+        plain = reduction_number(ci4, s)
+        middle = len(calls)
+        assert reduction_number(ci4, s, gin_result=gin_ci4) == plain
+        assert len(calls) - middle == middle - start
 
 
 def test_random_coordinate_change_is_invertible_map():

@@ -7,16 +7,18 @@ import pytest
 
 from gorquad import groebner
 from gorquad import orders as orders_module
-from gorquad.constructions import apolar_ideal, quadric_ci, random_homogeneous
+from gorquad.constructions import (apolar_ideal, link_by_squares, quadric_ci,
+                                   random_dual_form, random_homogeneous)
 from gorquad.core import AlgebraError, CappedComputationError
-from gorquad.gin import random_coordinate_change
+from gorquad.gin import gin, random_coordinate_change
 from gorquad.groebner import GroebnerBasis, Ideal, _compute_basis
 from gorquad.invariants import hilbert_function, hilbert_value
 from gorquad.orders import _FIELD_MAX, DEGREVLEX, LEX, elimination_order
 from gorquad.poly import ring
 
-from conftest import (GF2, GF7, GFBIG, Q, gorquad_gb_normalized, poly_as_dict,
-                      random_poly, sympy_reduced_gb)
+from conftest import (GF2, GF7, GFBIG, Q, gorquad_gb_normalized,
+                      oracle_std_count, poly_as_dict, random_poly,
+                      sympy_reduced_gb)
 
 FIXED_SYSTEMS = [
     (Q, 3, ["x1^2 - x2*x3", "x2^2 - x1*x3", "x3^2 - x1*x2"]),
@@ -489,3 +491,100 @@ def test_packed_lcm_matches_the_exponent_lcm(nvars):
                 want = orders_module._Codec.lcm(codec, ka, kb)
                 assert codec.lcm(ka, kb) == want, (order, ea, eb)
                 assert codec.exps(want) == tuple(map(max, ea, eb))
+
+
+# -- the order-ideal step: divisor-scan oracles and a work guard ----------------
+
+
+def _hinted_runs(monkeypatch, build):
+    """Run build() and return (ring, inputs, truncation, hint, basis) for
+    each hinted engine run it makes."""
+    real = groebner._compute_basis
+    runs = []
+
+    def recorded(ring_, polys, truncate_at, hilbert=None):
+        polys = list(polys)
+        gb = real(ring_, polys, truncate_at, hilbert=hilbert)
+        if hilbert is not None:
+            runs.append((ring_, polys, truncate_at, hilbert, gb))
+        return gb
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_compute_basis", recorded)
+        build()
+    return runs
+
+
+def _skipped_as_the_scan_skips(monkeypatch, runs):
+    """Each run's EngineStats and elements equal a rerun whose hint count is
+    the divisor-scan oracle; returns the pairs the runs skipped."""
+    assert runs
+    for ring_, polys, truncate_at, hilbert, gb in runs:
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_std_count", oracle_std_count)
+            want = _compute_basis(ring_, polys, truncate_at, hilbert=hilbert)
+        assert gb.stats == want.stats
+        assert gb.elements == want.elements
+    return sum(gb.stats.hint_skipped for *_, gb in runs)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: gin(quadric_ci(4, GFBIG, style="random", seed=1),
+                             seed=1), id="gin-ci4-gf32003"),
+    pytest.param(lambda: gin(quadric_ci(5, Q, style="random", seed=2),
+                             seed=3), id="gin-ci5-qq"),
+    pytest.param(lambda: gin(_non_artinian(Q), seed=4), id="gin-non-artinian"),
+])
+def test_gin_hints_count_as_the_divisor_scan(monkeypatch, build):
+    assert _skipped_as_the_scan_skips(monkeypatch,
+                                      _hinted_runs(monkeypatch, build)) > 0
+
+
+def test_apolar_hints_count_as_the_divisor_scan(monkeypatch):
+    def build():
+        rng = random.Random(7)
+        for field, n, e in [(GF7, 4, 3), (GFBIG, 5, 4), (Q, 4, 4),
+                            (GF2, 5, 3), (GFBIG, 6, 3)]:
+            apolar_ideal(random_dual_form(ring(field, n), e, rng)).groebner()
+
+    assert _skipped_as_the_scan_skips(monkeypatch,
+                                      _hinted_runs(monkeypatch, build)) > 0
+
+
+def test_a_colon_past_the_degree_cap_hints_as_the_divisor_scan(monkeypatch):
+    R = ring(GF7, 4)
+    I = Ideal(R, [v * v for v in R.variables()]
+              + [R.parse("x1*x2 + 3*x3*x4 - x2*x4")])
+    I.groebner()
+    monkeypatch.setattr(groebner, "DEFAULT_DEGREE_CAP", 3)
+    runs = _hinted_runs(monkeypatch, lambda: link_by_squares(I).groebner())
+    assert len(runs) == 1
+    _skipped_as_the_scan_skips(monkeypatch, runs)
+
+
+def test_table_levels_make_no_divides_or_key_calls(monkeypatch):
+    """The level step reads support masks and the codec's variable tuple:
+    building a whole table packs no exponent vector and tests no
+    divisibility."""
+    R = ring(GFBIG, 8)
+    rng = random.Random(1)
+    gb = Ideal(R, [v * v for v in R.variables()]
+               + [random_poly(R, 2, rng) for _ in range(3)]).groebner()
+    top = hilbert_function(gb).socle_degree + 1
+    codec = R.codec
+    units = tuple(codec.key(tuple(int(i == j) for i in range(8)))
+                  for j in range(8))
+    fresh = GroebnerBasis(R, gb.elements, gb.degree_cap)
+    calls = []
+    for name in ("divides", "key"):
+        real = getattr(type(codec), name)
+        monkeypatch.setattr(type(codec), name,
+                            lambda self, *args, _real=real, _name=name:
+                            calls.append(_name) or _real(self, *args))
+    levels = [fresh._level(d) for d in range(top + 1)]
+    assert calls == []
+    assert sum(len(std) for std, _, _ in levels) == sum(hilbert_function(gb))
+    assert codec.var_keys == units
+    assert ring(GFBIG, 8).codec.var_keys is DEGREVLEX.codec(8).var_keys \
+        is codec.var_keys
+    assert all(codec.var_key(j) is codec.var_keys[j] for j in range(8))

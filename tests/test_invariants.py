@@ -27,8 +27,8 @@ from gorquad.orders import DEGREVLEX, LEX, elimination_order
 from gorquad.poly import Polynomial, ring
 
 from conftest import (GF2, GF7, GFBIG, Q, dense_rref_rank, engine_normal_form,
-                      lead_scan_standard_monomials, oracle_minimal_generators,
-                      oracle_socle_type, random_poly)
+                      lead_scan_standard_monomials, oracle_build_level,
+                      oracle_minimal_generators, oracle_socle_type, random_poly)
 
 # -- HVector ----------------------------------------------------------------------
 
@@ -162,6 +162,77 @@ def test_quotient_table_matches_scan_and_normal_form(field, order, n,
     if truncate is not None:
         with pytest.raises(AlgebraError):
             standard_monomials(gb, truncate + 1)
+
+
+def _check_levels_against_the_oracle(gb, top):
+    """Every level of gb's table through top equals the divisor-scan
+    oracle's: the std tuple, the standard set (now with each monomial's
+    support mask) and every NF row, keys in the same order."""
+    gb = groebner.GroebnerBasis(gb.ring, gb.elements, gb.degree_cap,
+                                gb.truncated_at)
+    exps = gb.ring.codec.exps
+    levels = []
+    for d in range(top + 1):
+        levels.append(oracle_build_level(gb, levels))
+    for d, (std, std_set, nf) in enumerate(levels):
+        got_std, got_set, got_nf = gb._level(d)
+        assert got_std == std
+        assert got_set == {s: sum(1 << j for j, e in enumerate(exps(s)) if e)
+                           for s in std_set}
+        assert ([(b, list(row.items())) for b, row in got_nf.items()]
+                == [(b, list(row.items())) for b, row in nf.items()])
+    return levels
+
+
+@pytest.mark.parametrize("field, order, n, truncate", QUOTIENT_CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_quotient_levels_match_the_divisor_scan(field, order, n, truncate, seed):
+    R = ring(field, n, order)
+    rng = random.Random(seed)
+    gens = [random_poly(R, 2, rng) for _ in range(n - 1)]
+    gens.append(R.variables()[seed % n] ** 3)
+    gb = Ideal(R, gens).groebner(truncate_at=truncate)
+    _check_levels_against_the_oracle(gb, 5 if truncate is None else truncate)
+
+
+@pytest.mark.parametrize("n, extra", [(8, 3), (9, 2)])
+@pytest.mark.parametrize("seed", range(2))
+def test_liaison_shaped_levels_match_the_divisor_scan(n, extra, seed):
+    """The squares plus random quadrics over GF(32003): most nonstandard
+    rows are empty, as in a liaison tower's covers."""
+    R = ring(GFBIG, n)
+    rng = random.Random(seed)
+    gb = Ideal(R, [v * v for v in R.variables()]
+               + [random_poly(R, 2, rng) for _ in range(extra)]).groebner()
+    levels = _check_levels_against_the_oracle(
+        gb, hilbert_function(gb).socle_degree + 1)
+    rows = [row for _, _, nf in levels for row in nf.values()]
+    assert sum(not row for row in rows) > len(rows) // 2
+    assert not levels[-1][0]
+
+
+@pytest.mark.parametrize("field, order, n, texts, truncate, top", [
+    (GF7, DEGREVLEX, 4, ["x1^2", "x1*x2*x3", "x3^3", "x2^4"], None, 6),
+    (Q, DEGREVLEX, 3, ["1"], None, 3),
+    (Q, DEGREVLEX, 3, ["x1^2", "x1*x2"], None, 6),
+    (GF7, DEGREVLEX, 4, ["x1^2 + x2*x3", "x2^2 - x3*x4", "x1*x3*x4 + x4^3",
+                         "x2*x3^2 - x1*x4^2"], 3, 3),
+    (GFBIG, LEX, 5, ["x1^2 + x3*x5", "x2^2 - 2*x4^2", "x3^2 + x1*x2",
+                     "x4^2 + x5^2", "x5^2 + 3*x1*x4"], None, 6),
+    (GFBIG, elimination_order(2), 5, ["x1^2 + x3*x5", "x2^2 - 2*x4^2",
+                                      "x3^2 + x1*x2", "x4^2 + x5^2",
+                                      "x5^2 + 3*x1*x4"], None, 6),
+])
+def test_special_levels_match_the_divisor_scan(field, order, n, texts,
+                                               truncate, top):
+    """A monomial ideal, the unit ideal, a non-artinian ideal, a basis
+    truncated at a degree that has leading terms, and lex and block orders
+    on an artinian quotient."""
+    R = ring(field, n, order)
+    gb = Ideal.from_texts(R, texts).groebner(truncate_at=truncate)
+    if truncate is not None:
+        assert truncate in gb.generator_degrees()
+    _check_levels_against_the_oracle(gb, top)
 
 
 def test_invariants_read_the_table_not_the_reducer(monkeypatch):
