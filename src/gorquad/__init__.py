@@ -27,7 +27,7 @@ from .invariants import (HVector, QuadricClassification, classify,
                          hilbert_function, is_artinian, is_gorenstein,
                          minimal_generator_counts, minimal_generators,
                          presented_by_quadrics, socle_degree, socle_type)
-from .orders import DEGREVLEX, LEX, MonomialOrder
+from .orders import DEGREVLEX, MonomialOrder
 from .poly import Polynomial, RingCtx, ring
 from .recipes import format_ideal, parse_ideal, run_recipe
 
@@ -37,7 +37,7 @@ __all__ = [
     "AlgebraError", "CappedComputationError", "CensusConfig", "CensusRecord",
     "CensusSummary", "DEGREVLEX", "FieldSpec", "GenericityError",
     "GinResult", "GinUncertifiedError", "GroebnerBasis", "HVector", "Ideal",
-    "InjectivityReport", "LEX", "LinkStep", "LinkageError", "ParseError",
+    "InjectivityReport", "LinkStep", "LinkageError", "ParseError",
     "Polynomial", "QuadricClassification", "RankReport", "RingCtx",
     "RingMismatchError", "WlpReport", "apolar_ideal",
     "check_injectivity_conjecture", "check_wlp", "classify", "colon_form",

@@ -34,10 +34,10 @@ MIN_GIN_PRIME = 32003
 
 @dataclass(frozen=True)
 class GinResult:
-    """A consensus revlex generic initial ideal."""
+    """A consensus revlex generic initial ideal; gin certifies it
+    Borel-fixed before it returns one."""
 
     monomial_ideal: Ideal
-    borel_fixed: bool
     attempts_agreed: int
     seeds: tuple
 
@@ -57,7 +57,6 @@ class RankReport:
     degree: int
     rank: int
     kernel_dim: int
-    method: str  # "direct_linear_algebra" or "gin_count"
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,8 @@ def gin(I: Ideal, seed: int = 0) -> GinResult:
             if not is_borel_fixed(result):
                 borel_broke = True
                 continue
-            return GinResult(monomial_ideal=result, borel_fixed=True,
-                             attempts_agreed=len(seeds), seeds=tuple(seeds))
+            return GinResult(monomial_ideal=result, attempts_agreed=len(seeds),
+                             seeds=tuple(seeds))
     reason = ("the consensus leading-term ideal is not Borel-fixed"
               if borel_broke else "no 3-way agreement on the leading-term ideal")
     raise GinUncertifiedError(
@@ -180,8 +179,7 @@ def times_L_rank(I: Ideal, d: int, L: Polynomial,
         raise AlgebraError("rank bookkeeping expects an artinian quotient")
     kernel_dim = len(annihilator(gb, [L], d))
     rank = hilbert_value(gb, d) - kernel_dim
-    report = RankReport(degree=d, rank=rank, kernel_dim=kernel_dim,
-                        method="direct_linear_algebra")
+    report = RankReport(degree=d, rank=rank, kernel_dim=kernel_dim)
     if gin_result is not None:
         expected = gin_monomial_census(gin_result, d + 1).standard_divisible
         if expected != rank:

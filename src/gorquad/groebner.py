@@ -50,7 +50,7 @@ by the quotient ({q * t: c}, so rewriting k needs no monomial product), or
 else the one of degree d whose lm is k, read from a {lm: tail} dict.  The
 memo of degree d reads only reducers of lower degree, so installing one of
 degree e drops the memo above e; that keeps it exact while the inputs are
-seeded in key order, not degree order in lex and block orders.  Every input
+seeded in key order, not degree order in block orders.  Every input
 is homogeneous, inputs are seeded first and pairs pop in ascending degree,
 so a degree's memo is filled once and read by every pair of that degree;
 once a pair of degree d pops, nothing reads the levels below d again, and
@@ -511,10 +511,6 @@ class GroebnerBasis:
         return not self._reduce(p)
 
     reduces_to_zero = contains
-
-    def leading_term_ideal(self) -> tuple:
-        one = self.ring.field.one
-        return tuple(Polynomial(self.ring, ((k, one),)) for k in self.lead_keys)
 
     def generator_degrees(self) -> tuple:
         """Sorted degrees of the reduced-basis elements."""

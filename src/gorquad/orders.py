@@ -1,11 +1,12 @@
 """Monomial orders compiled to packed-integer key codecs.
 
-A codec maps an exponent vector to one int (the *key*; a pair of ints for a
-block order, one per block) such that
+The package has two orders: degrevlex, and the elimination block orders
+built from it.  A codec maps an exponent vector to one int (the *key*; a
+pair of degrevlex keys for a block order, one per block) such that
 
   * int comparison of keys realizes the monomial order, and
-  * integer addition (with a complement-base correction for the rev-lex
-    packed bytes) realizes monomial multiplication, and
+  * integer addition, less the complement base of the rev-lex packed
+    bytes, realizes monomial multiplication, and
   * divisibility and lcm are a constant number of big-int operations
     (guard-bit test).
 
@@ -31,24 +32,16 @@ def _repeated(byte: int, n: int) -> int:
     return int.from_bytes(bytes((byte,)) * n, "little")
 
 
-def _ge_bytes(a: int, b: int, guard: int) -> int:
-    """0x7F in each packed byte where a's byte >= b's byte, else 0: with the
-    guard bits set, a - b borrows from no byte, and each guard bit survives
-    exactly where a's byte >= b's."""
-    g = ((a | guard) - b) & guard
-    return g - (g >> 7)
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Order spec: degrevlex (default), lex, or a block order eliminating the
+    """Order spec: degrevlex (default), or a block order eliminating the
     first elim_count variables (degrevlex inside each block)."""
 
     kind: str = "degrevlex"
     elim_count: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex", "block"):
+        if self.kind not in ("degrevlex", "block"):
             raise ValueError(f"unknown order kind: {self.kind}")
         if self.kind == "block":
             if self.elim_count < 1:
@@ -66,7 +59,6 @@ class MonomialOrder:
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
 
 
 def elimination_order(elim_count: int) -> MonomialOrder:
@@ -75,7 +67,7 @@ def elimination_order(elim_count: int) -> MonomialOrder:
 
 
 class _Codec:
-    """What the three codecs share, written in terms of their key/exps.  Each
+    """What the two codecs share, written in terms of their key/exps.  Each
     codec packs its own lcm; this one is their test oracle.  var_keys is the
     tuple of the variables' keys, x_j at index j, built once per codec (and
     codecs are cached per order and number of variables), so callers index
@@ -143,57 +135,15 @@ class _DrlCodec(_Codec):
         return ((ka | g) - kb) & g == g
 
     def lcm(self, ka, kb):
-        # the bytewise min of the complements
-        a, b = ka & self._mask, kb & self._mask
-        m = a ^ ((a ^ b) & _ge_bytes(a, b, self._guard))
+        # the bytewise min of the complements: ge keeps the guard bit of each
+        # byte where a's byte >= b's, and ge - (ge >> 7) spreads it to 0x7F
+        a, b, g = ka & self._mask, kb & self._mask, self._guard
+        ge = ((a | g) - b) & g
+        m = a ^ ((a ^ b) & (ge - (ge >> 7)))
         return (self._top - sum(m.to_bytes(self.nvars, "little"))) << self._shift | m
 
     def degree(self, key):
         return key >> self._shift
-
-
-class _LexCodec(_Codec):
-    """lex: key = packed direct bytes, byte n-1-j holding e_j (the first
-    variable most significant).  mul and div add and subtract keys, and
-    divides is the guard-bit test of _DrlCodec with the operands swapped."""
-
-    __slots__ = ("_guard",)
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self._guard = _repeated(0x80, nvars)
-        self.one = 0
-        self._set_var_keys()
-
-    def key(self, exps):
-        n = self.nvars
-        packed = 0
-        for j, e in enumerate(exps):
-            if not 0 <= e <= _FIELD_MAX:
-                raise ValueError(f"exponent {e} outside packed range")
-            packed |= e << (_BITS * (n - 1 - j))
-        return packed
-
-    def exps(self, key):
-        n = self.nvars
-        return tuple((key >> (_BITS * (n - 1 - j))) & 0xFF for j in range(n))
-
-    def mul(self, ka, kb):
-        return ka + kb
-
-    def div(self, ka, kb):
-        return ka - kb
-
-    def divides(self, ka, kb):
-        g = self._guard
-        return ((kb | g) - ka) & g == g
-
-    def lcm(self, ka, kb):
-        # the bytewise max
-        return kb ^ ((ka ^ kb) & _ge_bytes(ka, kb, self._guard))
-
-    def degree(self, key):
-        return sum(key.to_bytes(self.nvars, "little"))
 
 
 class _BlockCodec(_Codec):
@@ -240,6 +190,4 @@ class _BlockCodec(_Codec):
 def _codec(order: MonomialOrder, nvars: int):
     if order.kind == "degrevlex":
         return _DrlCodec(nvars)
-    if order.kind == "lex":
-        return _LexCodec(nvars)
     return _BlockCodec(nvars, order.elim_count)

@@ -28,7 +28,7 @@ from gorquad.invariants import (HVector, annihilator, classify,
                                 minimal_generator_counts,
                                 presented_by_quadrics, standard_monomials)
 from gorquad.linalg import left_kernel
-from gorquad.orders import DEGREVLEX, LEX
+from gorquad.orders import DEGREVLEX, elimination_order
 from gorquad.poly import Polynomial, RingCtx, ring
 from gorquad.recipes import format_ideal
 
@@ -645,7 +645,7 @@ def _seeded_colons(field, order, seed):
     colon_quotient(Ideal(R, squares), random_homogeneous(R, 2, rng))
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("order", [DEGREVLEX, elimination_order(1)], ids=str)
 @pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(2))
 def test_colon_bases_from_the_table_match_the_engine(order, field, seed,

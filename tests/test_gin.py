@@ -18,7 +18,7 @@ from gorquad.gin import (GenericityPolicy, GinUncertifiedError,
 from gorquad.groebner import Ideal
 from gorquad.idealops import random_linear_form
 from gorquad.invariants import hilbert_function
-from gorquad.orders import DEGREVLEX, LEX, elimination_order
+from gorquad.orders import DEGREVLEX, elimination_order
 from gorquad.poly import Polynomial, ring
 
 from conftest import (GF2, GF7, GFBIG, Q, oracle_generic_times_rank,
@@ -42,7 +42,6 @@ def test_gin_of_squares_r3_over_q():
     R = ring(Q, 3)
     I = Ideal.from_texts(R, ["x1^2", "x2^2", "x3^2"])
     res = gin(I, seed=0)
-    assert res.borel_fixed
     assert res.attempts_agreed >= 3
     assert sorted(str(g) for g in res.monomial_ideal.gens) == [
         "x1*x2", "x1*x3^2", "x1^2", "x2*x3^2", "x2^2", "x3^4"]
@@ -58,7 +57,6 @@ def test_gin_fixes_borel_monomial_ideal():
 
 def test_gin_preserves_hilbert_function(ci4, gin_ci4):
     assert hilbert_function(gin_ci4.monomial_ideal) == hilbert_function(ci4)
-    assert gin_ci4.borel_fixed
     assert is_borel_fixed(gin_ci4.monomial_ideal)
 
 
@@ -143,9 +141,11 @@ def test_is_borel_fixed_fixtures():
     assert not is_borel_fixed(Ideal.from_texts(S, ["x3"]))
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX, LEX, elimination_order(1)])
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_is_borel_fixed_matches_the_exponent_oracle(order, n):
+@pytest.mark.parametrize("n, order", [
+    (n, order) for n in (2, 3, 4)
+    for order in [DEGREVLEX] + [elimination_order(k) for k in range(1, min(n, 3))]
+], ids=str)
+def test_is_borel_fixed_matches_the_exponent_oracle(n, order):
     """On 40 seeded monomial ideals per ring, Borel-fixed or not, and on
     the Borel closure of each ideal's generators."""
     R = ring(Q, n, order)
@@ -227,7 +227,6 @@ def test_times_L_rank_on_ci7():
     assert (r3.rank, r3.kernel_dim) == (35, 0)
     r4 = times_L_rank(I, 4, L)  # 35 -> 21 must drop rank
     assert (r4.rank, r4.kernel_dim) == (21, 14)
-    assert r2.method == "direct_linear_algebra"
 
 
 def test_times_L_rank_flags_non_generic_form(ci4, gin_ci4):

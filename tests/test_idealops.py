@@ -11,7 +11,7 @@ from gorquad.idealops import (colon_form, colon_ideal, embed_ideal,
                               exact_divide, ideal_product, ideal_sum,
                               intersect, random_linear_form)
 from gorquad.invariants import hilbert_value
-from gorquad.orders import LEX, elimination_order
+from gorquad.orders import elimination_order
 from gorquad.poly import ring
 
 from conftest import (GF7, GFBIG, Q, from_sympy, gorquad_gb_normalized,
@@ -175,8 +175,10 @@ def test_random_linear_form_is_deterministic():
 
 # Outside degrevlex, the elimination's degrevlex basis of a colon or an
 # intersection is only a generating set; the attached basis must be the
-# one the engine computes in the ring's own order.
-@pytest.mark.parametrize("order", [LEX, elimination_order(1)], ids=str)
+# one the engine computes in the ring's own order. The second id is short so
+# the case names differ within their first 100 characters.
+@pytest.mark.parametrize("order", [elimination_order(1), elimination_order(2)],
+                         ids=["block(elim=1)", "elim=2"])
 @pytest.mark.parametrize("field", [GF7, Q], ids=["gf7", "q"])
 @pytest.mark.parametrize("op", ["colon_form", "intersect", "colon_ideal"])
 def test_colon_and_intersection_bases_follow_the_ring_order(order, field, op):

@@ -23,7 +23,7 @@ from gorquad.invariants import (HVector, annihilator, classify,
                                 minimal_generator_counts, minimal_generators,
                                 presented_by_quadrics, socle_degree,
                                 socle_type, standard_monomials)
-from gorquad.orders import DEGREVLEX, LEX, elimination_order
+from gorquad.orders import DEGREVLEX, elimination_order
 from gorquad.poly import Polynomial, ring
 
 from conftest import (GF2, GF7, GFBIG, Q, dense_rref_rank, engine_normal_form,
@@ -113,8 +113,7 @@ def test_standard_monomials_partition_degree():
         assert len(set(std)) == len(std)
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX, LEX, elimination_order(1)],
-                         ids=str)
+@pytest.mark.parametrize("order", [DEGREVLEX, elimination_order(1)], ids=str)
 def test_quotient_table_stops_at_the_packed_exponent_range(order):
     # one exponent byte holds at most 127: the table answers through degree
     # 127 and refuses degree 128 instead of listing wrapped-around keys
@@ -128,8 +127,9 @@ def test_quotient_table_stops_at_the_packed_exponent_range(order):
 
 QUOTIENT_CASES = [
     (GF2, DEGREVLEX, 4, None), (GF7, DEGREVLEX, 4, None),
-    (Q, DEGREVLEX, 3, None), (GF7, LEX, 3, None), (Q, LEX, 3, None),
-    (GF2, LEX, 4, None), (GF7, elimination_order(1), 4, None),
+    (Q, DEGREVLEX, 3, None), (GF7, elimination_order(1), 3, None),
+    (Q, elimination_order(2), 3, None), (GF2, elimination_order(3), 4, None),
+    (GF7, elimination_order(1), 4, None),
     (Q, elimination_order(2), 4, None), (GF7, DEGREVLEX, 4, 3),
     (GF2, DEGREVLEX, 5, 4),
 ]
@@ -217,7 +217,7 @@ def test_liaison_shaped_levels_match_the_divisor_scan(n, extra, seed):
     (Q, DEGREVLEX, 3, ["x1^2", "x1*x2"], None, 6),
     (GF7, DEGREVLEX, 4, ["x1^2 + x2*x3", "x2^2 - x3*x4", "x1*x3*x4 + x4^3",
                          "x2*x3^2 - x1*x4^2"], 3, 3),
-    (GFBIG, LEX, 5, ["x1^2 + x3*x5", "x2^2 - 2*x4^2", "x3^2 + x1*x2",
+    (GFBIG, elimination_order(1), 5, ["x1^2 + x3*x5", "x2^2 - 2*x4^2", "x3^2 + x1*x2",
                      "x4^2 + x5^2", "x5^2 + 3*x1*x4"], None, 6),
     (GFBIG, elimination_order(2), 5, ["x1^2 + x3*x5", "x2^2 - 2*x4^2",
                                       "x3^2 + x1*x2", "x4^2 + x5^2",
@@ -226,8 +226,8 @@ def test_liaison_shaped_levels_match_the_divisor_scan(n, extra, seed):
 def test_special_levels_match_the_divisor_scan(field, order, n, texts,
                                                truncate, top):
     """A monomial ideal, the unit ideal, a non-artinian ideal, a basis
-    truncated at a degree that has leading terms, and lex and block orders
-    on an artinian quotient."""
+    truncated at a degree that has leading terms, and two block orders on
+    an artinian quotient."""
     R = ring(field, n, order)
     gb = Ideal.from_texts(R, texts).groebner(truncate_at=truncate)
     if truncate is not None:
@@ -410,15 +410,12 @@ def test_generator_counts_match_brute_force_random(seed):
     R = ring(field, nvars)
     gens = [random_poly(R, rng.choice((1, 2, 2, 3)), rng, density=0.6)
             for _ in range(rng.choice((1, 2, 3)))]
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        pytest.skip("empty sample")
-    I = Ideal(R, gens)
+    I = Ideal(R, [g for g in gens if not g.is_zero()])  # may be the zero ideal
     assert minimal_generator_counts(I) == brute_force_generator_counts(I)
 
 
-@pytest.mark.parametrize("order", [LEX, elimination_order(1),
-                                   elimination_order(2)], ids=str)
+@pytest.mark.parametrize("order", [elimination_order(1), elimination_order(2)],
+                         ids=str)
 @pytest.mark.parametrize("seed", range(12))
 def test_generator_counts_match_brute_force_in_other_orders(order, seed):
     """The counts agree with dense ranks and with the degree tally of

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gorquad.core import ParseError, RingMismatchError
-from gorquad.orders import LEX, elimination_order
+from gorquad.orders import elimination_order
 from gorquad.poly import ring
 
 from conftest import (GF2, GF7, GFBIG, Q, oracle_compose, poly_as_dict,
@@ -130,13 +130,13 @@ def _image(R, rng):
 
 
 @pytest.mark.parametrize("field", [Q, GF7, GFBIG])
-@pytest.mark.parametrize("order", [None, LEX, elimination_order(1),
+@pytest.mark.parametrize("order", [None, elimination_order(1),
                                    elimination_order(2)])
 def test_compose_matches_the_term_by_term_oracle(field, order):
     rng = random.Random(f"{field}/{order}")
     source = ring(field, 3) if order is None else ring(field, 3, order)
     targets = [source, ring(field, 5),
-               ring(field, 4, LEX if order is None else order)]
+               ring(field, 4, elimination_order(1) if order is None else order)]
     top = 0
     for target in targets:
         for i in range(6):
