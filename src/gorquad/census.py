@@ -22,7 +22,8 @@ other standard monomials reach left_kernel, and the generator count of a
 degree runs an echelon only when those leading terms do not fill J_d.
 `colon_quotient` and the linkage round trip of `verify_socle4_duality`
 take their colons through `constructions.link`, which builds them from
-`invariants.annihilator`.
+`invariants.annihilator`; the round trip reads h(𝔠 + F′) off the cover's
+table (`constructions._hvector_with_form`), with no basis of 𝔠 + F′.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 
-from .constructions import LinkStep, link, quadric_ci
+from .constructions import LinkStep, _hvector_with_form, link, quadric_ci
 from .core import AlgebraError, FieldSpec
 from .groebner import GroebnerBasis, Ideal
 from .invariants import (HVector, QuadricClassification, _monomial_rows,
@@ -434,8 +435,7 @@ def verify_socle4_duality(cfg: CensusConfig, sample: CensusRecord) -> bool:
         return False
     F_prime = extra[0]
     # J must be the cover plus that quadric and nothing more ...
-    rebuilt = Ideal(J.ring, cover.gens + (F_prime,))
-    if hilbert_function(rebuilt) != hilbert_function(J):
+    if _hvector_with_form(cover, F_prime) != hilbert_function(J):
         return False
     # ... and the quadric must colon back to the ideal we started from.
     I_back = colon_quotient(cover, F_prime)

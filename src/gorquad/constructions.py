@@ -30,6 +30,7 @@ from .invariants import (
     classify,
     hilbert_function,
     ideal_degree_basis,
+    multiplication_rank,
 )
 from .linalg import echelon, left_kernel
 from .poly import Polynomial, RingCtx, ring
@@ -306,6 +307,33 @@ class LinkStep:
     ci_gens: tuple
 
 
+def _hvector_with_form(cover: Ideal, f: Polynomial) -> HVector:
+    """h(cover + (f)) of an artinian cover and a form f, with no basis of
+    that ideal: in B = R/cover the degree-d part of (cover + (f))/cover is
+    the image of multiplication by f from B_{d-e}, e = deg f, so h_d =
+    h_B(d) - rank(x f: B_{d-e} -> B_d), each rank one echelon in the
+    cover's table (invariants.multiplication_rank).
+
+    When the cover is n forms in the n variables, its artinian quotient
+    makes them a regular sequence; if h_B is then the complete-intersection
+    vector of their degrees, B is Gorenstein of socle degree s, and its
+    pairing B_k x B_{s-k} -> B_s is perfect.  Under that pairing
+    multiplication by f from B_k is the transpose of multiplication by f
+    from B_{s-e-k}, so the two ranks agree, and only k <= (s - e)/2 is
+    computed.  Any other cover computes every degree."""
+    gb = cover.groebner()
+    h_B = hilbert_function(gb)
+    s, e = h_B.socle_degree, f.degree()
+    degrees = [g.degree() for g in cover.gens]
+    paired = (len(degrees) == cover.ring.nvars
+              and h_B == complete_intersection_hvector(degrees))
+    rank = {}
+    for k in range(s - e + 1):
+        rank[k] = (rank[s - e - k] if paired and s - e - k < k
+                   else multiplication_rank(gb, f, k))
+    return HVector(tuple(h_B[d] - rank.get(d - e, 0) for d in range(s + 1)))
+
+
 def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
     """cover : (gens) for an artinian complete intersection cover: the cover
     plus the lifts of the annihilator of the gens in B = R/cover, degree 1
@@ -360,15 +388,22 @@ def _link(I: Ideal, gens) -> Ideal:
     a regular sequence, and the colon must have the predicted linked
     h-vector; any failure raises LinkageError.  A cover with nothing left
     over gives the unit ideal.  The generators are the cover's, then the
-    annihilator's degree by degree, as `_colon_out_of` builds them."""
+    annihilator's degree by degree, as `_colon_out_of` builds them.
+
+    A cover form among the ideal's generators, term for term, lies in it
+    with no membership test.  When those hold every cover form and the
+    ideal's generators outside the cover are one form f, the ideal is
+    cover + (f), and h(I) comes from the verified cover's table
+    (_hvector_with_form); so the ideal needs no basis."""
     R = I.ring
     gens = tuple(gens)
     if not gens:
         raise LinkageError("a linkage step needs at least one form")
+    listed = {g.terms for g in I.gens}
     for g in gens:
         if g.ring != R:
             raise RingMismatchError("linkage forms must live in the ideal's ring")
-        if not I.contains(g):
+        if g.terms not in listed and not I.contains(g):
             raise LinkageError("the complete intersection is not inside the ideal")
     ci = Ideal(R, gens)
     try:
@@ -377,7 +412,11 @@ def _link(I: Ideal, gens) -> Ideal:
         raise LinkageError(f"the chosen forms are not a regular sequence: {exc}")
     if h_ci != complete_intersection_hvector([g.degree() for g in gens]):
         raise LinkageError("the chosen forms are not a regular sequence")
-    expected = expected_link_hvector(h_ci, hilbert_function(I))
+    cover = {g.terms for g in ci.gens}
+    rest = [g for g in I.gens if g.terms not in cover]
+    h_I = (_hvector_with_form(ci, rest[0]) if len(rest) == 1
+           else hilbert_function(I))
+    expected = expected_link_hvector(h_ci, h_I)
     if expected.total == 0:
         return Ideal(R, [R.one])
     return _colon_out_of(ci, I.gens, expected)
@@ -406,7 +445,9 @@ def link_by_squares(I: Ideal) -> Ideal:
     monomials: in the inverse-system picture it is the apolar algebra of
     the dual monomial x1...xn.  The checks are `link`'s; unlike `link` the
     generators are returned as built, the squares first and then the
-    annihilator degree by degree.
+    annihilator degree by degree.  An ideal that lists every square among
+    its generators, plus one more form, as nonunique_hf_pair's alpha0
+    inputs do, needs no basis of its own (see `_link`).
     """
     return _link(I, [v * v for v in I.ring.variables()])
 
@@ -549,12 +590,20 @@ def _residual_almost_ci(G: Ideal, cover: list, new_count: int) -> tuple:
     towers built here that generator is a quadric, the degree-2 annihilator
     of the embedded stage in the cover quotient.  Returns (residual, its
     cover, extra quadric).
+
+    The residual is cover + (extra), so its h-vector is read off the
+    cover's table (_hvector_with_form) with no basis of the residual.  That
+    vector is exact, so it is the hint the residual carries.  It must be the
+    linkage prediction: the residual lies in cover : inside, whose h-vector
+    the prediction is (Peskine-Szpiro), so equal vectors prove the two
+    ideals equal.
     """
     R, vmap, expected = _embedding(G, new_count)
     new_lin = list(R.variables()[:new_count])
     big_cover = [v * v for v in new_lin] + [g.extend(R, vmap) for g in cover]
     inside = new_lin + [g.extend(R, vmap) for g in G.gens]
-    cover_gb = Ideal(R, big_cover).groebner()
+    cover_ideal = Ideal(R, big_cover)
+    cover_gb = cover_ideal.groebner()
     # the embedded squares lie in the cover: empty columns, the same kernel
     sols = annihilator(cover_gb, [g for g in inside if not cover_gb.contains(g)],
                        2)
@@ -562,11 +611,12 @@ def _residual_almost_ci(G: Ideal, cover: list, new_count: int) -> tuple:
         raise LinkageError(
             f"expected one residual quadric over the cover, found {len(sols)}")
     extra = R.from_terms(sols[0].items())
-    residual = Ideal(R, big_cover + [extra])
-    got = hilbert_function(residual)
+    got = _hvector_with_form(cover_ideal, extra)
     if got != expected:
         raise LinkageError(
             f"residual h-vector {got} does not match the predicted {expected}")
+    residual = Ideal(R, big_cover + [extra])
+    residual._hilbert = got.__getitem__
     return residual, big_cover, extra
 
 

@@ -18,16 +18,16 @@ from .core import AlgebraError, GenericityError, GinUncertifiedError
 from .groebner import Ideal
 from .idealops import random_linear_form
 from .invariants import (
-    annihilator,
     as_basis,
     classify,
     hilbert_function,
     hilbert_value,
     is_artinian,
+    multiplication_rank,
     standard_monomials,
 )
 from .linalg import echelon
-from .poly import Polynomial, RingCtx
+from .poly import Polynomial, RingCtx, Substitution
 
 MIN_GIN_PRIME = 32003
 
@@ -118,8 +118,8 @@ def is_borel_fixed(x) -> bool:
 
 def _lead_ideal_in_random_coordinates(I: Ideal, seed: int) -> tuple:
     rng = random.Random(seed)
-    images = random_coordinate_change(I.ring, rng)
-    moved = Ideal(I.ring, [g.compose(images) for g in I.gens])
+    change = Substitution(I.ring, random_coordinate_change(I.ring, rng))
+    moved = Ideal(I.ring, [change(g) for g in I.gens])
     # h(g.I) = h(I) for an invertible change g, so the engine's hint is exact.
     moved._hilbert = lambda d: hilbert_value(I.groebner(), d)
     return moved.groebner().lead_keys
@@ -168,17 +168,17 @@ def times_L_rank(I: Ideal, d: int, L: Polynomial,
                  gin_result: GinResult | None = None) -> RankReport:
     """Exact rank of multiplication by L from degree d to d+1 on R/I.
 
-    Always computed directly: h_d minus the dimension of the annihilator
-    of L in degree d.  When a certified gin is supplied the
-    standard-monomial count of Prop-style bookkeeping (monomials of degree
-    d+1 outside the gin divisible by the last variable) must agree -- that
-    holds for general L, so a mismatch reports the chosen L as
-    non-generic."""
+    Always computed directly, by invariants.multiplication_rank; the
+    kernel dimension is h_d minus that rank.  When a certified gin is
+    supplied the standard-monomial count of Prop-style bookkeeping
+    (monomials of degree d+1 outside the gin divisible by the last
+    variable) must agree -- that holds for general L, so a mismatch reports
+    the chosen L as non-generic."""
     gb = as_basis(I)
     if not is_artinian(gb):
         raise AlgebraError("rank bookkeeping expects an artinian quotient")
-    kernel_dim = len(annihilator(gb, [L], d))
-    rank = hilbert_value(gb, d) - kernel_dim
+    rank = multiplication_rank(gb, L, d)
+    kernel_dim = hilbert_value(gb, d) - rank
     report = RankReport(degree=d, rank=rank, kernel_dim=kernel_dim)
     if gin_result is not None:
         expected = gin_monomial_census(gin_result, d + 1).standard_divisible

@@ -66,15 +66,18 @@ installed.  That is exact only for the true Hilbert function; an
 over-large hint silently drops pairs, an under-large one never closes a
 degree.  So no public call takes it: an Ideal carries it in its
 private _hilbert slot, None unless the constructor proves it, and
-Ideal.groebner hands it to the engine.  Three constructors set it, each
+Ideal.groebner hands it to the engine.  Four constructors set it, each
 with its own proof: constructions.apolar_ideal (catalecticant ranks),
 constructions._colon_out_of (the annihilator's dimensions, checked against
-the linkage prediction) and gin's coordinate changes (h(g.I) = h(I) for
-every invertible linear change g).  A colon's basis normally comes from the
-cover's table, so the engine reads its hint only past the degree cap's
-fallback; the hints of the first two are h-vectors, which
-invariants.hilbert_function returns with no basis.  An ideal whose h-vector
-is the check, such as quadric_ci's or a linkage residual's, stays unhinted.
+the linkage prediction), constructions._residual_almost_ci (the residual
+is its cover plus one form f, so h_d = h_B(d) - rank(x f: B_{d-e} -> B_d)
+in the cover's quotient B, checked against the linkage prediction) and
+gin's coordinate changes (h(g.I) = h(I) for every invertible linear change
+g).  A colon's basis normally comes from the cover's table, so the engine
+reads its hint only past the degree cap's fallback; the hints of the first
+three are h-vectors, which invariants.hilbert_function returns with no
+basis.  An ideal whose h-vector is the check, such as quadric_ci's, stays
+unhinted.
 """
 
 from __future__ import annotations

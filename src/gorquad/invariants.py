@@ -12,8 +12,8 @@ summed from the basis's cached monomial products.  `annihilator`, the
 degree-d elements of B that given forms multiply to zero, is the left
 kernel of those rows over every standard monomial; census.classify passes
 only the monomials outside the leading terms it knows already.  The rank of
-multiplication by a linear form is h_d minus the dimension of its
-annihilator, and for an ideal J containing I (a complete intersection, in
+multiplication by a form, `multiplication_rank`, is one echelon of those
+rows, and for an ideal J containing I (a complete intersection, in
 linkage) the colon I : J is I plus the lifts of the annihilator of J.  The
 socle is the annihilator of the variables, but socle_type counts it
 without that kernel: the rows of the standard monomials m with some x_j * m
@@ -277,6 +277,18 @@ def annihilator(x, gens, d: int) -> list:
                  for k, v in part[i].items()} for i in range(len(std))]
     return [{std[i]: c for i, c in v.items()}
             for v in left_kernel(rows, gb.ring.field)]
+
+
+def multiplication_rank(x, g: Polynomial, d: int) -> int:
+    """The rank of multiplication by the form g from B_d to B_{d + deg g},
+    where B is the quotient by the ideal of x: one echelon of the rows
+    _product_rows gives over the standard monomials of degree d, which
+    stops reading them once the rank fills min(h_d, h_{d + deg g}).  As
+    there, g may be given modulo the ideal."""
+    gb = as_basis(x)
+    std = standard_monomials(gb, d)
+    room = min(len(std), hilbert_value(gb, d + g.degree()))
+    return echelon(_product_rows(gb, d, g, std), gb.ring.field, room).rank
 
 
 # -- socle --------------------------------------------------------------------

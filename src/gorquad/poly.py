@@ -237,41 +237,9 @@ class Polynomial:
     # -- structural maps -----------------------------------------------------
 
     def compose(self, images) -> "Polynomial":
-        """Substitute images[j] for the j-th variable (same field required).
-        Each monomial's image is a {key: coeff} dict built once per call,
-        image(m) = image(m / x_j) * images[j] for the first variable x_j of m;
-        the images are summed with axpy and sorted once."""
-        images = tuple(images)
-        if len(images) != self.ring.nvars:
-            raise ValueError("need one image per variable")
-        target = images[0].ring
-        for im in images:
-            if im.ring != target:
-                raise RingMismatchError("images live in different rings")
-        if target.field != self.ring.field:
-            raise RingMismatchError("composition must preserve the field")
-        codec, field, shift = self.ring.codec, target.field, target.codec.mul
-        degrees = [im.degree() for im in images]
-        memo = {codec.one: {target.codec.one: field.one}}
-
-        def image(m):
-            if m not in memo:
-                j = next(j for j, e in enumerate(codec.exps(m)) if e)
-                sub, memo[m] = image(codec.div(m, codec.var_keys[j])), {}
-                for kb, cb in images[j].terms:
-                    axpy(memo[m], cb, {shift(kb, t): c for t, c in sub.items()}, field)
-            return memo[m]
-
-        acc = {}
-        for k, c in self.terms:
-            # ValueError exactly where multiplying out the powers images[j] **
-            # e_j would raise it: a zero image (negative part) ends the product
-            parts = [e * d for e, d in zip(codec.exps(k), degrees) if e]
-            live = next((i for i, d in enumerate(parts) if d < 0), len(parts))
-            if max(max(parts, default=0), sum(parts[:live])) > MAX_PACKED_DEGREE:
-                raise ValueError(_PAST_PACKED)
-            axpy(acc, c, image(k), field)
-        return Polynomial(target, tuple(sorted(acc.items(), reverse=True)))
+        """Substitute images[j] for the j-th variable: a one-off
+        Substitution, which polynomials mapped alike should share."""
+        return Substitution(self.ring, images)(self)
 
     def extend(self, target: RingCtx, var_map=None) -> "Polynomial":
         """Re-embed into target, sending variable j to variable var_map[j]
@@ -322,6 +290,56 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self} over {self.ring.field}>"
+
+
+class Substitution:
+    """The ring map sending the j-th variable of the source ring to
+    images[j] (same field required).  Each monomial's image is a
+    {key: coeff} dict built once, image(m) = image(m / x_j) * images[j] for
+    the first variable x_j of m, and kept for every polynomial mapped; a
+    polynomial's images are summed with axpy and sorted once."""
+
+    __slots__ = ("source", "target", "images", "degrees", "memo")
+
+    def __init__(self, source: RingCtx, images):
+        images = tuple(images)
+        if len(images) != source.nvars:
+            raise ValueError("need one image per variable")
+        target = images[0].ring
+        for im in images:
+            if im.ring != target:
+                raise RingMismatchError("images live in different rings")
+        if target.field != source.field:
+            raise RingMismatchError("composition must preserve the field")
+        self.source, self.target, self.images = source, target, images
+        self.degrees = [im.degree() for im in images]
+        self.memo = {source.codec.one: {target.codec.one: target.field.one}}
+
+    def _image(self, m) -> dict:
+        memo = self.memo
+        if m not in memo:
+            codec, shift = self.source.codec, self.target.codec.mul
+            j = next(j for j, e in enumerate(codec.exps(m)) if e)
+            sub, memo[m] = self._image(codec.div(m, codec.var_keys[j])), {}
+            for kb, cb in self.images[j].terms:
+                axpy(memo[m], cb, {shift(kb, t): c for t, c in sub.items()},
+                     self.target.field)
+        return memo[m]
+
+    def __call__(self, p: Polynomial) -> Polynomial:
+        if p.ring != self.source:
+            raise RingMismatchError("polynomial is not in the source ring")
+        exps = self.source.codec.exps
+        acc = {}
+        for k, c in p.terms:
+            # ValueError exactly where multiplying out the powers images[j] **
+            # e_j would raise it: a zero image (negative part) ends the product
+            parts = [e * d for e, d in zip(exps(k), self.degrees) if e]
+            live = next((i for i, d in enumerate(parts) if d < 0), len(parts))
+            if max(max(parts, default=0), sum(parts[:live])) > MAX_PACKED_DEGREE:
+                raise ValueError(_PAST_PACKED)
+            axpy(acc, c, self._image(k), self.target.field)
+        return Polynomial(self.target, tuple(sorted(acc.items(), reverse=True)))
 
 
 def _add_terms(ring_: RingCtx, ta: tuple, tb: tuple, subtract: bool) -> Polynomial:

@@ -602,7 +602,7 @@ def test_hinted_links_match_the_unhinted_engine(field, seed, colons):
 def test_hinted_growth_and_double_links_match_the_unhinted_engine(field,
                                                                   colons):
     aci, gor = linkage_grow(seed_131(field), rounds=1)
-    assert aci._hilbert is None      # the residual's h-vector is its check
+    _check_hinted(aci)
     assert colons == [gor]
     double_link(5, field)
     assert len(colons) == 3
@@ -626,6 +626,108 @@ def test_a_wrong_prediction_still_raises(wrong):
         constructions._colon_out_of(cover, I.gens, right)) == right
     with pytest.raises(LinkageError, match="does not match the predicted"):
         constructions._colon_out_of(cover, I.gens, wrong(right))
+
+
+# -- h(cover + f) from the cover's quotient table: the unhinted engine is the
+# oracle
+
+
+def _oracle_cases(field, seed):
+    """(cover, f, paired) on seeded inputs: squares and random quadric
+    complete intersections with forms f of degree 1 to 3, f inside the
+    cover, and a cover that is no complete intersection."""
+    rng = random.Random(1300 + seed)
+    R = ring(field, 4)
+    squares = Ideal(R, [v * v for v in R.variables()])
+    random_ci = quadric_ci(3, field, "random", seed=seed)
+    for cover in (squares, random_ci):
+        for e in (1, 2, 3):
+            yield cover, random_homogeneous(cover.ring, e, rng), True
+        inside = cover.gens[0] * random_homogeneous(cover.ring, 1, rng)
+        yield cover, inside, True
+    x = R.variables()
+    crowded = Ideal(R, [v * v for v in x] + [x[0] * x[1]])
+    for e in (1, 2):
+        yield crowded, random_homogeneous(R, e, rng), False
+
+
+@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_hvector_with_form_is_the_engine_hvector(field, seed, monkeypatch):
+    ranks = []
+    real = constructions.multiplication_rank
+
+    def counted(*args):
+        ranks.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(constructions, "multiplication_rank", counted)
+    for cover, f, paired in _oracle_cases(field, seed):
+        ranks.clear()
+        got = constructions._hvector_with_form(cover, f)
+        want = hilbert_function(Ideal(cover.ring, cover.gens + (f,)))
+        assert got == want
+        s, e = hilbert_function(cover).socle_degree, f.degree()
+        # a complete-intersection cover computes the lower half of the
+        # ranks only, any other cover every degree
+        top = (s - e) // 2 if paired else s - e
+        assert ranks == list(range(top + 1))
+
+
+@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+def test_tower_residuals_carry_their_engine_hvector(field, colons):
+    stages = linkage_grow(quadric_ci(2, field), rounds=2, first_new_vars=2)
+    assert [tuple(hilbert_function(s)) for s in stages] == [
+        (1, 4, 5, 2), (1, 5, 8, 5, 1), (1, 6, 14, 15, 7, 1),
+        (1, 7, 20, 28, 20, 7, 1)]
+    for aci in stages[::2]:
+        _check_hinted(aci)
+    for colon in colons:
+        _check_colon(colon)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda h: HVector(h.values[:-1]),
+    lambda h: HVector(h.values + (1,)),
+    lambda h: HVector((1, h[1], h[2] - 1) + h.values[3:]),
+], ids=["shorter", "longer", "smaller-h2"])
+def test_a_wrong_residual_prediction_still_raises(wrong, monkeypatch):
+    G = seed_131()
+    cover = [v * v for v in G.ring.variables()]
+    constructions._residual_almost_ci(G, cover, 1)     # the right prediction
+    real = constructions._embedding
+
+    def perturbed(I, new_count):
+        R, vmap, expected = real(I, new_count)
+        return R, vmap, wrong(expected)
+
+    monkeypatch.setattr(constructions, "_embedding", perturbed)
+    with pytest.raises(LinkageError, match="residual h-vector"):
+        constructions._residual_almost_ci(G, cover, 1)
+
+
+def test_the_tower_jobs_reduce_no_pair(monkeypatch):
+    """The tower jobs of the liaison benchmark, each output classified with
+    its socle: every engine run they make pops no pair, so none reduces to
+    zero.  The covers left to the engine have pairwise coprime leading
+    terms."""
+    runs = []
+    real = groebner_module._compute_basis
+
+    def recorded(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(groebner_module, "_compute_basis", recorded)
+    for outputs in (penultimate_socle_algebras(7, GFBIG),
+                    nonunique_hf_pair(7, "alpha1", field=GFBIG),
+                    nonunique_hf_pair(7, "alpha0", field=GFBIG, seed=3),
+                    double_link(7, GFBIG)):
+        for I in outputs:
+            classify(I, with_socle=True)
+    assert runs
+    assert [gb.stats.reduced_to_zero for gb in runs] == [0] * len(runs)
+    assert [gb.stats.reduced for gb in runs] == [0] * len(runs)
 
 
 # -- colon bases from the cover's quotient table: the unhinted engine is the

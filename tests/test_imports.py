@@ -156,8 +156,8 @@ def test_the_hilbert_hint_stays_internal():
     """The engine's hint skips pairs it believes reduce to zero, so a wrong
     hint gives a wrong basis.  No public callable takes a hint.  An ideal's
     ``_hilbert`` is None from ``Ideal.__init__`` and is set only by the
-    constructors that prove it: ``apolar_ideal``, ``_colon_out_of`` and
-    gin's coordinate changes.  Only ``Ideal.groebner`` hands it to the
+    constructors that prove it: ``apolar_ideal``, ``_colon_out_of``,
+    ``_residual_almost_ci`` and gin's coordinate changes.  Only ``Ideal.groebner`` hands it to the
     engine."""
     functions = [(f"{path.stem}.{name}", node)
                  for path, tree in PACKAGE.items()
@@ -186,6 +186,7 @@ def test_the_hilbert_hint_stays_internal():
     assert setters == {"groebner.Ideal.__init__ = None",
                        "constructions.apolar_ideal",
                        "constructions._colon_out_of",
+                       "constructions._residual_almost_ci",
                        "gin._lead_ideal_in_random_coordinates"}
     named = [path.stem for path, tree in PACKAGE.items()
              for node in ast.walk(tree)

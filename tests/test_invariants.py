@@ -21,7 +21,8 @@ from gorquad.invariants import (HVector, annihilator, classify,
                                 hilbert_function, hilbert_value,
                                 ideal_degree_basis, is_artinian, is_gorenstein,
                                 minimal_generator_counts, minimal_generators,
-                                presented_by_quadrics, socle_degree,
+                                multiplication_rank, presented_by_quadrics,
+                                socle_degree,
                                 socle_type, standard_monomials)
 from gorquad.orders import DEGREVLEX, elimination_order
 from gorquad.poly import Polynomial, ring
@@ -504,6 +505,26 @@ def test_minimal_generators_of_tower_outputs_match_the_oracle(r):
         gb = I.groebner()
         assert minimal_generators(_fresh(gb)) == oracle_minimal_generators(
             _fresh(gb))
+
+
+# -- multiplication ranks: h_d minus the annihilator's dimension is the oracle
+
+
+@pytest.mark.parametrize("field", [Q, GF7, GFBIG])
+def test_multiplication_rank_is_h_minus_the_annihilator(field):
+    rng = random.Random(f"rank/{field}")
+    for I in (Ideal(ring(field, 4), [v * v for v in ring(field, 4).variables()]),
+              apolar_ideal(random_dual_form(ring(field, 4), 4, rng)),
+              Ideal(ring(field, 3), [v ** 3 for v in ring(field, 3).variables()]
+                    + [ring(field, 3).parse("x1*x2*x3")])):
+        gb = I.groebner()
+        h = hilbert_function(gb)
+        for e in (1, 2, 3):
+            g = random_homogeneous(gb.ring, e, rng)
+            for d in range(h.socle_degree + 1):
+                assert (multiplication_rank(gb, g, d)
+                        == h[d] - len(annihilator(gb, [g], d)))
+            assert multiplication_rank(gb, gb.elements[0] * g, 1) == 0
 
 
 # -- the socle from corner monomials: the annihilator of the variables is the

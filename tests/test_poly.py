@@ -8,7 +8,7 @@ import pytest
 
 from gorquad.core import ParseError, RingMismatchError
 from gorquad.orders import elimination_order
-from gorquad.poly import ring
+from gorquad.poly import Substitution, ring
 
 from conftest import (GF2, GF7, GFBIG, Q, oracle_compose, poly_as_dict,
                       random_poly)
@@ -153,6 +153,23 @@ def test_compose_matches_the_term_by_term_oracle(field, order):
         assert source.zero.compose(images) == target.zero
         assert source.constant(3).compose(images) == target.constant(3)
     assert top == 5
+
+
+@pytest.mark.parametrize("field", [Q, GF7, GFBIG])
+def test_one_substitution_maps_many_polynomials(field):
+    """A Substitution maps every polynomial as compose does, and its memo of
+    monomial images serves them all: mapping them again builds nothing."""
+    rng = random.Random(f"sub/{field}")
+    source, target = ring(field, 3), ring(field, 4)
+    images = [random_poly(target, 1, rng, density=1.0) for _ in range(3)]
+    sub = Substitution(source, images)
+    polys = [random_poly(source, d, rng) for d in (1, 2, 2, 3)]
+    assert [sub(p) for p in polys] == [oracle_compose(p, images) for p in polys]
+    built = dict(sub.memo)
+    assert [sub(p) for p in polys] == [p.compose(images) for p in polys]
+    assert sub.memo == built
+    with pytest.raises(RingMismatchError, match="source ring"):
+        sub(target.variables()[0])
 
 
 def test_compose_refuses_as_before():
