@@ -32,7 +32,7 @@ from .invariants import (
     ideal_degree_basis,
     multiplication_rank,
 )
-from .linalg import echelon, left_kernel
+from .linalg import axpy, echelon, left_kernel
 from .poly import Polynomial, RingCtx, ring
 
 __all__ = [
@@ -82,6 +82,21 @@ def complete_intersection_hvector(degrees) -> HVector:
     return out
 
 
+def _regular_sequence_hvector(I: Ideal) -> HVector | None:
+    """The certificate that the generators of I form a regular sequence:
+    h(I) when it is the complete-intersection vector of their degrees, and
+    None when it is not or the quotient is not artinian.  A degree-1 factor
+    of that vector is 1, so a linear generator in the span of the other
+    linear ones passes too: R/I is still a complete intersection (see
+    _hvector_with_form)."""
+    try:
+        h = hilbert_function(I)
+    except AlgebraError:
+        return None
+    ci = complete_intersection_hvector([g.degree() for g in I.gens])
+    return h if h == ci else None
+
+
 def quadric_ci(r: int, field: FieldSpec | None = None, style: str = "monomial",
                seed: int = 0) -> Ideal:
     """Complete intersection of r quadrics in r variables.
@@ -99,16 +114,11 @@ def quadric_ci(r: int, field: FieldSpec | None = None, style: str = "monomial",
         return Ideal(R, [v * v for v in xs])
     if style != "random":
         raise ValueError(f"unknown style {style!r}")
-    expected = complete_intersection_hvector([2] * r)
     rng = random.Random(seed)
     for _ in range(10):
-        gens = [random_homogeneous(R, 2, rng) for _ in range(r)]
-        cand = Ideal(R, gens)
-        try:
-            if hilbert_function(cand) == expected:
-                return cand
-        except AlgebraError:
-            continue
+        cand = Ideal(R, [random_homogeneous(R, 2, rng) for _ in range(r)])
+        if _regular_sequence_hvector(cand) is not None:
+            return cand
     raise GenericityError(
         f"no complete intersection of quadrics after 10 draws (r={r}, seed={seed})")
 
@@ -123,17 +133,12 @@ def contract(p: Polynomial, F: Polynomial) -> Polynomial:
     pairing stays perfect in every characteristic."""
     if p.ring != F.ring:
         raise RingMismatchError("contraction needs both forms in one ring")
-    codec = p.ring.codec
-    field = p.ring.field
+    div, divides = p.ring.codec.div, p.ring.codec.divides
     acc = {}
     for kp, cp in p.terms:
-        for kf, cf in F.terms:
-            if codec.divides(kp, kf):
-                k = codec.div(kf, kp)
-                c = field.mul(cp, cf)
-                prev = acc.get(k)
-                acc[k] = field.add(prev, c) if prev is not None else c
-    return p.ring.from_terms(acc.items())
+        axpy(acc, cp, {div(kf, kp): cf for kf, cf in F.terms if divides(kp, kf)},
+             p.ring.field)
+    return Polynomial(p.ring, tuple(sorted(acc.items(), reverse=True)))
 
 
 def apolar_ideal(F: Polynomial) -> Ideal:
@@ -213,7 +218,7 @@ def apolar_ideal(F: Polynomial) -> Ideal:
             gens.extend(R.from_terms(v.items()) for _, v in found
                         if span.reduce(v))
     I = Ideal(R, gens)
-    I._hilbert = HVector(tuple(h)).__getitem__
+    I._hilbert = HVector(tuple(h))
     return I
 
 
@@ -314,19 +319,19 @@ def _hvector_with_form(cover: Ideal, f: Polynomial) -> HVector:
     h_B(d) - rank(x f: B_{d-e} -> B_d), each rank one echelon in the
     cover's table (invariants.multiplication_rank).
 
-    When the cover is n forms in the n variables, its artinian quotient
-    makes them a regular sequence; if h_B is then the complete-intersection
-    vector of their degrees, B is Gorenstein of socle degree s, and its
-    pairing B_k x B_{s-k} -> B_s is perfect.  Under that pairing
+    When the cover passes the regular-sequence certificate, B is Gorenstein
+    of socle degree s: h_B is then the product of 1 + t + ... + t^(d_i - 1)
+    over the generators, so if the linear ones span rho dimensions, h_B(1)
+    = n - rho counts the others, and B is an artinian quotient of a
+    polynomial ring in n - rho variables by n - rho forms, a complete
+    intersection.  So B's pairing B_k x B_{s-k} -> B_s is perfect, under it
     multiplication by f from B_k is the transpose of multiplication by f
-    from B_{s-e-k}, so the two ranks agree, and only k <= (s - e)/2 is
+    from B_{s-e-k}, the two ranks agree, and only k <= (s - e)/2 is
     computed.  Any other cover computes every degree."""
     gb = cover.groebner()
     h_B = hilbert_function(gb)
     s, e = h_B.socle_degree, f.degree()
-    degrees = [g.degree() for g in cover.gens]
-    paired = (len(degrees) == cover.ring.nvars
-              and h_B == complete_intersection_hvector(degrees))
+    paired = _regular_sequence_hvector(cover) is not None
     rank = {}
     for k in range(s - e + 1):
         rank[k] = (rank[s - e - k] if paired and s - e - k < k
@@ -375,7 +380,7 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
         raise LinkageError(
             f"linked h-vector {got} does not match the predicted {expected}")
     colon = Ideal(R, out)
-    colon._hilbert = got.__getitem__
+    colon._hilbert = got
     basis = _known_basis(R, (g.degree() for g in colon.gens), entries)
     if basis is not None:
         colon.attach_groebner(basis)
@@ -406,11 +411,8 @@ def _link(I: Ideal, gens) -> Ideal:
         if g.terms not in listed and not I.contains(g):
             raise LinkageError("the complete intersection is not inside the ideal")
     ci = Ideal(R, gens)
-    try:
-        h_ci = hilbert_function(ci)
-    except AlgebraError as exc:
-        raise LinkageError(f"the chosen forms are not a regular sequence: {exc}")
-    if h_ci != complete_intersection_hvector([g.degree() for g in gens]):
+    h_ci = _regular_sequence_hvector(ci)
+    if h_ci is None or len(ci.gens) < len(gens):    # Ideal drops 0 and repeats
         raise LinkageError("the chosen forms are not a regular sequence")
     cover = {g.terms for g in ci.gens}
     rest = [g for g in I.gens if g.terms not in cover]
@@ -473,7 +475,6 @@ def regular_sequence_in(I: Ideal, degrees, rng: random.Random) -> tuple:
     R = I.ring
     field = R.field
     gb = I.groebner()
-    expected = complete_intersection_hvector(degrees)
     bases = {}
     for d in set(degrees):
         bases[d] = ideal_degree_basis(gb, d)
@@ -502,12 +503,8 @@ def regular_sequence_in(I: Ideal, degrees, rng: random.Random) -> tuple:
             picks.append(p)
         if len(picks) != len(degrees):
             continue
-        cand = Ideal(R, picks)
-        try:
-            if hilbert_function(cand) == expected:
-                return tuple(picks)
-        except AlgebraError:
-            continue
+        if _regular_sequence_hvector(Ideal(R, picks)) is not None:
+            return tuple(picks)
     raise GenericityError(
         f"no regular sequence of degrees {degrees} in "
         f"{_SPARSE_ATTEMPTS + _DENSE_ATTEMPTS} attempts")
@@ -616,7 +613,7 @@ def _residual_almost_ci(G: Ideal, cover: list, new_count: int) -> tuple:
         raise LinkageError(
             f"residual h-vector {got} does not match the predicted {expected}")
     residual = Ideal(R, big_cover + [extra])
-    residual._hilbert = got.__getitem__
+    residual._hilbert = got
     return residual, big_cover, extra
 
 

@@ -179,14 +179,9 @@ def times_L_rank(I: Ideal, d: int, L: Polynomial,
         raise AlgebraError("rank bookkeeping expects an artinian quotient")
     rank = multiplication_rank(gb, L, d)
     kernel_dim = hilbert_value(gb, d) - rank
-    report = RankReport(degree=d, rank=rank, kernel_dim=kernel_dim)
     if gin_result is not None:
-        expected = gin_monomial_census(gin_result, d + 1).standard_divisible
-        if expected != rank:
-            raise GenericityError(
-                f"direct rank {rank} at degree {d} disagrees with the gin "
-                f"count {expected}; the linear form is not generic")
-    return report
+        _check_gin_count(gin_result, d, rank)
+    return RankReport(degree=d, rank=rank, kernel_dim=kernel_dim)
 
 
 def generic_times_rank(I: Ideal, d: int,
@@ -208,12 +203,19 @@ def generic_times_rank(I: Ideal, d: int,
         if best.rank == min(hilbert_value(gb, d), hilbert_value(gb, d + 1)):
             break
     if gin_result is not None:
-        expected = gin_monomial_census(gin_result, d + 1).standard_divisible
-        if expected != best.rank:
-            raise GenericityError(
-                f"sampled maximal rank {best.rank} at degree {d} disagrees "
-                f"with the gin count {expected}")
+        _check_gin_count(gin_result, d, best.rank)
     return best
+
+
+def _check_gin_count(gin_result: GinResult, d: int, rank: int):
+    """For a general linear form the rank from degree d is the gin's count
+    of standard monomials of degree d + 1 divisible by the last variable;
+    raises GenericityError when the rank found is not that count."""
+    expected = gin_monomial_census(gin_result, d + 1).standard_divisible
+    if expected != rank:
+        raise GenericityError(
+            f"rank {rank} at degree {d} disagrees with the gin count "
+            f"{expected}; the linear form is not generic")
 
 
 def reduction_number(I: Ideal, s: int,

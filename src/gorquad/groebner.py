@@ -74,10 +74,11 @@ is its cover plus one form f, so h_d = h_B(d) - rank(x f: B_{d-e} -> B_d)
 in the cover's quotient B, checked against the linkage prediction) and
 gin's coordinate changes (h(g.I) = h(I) for every invertible linear change
 g).  A colon's basis normally comes from the cover's table, so the engine
-reads its hint only past the degree cap's fallback; the hints of the first
-three are h-vectors, which invariants.hilbert_function returns with no
-basis.  An ideal whose h-vector is the check, such as quadric_ci's, stays
-unhinted.
+reads its hint only past the degree cap's fallback.  The first three store
+the proven invariants.HVector itself, which the engine calls as d -> h_d
+and invariants.hilbert_function returns with no basis; gin's hint is a
+function.  An ideal whose h-vector is the check, such as quadric_ci's,
+stays unhinted.
 """
 
 from __future__ import annotations
@@ -453,7 +454,7 @@ class GroebnerBasis:
         d = len(levels)
         codec, field = self.ring.codec, self.ring.field
         mul, div, var_keys = codec.mul, codec.div, codec.var_keys
-        neg, one = field.neg, field.one
+        one = field.one
         tails = {p.terms[0][0]: p.terms[1:] for p in self.elements
                  if codec.degree(p.terms[0][0]) == d}
         if d == 0:
@@ -466,7 +467,7 @@ class GroebnerBasis:
         for b in sorted(supp):
             tail = tails.get(b)
             if tail is not None:
-                nf[b] = {k: neg(c) for k, c in tail}
+                nf[b] = scaled(dict(tail), -1, field)
                 continue
             missing = supp[b] & ~gen[b]
             if not missing:
@@ -488,7 +489,7 @@ class GroebnerBasis:
         nf = self._level(codec.degree(m))[2]
         row = nf.get(m)
         if row is None:
-            vk = codec.var_key(next(j for j, e in enumerate(codec.exps(m)) if e))
+            vk = codec.var_keys[next(j for j, e in enumerate(codec.exps(m)) if e)]
             row = {}
             for t, c in self._monomial_nf(codec.div(m, vk)).items():
                 axpy(row, c, nf[codec.mul(vk, t)], self.ring.field)
@@ -540,8 +541,9 @@ class GroebnerBasis:
 
 class Ideal:
     """A homogeneous ideal given by generators, with cached Groebner bases.
-    ``_hilbert`` is the engine's hint d -> h_d, or None; only a constructor
-    that proves it is the ideal's Hilbert function sets it."""
+    ``_hilbert`` is the engine's hint d -> h_d (an HVector or a function),
+    or None; only a constructor that proves it is the ideal's Hilbert
+    function sets it."""
 
     __slots__ = ("ring", "gens", "_gb_cache", "_hilbert")
 

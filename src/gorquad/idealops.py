@@ -1,4 +1,4 @@
-"""Ideal arithmetic: sums, products, intersections, colons, embeddings.
+"""Ideal arithmetic: sums, intersections, colons, embeddings.
 
 Intersections and colons eliminate one auxiliary variable.  For homogeneous
 ideals I, J in R = k[x], the ideal K = t*I + (u-t)*J of k[t, x, u] is
@@ -31,12 +31,6 @@ def ideal_sum(*ideals: Ideal) -> Ideal:
             raise RingMismatchError("summands live in different rings")
         gens.extend(I.gens)
     return Ideal(base, gens)
-
-
-def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    if I.ring != J.ring:
-        raise RingMismatchError("factors live in different rings")
-    return Ideal(I.ring, [f * g for f in I.gens for g in J.gens])
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .core import AlgebraError
 from .groebner import GroebnerBasis, Ideal
-from .linalg import axpy, echelon, left_kernel
+from .linalg import axpy, echelon, left_kernel, scaled
 from .poly import Polynomial
 
 _HVEC_RE = re.compile(r"\(\s*(-?\d+\s*(,\s*-?\d+\s*)*)?\)")
@@ -59,6 +59,8 @@ class HVector:
         if 0 <= i < len(self.values):
             return self.values[i]
         return 0
+
+    __call__ = __getitem__      # d -> h_d, the engine's hint
 
     def __len__(self):
         return len(self.values)
@@ -153,19 +155,15 @@ def _cache(gb: GroebnerBasis, key, build):
     return val
 
 
-def _lead_exps(gb: GroebnerBasis):
-    exps = gb.ring.codec.exps
-    return _cache(gb, "lead_exps", lambda: tuple(exps(k) for k in gb.lead_keys))
-
-
 def is_artinian(x) -> bool:
     """True iff the quotient is finite-dimensional: every variable has a pure
     power among the leading terms."""
     gb = as_basis(x)
 
     def build():
+        exps = gb.ring.codec.exps
         covered = set()
-        for e in _lead_exps(gb):
+        for e in map(exps, gb.lead_keys):
             support = [j for j, v in enumerate(e) if v]
             if len(support) == 1:
                 covered.add(support[0])
@@ -195,11 +193,10 @@ def hilbert_value(x, d: int) -> int:
 
 def hilbert_function(x) -> HVector:
     """The full h-vector of an artinian quotient.  An Ideal whose proven
-    hint is an h-vector's lookup (constructions.apolar_ideal and
-    _colon_out_of set one) returns that h-vector, and no basis is built."""
-    hint = x._hilbert if isinstance(x, Ideal) else None
-    if isinstance(getattr(hint, "__self__", None), HVector):
-        return hint.__self__
+    hint is an HVector (constructions.apolar_ideal, _colon_out_of and
+    _residual_almost_ci store one) returns it, and no basis is built."""
+    if isinstance(x, Ideal) and isinstance(x._hilbert, HVector):
+        return x._hilbert
     gb = as_basis(x)
 
     def build():
@@ -224,9 +221,8 @@ def _minus_nf(gb: GroebnerBasis, m) -> Polynomial:
     """The ideal element m - NF(m) of a nonstandard monomial m; every key of
     NF(m) is below m."""
     field = gb.ring.field
-    neg = field.neg
     return Polynomial(gb.ring, ((m, field.one),) + tuple(sorted(
-        ((k, neg(c)) for k, c in gb._monomial_nf(m).items()), reverse=True)))
+        scaled(gb._monomial_nf(m), -1, field).items(), reverse=True)))
 
 
 def _monomial_rows(gb: GroebnerBasis, d: int, q) -> dict:
@@ -481,13 +477,11 @@ def classify(x, with_socle: bool = True) -> QuadricClassification:
     gb = as_basis(x)
     hv = hilbert_function(gb)
     nu = minimal_generator_counts(gb)
-    st = socle_type(gb) if with_socle else None
     return QuadricClassification(
         hvector=hv,
-        socle_tuple=st,
+        socle_tuple=socle_type(gb) if with_socle else None,
         generator_counts=nu,
-        gorenstein=(sum(st) == 1 and bool(st) and st[-1] == 1)
-        if st is not None else None,
-        presented_by_quadrics=(set(nu) == {2} if nu else False),
+        gorenstein=is_gorenstein(gb) if with_socle else None,
+        presented_by_quadrics=presented_by_quadrics(gb),
         had_linear_forms=1 in nu,
     )

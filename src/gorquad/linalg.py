@@ -6,6 +6,10 @@ stored coefficient is never zero: over GF(p) it is an int in [1, p), over
 the rationals a Fraction.  The per-term loops do that arithmetic inline on
 p = field.p: each sum or product is taken as Python numbers and reduced mod
 p when p is set, so the scalars passed in may be negative or unreduced.
+axpy and scaled are the coefficient kernel of every layer: polynomial
+arithmetic, contraction, the engine and the invariants do their per-term
+arithmetic through them, or inline in the same way, never through a
+FieldSpec method call per term.
 
 echelon(rows, field, room) is the one span test: it reads rows lazily and
 stops once their rank fills room, the dimension of a space known to contain

@@ -84,10 +84,6 @@ class _Codec:
         ea, eb = self.exps(ka), self.exps(kb)
         return self.key(tuple(a if a > b else b for a, b in zip(ea, eb)))
 
-    def var_key(self, j):
-        """Key of the variable with zero-based index j."""
-        return self.var_keys[j]
-
 
 class _DrlCodec(_Codec):
     """degrevlex: key = degree << 8n | packed bytes, byte j holding the

@@ -2,7 +2,8 @@
 
 Polynomials store a tuple of (key, coeff) pairs sorted descending in the
 ring's monomial order, with keys packed by the order codec.  All arithmetic
-is exact; coefficients are Fractions over QQ and ints in [0, p) over GF(p).
+is exact; coefficients are Fractions over QQ and ints in [0, p) over GF(p),
+and products and scalings take them through linalg's axpy and scaled.
 """
 
 from __future__ import annotations
@@ -13,43 +14,33 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import FieldSpec, ParseError, RingMismatchError
-from .linalg import axpy
+from .linalg import axpy, scaled
 from .orders import DEGREVLEX, MAX_PACKED_DEGREE, MonomialOrder
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _PAST_PACKED = f"product degree exceeds the packed-monomial bound {MAX_PACKED_DEGREE}"
 
 
 class RingCtx:
-    """A polynomial ring: field, variable names, and a monomial order."""
+    """A polynomial ring: field, variables x1..xn, and a monomial order."""
 
     __slots__ = ("field", "nvars", "order", "names", "codec",
                  "_mon_cache", "_vars", "_name_index")
 
     def __init__(self, field: FieldSpec, nvars: int,
-                 order: MonomialOrder = DEGREVLEX, names=None):
+                 order: MonomialOrder = DEGREVLEX):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        if names is None:
-            names = tuple(f"x{i}" for i in range(1, nvars + 1))
-        else:
-            names = tuple(names)
-        if len(names) != nvars or len(set(names)) != nvars:
-            raise ValueError("names must be distinct and match nvars")
-        for nm in names:
-            if not _NAME_RE.fullmatch(nm):
-                raise ValueError(f"bad variable name: {nm!r}")
         self.field = field
         self.nvars = nvars
         self.order = order
-        self.names = names
+        self.names = tuple(f"x{i}" for i in range(1, nvars + 1))
         self.codec = order.codec(nvars)
         self._mon_cache = {}
         self._vars = None
-        self._name_index = {nm: j for j, nm in enumerate(names)}
+        self._name_index = {nm: j for j, nm in enumerate(self.names)}
 
     def _ident(self):
-        return (self.field, self.nvars, self.order, self.names)
+        return (self.field, self.nvars, self.order)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, RingCtx)
@@ -109,9 +100,13 @@ class RingCtx:
         """Build a polynomial from (key, coeff) pairs, combining duplicates."""
         acc = {}
         field = self.field
+        p, normalize = field.p, field.normalize
         for k, c in pairs:
             prev = acc.get(k)
-            acc[k] = field.add(prev, c) if prev is not None else field.normalize(c)
+            if prev is None:
+                acc[k] = normalize(c)
+            else:
+                acc[k] = (prev + c) % p if p else prev + c
         zero = field.zero
         terms = tuple(sorted(((k, c) for k, c in acc.items() if c != zero),
                              reverse=True))
@@ -122,10 +117,10 @@ class RingCtx:
 
 
 @lru_cache(maxsize=None)
-def ring(field: FieldSpec, nvars: int, order: MonomialOrder = DEGREVLEX,
-         names=None) -> RingCtx:
+def ring(field: FieldSpec, nvars: int,
+         order: MonomialOrder = DEGREVLEX) -> RingCtx:
     """Shared ring factory; identical arguments return the same object."""
-    return RingCtx(field, nvars, order, names)
+    return RingCtx(field, nvars, order)
 
 
 class Polynomial:
@@ -177,9 +172,7 @@ class Polynomial:
         return _add_terms(self.ring, self.terms, other.terms, True)
 
     def __neg__(self):
-        field = self.ring.field
-        return Polynomial(self.ring,
-                          tuple((k, field.neg(c)) for k, c in self.terms))
+        return self.scale(-1)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -189,19 +182,11 @@ class Polynomial:
             return self.ring.zero
         if self.degree() + other.degree() > MAX_PACKED_DEGREE:
             raise ValueError(_PAST_PACKED)
-        field, codec = self.ring.field, self.ring.codec
-        mul_k, mul_c, add_c = codec.mul, field.mul, field.add
+        field, mul = self.ring.field, self.ring.codec.mul
         acc = {}
         for ka, ca in self.terms:
-            for kb, cb in other.terms:
-                k = mul_k(ka, kb)
-                c = mul_c(ca, cb)
-                prev = acc.get(k)
-                acc[k] = c if prev is None else add_c(prev, c)
-        zero = field.zero
-        return Polynomial(self.ring,
-                          tuple(sorted(((k, c) for k, c in acc.items()
-                                        if c != zero), reverse=True)))
+            axpy(acc, ca, {mul(ka, kb): cb for kb, cb in other.terms}, field)
+        return Polynomial(self.ring, tuple(sorted(acc.items(), reverse=True)))
 
     __rmul__ = __mul__
 
@@ -213,7 +198,7 @@ class Polynomial:
         if c0 == field.one:
             return self
         return Polynomial(self.ring,
-                          tuple((k, field.mul(c, c0)) for k, c in self.terms))
+                          tuple(scaled(dict(self.terms), c0, field).items()))
 
     def __pow__(self, n: int):
         if n < 0:

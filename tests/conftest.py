@@ -176,9 +176,8 @@ def _linear_multiples(vectors, R: RingCtx):
     """The products x_j * v of vectors {monomial key: coeff}, spanning
     R_1 * span(vectors), read lazily."""
     codec = R.codec
-    var_keys = [codec.var_key(j) for j in range(R.nvars)]
     return ({codec.mul(vk, m): c for m, c in v.items()}
-            for v in vectors for vk in var_keys)
+            for v in vectors for vk in codec.var_keys)
 
 
 def oracle_apolar_ideal(F: Polynomial):
@@ -223,10 +222,9 @@ def _generator_rows(gb, d: int, column: dict):
     from gorquad.invariants import _minus_nf, nonstandard_monomials
 
     codec = gb.ring.codec
-    var_keys = [codec.var_key(j) for j in range(gb.ring.nvars)]
     for m in nonstandard_monomials(gb, d - 1):
         element = _minus_nf(gb, m).terms
-        for vk in var_keys:
+        for vk in codec.var_keys:
             yield {column[t]: c for t, c in
                    ((codec.mul(vk, k), c) for k, c in element) if t in column}
 

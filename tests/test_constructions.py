@@ -75,6 +75,39 @@ def test_random_quadric_ci_matches_monomial_hf():
     assert hilbert_function(J) == HVector((1, 3, 3, 1))
 
 
+def _certificate_cases():
+    """(ideal, accepted) for the regular-sequence certificate, with ids."""
+    for field in (GF7, GFBIG, Q):
+        R = ring(field, 4)
+        yield pytest.param(Ideal(R, [v * v for v in R.variables()]), True,
+                           id=f"squares-{field}")
+        for seed in range(2):
+            yield pytest.param(quadric_ci(3, field, "random", seed=seed), True,
+                               id=f"random-ci-{field}-{seed}")
+    x = ring(GF7, 2).variables()
+    # a linear form repeated up to a scalar: R/(x1, x2^2) is still the
+    # complete intersection its degrees predict
+    yield pytest.param(Ideal(x[0].ring, [x[0], 2 * x[0], x[1] ** 2]), True,
+                       id="repeated-linear")
+    y = ring(GF7, 3).variables()
+    yield pytest.param(Ideal(y[0].ring, [y[0] ** 2, y[1] ** 2]), False,
+                       id="too-few")
+    yield pytest.param(Ideal(x[0].ring, [x[0] ** 2, x[0] * x[1], x[1] ** 2]),
+                       False, id="all-quadrics")
+    yield pytest.param(Ideal(y[0].ring, [y[0] * y[1], y[0] * y[2], y[2] ** 2]),
+                       False, id="shared-factor")
+
+
+@pytest.mark.parametrize("I, accepted", list(_certificate_cases()))
+def test_regular_sequence_certificate(I, accepted):
+    got = constructions._regular_sequence_hvector(I)
+    if accepted:
+        assert got == complete_intersection_hvector(
+            [g.degree() for g in I.gens]) == hilbert_function(I)
+    else:
+        assert got is None
+
+
 def test_quadric_ci_edge_cases():
     assert hilbert_function(quadric_ci(1, Q)) == HVector((1, 1))
     with pytest.raises(ValueError):
@@ -369,6 +402,20 @@ def test_link_rejects_forms_outside_ideal():
     I = Ideal.from_texts(R, ["x1^2", "x1*x2"])
     with pytest.raises(LinkageError):
         link(I, LinkStep((R.parse("x1^2"), R.parse("x2^2"))))
+
+
+@pytest.mark.parametrize("cover", [("x2^2", "x2^2", "x3^2", "x1"),
+                                   ("x1", "x1", "x2^2", "x3^2"),
+                                   ("x1", "0", "x2^2", "x3^2")],
+                         ids=["repeated-quadric", "repeated-linear", "zero"])
+def test_link_refuses_a_repeated_or_zero_form(cover):
+    """A listed sequence with a repeat or a zero is no regular sequence,
+    although the ideal of its distinct nonzero forms is a complete
+    intersection."""
+    R = ring(GF7, 3)
+    I = Ideal.from_texts(R, ["x1", "x2^2", "x3^2"])
+    with pytest.raises(LinkageError, match="not a regular sequence"):
+        link(I, LinkStep(tuple(R.parse(t) for t in cover)))
 
 
 def test_link_self_is_unit():
@@ -675,6 +722,27 @@ def test_hvector_with_form_is_the_engine_hvector(field, seed, monkeypatch):
 
 
 @pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+def test_a_repeated_linear_cover_pairs_its_ranks(field, monkeypatch):
+    """A cover that lists a linear form twice, up to a scalar, passes the
+    certificate with more forms than variables: B is the complete
+    intersection of the squares in the other variables, so only the lower
+    half of the ranks is computed, and h still matches the engine's."""
+    ranks = []
+    real = constructions.multiplication_rank
+    monkeypatch.setattr(constructions, "multiplication_rank",
+                        lambda *args: ranks.append(args[2]) or real(*args))
+    x = ring(field, 4).variables()
+    cover = Ideal(x[0].ring, [x[0], 3 * x[0]] + [v * v for v in x[1:]])
+    rng = random.Random(77)
+    for e in (1, 2):
+        f = random_homogeneous(cover.ring, e, rng)
+        ranks.clear()
+        got = constructions._hvector_with_form(cover, f)
+        assert got == hilbert_function(Ideal(cover.ring, cover.gens + (f,)))
+        assert ranks == list(range((3 - e) // 2 + 1))
+
+
+@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
 def test_tower_residuals_carry_their_engine_hvector(field, colons):
     stages = linkage_grow(quadric_ci(2, field), rounds=2, first_new_vars=2)
     assert [tuple(hilbert_function(s)) for s in stages] == [
@@ -807,6 +875,14 @@ def test_liaison_runs_no_engine_on_a_colon(monkeypatch, colons):
     assert len(colons) == 6 and inputs
     for colon in colons:
         assert tuple(g.terms for g in colon.gens) not in inputs
+
+
+def test_an_apolar_hvector_is_the_stored_one():
+    I = apolar_ideal(squarefree_full_form(ring(GFBIG, 5), 3))
+    h = hilbert_function(I)
+    assert h is I._hilbert and isinstance(h, HVector)
+    assert h == HVector((1, 5, 5, 1))
+    assert not I._gb_cache
 
 
 def test_penultimate_seeds_build_no_basis(monkeypatch):

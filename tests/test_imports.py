@@ -255,14 +255,9 @@ def test_the_loop_lint_sees_field_arithmetic():
 
 
 def test_per_term_loops_do_their_arithmetic_inline():
-    """The exact kernels compute each term as Python numbers reduced mod
-    field.p, with no FieldSpec method call per term: all of linalg.py, and
-    the engine's _nf, _spoly and _split_monic."""
-    engine = {node.name: node for node in PACKAGE[SRC / "groebner.py"].body
-              if isinstance(node, ast.FunctionDef)}
-    scopes = {"linalg": PACKAGE[SRC / "linalg.py"]}
-    scopes.update((f"groebner.{name}", engine[name])
-                  for name in ("_nf", "_spoly", "_split_monic"))
-    found = [f"{name} (line {line})" for name, scope in scopes.items()
-             for line in _field_arithmetic_in_loops(scope)]
+    """Every module computes each term as Python numbers reduced mod
+    field.p, through linalg's axpy and scaled or inline, with no FieldSpec
+    method call per term."""
+    found = [f"{path.stem} (line {line})" for path, tree in PACKAGE.items()
+             for line in _field_arithmetic_in_loops(tree)]
     assert not found, f"field arithmetic calls inside loops: {found}"

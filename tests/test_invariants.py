@@ -48,6 +48,12 @@ def test_hvector_basics():
         HVector.parse("1 3 3 1")
 
 
+def test_an_hvector_called_at_d_is_its_entry():
+    h = HVector((1, 3, 3, 1))
+    assert [h(d) for d in range(-2, 7)] == [h[d] for d in range(-2, 7)] \
+        == [0, 0, 1, 3, 3, 1, 0, 0, 0]
+
+
 def test_hvector_strips_trailing_zeros():
     assert HVector((1, 2, 1, 0, 0)) == HVector((1, 2, 1))
     assert len(HVector((1, 2, 1, 0))) == 3

@@ -78,9 +78,9 @@ def test_block_order_eliminates_front_variables():
     assert front > tail
 
 
-def test_var_key():
+def test_var_keys():
     codec = DEGREVLEX.codec(3)
-    assert codec.exps(codec.var_key(1)) == (0, 1, 0)
+    assert codec.exps(codec.var_keys[1]) == (0, 1, 0)
 
 
 def test_exponent_range_enforced():
