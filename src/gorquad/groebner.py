@@ -72,8 +72,9 @@ constructions._colon_out_of (the annihilator's dimensions, checked against
 the linkage prediction), constructions._residual_almost_ci (the residual
 is its cover plus one form f, so h_d = h_B(d) - rank(x f: B_{d-e} -> B_d)
 in the cover's quotient B, checked against the linkage prediction) and
-gin's coordinate changes (h(g.I) = h(I) for every invertible linear change
-g).  A colon's basis normally comes from the cover's table, so the engine
+gin's coordinate changes of a non-artinian ideal (h(g.I) = h(I) for every
+invertible linear change g; an artinian ideal's are read off its table).
+A colon's basis normally comes from the cover's table, so the engine
 reads its hint only past the degree cap's fallback.  The first three store
 the proven invariants.HVector itself, which the engine calls as d -> h_d
 and invariants.hilbert_function returns with no basis; gin's hint is a

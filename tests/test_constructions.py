@@ -21,6 +21,7 @@ from gorquad import constructions
 from gorquad.census import colon_quotient
 from gorquad.core import CappedComputationError, FieldSpec, GenericityError
 import gorquad.groebner as groebner_module
+from gorquad.gin import check_wlp, gin
 from gorquad.groebner import Ideal, _compute_basis
 from gorquad.idealops import colon_ideal, random_linear_form
 from gorquad.invariants import (HVector, annihilator, classify,
@@ -796,6 +797,22 @@ def test_the_tower_jobs_reduce_no_pair(monkeypatch):
     assert runs
     assert [gb.stats.reduced_to_zero for gb in runs] == [0] * len(runs)
     assert [gb.stats.reduced for gb in runs] == [0] * len(runs)
+
+
+def test_the_gin_job_runs_no_engine(monkeypatch):
+    """The gin job of the liaison benchmark on a seeded random quadric
+    complete intersection in 7 variables: its basis is built with it, the
+    coordinate changes are read off its quotient table, and check_wlp reads
+    the same table, so neither call runs the engine."""
+    I = quadric_ci(7, GFBIG, style="random", seed=3)
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the gin job ran the engine")
+
+    monkeypatch.setattr(groebner_module, "_compute_basis", no_engine)
+    res = gin(I, seed=5)
+    assert res.attempts_agreed == 3
+    assert check_wlp(I).has_wlp
 
 
 # -- colon bases from the cover's quotient table: the unhinted engine is the

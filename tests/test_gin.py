@@ -7,9 +7,10 @@ import pytest
 
 import gorquad
 from gorquad import groebner
-from gorquad.constructions import quadric_ci
+from gorquad.constructions import apolar_ideal, quadric_ci, random_dual_form
 from gorquad.core import AlgebraError, GenericityError
 from gorquad.gin import (GenericityPolicy, GinUncertifiedError,
+                         _initial_ideal_from_table, _inverse_change,
                          check_injectivity_conjecture, check_wlp,
                          generic_times_rank, gin, gin_monomial_census,
                          hyperplane_restriction_identity, is_borel_fixed,
@@ -17,9 +18,9 @@ from gorquad.gin import (GenericityPolicy, GinUncertifiedError,
                          times_L_rank)
 from gorquad.groebner import Ideal
 from gorquad.idealops import random_linear_form
-from gorquad.invariants import hilbert_function
+from gorquad.invariants import hilbert_function, is_artinian
 from gorquad.orders import DEGREVLEX, elimination_order
-from gorquad.poly import Polynomial, ring
+from gorquad.poly import Polynomial, Substitution, ring
 
 from conftest import (GF2, GF7, GFBIG, Q, oracle_generic_times_rank,
                       oracle_is_borel_fixed)
@@ -89,24 +90,74 @@ def test_gin_of_ci4_matches_unhinted_bases(ci4, gin_ci4):
 
 def test_gin_runs_no_engine_on_monomial_ideals(monkeypatch, ci4, gin_ci4):
     """The squares it starts from and the consensus ideal is_borel_fixed
-    reads take the monomial basis; only the coordinate changes run the
-    engine."""
-    real = groebner._compute_basis
-    runs = []
+    reads take the monomial basis, and the coordinate changes of an
+    artinian input are read off its quotient table: no engine run."""
+    def no_engine(*args, **kwargs):
+        raise AssertionError("gin ran the engine on an artinian input")
 
-    def non_monomial_only(ring_, polys, truncate_at, hilbert=None):
-        polys = list(polys)
-        if all(len(p.terms) == 1 for p in polys):
-            raise AssertionError("the engine ran on monomial generators")
-        runs.append(hilbert is not None)
-        return real(ring_, polys, truncate_at, hilbert=hilbert)
-
-    monkeypatch.setattr(groebner, "_compute_basis", non_monomial_only)
+    monkeypatch.setattr(groebner, "_compute_basis", no_engine)
     res = gin(Ideal(ci4.ring, ci4.gens), seed=1)
     assert (res.lead_keys, res.seeds) == (gin_ci4.lead_keys, gin_ci4.seeds)
     assert is_borel_fixed(res.monomial_ideal)
     assert res.monomial_ideal.groebner().stats is None
-    assert runs == [True] * len(runs) and len(runs) >= 3
+
+
+# -- the table read: the unhinted engine on sigma(I) is the oracle ---------------
+
+
+def _table_read_inputs(field, order, seed):
+    """A random quadric complete intersection, a Gorenstein apolar ideal
+    that is no complete intersection, an ideal with a linear generator and
+    the unit ideal, in four variables under the order."""
+    R = ring(field, 4, order)
+    rng = random.Random(seed)
+    ci = quadric_ci(4, field, style="random", seed=seed)
+    into = Substitution(ci.ring, R.variables())
+    apolar = apolar_ideal(random_dual_form(R, 3, rng))
+    x1, x2, x3, x4 = R.variables()
+    linear = Ideal(R, [x1 + x2.scale(2) - x4, x2 * x3, x3 * x3, x4 * x4 * x2,
+                       x2 * x2 * x2 + x3 * x4 * x4, x4 * x4 * x4])
+    return [Ideal(R, [into(g) for g in ci.gens]), apolar, linear,
+            Ideal(R, [R.one])]
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, elimination_order(1),
+                                   elimination_order(2)], ids=str)
+@pytest.mark.parametrize("field", [Q, GF7, GFBIG], ids=str)
+@pytest.mark.parametrize("seed", range(2))
+def test_table_read_matches_the_unhinted_engine(order, field, seed):
+    ci, apolar, linear, unit = _table_read_inputs(field, order, seed)
+    assert len(apolar.gens) > 4 and {g.degree() for g in apolar.gens} == {2}
+    assert linear.gens[0].degree() == 1
+    x = ci.ring.variables()
+    # a random change is generic, and so is its inverse: special changes
+    # tell sigma from sigma^-1
+    special = [x[1:] + x[:1], [x[0] + x[1], x[1] + x[2].scale(3), x[2], x[3]]]
+    for I in (ci, apolar, linear, unit):
+        gb = I.groebner()
+        assert is_artinian(gb)
+        for images in special + [random_coordinate_change(
+                I.ring, random.Random(s)) for s in range(3)]:
+            change = Substitution(I.ring, images)
+            want = Ideal(I.ring, [change(g) for g in I.gens]).groebner()
+            got = _initial_ideal_from_table(gb, images)
+            assert sorted(got) == sorted(want.lead_keys)
+        identity = _initial_ideal_from_table(gb, I.ring.variables())
+        assert sorted(identity) == sorted(gb.lead_keys)
+    assert got == [unit.ring.codec.one]     # the unit ideal's, read last
+
+
+@pytest.mark.parametrize("field", [Q, GF7, GFBIG], ids=str)
+def test_the_inverse_change_undoes_the_change(field):
+    for n, order in ((1, DEGREVLEX), (4, DEGREVLEX), (5, elimination_order(2))):
+        R = ring(field, n, order)
+        for s in range(4):
+            images = random_coordinate_change(R, random.Random(s))
+            inverse = _inverse_change(R, images)
+            assert all(ell.degree() == 1 for ell in inverse)
+            assert [Substitution(R, images)(ell) for ell in inverse] \
+                == list(R.variables())
+        assert _inverse_change(R, R.variables()) == list(R.variables())
 
 
 def test_gin_refuses_small_fields():
