@@ -81,7 +81,7 @@ def cmd_hilbert(args) -> int:
     cls = classify(gb)
     if args.stats:
         st = gb.stats
-        line = ("no run needed (monomial generators)" if st is None else
+        line = ("no run" if st is None else
                 " ".join(f"{k}={v}" for k, v in st._asdict().items()))
         print(f"engine: {line}", file=sys.stderr)
     print(cls)

@@ -149,7 +149,8 @@ def apolar_ideal(F: Polynomial) -> Ideal:
     empty catalecticant row, so Ann(F)_d is M_d, the span of those
     non-divisors, plus the kernel K_d of the rows of the divisors D_d.
     Hence h_d = |D_d| - dim K_d for d <= e, and h_d = 0 above e: that is
-    the Hilbert function, and it hints the basis.
+    the Hilbert function, which the ideal stores.  It records F too, and
+    its Groebner basis is read off F (groebner._apolar_entries).
 
     A kernel vector is a new generator when it lies outside
     R_1 * Ann(F)_{d-1}, and the degree-(e+1) generators are the monomials
@@ -219,6 +220,7 @@ def apolar_ideal(F: Polynomial) -> Ideal:
                         if span.reduce(v))
     I = Ideal(R, gens)
     I._hilbert = HVector(tuple(h))
+    I._dual_form = F
     return I
 
 
@@ -344,8 +346,8 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
     plus the lifts of the annihilator of the gens in B = R/cover, degree 1
     through top, one past the predicted socle degree or B's socle degree if
     that is lower.  Raises LinkageError unless the result has the predicted
-    h-vector, and otherwise hints it with that h-vector and attaches its
-    reduced basis, read off B's table with no engine run.
+    h-vector, and otherwise stores that h-vector and attaches its reduced
+    basis, read off B's table with no engine run.
 
     Per degree: the annihilator is an ideal of B, so for d <= top the result
     J has J_d = cover_d + lift(ann_d) = (cover : gens)_d, and h_d = h_B(d) -
@@ -381,7 +383,7 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
             f"linked h-vector {got} does not match the predicted {expected}")
     colon = Ideal(R, out)
     colon._hilbert = got
-    basis = _known_basis(R, (g.degree() for g in colon.gens), entries)
+    basis = _known_basis(R, colon.gens, entries)
     if basis is not None:
         colon.attach_groebner(basis)
     return colon
@@ -590,8 +592,8 @@ def _residual_almost_ci(G: Ideal, cover: list, new_count: int) -> tuple:
 
     The residual is cover + (extra), so its h-vector is read off the
     cover's table (_hvector_with_form) with no basis of the residual.  That
-    vector is exact, so it is the hint the residual carries.  It must be the
-    linkage prediction: the residual lies in cover : inside, whose h-vector
+    vector is exact, so the residual stores it.  It must be the linkage
+    prediction: the residual lies in cover : inside, whose h-vector
     the prediction is (Peskine-Szpiro), so equal vectors prove the two
     ideals equal.
     """

@@ -8,7 +8,7 @@ table of B = R/I with no Buchberger run (_initial_ideal_from_table, an
 FGLM change of order): NF(sigma^-1(p)) maps R/sigma(I) isomorphically
 onto B, so the leading terms are the monomials whose images lie in the
 span of the smaller monomials' images.  A non-artinian I has no finite
-table, so its changes run the engine, hinted with h(sigma(I)) = h(I).
+table, so its changes run the engine.
 On top of certified gins sit the rank tools: the rank of multiplication
 by a general linear form equals the number of standard monomials of the
 gin one degree up that are divisible by the last variable, which gives
@@ -17,12 +17,11 @@ an independent cross-check for every direct rank computation.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
 from .core import AlgebraError, GenericityError, GinUncertifiedError
-from .groebner import GroebnerBasis, Ideal, _order_ideal_step
+from .groebner import GroebnerBasis, Ideal, _fglm_walk
 from .idealops import random_linear_form
 from .invariants import (
     as_basis,
@@ -33,7 +32,7 @@ from .invariants import (
     multiplication_rank,
     standard_monomials,
 )
-from .linalg import Echelon, axpy, echelon, left_kernel
+from .linalg import axpy, echelon, left_kernel
 from .poly import Polynomial, RingCtx, Substitution
 
 MIN_GIN_PRIME = 32003
@@ -138,77 +137,41 @@ def _inverse_change(R: RingCtx, images) -> list:
 
 def _initial_ideal_from_table(gb: GroebnerBasis, images) -> list:
     """The minimal generators of in(sigma(I)), sigma: x_j -> images[j]
-    invertible, for the artinian I of gb: one graded FGLM pass
-    (Faugere-Gianni-Lazard-Mora, J. Symb. Comput. 16, 1993) over the table
-    of B = R/I, with no engine run.
-
-    p lies in sigma(I) iff sigma^-1(p) lies in I, so phi(p) =
-    NF(sigma^-1(p)) maps R/sigma(I) isomorphically onto B.  A monomial b
-    of degree d is a leading term of sigma(I) iff phi(b) lies in the span
-    of phi(c) over the smaller degree-d monomials c, and so over the
-    smaller standard ones.  So each degree walks _order_ideal_step's
-    candidates ascending (every b / x_k standard; any other b is a
-    multiple of a leading term, no minimal generator), one Echelon over
-    B_d: b is standard iff phi(b) enlarges it, and once h_d are standard
-    the rest are leading terms.  phi(b) = l'_k * phi(b / x_k) for the last
-    variable x_k dividing b, l'_k = sigma^-1(x_k), from the rows
-    NF(l'_k * t) = sum_j c_kj NF(x_j * t) of gb._level(d), each built once.
-    The walk starts at degree 0, where the unit ideal's leading term 1 is,
-    and ends at the first degree with no standard monomial."""
+    invertible, for the artinian I of gb, by groebner._fglm_walk over the
+    table of B = R/I: sigma(I) is the kernel of phi = NF(sigma^-1(.)), and
+    phi(b) = l'_k * phi(b / x_k), l'_k = sigma^-1(x_k), from the rows
+    NF(l'_k * t) = sum_j c_kj NF(x_j * t), each built once.  Degree d has
+    h_d = |std_d| standard monomials, and the rest lead."""
     R = gb.ring
-    codec, field = R.codec, R.field
-    mul, div, var_keys = codec.mul, codec.div, codec.var_keys
+    mul, field = R.codec.mul, R.field
     inverse = _inverse_change(R, images)
     times = [{} for _ in inverse]   # times[k][t] = NF(l'_k * t)
-    leads, phi_prev = [], {}
-    gen = supp = {codec.one: 0}
-    for d in itertools.count():
-        std, _, nf = gb._level(d)
-        ech = Echelon(field)
-        level, phi = {}, {}
-        for b in sorted(supp):
-            if gen[b] != supp[b]:
-                continue
-            if ech.rank == len(std):
-                leads.append(b)
-                continue
-            if d == 0:
-                row = nf[b]
-            else:
-                k = supp[b].bit_length() - 1
-                rows_k = times[k]
-                row = {}
-                for t, c in phi_prev[div(b, var_keys[k])].items():
-                    times_t = rows_k.get(t)
-                    if times_t is None:
-                        times_t = rows_k[t] = {}
-                        for x, a in inverse[k].terms:
-                            axpy(times_t, a, nf[mul(x, t)], field)
-                    axpy(row, c, times_t, field)
-            if ech.add(row):
-                level[b], phi[b] = supp[b], row
-            else:
-                leads.append(b)
-        if not level:
-            return leads
-        phi_prev = phi
-        gen, supp = _order_ideal_step(codec, level)
+
+    def image(d, k, prev):
+        nf, rows_k, row = gb._level(d)[2], times[k], {}
+        for t, c in prev.items():
+            times_t = rows_k.get(t)
+            if times_t is None:
+                times_t = rows_k[t] = {}
+                for x, a in inverse[k].terms:
+                    axpy(times_t, a, nf[mul(x, t)], field)
+            axpy(row, c, times_t, field)
+        return row
+
+    return list(_fglm_walk(R, gb._level(0)[2][R.codec.one], image,
+                           room=lambda d: len(gb._level(d)[0])))
 
 
 def _lead_ideal_in_random_coordinates(I: Ideal, seed: int) -> tuple:
     """The leading terms of the reduced basis of sigma(I), sigma the random
-    coordinate change of the seed.  When I is artinian they are read off
-    I's quotient table, exactly, since NF(sigma^-1(.)) maps R/sigma(I)
-    isomorphically onto R/I (_initial_ideal_from_table); else the engine
-    computes sigma(I)'s basis, hinted with h(sigma(I)) = h(I)."""
+    coordinate change of the seed: read off I's quotient table when I is
+    artinian (_initial_ideal_from_table), else computed by the engine."""
     images = random_coordinate_change(I.ring, random.Random(seed))
     gb = I.groebner()
     if is_artinian(gb):
         return tuple(_initial_ideal_from_table(gb, images))
     change = Substitution(I.ring, images)
-    moved = Ideal(I.ring, [change(g) for g in I.gens])
-    moved._hilbert = lambda d: hilbert_value(gb, d)
-    return moved.groebner().lead_keys
+    return Ideal(I.ring, [change(g) for g in I.gens]).groebner().lead_keys
 
 
 def gin(I: Ideal, seed: int = 0) -> GinResult:
@@ -217,11 +180,7 @@ def gin(I: Ideal, seed: int = 0) -> GinResult:
     Three independent random coordinate changes must produce the same
     leading-term ideal, which must be Borel-fixed; on disagreement three
     further changes are drawn before giving up with GinUncertifiedError.
-    Each change sigma's leading terms are exact: for an artinian I they are
-    read off I's quotient table with no engine run, as NF(sigma^-1(.))
-    maps R/sigma(I) isomorphically onto R/I (_initial_ideal_from_table);
-    a non-artinian I has no finite table, and the engine computes sigma(I)'s
-    basis, hinted with h(sigma(I)) = h(I).
+    Each change's leading terms are exact (_lead_ideal_in_random_coordinates).
     Only over the rationals or GF(p) with p >= 32003 -- small-characteristic
     generic initial ideals behave differently and are refused.
     """

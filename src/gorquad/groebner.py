@@ -8,16 +8,15 @@ interreduction, and nothing else.  Pair selection is the normal strategy
 result is always the unique reduced Groebner basis, elements monic and
 sorted descending by leading monomial.
 
-Two kinds of ideal take no engine run, and their bases have stats None.
-Monomial generators (_monomial_basis): every S-polynomial of two monomials
-is zero, so their reduced basis is their monic minimal generators, and
-Ideal.groebner returns those with the engine's truncation.  A colon out of
-a cover (constructions._colon_out_of): it arrives with a Groebner basis
-read off the cover's quotient table.  Both go through _known_basis, which
+Three kinds of ideal take no engine run, and their bases have stats None:
+generators each pair of which is two monomials or has coprime leading
+terms, a Groebner basis already (_pairless_basis); an apolar ideal Ann(F),
+whose basis is read off the contractions b o F (_apolar_entries); and a
+colon out of a cover, whose basis is read off the cover's quotient table
+(constructions._colon_out_of).  All three go through _known_basis, which
 minimalizes and tail-reduces a known Groebner basis into the reduced one.
-When an input or a pair the engine would pop could lie beyond the degree
-cap, the engine runs after all, so CappedComputationError is raised as
-before.
+When an input, or a pair of two inputs, could lie beyond the degree cap,
+the engine runs after all, and raises CappedComputationError if it does.
 
 Every Ideal is homogeneous.  A finished basis tabulates B = R/I degree by
 degree (GroebnerBasis._level): the standard monomials as an order ideal and
@@ -28,8 +27,8 @@ from the one below in one pass over the products x_j * s
 (_order_ideal_step): a support bitmask per monomial, and per product the
 mask of the variables x_j with b / x_j in the degree below, decide that
 every b / x_k is there with one int comparison and no divisibility test.
-The table, the engine's hint (_std_count) and apolar_ideal's minimal
-non-divisors all take that step.
+The table, the FGLM walk (_fglm_walk: gin's change of coordinates and the
+apolar bases) and apolar_ideal's minimal non-divisors all take that step.
 
 Two guard rails:
 
@@ -56,51 +55,27 @@ so a degree's memo is filled once and read by every pair of that degree;
 once a pair of degree d pops, nothing reads the levels below d again, and
 they are dropped.  The pair update (_gm_kept) is Gebauer-Moeller's (J. Symb.
 Comput. 6, 1988), tested against the minimal lcms only.
-
-The engine's private hint hilbert: d -> h_d (Traverso, J. Symb. Comput. 22,
-1996): pairs pop in ascending degree, so once the partial leading ideal
-leaves h_d standard monomials in degree d, the remaining degree-d pairs
-reduce to zero and are skipped; _std_count keeps that count, one
-_order_ideal_step per new degree, dropping each leading term as it is
-installed.  That is exact only for the true Hilbert function; an
-over-large hint silently drops pairs, an under-large one never closes a
-degree.  So no public call takes it: an Ideal carries it in its
-private _hilbert slot, None unless the constructor proves it, and
-Ideal.groebner hands it to the engine.  Four constructors set it, each
-with its own proof: constructions.apolar_ideal (catalecticant ranks),
-constructions._colon_out_of (the annihilator's dimensions, checked against
-the linkage prediction), constructions._residual_almost_ci (the residual
-is its cover plus one form f, so h_d = h_B(d) - rank(x f: B_{d-e} -> B_d)
-in the cover's quotient B, checked against the linkage prediction) and
-gin's coordinate changes of a non-artinian ideal (h(g.I) = h(I) for every
-invertible linear change g; an artinian ideal's are read off its table).
-A colon's basis normally comes from the cover's table, so the engine
-reads its hint only past the degree cap's fallback.  The first three store
-the proven invariants.HVector itself, which the engine calls as d -> h_d
-and invariants.hilbert_function returns with no basis; gin's hint is a
-function.  An ideal whose h-vector is the check, such as quadric_ci's,
-stays unhinted.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from bisect import insort
 from collections import namedtuple
 
 from .core import AlgebraError, CappedComputationError, RingMismatchError
-from .linalg import axpy, scaled
-from .orders import _FIELD_MAX
+from .linalg import Echelon, axpy, scaled
+from .orders import _FIELD_MAX, DEGREVLEX
 from .poly import Polynomial, RingCtx
 
 DEFAULT_DEGREE_CAP = 40
 
-# Counters of one engine run: pairs queued; pairs pruned by Gebauer-Moeller,
-# coprime and chain criteria; popped pairs reduced (to zero) or skipped by the
-# hint; the reduced basis's size and top degree.
+# One engine run's counters: pairs queued; pruned by Gebauer-Moeller, coprime
+# and chain criteria; popped and reduced (to zero); basis size, top degree.
 EngineStats = namedtuple("EngineStats", (
     "queued gm_pruned coprime_pruned chain_pruned reduced reduced_to_zero "
-    "hint_skipped basis_size top_degree"))
+    "basis_size top_degree"))
 
 
 # -- polynomials as {key: coeff} dicts -----------------------------------------
@@ -234,22 +209,10 @@ def _order_ideal_step(codec, prev: dict):
     return gen, supp
 
 
-def _std_count(codec, std, leads, d) -> int:
-    """The number of standard monomials of degree d of the partial leading
-    ideal with leading terms ``leads``.  std[e] holds those of degree e as
-    {monomial: support mask}, every degree below d final; std grows by
-    _order_ideal_step, as in GroebnerBasis._build_level."""
-    while len(std) <= d:
-        gen, supp = _order_ideal_step(codec, std[-1])
-        std.append({b: m for b, m in supp.items()
-                    if gen[b] == m and b not in leads})
-    return len(std[d])
-
-
 # -- the engine ----------------------------------------------------------------
 
 
-def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
+def _compute_basis(ring: RingCtx, polys, truncate_at):
     degree_cap = DEFAULT_DEGREE_CAP
     codec = ring.codec
     degree, divides, lcm = codec.degree, codec.divides, codec.lcm
@@ -260,7 +223,6 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
     reducers = _Reducers()   # the same (lm, tail) objects, indexed for _nf
     heap = []       # (lcm_degree, lcm_key, i, j)
     active = {}     # (i, j) -> lcm_key
-    std = [{codec.one: 0}]   # std[e]: degree-e standard monomials, for the hint
 
     def install(lm, tail):
         """Add a monic element, wire up reducers, and run the pair update."""
@@ -269,8 +231,6 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
         G.append((lm, tail))
         lm_degs.append(lm_deg)
         reducers.install(lm_deg, lm, tail)
-        if lm_deg < len(std):
-            std[lm_deg].pop(lm, None)
 
         lcms = [lcm(G[i][0], lm) for i in range(h)]
         kept = _gm_kept(codec, lcms, lm_degs, lm_deg)
@@ -315,10 +275,6 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
             raise CappedComputationError(
                 f"S-pair of degree {d} exceeds the degree cap {degree_cap}",
                 cap=degree_cap, degree=d)
-        if (hilbert is not None
-                and _std_count(codec, std, reducers.heads, d) == hilbert(d)):
-            n["hint_skipped"] += 1
-            continue
         reducers.forget_below(d)    # every later _nf is of degree >= d
         s = _nf(ring, _spoly(ring, G[i], G[j], l), reducers)
         n["reduced"] += 1
@@ -332,16 +288,17 @@ def _compute_basis(ring: RingCtx, polys, truncate_at, hilbert=None):
         top_degree=max((degree(p.terms[0][0]) for p in elements), default=0)))
 
 
-def _known_basis(ring: RingCtx, degrees, entries, truncate_at=None):
-    """The reduced basis, with no engine run, of an ideal whose inputs have
-    the given degrees, from (lm, monic tail dict) entries known to form its
-    Groebner basis through truncate_at.  Returns None, and leaves the
-    engine to answer, when the engine could meet a degree beyond the cap
-    on those inputs, so that it might raise CappedComputationError."""
+def _known_basis(ring: RingCtx, gens, entries, truncate_at=None):
+    """The reduced basis, with no engine run, of the ideal of the gens,
+    from (lm, monic tail dict) entries known to form its Groebner basis
+    through truncate_at.  Returns None, and leaves the engine to answer,
+    when the engine could meet a degree beyond the cap on those inputs,
+    so that it might raise CappedComputationError; then the entries are
+    not read, and a generator of them never runs."""
     degree_cap = DEFAULT_DEGREE_CAP
     # Every input meets the cap check; a pair's degree is at most the sum
     # of its two degrees, and a pair beyond truncate_at stops the engine.
-    top = sorted(degrees)[-2:]
+    top = sorted(g.degree() for g in gens)[-2:]
     if top and top[-1] > degree_cap or sum(top) > degree_cap and (
             truncate_at is None or truncate_at > degree_cap):
         return None
@@ -349,19 +306,94 @@ def _known_basis(ring: RingCtx, degrees, entries, truncate_at=None):
                          truncate_at)
 
 
-def _monomial_basis(ring: RingCtx, polys, truncate_at):
-    """The reduced basis of monomial generators, with no engine run: the
-    monic minimal generators, descending, of degree <= truncate_at when it
-    is set.  Every S-polynomial of two monomials is zero, so that is the
-    engine's answer.  Returns None, and leaves the engine to answer, unless
-    every generator is a monomial and _known_basis accepts their degrees."""
-    if not all(len(p.terms) == 1 for p in polys):
-        return None
-    degree = ring.codec.degree
-    keys = {p.terms[0][0] for p in polys}
-    return _known_basis(ring, (degree(k) for k in keys), [
-        (k, {}) for k in keys if truncate_at is None or degree(k) <= truncate_at
-    ], truncate_at)
+def _pairless_basis(ring: RingCtx, polys, truncate_at):
+    """The reduced basis, with no engine run, of generators each pair of
+    which is two monomials (S-polynomial zero) or has coprime leading terms
+    (Buchberger's first criterion): then they are a Groebner basis, and
+    their monic forms of degree <= truncate_at reduce to the engine's
+    answer.  Returns None, and leaves the engine to answer, unless that
+    holds and _known_basis accepts them."""
+    exps = ring.codec.exps
+    others = [p for p in polys if len(p.terms) > 1]
+    union = 0       # the leading supports of the non-monomials, disjoint
+    # the non-monomials first, then the monomials against their union
+    for p in others + [p for p in polys if others and len(p.terms) == 1]:
+        mask = sum(1 << j for j, e in enumerate(exps(p.terms[0][0])) if e)
+        if mask & union:
+            return None
+        if len(p.terms) > 1:
+            union |= mask
+    return _known_basis(ring, polys, [
+        _split_monic(ring, dict(p.terms)) for p in polys
+        if truncate_at is None or p.degree() <= truncate_at], truncate_at)
+
+
+def _fglm_walk(ring: RingCtx, phi_one: dict, image, room=lambda d: None,
+               top=None) -> dict:
+    """The minimal leading terms of the kernel of a linear map phi on R
+    (Marinari-Moller-Mora, AAECC 4, 1993; graded FGLM, Faugere-Gianni-
+    Lazard-Mora, J. Symb. Comput. 16, 1993): b leads iff phi(b) lies in the
+    span of the smaller standard monomials' images.  Each degree d walks
+    _order_ideal_step's candidates ascending with one Echelon over phi(1) =
+    phi_one or phi(b) = image(d, k, phi(b / x_k)), x_k the last variable of
+    b; once the rank is room(d) the rest lead, with no image.  Negative int
+    keys are tags, which never pivot: phi(b) tagged with b leaves b - sum
+    c_s s on the tags of a leading term b.  Returns {b: that remainder or
+    None}, ascending, through degree top or the first degree with no
+    standard monomial."""
+    codec, field = ring.codec, ring.field
+    div, var_keys = codec.div, codec.var_keys
+    leads, rows = {}, {}
+    gen = supp = {codec.one: 0}
+    for d in itertools.count():
+        if top is not None and d > top:
+            return leads
+        full = room(d)
+        ech = Echelon(field)
+        std, found = {}, {}
+        for b in sorted(supp):
+            if gen[b] != supp[b]:
+                continue
+            if ech.rank == full:
+                leads[b] = None
+                continue
+            k = supp[b].bit_length() - 1
+            row = image(d, k, rows[div(b, var_keys[k])]) if d else phi_one
+            rest = ech.reduce(row)
+            pivot = max(rest) if rest else None
+            if pivot is None or isinstance(pivot, int) and pivot < 0:
+                leads[b] = rest
+            else:
+                ech.install(rest, pivot)
+                std[b], found[b] = supp[b], row
+        if not std:
+            return leads
+        rows = found
+        gen, supp = _order_ideal_step(codec, std)
+
+
+def _apolar_entries(ring: RingCtx, F: Polynomial, top):
+    """The reduced basis of Ann(F) through degree top as (lm, monic tail)
+    entries: _fglm_walk with phi(b) = (b o F, tag b), x_k contracting the
+    first part and multiplying the tag, both keyed in the degrevlex codec
+    (the tag by minus the key).  In degree deg F + 1, phi(b) is its tag."""
+    codec = ring.codec
+    drl = DEGREVLEX.codec(ring.nvars)
+    mul, div, divides, var_keys = drl.mul, drl.div, drl.divides, drl.var_keys
+    same = codec is drl
+    phi_one = {k if same else drl.key(codec.exps(k)): c for k, c in F.terms}
+    phi_one[-drl.one] = ring.field.one
+
+    def image(d, k, row):
+        v = var_keys[k]
+        return {(-mul(v, -m) if m < 0 else div(m, v)): c
+                for m, c in row.items() if m < 0 or divides(v, m)}
+
+    for b, rest in _fglm_walk(ring, phi_one, image, top=top).items():
+        tail = {-t if same else codec.key(drl.exps(-t)): c
+                for t, c in rest.items()}
+        del tail[b]
+        yield b, tail
 
 
 def _reduce_basis(ring: RingCtx, entries):
@@ -396,8 +428,8 @@ def _reduce_basis(ring: RingCtx, entries):
 class GroebnerBasis:
     """A reduced Groebner basis; elements monic, descending by leading term.
     ``stats`` holds the EngineStats of the run that computed it, or None
-    when no run did: a basis of monomial generators, one read off a cover's
-    quotient table (constructions._colon_out_of), or one built by hand."""
+    when no run did: one of the three kinds the module docstring names, or
+    a basis built by hand."""
 
     __slots__ = ("ring", "elements", "lead_keys", "degree_cap", "truncated_at",
                  "stats", "_caches")
@@ -542,11 +574,11 @@ class GroebnerBasis:
 
 class Ideal:
     """A homogeneous ideal given by generators, with cached Groebner bases.
-    ``_hilbert`` is the engine's hint d -> h_d (an HVector or a function),
-    or None; only a constructor that proves it is the ideal's Hilbert
-    function sets it."""
+    ``_hilbert`` is None or the h-vector (an HVector) that the constructor
+    proves and hilbert_function returns with no basis.  ``_dual_form`` is
+    None or the F of an apolar ideal Ann(F), whose basis is read off F."""
 
-    __slots__ = ("ring", "gens", "_gb_cache", "_hilbert")
+    __slots__ = ("ring", "gens", "_gb_cache", "_hilbert", "_dual_form")
 
     def __init__(self, ring_: RingCtx, gens):
         gens = tuple(gens)
@@ -568,6 +600,7 @@ class Ideal:
         self.gens = tuple(kept)
         self._gb_cache = {}
         self._hilbert = None
+        self._dual_form = None
 
     @classmethod
     def from_texts(cls, ring_: RingCtx, texts) -> "Ideal":
@@ -575,14 +608,18 @@ class Ideal:
 
     def groebner(self, truncate_at: int | None = None) -> GroebnerBasis:
         """The reduced basis, or with truncate_at = D its elements of degree
-        <= D (a basis exact through degree D); monomial generators take
-        _monomial_basis, the rest the engine."""
+        <= D (a basis exact through degree D): an apolar ideal's read off
+        its dual form, else _pairless_basis's, else (or when _known_basis
+        refuses either) the engine's."""
         gb = self._gb_cache.get(truncate_at)
         if gb is None:
-            gb = _monomial_basis(self.ring, self.gens, truncate_at)
+            if self._dual_form is None:
+                gb = _pairless_basis(self.ring, self.gens, truncate_at)
+            else:
+                gb = _known_basis(self.ring, self.gens, _apolar_entries(
+                    self.ring, self._dual_form, truncate_at), truncate_at)
             if gb is None:
-                gb = _compute_basis(self.ring, self.gens, truncate_at,
-                                    hilbert=self._hilbert)
+                gb = _compute_basis(self.ring, self.gens, truncate_at)
             self._gb_cache[truncate_at] = gb
         return gb
 

@@ -24,8 +24,8 @@ linalg's on sparse dict rows, one code path for every coefficient field.
 Functions accept either an Ideal or a GroebnerBasis.  Standard monomials
 and normal forms come from the basis's degree-by-degree table of B
 (GroebnerBasis._level); per-basis results are cached on the basis object.
-hilbert_function reads an Ideal's proven h-vector hint instead, when it
-has one, and builds no basis.
+hilbert_function reads an Ideal's proven h-vector instead, when its
+constructor stored one, and builds no basis.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ class HVector:
         if 0 <= i < len(self.values):
             return self.values[i]
         return 0
-
-    __call__ = __getitem__      # d -> h_d, the engine's hint
 
     def __len__(self):
         return len(self.values)
@@ -192,10 +190,10 @@ def hilbert_value(x, d: int) -> int:
 
 
 def hilbert_function(x) -> HVector:
-    """The full h-vector of an artinian quotient.  An Ideal whose proven
-    hint is an HVector (constructions.apolar_ideal, _colon_out_of and
+    """The full h-vector of an artinian quotient.  An Ideal with a proven
+    h-vector (constructions.apolar_ideal, _colon_out_of and
     _residual_almost_ci store one) returns it, and no basis is built."""
-    if isinstance(x, Ideal) and isinstance(x._hilbert, HVector):
+    if isinstance(x, Ideal) and x._hilbert is not None:
         return x._hilbert
     gb = as_basis(x)
 

@@ -57,15 +57,17 @@ class Echelon:
     def add(self, row: dict) -> bool:
         """Insert a row; returns True iff it enlarged the span."""
         work = self.reduce(row)
-        if not work:
-            return False
-        pivot = max(work)
+        if work:
+            self.install(work, max(work))
+        return bool(work)
+
+    def install(self, work: dict, pivot):
+        """Make work, a nonzero remainder of reduce, the pivot row at pivot."""
         inv = self.field.inv(work[pivot])
         if inv != 1:
             work = scaled(work, inv, self.field)
         self.pivots[pivot] = work
         self.rank += 1
-        return True
 
     def reduce(self, row: dict) -> dict:
         """Remainder of row modulo the current span (row unchanged)."""

@@ -185,7 +185,7 @@ def oracle_apolar_ideal(F: Polynomial):
     degree d, a kernel vector kept when it lies outside the span of the
     products x_j * v over the whole previous kernel, and the degree-(e+1)
     generators the monomials leading no product of the degree-e kernel.
-    Returns (generators, h-vector of the hint)."""
+    Returns (generators, h-vector)."""
     from gorquad.linalg import echelon, left_kernel
 
     R = F.ring
@@ -393,21 +393,6 @@ def oracle_build_level(gb, levels: list) -> tuple:
             axpy(row, c, nf[mul(vk, t)], field)
     std.reverse()
     return tuple(std), frozenset(std), nf
-
-
-def oracle_std_count(codec, std, leads, d) -> int:
-    """groebner._std_count by a divisor scan: each new degree keeps the
-    products whose every quotient by a variable lies in the degree below,
-    less the leading terms.  It stores zero masks, which it never reads."""
-    mul, div, divides = codec.mul, codec.div, codec.divides
-    var_keys = [codec.key(tuple(int(i == j) for i in range(codec.nvars)))
-                for j in range(codec.nvars)]
-    while len(std) <= d:
-        prev = std[-1]
-        level = {b for b in {mul(v, t) for v in var_keys for t in prev}
-                 if all(div(b, v) in prev for v in var_keys if divides(v, b))}
-        std.append(dict.fromkeys(level.difference(leads), 0))
-    return len(std[d])
 
 
 def oracle_is_borel_fixed(gb) -> bool:

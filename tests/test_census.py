@@ -633,8 +633,9 @@ def test_census_cli_sample_mode_needs_samples(capsys):
 
 @pytest.mark.parametrize("texts, engine", [
     (["x1^2 + x2*x3", "x2^2", "x3^2 - x1*x2"], "engine: queued="),
-    (["x1^2", "x2^2", "x3^2", "x1*x2*x3"],
-     "engine: no run needed (monomial generators)")], ids=["quadrics", "monomials"])
+    (["x1^2", "x2^2", "x3^2", "x1*x2*x3"], "engine: no run"),
+    (["x1^2 + x2*x3", "x2^2 - x1*x3", "x3^2"], "engine: no run")],
+    ids=["quadrics", "monomials", "coprime-leads"])
 def test_hilbert_stats_go_to_stderr_only(tmp_path, capsys, texts, engine):
     path = tmp_path / "ideal.txt"
     path.write_text("\n".join(texts) + "\n")

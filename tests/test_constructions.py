@@ -283,7 +283,7 @@ def _agrees_with_the_oracle(F):
     I = apolar_ideal(F)
     gens, h = oracle_apolar_ideal(F)
     assert [str(g) for g in I.gens] == [str(g) for g in Ideal(F.ring, gens).gens]
-    assert tuple(I._hilbert(d) for d in range(len(h) + 2)) == h + (0, 0)
+    assert tuple(I._hilbert[d] for d in range(len(h) + 2)) == h + (0, 0)
 
 
 @pytest.mark.parametrize("field", [GF2, GF7, GFBIG, Q], ids=str)
@@ -312,7 +312,7 @@ def test_apolar_ideal_lists_no_monomials_past_degree_one(monkeypatch):
 
     monkeypatch.setattr(RingCtx, "monomials_of_degree", linear_only)
     I = apolar_ideal(squarefree_full_form(ring(GFBIG, 10), 8))
-    h = tuple(I._hilbert(d) for d in range(10))
+    h = tuple(I._hilbert[d] for d in range(10))
     assert h == tuple(math.comb(10, min(d, 8 - d)) for d in range(9)) + (0,)
 
 
@@ -563,42 +563,36 @@ def test_linkage_grow_needs_square_cover():
         linkage_grow(quadric_ci(2, GFBIG), rounds=0)
 
 
-# -- proven Hilbert hints: the unhinted engine is the oracle ----------------------
+# -- proven h-vectors and bases read with no engine run: the engine is the
+# oracle
 
 
-HINT_FIELDS = [GF7, GFBIG, Q]
+ORACLE_FIELDS = [GF7, GFBIG, Q]
 
 
-def _hint_vector(I: Ideal, h: HVector) -> HVector:
-    """I's hint read through two degrees past the socle degree of h."""
-    return HVector(tuple(I._hilbert(d) for d in range(len(h) + 2)))
+def _stored_vector(I: Ideal, h: HVector) -> HVector:
+    """I's stored h-vector read through two degrees past the socle degree
+    of h."""
+    return HVector(tuple(I._hilbert[d] for d in range(len(h) + 2)))
 
 
-def _check_hinted(I: Ideal):
-    """I's hint is its unhinted Hilbert function, and its hinted basis is the
-    unhinted engine's, element for element; returns the pairs it skipped."""
+def _check_stored(I: Ideal):
+    """I's stored h-vector is the engine's Hilbert function, and its basis is
+    the engine's, element for element."""
     plain = _compute_basis(I.ring, I.gens, None)
-    h = hilbert_function(Ideal(I.ring, I.gens))
-    assert _hint_vector(I, h) == h
-    hinted = I.groebner()
-    assert hinted.elements == plain.elements
-    assert plain.stats.hint_skipped == 0
-    if hinted.stats is None:        # monomial generators need no engine run
-        assert all(len(g.terms) == 1 for g in I.gens)
-        return 0
-    assert hinted.stats.reduced_to_zero <= plain.stats.reduced_to_zero
-    return hinted.stats.hint_skipped
+    h = hilbert_function(plain)
+    assert isinstance(I._hilbert, HVector) and _stored_vector(I, h) == h
+    assert I.groebner().elements == plain.elements
 
 
 def _check_colon(I: Ideal):
     """A colon's basis is read off its cover's table: no engine run made it,
-    its elements are the unhinted engine's, and its hint is the engine's
-    h-vector."""
+    its elements are the engine's, and its stored h-vector is the engine's."""
     plain = _compute_basis(I.ring, I.gens, None)
     assert I.groebner().stats is None
     assert I.groebner().elements == plain.elements
     h = hilbert_function(plain)
-    assert _hint_vector(I, h) == h
+    assert _stored_vector(I, h) == h
 
 
 @pytest.fixture
@@ -615,21 +609,82 @@ def colons(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+def _no_engine(monkeypatch):
+    """Make every engine run through Ideal.groebner fail the test."""
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(groebner_module, "_compute_basis", no_engine)
+
+
+@pytest.mark.parametrize("field", [GF2] + ORACLE_FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(3))
-def test_hinted_apolar_ideals_match_the_unhinted_engine(field, seed):
+def test_hinted_apolar_ideals_match_the_unhinted_engine(field, seed,
+                                                        monkeypatch):
+    """An apolar ideal's basis, read off its dual form by the FGLM walk with
+    no engine run, is the engine's on its generators, element for element,
+    in full and truncated at every degree; its stored h-vector is the
+    engine's.  Dense and sparse forms."""
     rng = random.Random(700 + seed)
-    skipped = 0
-    for n, e in ((3, 2), (3, 4), (4, 3), (5, 2), (5, 3)):
+    forms = []
+    for n, e in ((3, 2), (3, 4), (4, 3), (5, 2), (5, 3), (4, 4)):
         R = ring(field, n)
-        skipped += _check_hinted(apolar_ideal(random_dual_form(R, e, rng)))
+        forms.append(random_dual_form(R, e, rng))
         sparse = random_poly(R, e, rng, density=0.3)
         if not sparse.is_zero():
-            skipped += _check_hinted(apolar_ideal(sparse))
-    assert skipped > 0
+            forms.append(sparse)
+    ideals = [apolar_ideal(F) for F in forms]
+    _no_engine(monkeypatch)
+    for I in ideals:
+        for top in range(I._dual_form.degree() + 2):
+            cut = I.groebner(truncate_at=top)
+            assert cut.stats is None
+            assert cut.elements == _compute_basis(I.ring, I.gens, top).elements
+        assert I.groebner().stats is None
+        _check_stored(I)
+    assert any(len(g.terms) > 1 for I in ideals for g in I.groebner())
 
 
-@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("order", [elimination_order(1), elimination_order(2)],
+                         ids=str)
+@pytest.mark.parametrize("field", [GF2, GFBIG, Q], ids=str)
+def test_apolar_bases_in_block_orders_match_the_engine(order, field):
+    """The walk keys b o F and its tags in the degrevlex codec, so in a
+    block order it converts the ring's keys both ways."""
+    rng = random.Random(760)
+    for e in (2, 3, 4):
+        I = apolar_ideal(random_dual_form(ring(field, 4, order), e, rng))
+        assert I.groebner().stats is None
+        assert I.groebner().elements == _compute_basis(I.ring, I.gens,
+                                                       None).elements
+
+
+@pytest.mark.parametrize("cap, raises", [(2, True), (4, True), (5, False)])
+def test_apolar_bases_past_the_degree_cap_take_the_engine(monkeypatch, cap,
+                                                          raises):
+    """When two of an apolar ideal's generators have degrees summing past
+    the degree cap, the engine computes the basis, and raises as it would.
+    Here they have degrees 2, 2, 2, 3 and 3."""
+    F = ring(GF7, 3).parse("x1^2*x2 + x3^3")
+    assert sorted(g.degree() for g in apolar_ideal(F).gens) == [2, 2, 2, 3, 3]
+    want = apolar_ideal(F).groebner().elements
+    monkeypatch.setattr(groebner_module, "DEFAULT_DEGREE_CAP", cap)
+    I = apolar_ideal(F)
+    try:
+        plain = _compute_basis(I.ring, I.gens, None)
+    except CappedComputationError as exc:
+        assert raises
+        with pytest.raises(CappedComputationError) as caught:
+            I.groebner()
+        assert (caught.value.cap, caught.value.degree) == (exc.cap, exc.degree)
+    else:
+        assert not raises
+        gb = I.groebner()
+        assert gb.stats is not None
+        assert gb.elements == plain.elements == want
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(3))
 def test_hinted_links_match_the_unhinted_engine(field, seed, colons):
     rng = random.Random(800 + seed)
@@ -646,11 +701,11 @@ def test_hinted_links_match_the_unhinted_engine(field, seed, colons):
         _check_colon(colon)
 
 
-@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
 def test_hinted_growth_and_double_links_match_the_unhinted_engine(field,
                                                                   colons):
     aci, gor = linkage_grow(seed_131(field), rounds=1)
-    _check_hinted(aci)
+    _check_stored(aci)
     assert colons == [gor]
     double_link(5, field)
     assert len(colons) == 3
@@ -676,7 +731,7 @@ def test_a_wrong_prediction_still_raises(wrong):
         constructions._colon_out_of(cover, I.gens, wrong(right))
 
 
-# -- h(cover + f) from the cover's quotient table: the unhinted engine is the
+# -- h(cover + f) from the cover's quotient table: the engine is the
 # oracle
 
 
@@ -699,7 +754,7 @@ def _oracle_cases(field, seed):
         yield crowded, random_homogeneous(R, e, rng), False
 
 
-@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(3))
 def test_hvector_with_form_is_the_engine_hvector(field, seed, monkeypatch):
     ranks = []
@@ -722,7 +777,7 @@ def test_hvector_with_form_is_the_engine_hvector(field, seed, monkeypatch):
         assert ranks == list(range(top + 1))
 
 
-@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
 def test_a_repeated_linear_cover_pairs_its_ranks(field, monkeypatch):
     """A cover that lists a linear form twice, up to a scalar, passes the
     certificate with more forms than variables: B is the complete
@@ -743,14 +798,14 @@ def test_a_repeated_linear_cover_pairs_its_ranks(field, monkeypatch):
         assert ranks == list(range((3 - e) // 2 + 1))
 
 
-@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
 def test_tower_residuals_carry_their_engine_hvector(field, colons):
     stages = linkage_grow(quadric_ci(2, field), rounds=2, first_new_vars=2)
     assert [tuple(hilbert_function(s)) for s in stages] == [
         (1, 4, 5, 2), (1, 5, 8, 5, 1), (1, 6, 14, 15, 7, 1),
         (1, 7, 20, 28, 20, 7, 1)]
     for aci in stages[::2]:
-        _check_hinted(aci)
+        _check_stored(aci)
     for colon in colons:
         _check_colon(colon)
 
@@ -777,26 +832,16 @@ def test_a_wrong_residual_prediction_still_raises(wrong, monkeypatch):
 
 def test_the_tower_jobs_reduce_no_pair(monkeypatch):
     """The tower jobs of the liaison benchmark, each output classified with
-    its socle: every engine run they make pops no pair, so none reduces to
-    zero.  The covers left to the engine have pairwise coprime leading
-    terms."""
-    runs = []
-    real = groebner_module._compute_basis
-
-    def recorded(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(groebner_module, "_compute_basis", recorded)
+    its socle, run no engine: the covers' leading terms are pairwise
+    coprime, the colons are read off their covers' tables, and the apolar
+    seeds' bases are read off their dual forms."""
+    _no_engine(monkeypatch)
     for outputs in (penultimate_socle_algebras(7, GFBIG),
                     nonunique_hf_pair(7, "alpha1", field=GFBIG),
                     nonunique_hf_pair(7, "alpha0", field=GFBIG, seed=3),
                     double_link(7, GFBIG)):
         for I in outputs:
             classify(I, with_socle=True)
-    assert runs
-    assert [gb.stats.reduced_to_zero for gb in runs] == [0] * len(runs)
-    assert [gb.stats.reduced for gb in runs] == [0] * len(runs)
 
 
 def test_the_gin_job_runs_no_engine(monkeypatch):
@@ -815,7 +860,7 @@ def test_the_gin_job_runs_no_engine(monkeypatch):
     assert check_wlp(I).has_wlp
 
 
-# -- colon bases from the cover's quotient table: the unhinted engine is the
+# -- colon bases from the cover's quotient table: the engine is the
 # oracle
 
 
@@ -833,7 +878,7 @@ def _seeded_colons(field, order, seed):
 
 
 @pytest.mark.parametrize("order", [DEGREVLEX, elimination_order(1)], ids=str)
-@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(2))
 def test_colon_bases_from_the_table_match_the_engine(order, field, seed,
                                                      colons):
@@ -844,7 +889,7 @@ def test_colon_bases_from_the_table_match_the_engine(order, field, seed,
     assert any(len(g.terms) > 1 for g in colons[1].groebner())
 
 
-@pytest.mark.parametrize("field", HINT_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(3))
 def test_cover_members_leave_the_annihilator_unchanged(field, seed):
     """Dropping the gens inside the cover drops empty columns only."""
@@ -903,7 +948,7 @@ def test_an_apolar_hvector_is_the_stored_one():
 
 
 def test_penultimate_seeds_build_no_basis(monkeypatch):
-    """An apolar seed's h-vector is its proven hint, and its squares are
+    """An apolar seed's h-vector is its stored one, and its squares are
     among its generators, so linkage_grow asks it for no basis."""
     seeds = [apolar_ideal(squarefree_full_form(ring(GFBIG, 6 - beta), 3))
              for beta in (1, 2, 3)]
@@ -912,7 +957,6 @@ def test_penultimate_seeds_build_no_basis(monkeypatch):
     assert not any(G._gb_cache for G in seeds)
     inputs = _record_engine_inputs(monkeypatch)
     penultimate_socle_algebras(6, GFBIG)
-    assert inputs
     for G in seeds:
         assert tuple(g.terms for g in G.gens) not in inputs
 

@@ -19,6 +19,7 @@ from gorquad.gin import (GenericityPolicy, GinUncertifiedError,
 from gorquad.groebner import Ideal
 from gorquad.idealops import random_linear_form
 from gorquad.invariants import hilbert_function, is_artinian
+from gorquad.linalg import Echelon
 from gorquad.orders import DEGREVLEX, elimination_order
 from gorquad.poly import Polynomial, Substitution, ring
 
@@ -61,8 +62,8 @@ def test_gin_preserves_hilbert_function(ci4, gin_ci4):
     assert is_borel_fixed(gin_ci4.monomial_ideal)
 
 
-def _unhinted_consensus(I, seed):
-    """gin's consensus rebuilt from unhinted bases of its coordinate changes:
+def _engine_consensus(I, seed):
+    """gin's consensus rebuilt from engine bases of its coordinate changes:
     the first lead ideal three changes agree on, and their seeds."""
     tally = {}
     for s in range(seed, seed + 6):
@@ -77,15 +78,15 @@ def _unhinted_consensus(I, seed):
 
 @pytest.mark.parametrize("seed", [0, 4])
 def test_gin_of_a_non_artinian_ideal_matches_unhinted_bases(seed):
-    # gin hints its engine with I's Hilbert function, which here is infinite
+    # a non-artinian I has no finite table, so gin runs the engine
     I = Ideal.from_texts(ring(Q, 3), ["x1^2", "x1*x2"])
     res = gin(I, seed=seed)
-    assert (res.lead_keys, res.seeds) == _unhinted_consensus(I, seed)
+    assert (res.lead_keys, res.seeds) == _engine_consensus(I, seed)
     assert is_borel_fixed(res.monomial_ideal)
 
 
 def test_gin_of_ci4_matches_unhinted_bases(ci4, gin_ci4):
-    assert (gin_ci4.lead_keys, gin_ci4.seeds) == _unhinted_consensus(ci4, 1)
+    assert (gin_ci4.lead_keys, gin_ci4.seeds) == _engine_consensus(ci4, 1)
 
 
 def test_gin_runs_no_engine_on_monomial_ideals(monkeypatch, ci4, gin_ci4):
@@ -102,7 +103,7 @@ def test_gin_runs_no_engine_on_monomial_ideals(monkeypatch, ci4, gin_ci4):
     assert res.monomial_ideal.groebner().stats is None
 
 
-# -- the table read: the unhinted engine on sigma(I) is the oracle ---------------
+# -- the table read: the engine on sigma(I) is the oracle ----------------------
 
 
 def _table_read_inputs(field, order, seed):
@@ -145,6 +146,22 @@ def test_table_read_matches_the_unhinted_engine(order, field, seed):
         identity = _initial_ideal_from_table(gb, I.ring.variables())
         assert sorted(identity) == sorted(gb.lead_keys)
     assert got == [unit.ring.codec.one]     # the unit ideal's, read last
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_table_read_stops_reducing_at_full_rank(monkeypatch, seed):
+    """Once h_d monomials of degree d are standard, the walk reduces no
+    more images there: fewer reductions than standard monomials plus
+    leading terms, since past the socle degree none is reduced at all."""
+    I = quadric_ci(5, GFBIG, style="random", seed=seed)
+    gb = I.groebner()
+    images = random_coordinate_change(I.ring, random.Random(seed))
+    calls = []
+    real = Echelon.reduce
+    monkeypatch.setattr(Echelon, "reduce",
+                        lambda self, row: calls.append(1) or real(self, row))
+    leads = _initial_ideal_from_table(gb, images)
+    assert len(calls) < sum(hilbert_function(gb)) + len(leads)
 
 
 @pytest.mark.parametrize("field", [Q, GF7, GFBIG], ids=str)

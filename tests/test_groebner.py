@@ -7,17 +7,15 @@ import pytest
 
 from gorquad import groebner
 from gorquad import orders as orders_module
-from gorquad.constructions import (apolar_ideal, link_by_squares, quadric_ci,
-                                   random_dual_form, random_homogeneous)
+from gorquad.constructions import apolar_ideal, quadric_ci, random_homogeneous
 from gorquad.core import AlgebraError, CappedComputationError
-from gorquad.gin import gin, random_coordinate_change
+from gorquad.gin import random_coordinate_change
 from gorquad.groebner import GroebnerBasis, Ideal, _compute_basis
-from gorquad.invariants import hilbert_function, hilbert_value
+from gorquad.invariants import hilbert_function
 from gorquad.orders import _FIELD_MAX, DEGREVLEX, elimination_order
-from gorquad.poly import Substitution, ring
+from gorquad.poly import ring
 
-from conftest import (GF2, GF7, GFBIG, Q, gorquad_gb_normalized,
-                      oracle_std_count, poly_as_dict, random_poly,
+from conftest import (GF2, GF7, GFBIG, Q, gorquad_gb_normalized, random_poly,
                       sympy_reduced_gb)
 
 FIXED_SYSTEMS = [
@@ -202,6 +200,38 @@ def test_monomial_bases_match_the_engine(monkeypatch, order, field, seed):
         assert gb.stats is None
 
 
+def _pairless(I) -> bool:
+    """Each pair of I's generators is two monomials or has leading terms
+    with no common variable, by exponent vectors."""
+    exps = I.ring.codec.exps
+    gens = [(len(g.terms) == 1, exps(g.terms[0][0])) for g in I.gens]
+    return all(mono_a and mono_b or not any(a and b for a, b in zip(ea, eb))
+               for i, (mono_a, ea) in enumerate(gens)
+               for mono_b, eb in gens[:i])
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, elimination_order(2)], ids=str)
+@pytest.mark.parametrize("field", [GF2, GF7, Q], ids=str)
+def test_coprime_leading_terms_take_no_engine_run(order, field):
+    """Seeded sparse quadrics, some monomials, in four variables:
+    generators whose pairs are monomial or have coprime leading terms are a
+    Groebner basis, read with no engine run; any other set runs the
+    engine.  Both give the engine's basis, in full and truncated."""
+    R = ring(field, 4, order)
+    rng = random.Random(42)
+    kinds = set()
+    for _ in range(30):
+        gens = [random_poly(R, 2, rng, rng.choice((0.1, 0.2)))
+                for _ in range(rng.randint(1, 3))]
+        I = Ideal(R, [g for g in gens if not g.is_zero()])
+        for t in (None, 3):
+            gb = I.groebner(truncate_at=t)
+            assert gb.elements == _compute_basis(R, I.gens, t).elements
+            assert (gb.stats is None) == _pairless(I)
+        kinds.add((_pairless(I), all(len(g.terms) == 1 for g in I.gens)))
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
 def test_monomial_bases_keep_the_degree_cap(monkeypatch):
     R = ring(GF7, 3)
     monkeypatch.setattr(groebner, "DEFAULT_DEGREE_CAP", 5)
@@ -257,7 +287,25 @@ def test_gf2_reduced_bases_are_pinned(build, want):
     assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
-# -- the Hilbert hint: the unhinted engine and sympy are the oracles ------------
+@pytest.mark.parametrize("n, degree, seed, want", [
+    (6, 3, 1,
+     "3037124dbd0f2f83baddc52e19467e55a18a91060a0b99246f0104ed2f85ce2c"),
+    (7, 3, 2,
+     "8adb2312cf87df43c21a7a521c2aba501876e14dd204d56607a25d472d635021"),
+    (6, 4, 3,
+     "3401c59d25f07aab195146dda2453130d7ece97df7d4aee7c1fbe9982aa6d2f0"),
+], ids=["apolar-6-3", "apolar-7-3", "apolar-6-4"])
+def test_gf2_apolar_bases_read_off_the_form_are_pinned(n, degree, seed, want):
+    """The pinned GF(2) apolar bases above, read off their dual forms by the
+    FGLM walk with no engine run."""
+    F = random_homogeneous(ring(GF2, n), degree, random.Random(seed))
+    gb = apolar_ideal(F).groebner()
+    assert gb.stats is None
+    text = "\n".join(str(g) for g in gb.elements)
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+# -- the engine's counters, and its runs on gin's coordinate changes -----------
 
 
 def _moved(I, seed):
@@ -266,19 +314,11 @@ def _moved(I, seed):
     return Ideal(I.ring, [g.compose(images) for g in I.gens])
 
 
-def _hinted(moved, I, shift=0):
-    """The engine on ``moved`` with I's Hilbert function (plus ``shift``) as
-    its hint; h(g.I) = h(I), so shift 0 is the true Hilbert function."""
-    gb = I.groebner()
-    return _compute_basis(moved.ring, moved.gens, None,
-                          hilbert=lambda d: hilbert_value(gb, d) + shift)
-
-
 def _non_artinian(field):
     return Ideal.from_texts(ring(field, 3), ["x1^2", "x1*x2"])
 
 
-HINT_INPUTS = [
+CHANGE_INPUTS = [
     pytest.param(lambda s: quadric_ci(4, GFBIG, style="random", seed=s),
                  id="ci4-gf32003"),
     pytest.param(lambda s: quadric_ci(4, GF7, style="random", seed=s),
@@ -289,49 +329,21 @@ HINT_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("build", HINT_INPUTS)
-@pytest.mark.parametrize("seed", range(3))
-def test_hinted_basis_equals_the_unhinted_and_sympy(build, seed):
-    I = build(seed)
-    moved = _moved(I, 20 + seed)
-    plain = moved.groebner()
-    hinted = _hinted(moved, I)
-    assert hinted.elements == plain.elements
-    assert (sorted((poly_as_dict(g) for g in hinted.elements), key=sorted)
-            == sympy_reduced_gb(moved.gens, moved.ring))
-    assert plain.stats.hint_skipped == 0
-    assert hinted.stats.reduced_to_zero <= plain.stats.reduced_to_zero
-
-
-@pytest.mark.parametrize("build", HINT_INPUTS)
-def test_under_large_hint_changes_nothing(build):
-    I = build(1)
-    moved = _moved(I, 7)
-    under = _hinted(moved, I, shift=-1)
-    assert under.elements == moved.groebner().elements
-    assert under.stats.hint_skipped == 0
-    assert under.stats == moved.groebner().stats
-
-
 @pytest.mark.parametrize("field", [GFBIG, GF7, Q], ids=str)
 def test_engine_counters_add_up(field):
     I = quadric_ci(4, field, style="random", seed=2)
     moved = _moved(I, 3)
-    for gb in (moved.groebner(), _hinted(moved, I)):
-        st = gb.stats
-        # every queued pair is chain-pruned or popped, and every popped pair
-        # is reduced or skipped
-        assert st.queued == st.chain_pruned + st.reduced + st.hint_skipped
-        assert st.reduced_to_zero <= st.reduced
-        # each installed element meets every earlier one once as a candidate
-        installed = len(moved.gens) + st.reduced - st.reduced_to_zero
-        assert (st.gm_pruned + st.coprime_pruned + st.queued
-                == installed * (installed - 1) // 2)
-        assert st.basis_size == len(gb)
-        assert st.top_degree == max(gb.generator_degrees())
-    hinted = _hinted(moved, I).stats
-    assert hinted.hint_skipped > 0
-    assert hinted.reduced < moved.groebner().stats.reduced
+    gb = moved.groebner()
+    st = gb.stats
+    # every queued pair is chain-pruned or popped and reduced
+    assert st.queued == st.chain_pruned + st.reduced
+    assert st.reduced_to_zero <= st.reduced
+    # each installed element meets every earlier one once as a candidate
+    installed = len(moved.gens) + st.reduced - st.reduced_to_zero
+    assert (st.gm_pruned + st.coprime_pruned + st.queued
+            == installed * (installed - 1) // 2)
+    assert st.basis_size == len(gb)
+    assert st.top_degree == max(gb.generator_degrees())
 
 
 def test_bases_built_by_hand_carry_no_counters():
@@ -399,14 +411,13 @@ def test_divisor_index_matches_the_scan(monkeypatch, order, field, seed):
     assert indexed.stats == scanned.stats
 
 
-@pytest.mark.parametrize("build", HINT_INPUTS)
+@pytest.mark.parametrize("build", CHANGE_INPUTS)
 @pytest.mark.parametrize("seed", range(2))
 def test_divisor_index_matches_the_scan_on_gins_changes(monkeypatch, build,
                                                          seed):
-    I = build(seed)
-    moved = _moved(I, 40 + seed)
+    moved = _moved(build(seed), 40 + seed)
     indexed, scanned = _indexed_and_scanned(
-        monkeypatch, lambda: _hinted(moved, I))
+        monkeypatch, lambda: _compute_basis(moved.ring, moved.gens, None))
     assert indexed.elements == scanned.elements
     assert indexed.stats == scanned.stats
 
@@ -461,14 +472,13 @@ def test_pair_update_matches_the_scan(monkeypatch, order, field, seed):
     assert minimal.stats.gm_pruned > 0
 
 
-@pytest.mark.parametrize("build", HINT_INPUTS)
+@pytest.mark.parametrize("build", CHANGE_INPUTS)
 def test_pair_update_matches_the_scan_on_gins_changes(monkeypatch, build):
-    I = build(2)
-    moved = _moved(I, 60)
-    minimal = _hinted(moved, I)
+    moved = _moved(build(2), 60)
+    minimal = _compute_basis(moved.ring, moved.gens, None)
     with monkeypatch.context() as m:
         m.setattr(groebner, "_gm_kept", _scan_gm_kept)
-        scanned = _hinted(moved, I)
+        scanned = _compute_basis(moved.ring, moved.gens, None)
     assert minimal.elements == scanned.elements
     assert minimal.stats == scanned.stats
 
@@ -496,83 +506,6 @@ def test_packed_lcm_matches_the_exponent_lcm(nvars):
 
 
 # -- the order-ideal step: divisor-scan oracles and a work guard ----------------
-
-
-def _hinted_runs(monkeypatch, build):
-    """Run build() and return (ring, inputs, truncation, hint, basis) for
-    each hinted engine run it makes."""
-    real = groebner._compute_basis
-    runs = []
-
-    def recorded(ring_, polys, truncate_at, hilbert=None):
-        polys = list(polys)
-        gb = real(ring_, polys, truncate_at, hilbert=hilbert)
-        if hilbert is not None:
-            runs.append((ring_, polys, truncate_at, hilbert, gb))
-        return gb
-
-    with monkeypatch.context() as m:
-        m.setattr(groebner, "_compute_basis", recorded)
-        build()
-    return runs
-
-
-def _skipped_as_the_scan_skips(monkeypatch, runs):
-    """Each run's EngineStats and elements equal a rerun whose hint count is
-    the divisor-scan oracle; returns the pairs the runs skipped."""
-    assert runs
-    for ring_, polys, truncate_at, hilbert, gb in runs:
-        with monkeypatch.context() as m:
-            m.setattr(groebner, "_std_count", oracle_std_count)
-            want = _compute_basis(ring_, polys, truncate_at, hilbert=hilbert)
-        assert gb.stats == want.stats
-        assert gb.elements == want.elements
-    return sum(gb.stats.hint_skipped for *_, gb in runs)
-
-
-def _moved_basis(I, seed):
-    """The hinted engine run of gin's coordinate change of the seed, made
-    directly: gin reads an artinian input's changes off its table, and
-    runs the engine only on a non-artinian one."""
-    images = random_coordinate_change(I.ring, random.Random(seed))
-    change = Substitution(I.ring, images)
-    moved = Ideal(I.ring, [change(g) for g in I.gens])
-    moved._hilbert = hilbert_function(I)
-    return moved.groebner()
-
-
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda: _moved_basis(
-        quadric_ci(4, GFBIG, style="random", seed=1), 1), id="gin-ci4-gf32003"),
-    pytest.param(lambda: _moved_basis(
-        quadric_ci(5, Q, style="random", seed=2), 3), id="gin-ci5-qq"),
-    pytest.param(lambda: gin(_non_artinian(Q), seed=4), id="gin-non-artinian"),
-])
-def test_gin_hints_count_as_the_divisor_scan(monkeypatch, build):
-    assert _skipped_as_the_scan_skips(monkeypatch,
-                                      _hinted_runs(monkeypatch, build)) > 0
-
-
-def test_apolar_hints_count_as_the_divisor_scan(monkeypatch):
-    def build():
-        rng = random.Random(7)
-        for field, n, e in [(GF7, 4, 3), (GFBIG, 5, 4), (Q, 4, 4),
-                            (GF2, 5, 3), (GFBIG, 6, 3)]:
-            apolar_ideal(random_dual_form(ring(field, n), e, rng)).groebner()
-
-    assert _skipped_as_the_scan_skips(monkeypatch,
-                                      _hinted_runs(monkeypatch, build)) > 0
-
-
-def test_a_colon_past_the_degree_cap_hints_as_the_divisor_scan(monkeypatch):
-    R = ring(GF7, 4)
-    I = Ideal(R, [v * v for v in R.variables()]
-              + [R.parse("x1*x2 + 3*x3*x4 - x2*x4")])
-    I.groebner()
-    monkeypatch.setattr(groebner, "DEFAULT_DEGREE_CAP", 3)
-    runs = _hinted_runs(monkeypatch, lambda: link_by_squares(I).groebner())
-    assert len(runs) == 1
-    _skipped_as_the_scan_skips(monkeypatch, runs)
 
 
 def test_table_levels_make_no_divides_or_key_calls(monkeypatch):

@@ -152,24 +152,10 @@ def _functions(scope, prefix=""):
             yield from _functions(node, f"{prefix}{node.name}.")
 
 
-def test_the_hilbert_hint_stays_internal():
-    """The engine's hint skips pairs it believes reduce to zero, so a wrong
-    hint gives a wrong basis.  No public callable takes a hint.  An ideal's
-    ``_hilbert`` is None from ``Ideal.__init__`` and is set only by the
-    constructors that prove it: ``apolar_ideal``, ``_colon_out_of``,
-    ``_residual_almost_ci`` and gin's coordinate changes.  Only ``Ideal.groebner`` hands it to the
-    engine."""
-    functions = [(f"{path.stem}.{name}", node)
-                 for path, tree in PACKAGE.items()
-                 for name, node in _functions(tree)]
-    public = sorted(
-        name for name, fn in functions
-        if (not fn.name.startswith("_") or fn.name in ("__init__", "__call__"))
-        and any("hilbert" in a.arg for a in fn.args.args
-                + fn.args.posonlyargs + fn.args.kwonlyargs))
-    assert not public, f"public callables taking a hilbert hint: {public}"
-
-    setters = set()
+def _attribute_setters(functions, attr) -> dict:
+    """{qualified function name: [assigned value nodes]} of the functions
+    that assign to an attribute named attr."""
+    setters = {}
     for name, fn in functions:
         for node in ast.walk(fn):
             if isinstance(node, ast.Assign):
@@ -178,31 +164,85 @@ def test_the_hilbert_hint_stays_internal():
                 targets = [node.target]
             else:
                 continue
-            if any(isinstance(t, ast.Attribute) and t.attr == "_hilbert"
+            if any(isinstance(t, ast.Attribute) and t.attr == attr
                    for t in targets):
-                unset = (isinstance(node.value, ast.Constant)
-                         and node.value.value is None)
-                setters.add(name if not unset else f"{name} = None")
-    assert setters == {"groebner.Ideal.__init__ = None",
-                       "constructions.apolar_ideal",
-                       "constructions._colon_out_of",
-                       "constructions._residual_almost_ci",
-                       "gin._lead_ideal_in_random_coordinates"}
-    named = [path.stem for path, tree in PACKAGE.items()
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Constant) and node.value == "_hilbert"]
-    assert named == ["groebner"], "only Ideal.__slots__ names the slot"
+                setters.setdefault(name, []).append((node, fn))
+    return setters
 
+
+def _is_none(value) -> bool:
+    return isinstance(value, ast.Constant) and value.value is None
+
+
+def _returns_hvector(fn) -> bool:
+    ann = fn.returns
+    return (isinstance(ann, ast.Name) and ann.id == "HVector"
+            or isinstance(ann, ast.Constant) and ann.value == "HVector")
+
+
+def _hvector_valued(value, fn, line, makers) -> bool:
+    """value, assigned in fn at line, is an HVector: a call of HVector or
+    of a package function annotated to return one, or a local name whose
+    last assignment before line is."""
+    if isinstance(value, ast.Call):
+        return isinstance(value.func, ast.Name) and value.func.id in makers
+    if isinstance(value, ast.Name):
+        earlier = [node for node in ast.walk(fn)
+                   if isinstance(node, ast.Assign) and node.lineno < line
+                   and any(isinstance(t, ast.Name) and t.id == value.id
+                           for t in node.targets)]
+        if earlier:
+            last = max(earlier, key=lambda node: node.lineno)
+            return _hvector_valued(last.value, fn, last.lineno, makers)
+    return False
+
+
+def test_the_hilbert_hint_stays_internal():
+    """An ideal's ``_hilbert`` is None from ``Ideal.__init__`` or an HVector
+    that its constructor proves, and hilbert_function returns it with no
+    basis: only ``apolar_ideal``, ``_colon_out_of`` and
+    ``_residual_almost_ci`` set it.  No callable takes a hilbert argument
+    and no call passes one.  ``_dual_form`` is None from ``Ideal.__init__``
+    and set only by ``apolar_ideal``."""
+    functions = [(f"{path.stem}.{name}", node)
+                 for path, tree in PACKAGE.items()
+                 for name, node in _functions(tree)]
+    taking = sorted(
+        name for name, fn in functions
+        if any("hilbert" in a.arg for a in fn.args.args
+               + fn.args.posonlyargs + fn.args.kwonlyargs))
+    assert not taking, f"callables taking a hilbert argument: {taking}"
     calls = [(name, node) for name, fn in functions for node in ast.walk(fn)
              if isinstance(node, ast.Call)]
     passers = sorted(name for name, call in calls
-                     if any(k.arg == "hilbert" for k in call.keywords))
-    assert passers == ["groebner.Ideal.groebner"]
-    positional = sorted(name for name, call in calls
-                        if isinstance(call.func, ast.Name)
-                        and call.func.id == "_compute_basis"
-                        and len(call.args) > 3)
-    assert not positional, f"hints passed by position: {positional}"
+                     if any(k.arg and "hilbert" in k.arg
+                            for k in call.keywords))
+    assert not passers, f"calls passing a hilbert argument: {passers}"
+
+    makers = {"HVector"} | {fn.name for _, fn in functions
+                            if _returns_hvector(fn)}
+    setters = _attribute_setters(functions, "_hilbert")
+    assert set(setters) == {"groebner.Ideal.__init__",
+                            "constructions.apolar_ideal",
+                            "constructions._colon_out_of",
+                            "constructions._residual_almost_ci"}
+    assert all(_is_none(node.value)
+               for node, _ in setters.pop("groebner.Ideal.__init__"))
+    for name, sets in setters.items():
+        for node, fn in sets:
+            assert isinstance(node, ast.Assign), name
+            assert _hvector_valued(node.value, fn, node.lineno, makers), name
+
+    dual = _attribute_setters(functions, "_dual_form")
+    assert set(dual) == {"groebner.Ideal.__init__",
+                         "constructions.apolar_ideal"}
+    assert all(_is_none(node.value)
+               for node, _ in dual["groebner.Ideal.__init__"])
+    for slot in ("_hilbert", "_dual_form"):
+        named = [path.stem for path, tree in PACKAGE.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and node.value == slot]
+        assert named == ["groebner"], f"only Ideal.__slots__ names {slot}"
 
 
 FIELD_ARITHMETIC = {"add", "sub", "mul", "neg"}
