@@ -20,6 +20,32 @@ random one.  The leading terms x_j * lead(v) of J_{d-1}'s multiples that
 are standard are known without linear algebra, so only the rows of the
 other standard monomials reach left_kernel, and the generator count of a
 degree runs an echelon only when those leading terms do not fill J_d.
+
+Duality fixes the rest.  The cover is a complete intersection of r
+quadrics, so B is Gorenstein with h(B) = (1+t)^r and socle B_r, and the
+product B_d x B_{r-d} -> B_r is a perfect pairing.  Under it, ×F: B_d ->
+B_{d+2} is the transpose of ×F: B_{r-2-d} -> B_{r-d}, as <Fa, b> =
+<a, Fb>.  Three facts follow:
+
+  * h_d = h_{r-2-d}: the two maps have the same rank.  R/(𝔠 : F) is
+    Gorenstein of socle degree r - 2, linked to 𝔠 (Peskine-Szpiro,
+    Invent. Math. 26, 1974).
+  * h_{r-2} = 1: ×F: B_{r-2} -> B_r is the transpose of B_0 -> B_2,
+    1 -> F, which is not zero.  So dim J_{r-2} = C(r, 2) - 1.
+  * nu_{r-1} = 0 for r >= 4, where nu_{r-1} = dim J_{r-1} - dim(B_1 *
+    J_{r-2}) and J_{r-1} = B_{r-1}.  J_{r-2} = {v : vF = 0} is the
+    orthogonal of span F, so the orthogonal of B_1 * J_{r-2} in B_1 is
+    {x : x * B_1 lies in span F}.  For such an x != 0, x * R_1 (of
+    dimension r) lies in kF + 𝔠_2 (of dimension r + 1), so it meets 𝔠_2 in
+    r - 1 dimensions: x divides r - 1 independent quadrics of 𝔠, and 𝔠
+    lies in (x, q) for one more quadric q.  That ideal has height at most
+    2 < r, the height of 𝔠.  So the orthogonal is 0, B_1 * J_{r-2} =
+    B_{r-1}, and nu_{r-1} = 0.
+
+So `classify` runs left_kernel only in degrees 2..r-3 (degree 1 when r =
+4, its own dual), reads h_1 = h_{r-3}, and checks h(B) = (1+t)^r once per
+cover basis.
+
 `colon_quotient` and the linkage round trip of `verify_socle4_duality`
 take their colons through `constructions.link`, which builds them from
 `invariants.annihilator`; the round trip reads h(𝔠 + F′) off the cover's
@@ -37,12 +63,14 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 
-from .constructions import LinkStep, _hvector_with_form, link, quadric_ci
+from .constructions import (LinkStep, _hvector_with_form,
+                           complete_intersection_hvector, link, quadric_ci)
 from .core import AlgebraError, FieldSpec
 from .groebner import GroebnerBasis, Ideal
-from .invariants import (HVector, QuadricClassification, _monomial_rows,
-                         _product_rows, as_basis, hilbert_function,
-                         minimal_generators, standard_monomials)
+from .invariants import (HVector, QuadricClassification, _cache,
+                         _monomial_rows, _product_rows, as_basis,
+                         hilbert_function, minimal_generators,
+                         standard_monomials)
 from .linalg import Echelon, axpy, echelon, left_kernel
 from .poly import Polynomial, RingCtx, ring
 
@@ -190,6 +218,13 @@ def _cover(field: FieldSpec, r: int, ci_style: str, ci_seed: int) -> Ideal:
     return quadric_ci(r, field, style=ci_style, seed=ci_seed)
 
 
+@lru_cache(maxsize=None)
+def _cover_gens(field: FieldSpec, r: int, ci_style: str,
+                ci_seed: int) -> tuple:
+    """The cover's generators as printed in a summary, rendered once."""
+    return tuple(str(g) for g in _cover(field, r, ci_style, ci_seed).gens)
+
+
 def _task_form(R: RingCtx, spec) -> Polynomial:
     """The form a task names: an exhaustive-sweep mask or a coefficient tuple."""
     if isinstance(spec, int):
@@ -223,38 +258,44 @@ def classify(cover_gb: GroebnerBasis, F: Polynomial) -> QuadricClassification:
     """Classify R/(𝔠 : F) by the ranks of multiplication by F on B = R/𝔠.
 
     g lies in 𝔠 : F exactly when gF lies in 𝔠, so (𝔠 : F)_d / 𝔠_d is
-    J_d, the annihilator of F in B_d, and h_d = dim B_d - dim J_d.  With
-    J_d = B_d from degree r-1 on, the minimal generators of 𝔠 : F number
-    nu_1 = r - h_1 and nu_2 = C(h_1 + 1, 2) - h_2 (the quadrics beyond the
-    multiples of the linear ones), and nu_d = dim J_d - dim(B_1*J_{d-1})
-    for 3 <= d <= r-1: in those degrees 𝔠_d = R_1*𝔠_{d-1} is generated
-    already.  Nothing is generated from degree r on, because B_r = B_1*B_{r-1}.
+    J_d, the annihilator of F in B_d, and h_d = dim B_d - dim J_d.  The
+    minimal generators number nu_1 = r - h_1, nu_2 = C(h_1 + 1, 2) - h_2,
+    nu_d = dim J_d - dim(B_1*J_{d-1}) for 3 <= d < r, as 𝔠_d = R_1*𝔠_{d-1},
+    and none from degree r on, as B_r = B_1*B_{r-1}.
 
-    Each J_d is kept as an echelon basis, monic with distinct leading
-    monomials.  For v in J_{d-1} and a variable x_j with t = x_j*lead(v)
-    standard, x_j*v has leading monomial t: every other term of x_j*v lies
-    below t and normal forms only lower terms.  The first such product for
-    each t gives the rows Q_d, with leads K_d, and Q_d lies in J_d, so
-    J_d = Q_d + the kernel of F on the span of the standard monomials
-    outside K_d: only those monomials' rows NF(m*F) reach left_kernel.  In
-    the count of nu_d, Q_d's rows start the echelon of B_1*J_{d-1} as its
-    pivots, and when they fill J_d already, nu_d = 0 and no echelon runs.
+    The cover must be a complete intersection of r quadrics: a basis with
+    h-vector other than (1+t)^r raises AlgebraError (checked once per
+    basis).  Duality in B (module docstring) then gives h_d = h_{r-2-d},
+    h_{r-2} = 1 and, for r >= 4, nu_{r-1} = 0.  So left_kernel runs in
+    degrees 2..r-3 only (1 when r = 4, its own dual), and h_1 = h_{r-3}.
+    J_1 is not kept, as only its dimension counts: J_2's kernel starts
+    with no known leads, giving the same space and the same leads.
 
-    Only F modulo the cover counts; a sweep passes NF(F), which is not
-    reduced again.
+    Each J_d is an echelon basis, monic with distinct leading monomials.
+    For v in J_{d-1} and t = x_j*lead(v) standard, x_j*v has leading
+    monomial t, as normal forms only lower terms.  The first such product
+    for each t gives the rows Q_d in J_d, with leads K_d, so J_d = Q_d + the
+    kernel of F on the standard monomials outside K_d: only their rows
+    NF(m*F) reach left_kernel.  Q_d's rows start the echelon of B_1*J_{d-1}
+    for nu_d as pivots; when they fill J_d, nu_d = 0 and no echelon runs.
+    Only F modulo the cover counts: a sweep passes NF(F), not reduced again.
     """
     if not (F.is_homogeneous() and F.degree() == 2):
         raise AlgebraError(f"the census colons by quadrics, not by {F}")
     R = cover_gb.ring
     r, field = R.nvars, R.field
+    if not _cache(cover_gb, "quadric_ci", lambda: hilbert_function(
+            cover_gb) == complete_intersection_hvector([2] * r)):
+        raise AlgebraError("the census colons out of a complete intersection"
+                           " of r quadrics in r variables")
     std = cover_gb._level(2)[1]
     f = F if all(k in std for k, _ in F.terms) else cover_gb.normal_form(F)
     if f.is_zero():
         raise AlgebraError("the form lies in the cover")
     var_keys = R.codec.var_keys
     # J_d as {lead: monic vector, or (s, j) for x_j times J_{d-1}'s vector
-    # at lead s, built on first use}; J_0 = 0.
-    ann = [{}]
+    # at lead s, built on first use}; J_{r-2} only as its products Q_{r-2}.
+    ann = {}
 
     def vector(d, t):
         v = ann[d][t]
@@ -267,44 +308,38 @@ def classify(cover_gb: GroebnerBasis, F: Polynomial) -> QuadricClassification:
         return _image(vector(d, s), _monomial_rows(cover_gb, d, var_keys[j]),
                       field)
 
-    h, counts = [1], {}
-    for d in range(1, r):
+    h, counts = [1] * (r - 1) + [0, 0], {}      # h_0..h_r, h_{r-2} = 1
+    for d in (1,) if r == 4 else range(2, r - 1):
         std = standard_monomials(cover_gb, d)
-        free = {}
+        free = ann[d] = {}
         ups = _standard_multiples(cover_gb, d - 1)
-        for s in ann[d - 1]:
+        for s in ann.get(d - 1, ()):
             for t, j in ups[s]:
                 free.setdefault(t, (s, j))
-        if d < r - 1:
+        if d < r - 2:
             # Ascending rows: the kernel vector found at row i is monic
             # there and touches no later row, so rest[i] is its lead.
             rest = [m for m in reversed(std) if m not in free]
             kernel = left_kernel(_product_rows(cover_gb, d, f, rest), field)
-            fresh = {rest[max(v)]: {rest[i]: c for i, c in v.items()}
-                     for v in kernel}
-        else:       # J_{r-1} = B_{r-1}
-            fresh = {m: {m: field.one} for m in std if m not in free}
-        ann.append({**free, **fresh})
-        h.append(len(std) - len(ann[d]))
-        if d >= 3 and fresh:
-            room = len(ann[d])
+            ann[d] = {**free, **{rest[max(v)]: {rest[i]: c for i, c in
+                                                v.items()} for v in kernel}}
+            h[d] = len(std) - len(ann[d])
+        room = len(std) - h[d]
+        if d >= 3 and len(free) < room:
             used = set(free.values())
             pivots = (vector(d, t) for t in free)
             products = (product(d - 1, s, j) for s in ann[d - 1]
                         for j in range(r) if (s, j) not in used)
             counts[d] = room - echelon(chain(pivots, products), field,
                                        room).rank
-    h += [0]        # F*B_{r-1} lies in B_{r+1} = 0
+    if r > 4:
+        h[1] = h[r - 3]
     counts[1], counts[2] = r - h[1], math.comb(h[1] + 1, 2) - h[2]
     nu = {d: counts[d] for d in sorted(counts) if counts[d]}
     return QuadricClassification(
-        hvector=HVector(tuple(h)),
-        socle_tuple=None,
-        generator_counts=nu,
-        gorenstein=None,
-        presented_by_quadrics=(set(nu) == {2}),
-        had_linear_forms=1 in nu,
-    )
+        hvector=HVector(tuple(h)), socle_tuple=None, generator_counts=nu,
+        gorenstein=None, presented_by_quadrics=(set(nu) == {2}),
+        had_linear_forms=1 in nu)
 
 
 def colon_quotient(cover: Ideal, F: Polynomial) -> Ideal:
@@ -362,8 +397,9 @@ def run_census(cfg: CensusConfig) -> tuple:
         tasks = list(enumerate(_sample_coefficient_lists(cfg, R)))
         seed = cfg.sample_seed
 
-    # Built before the pool starts, so forked workers inherit the cover.
-    cover = _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed)
+    # The cover is built before the pool starts, so forked workers inherit
+    # it; its generators are rendered once per process.
+    ci_gens = _cover_gens(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed)
     sweep = partial(_sweep_one, cfg)
     if cfg.parallelism == 1:
         payloads = list(map(sweep, tasks))
@@ -404,7 +440,7 @@ def run_census(cfg: CensusConfig) -> tuple:
         total_errored=errored,
         findings=tuple(findings),
         config=cfg,
-        ci_gens=tuple(str(g) for g in cover.gens),
+        ci_gens=ci_gens,
     )
     return records, summary
 

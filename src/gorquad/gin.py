@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .constructions import _hvector_with_form
 from .core import AlgebraError, GenericityError, GinUncertifiedError
 from .groebner import GroebnerBasis, Ideal, _fglm_walk
 from .idealops import random_linear_form
@@ -419,16 +420,21 @@ def hyperplane_restriction_identity(I: Ideal, gin_result: GinResult,
                                     seed: int = 0) -> bool:
     """Degreewise Hilbert-function form of the generic hyperplane identity:
     restricting the gin by the last variable matches restricting the ideal
-    by one of _RESTRICTION_SAMPLES general linear forms."""
+    by one of _RESTRICTION_SAMPLES general linear forms.  For an artinian
+    I, h(I + L) is read off B = R/I with no basis of I + L: its degree d
+    is h_I(d) - rank(×L: B_{d-1} -> B_d), as _hvector_with_form reads it
+    through invariants.multiplication_rank."""
     ring_ = I.ring
     rng = random.Random(seed)
     x_last = ring_.variables()[-1]
     restricted_gin = Ideal(ring_, list(gin_result.monomial_ideal.gens)
                            + [x_last])
     h_gin = hilbert_function(restricted_gin)
+    artinian = is_artinian(I.groebner())
     for _ in range(_RESTRICTION_SAMPLES):
         L = random_linear_form(ring_, rng)
-        h_cut = hilbert_function(Ideal(ring_, list(I.gens) + [L]))
+        h_cut = (_hvector_with_form(I, L) if artinian else
+                 hilbert_function(Ideal(ring_, list(I.gens) + [L])))
         if h_cut == h_gin:
             return True
     return False

@@ -15,8 +15,9 @@ whose basis is read off the contractions b o F (_apolar_entries); and a
 colon out of a cover, whose basis is read off the cover's quotient table
 (constructions._colon_out_of).  All three go through _known_basis, which
 minimalizes and tail-reduces a known Groebner basis into the reduced one.
-When an input, or a pair of two inputs, could lie beyond the degree cap,
-the engine runs after all, and raises CappedComputationError if it does.
+When an input could lie beyond the degree cap, or a pair of two elements
+the engine could hold (inputs or the basis's leading terms), the engine
+runs after all, and raises CappedComputationError if it does.
 
 Every Ideal is homogeneous.  A finished basis tabulates B = R/I degree by
 degree (GroebnerBasis._level): the standard monomials as an order ideal and
@@ -293,14 +294,25 @@ def _known_basis(ring: RingCtx, gens, entries, truncate_at=None):
     from (lm, monic tail dict) entries known to form its Groebner basis
     through truncate_at.  Returns None, and leaves the engine to answer,
     when the engine could meet a degree beyond the cap on those inputs,
-    so that it might raise CappedComputationError; then the entries are
-    not read, and a generator of them never runs."""
+    so that it might raise CappedComputationError.
+
+    Every input meets the cap check, and a pair's degree is at most the
+    sum of its two elements' degrees.  The engine's elements are the inputs
+    and the ones it derives, and a derived element is installed at its
+    pair's degree with a leading term that no element before it divides;
+    pairs pop in ascending degree, so no later element divides it either,
+    and its leading term is a minimal generator of LT(I), hence an entry's.
+    So the two highest degrees among the inputs and the entries' leading
+    terms bound every pair, and a pair beyond truncate_at stops the engine
+    before it meets the cap."""
     degree_cap = DEFAULT_DEGREE_CAP
-    # Every input meets the cap check; a pair's degree is at most the sum
-    # of its two degrees, and a pair beyond truncate_at stops the engine.
-    top = sorted(g.degree() for g in gens)[-2:]
-    if top and top[-1] > degree_cap or sum(top) > degree_cap and (
-            truncate_at is None or truncate_at > degree_cap):
+    entries = list(entries)
+    if any(g.degree() > degree_cap for g in gens):
+        return None
+    top = sorted([g.degree() for g in gens]
+                 + [ring.codec.degree(lm) for lm, _ in entries])[-2:]
+    if sum(top) > degree_cap and (truncate_at is None
+                                  or truncate_at > degree_cap):
         return None
     return GroebnerBasis(ring, _reduce_basis(ring, entries), degree_cap,
                          truncate_at)

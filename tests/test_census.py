@@ -19,11 +19,14 @@ from gorquad.census import (CSV_HEADER, H2_SUPPORT_R6, CensusConfig,
                             squarefree_quadric_keys, summary_markdown,
                             verify_socle4_duality)
 from gorquad.cli import build_parser, main
-from gorquad.constructions import apolar_ideal, contract, quadric_ci
+from gorquad.constructions import (apolar_ideal, complete_intersection_hvector,
+                                   contract, quadric_ci)
 from gorquad.core import AlgebraError, FieldSpec
-from gorquad.idealops import colon_form
-from gorquad.invariants import (HVector, QuadricClassification, annihilator,
-                                as_basis, standard_monomials)
+from gorquad.groebner import Ideal
+from gorquad.idealops import colon_form, random_homogeneous
+from gorquad.invariants import (HVector, QuadricClassification,
+                                _product_rows, annihilator, as_basis,
+                                standard_monomials)
 from gorquad.linalg import Echelon, echelon, left_kernel
 from gorquad.poly import ring
 
@@ -403,14 +406,68 @@ def test_classify_rejects_what_the_census_never_colons():
         classify(cover_gb, R.parse("x1^2 + x2^2"))
     with pytest.raises(AlgebraError):
         classify(cover_gb, R.parse("x1*x2*x3"))
+    # Covers whose h-vector is not (1+t)^r: a cubic generator, a quadric
+    # too few (not artinian), a quadric too many, and an artinian ideal
+    # with the complete intersection's h-vector through degree 2 only.
+    R = ring(GF7, 3)
+    for texts in (["x1^2", "x2^2", "x3^3"], ["x1^2", "x2^2"],
+                  ["x1^2", "x2^2", "x3^2", "x1*x2"],
+                  ["x1^2", "x2^2", "x3^2", "x1*x2*x3"]):
+        cover_gb = Ideal.from_texts(R, texts).groebner()
+        with pytest.raises(AlgebraError):
+            classify(cover_gb, R.parse("x1*x3 + x2*x3"))
 
 
-def _sampled_forms(cfg):
+def test_classify_checks_the_cover_once_per_basis(monkeypatch):
+    """The cover's h-vector is compared with (1+t)^r once, on the first
+    form; later forms read the cached verdict."""
+    built = []
+
+    def counting(degrees):
+        built.append(tuple(degrees))
+        return complete_intersection_hvector(degrees)
+
+    monkeypatch.setattr(gorquad.census, "complete_intersection_hvector",
+                        counting)
+    cfg = CensusConfig(field=GF7, r=5, ci_style="random", ci_seed=4,
+                       mode="random_sample", sample_count=6, sample_seed=5)
+    cover_gb = quadric_ci(5, GF7, style="random", seed=4).groebner()
+    R = cover_gb.ring
+    for coeffs in _sample_coefficient_lists(cfg, R):
+        classify(cover_gb, _form_from_coeffs(R, coeffs))
+    assert built == [(2,) * 5]
+
+
+@pytest.mark.parametrize("field, style", [(GF3, "monomial"), (GF7, "random"),
+                                          (GFBIG, "random"), (Q, "monomial")],
+                         ids=str)
+def test_the_duality_facts_hold_on_the_oracle(field, style):
+    """What classify takes from the duality of B = R/𝔠 without a kernel,
+    the oracle computes: h_d = h_{r-2-d}, h_{r-2} = 1, nu_{r-1} = 0."""
+    rng = random.Random(27)
+    for r in range(4, 8 if field.p else 6):
+        cover_gb = quadric_ci(r, field, style=style, seed=r).groebner()
+        R = cover_gb.ring
+        for _ in range(4):
+            F = random_homogeneous(R, 2, rng)
+            if cover_gb.reduces_to_zero(F):
+                continue
+            want = oracle_census_classify(cover_gb, F)
+            h = want.hvector
+            assert h.values == h.values[::-1] and h[r - 2] == 1, str(F)
+            assert r - 1 not in want.generator_counts, str(F)
+            assert classify(cover_gb, F) == want, str(F)
+
+
+def _sampled_forms(cfg, texts=None):
     """The forms a sweep of cfg classifies: the exhaustive square-free sums
-    or the sampled dense quadrics, without those in the cover."""
+    or the sampled dense quadrics, or else the given texts, without those
+    in the cover."""
     cover_gb = _cover_of(cfg).groebner()
     R = cover_gb.ring
-    if cfg.mode == "exhaustive_squarefree":
+    if texts is not None:
+        forms = [R.parse(t) for t in texts]
+    elif cfg.mode == "exhaustive_squarefree":
         keys = squarefree_quadric_keys(R)
         forms = [form_from_index(R, keys, m) for m in range(1, 1 << len(keys))]
     else:
@@ -430,6 +487,8 @@ def _bench_configs(seed):
 
 
 _SAMPLED = dict(mode="random_sample", sample_seed=5)
+# Forms with a linear annihilator over the squares cover: x1 kills each.
+_LINEAR = ("x1*x2", "x1*x2 + x1*x3", "x1*x2 - x1*x3 + x1*x4 + x1^2")
 
 
 # Each configuration lists the kinds of colon its forms must include:
@@ -451,13 +510,25 @@ _SAMPLED = dict(mode="random_sample", sample_seed=5)
                    sample_count=5, **_SAMPLED)], {"high"}),
     ([CensusConfig(field=Q, r=4, ci_style="random", ci_seed=2,
                    sample_count=10, **_SAMPLED)], set()),
+    ([CensusConfig(field=GF3, r=r, sample_count=8, **_SAMPLED)
+      for r in (2, 3)], {"linear"}),
+    ([CensusConfig(field=GF7, r=r, ci_style="random", ci_seed=2,
+                   sample_count=8, **_SAMPLED) for r in (2, 3)], {"linear"}),
+    ([CensusConfig(field=GF3, r=8, sample_count=3, **_SAMPLED),
+      CensusConfig(field=GFBIG, r=8, ci_style="random", ci_seed=2,
+                   sample_count=2, **_SAMPLED)], {"high"}),
+    # J_1 != 0 at r >= 5, so J_2's kernel starts with no known leads
+    ([(CensusConfig(field=field, r=r, sample_count=1, **_SAMPLED), _LINEAR)
+      for field, r in ((GF3, 5), (GF7, 6), (GFBIG, 7))], {"linear"}),
 ], ids=["bench-seed1", "bench-seed2", "gf2-r4", "gf2-r5", "gf2-r7", "gf3-r5",
         "gf3-r7", "gf7-r4-random", "gfbig-r6-random", "gfbig-r7-random",
-        "q-r4-random"])
+        "q-r4-random", "gf3-r2-r3", "gf7-r2-r3-random", "r8",
+        "linear-annihilator"])
 def test_classify_matches_the_annihilator_oracle(cfgs, kinds):
     seen = set()
     for cfg in cfgs:
-        cover_gb, forms = _sampled_forms(cfg)
+        cover_gb, forms = _sampled_forms(*(cfg if isinstance(cfg, tuple)
+                                           else (cfg,)))
         for F in forms:
             want = oracle_census_classify(cover_gb, F)
             assert classify(cover_gb, F) == want, str(F)
@@ -482,10 +553,16 @@ def _free_leads(cover_gb, F, d):
 
 
 def test_classify_skips_the_rows_of_known_leading_terms(monkeypatch):
-    """Only the standard monomials outside K_d reach left_kernel, and a
+    """Rows reach left_kernel only in degrees 2..r-3, and there only the
+    standard monomials outside K_d, with K_2 empty (J_1 is not kept).
+    Degrees 1 and r-2 run no kernel, degree r-1 no echelon, and a
     presented form runs no product echelon in a degree where K_d fills
     J_d, the annihilator of F in B_d."""
-    calls = {"rows": 0, "degrees": set()}
+    calls = {"rows": 0, "kernels": [], "degrees": set()}
+
+    def counting_rows(gb, d, g, monomials):
+        calls["kernels"].append(d)
+        return _product_rows(gb, d, g, monomials)
 
     def counting_kernel(rows, field):
         rows = list(rows)
@@ -500,6 +577,7 @@ def test_classify_skips_the_rows_of_known_leading_terms(monkeypatch):
                 yield row
         return echelon(read(), field, room)
 
+    monkeypatch.setattr(gorquad.census, "_product_rows", counting_rows)
     monkeypatch.setattr(gorquad.census, "left_kernel", counting_kernel)
     monkeypatch.setattr(gorquad.census, "echelon", counting_echelon)
     cfg = CensusConfig(field=GF2, r=6, mode="random_sample", sample_count=60,
@@ -509,19 +587,32 @@ def test_classify_skips_the_rows_of_known_leading_terms(monkeypatch):
     dims = [len(standard_monomials(cover_gb, d)) for d in range(r)]
     filled = 0
     for F in forms:
-        calls["rows"], calls["degrees"] = 0, set()
+        calls["rows"], calls["kernels"], calls["degrees"] = 0, [], set()
         cls = classify(cover_gb, F)
-        free = {d: _free_leads(cover_gb, F, d) for d in range(1, r)}
+        free = {d: _free_leads(cover_gb, F, d) for d in range(3, r)}
+        free[2] = set()
+        assert calls["kernels"] == list(range(2, r - 2)), str(F)
         assert calls["rows"] == sum(dims[d] - len(free[d])
-                                    for d in range(1, r - 1)), str(F)
-        assert calls["rows"] < sum(dims[:r - 1])
+                                    for d in range(2, r - 2)), str(F)
+        assert r - 1 not in calls["degrees"], str(F)
         if not cls.presented_by_quadrics:
             continue
-        for d in range(3, r):
+        for d in range(3, r - 1):
             if len(free[d]) == dims[d] - cls.hvector[d]:
                 assert d not in calls["degrees"], (str(F), d)
                 filled += 1
     assert filled
+
+
+def test_the_cover_generators_are_rendered_once():
+    """Every sweep on one cover shares its printed generators, and the
+    Markdown lists them in the cover's order."""
+    cfg = CensusConfig(field=GF7, r=4, ci_style="random", ci_seed=6,
+                       mode="random_sample", sample_count=2, sample_seed=1)
+    first = run_census(cfg)[1].ci_gens
+    again = run_census(dataclasses.replace(cfg, sample_seed=2))[1].ci_gens
+    assert again is first
+    assert first == tuple(str(g) for g in _cover_of(cfg).gens)
 
 
 # sha256 of the CSV and the Markdown; a change to the classification or to

@@ -684,6 +684,43 @@ def test_apolar_bases_past_the_degree_cap_take_the_engine(monkeypatch, cap,
         assert gb.elements == plain.elements == want
 
 
+def _capped(build):
+    """build()'s reduced basis, or the cap and degree it raised at."""
+    try:
+        return build().elements
+    except CappedComputationError as exc:
+        return (exc.cap, exc.degree)
+
+
+@pytest.mark.parametrize("kind", ["apolar", "colon", "pairless"])
+def test_known_bases_under_low_caps_match_the_engine(monkeypatch, kind):
+    """Under every cap 1..8 a basis read with no engine run equals the
+    engine's, or both raise at the same cap and degree.  The apolar ideal
+    has generators of degree 2 only but basis elements of degree 3, so a
+    cap that bounds only the inputs would let it through at cap 4.  The
+    colon is read off a cover whose basis is built at the default cap."""
+    R = ring(GF7, 4)
+    if kind == "apolar":
+        F = random_dual_form(ring(GF7, 3), 3, random.Random(5))
+        build = lambda: apolar_ideal(F)
+    elif kind == "colon":
+        cover = Ideal(R, [v * v for v in R.variables()])
+        f = R.parse("x1*x2 + 3*x3*x4 - x2*x4")
+        expected = hilbert_function(link_by_squares(
+            Ideal(R, cover.gens + (f,))))
+        cover.groebner()
+        build = lambda: constructions._colon_out_of(cover, [f], expected)
+    else:
+        texts = ["x1^2 + x2*x3", "x2^3 - x3*x4^2", "x3^3", "x4^4"]
+        build = lambda: Ideal.from_texts(R, texts)
+    for cap in range(1, 9):
+        monkeypatch.setattr(groebner_module, "DEFAULT_DEGREE_CAP", cap)
+        I = build()
+        assert _capped(I.groebner) == _capped(
+            lambda: _compute_basis(I.ring, I.gens, None)), cap
+    assert I.groebner().stats is None       # cap 8 reads the known basis
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(3))
 def test_hinted_links_match_the_unhinted_engine(field, seed, colons):

@@ -7,7 +7,8 @@ import pytest
 
 import gorquad
 from gorquad import groebner
-from gorquad.constructions import apolar_ideal, quadric_ci, random_dual_form
+from gorquad.constructions import (_hvector_with_form, apolar_ideal,
+                                   quadric_ci, random_dual_form)
 from gorquad.core import AlgebraError, GenericityError
 from gorquad.gin import (GenericityPolicy, GinUncertifiedError,
                          _initial_ideal_from_table, _inverse_change,
@@ -437,3 +438,83 @@ def test_hyperplane_restriction_identity(ci4, gin_ci4):
     R = ring(Q, 3)
     I = Ideal.from_texts(R, ["x1^2", "x2^2", "x3^2"])
     assert hyperplane_restriction_identity(I, gin(I, seed=0), seed=0)
+
+
+def _cut_inputs():
+    """Seeded artinian ideals: quadric complete intersections, apolar
+    ideals that are not complete intersections, an ideal with a linear
+    generator and a monomial one."""
+    rng = random.Random(27)
+    R4, R5 = ring(GFBIG, 4), ring(GF7, 5)
+    yield quadric_ci(4, GFBIG, style="random", seed=3)
+    yield quadric_ci(5, Q, style="random", seed=3)
+    yield apolar_ideal(random_dual_form(R4, 3, rng))
+    yield apolar_ideal(random_dual_form(R5, 4, rng))
+    yield apolar_ideal(random_dual_form(ring(Q, 3), 4, rng))
+    yield Ideal(R4, [R4.parse("x1 - 2*x3")] + [v * v for v in R4.variables()])
+    yield Ideal.from_texts(R5, ["x1^2", "x2^3", "x3^2", "x4^2", "x5^2",
+                                "x1*x2*x3"])
+
+
+def test_hyperplane_cuts_read_off_the_table_match_the_engine():
+    """h(I + L) read off B = R/I equals the engine basis's Hilbert
+    function, for seeded general and special linear forms L."""
+    rng = random.Random(28)
+    checked = 0
+    for I in _cut_inputs():
+        R = I.ring
+        xs = R.variables()
+        for L in [random_linear_form(R, rng) for _ in range(3)] + [xs[0],
+                                                                  xs[-1]]:
+            engine = groebner._compute_basis(R, I.gens + (L,), None)
+            assert _hvector_with_form(I, L) == hilbert_function(engine), (
+                str(I), str(L))
+            checked += 1
+    assert checked == 35
+
+
+def test_hyperplane_restriction_runs_no_engine_on_artinian_ideals(
+        monkeypatch):
+    """On an artinian I the identity builds no basis of I + L, and its
+    verdict is the one the engine's Hilbert functions give."""
+    cases = []
+    for I in _cut_inputs():
+        if I.ring.field.is_rationals or I.ring.field.p == GFBIG.p:
+            I.groebner()
+            cases.append((I, gin(I, seed=0)))
+
+    def engine_cut(I, L):
+        return hilbert_function(groebner._compute_basis(
+            I.ring, I.gens + (L,), None))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("gorquad.gin"),
+                      "_hvector_with_form", engine_cut)
+        want = [hyperplane_restriction_identity(I, res, seed=s)
+                for I, res in cases for s in range(3)]
+
+    def no_engine(*args):
+        raise AssertionError("engine run")
+
+    monkeypatch.setattr(groebner, "_compute_basis", no_engine)
+    assert [hyperplane_restriction_identity(I, res, seed=s)
+            for I, res in cases for s in range(3)] == want
+    assert len(cases) == 5 and any(want)
+
+
+def test_hyperplane_restriction_of_a_non_artinian_ideal_runs_the_engine():
+    R = ring(Q, 3)
+    I = Ideal.from_texts(R, ["x1^2", "x1*x2 + x2^2"])
+    assert not is_artinian(I)
+    res = gin(I, seed=0)
+    runs = []
+    engine = groebner._compute_basis
+
+    def recording(*args):
+        runs.append(args[1])
+        return engine(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_compute_basis", recording)
+        verdict = hyperplane_restriction_identity(I, res, seed=0)
+    assert runs and verdict in (True, False)
