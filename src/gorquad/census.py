@@ -43,8 +43,9 @@ B_{d+2} is the transpose of ×F: B_{r-2-d} -> B_{r-d}, as <Fa, b> =
     B_{r-1}, and nu_{r-1} = 0.
 
 So `classify` runs left_kernel only in degrees 2..r-3 (degree 1 when r =
-4, its own dual), reads h_1 = h_{r-3}, and checks h(B) = (1+t)^r once per
-cover basis.
+4, its own dual), reads h_1 = h_{r-3}, and checks once per cover basis that
+the cover lists r quadrics with h(B) = (1+t)^r, which makes them a regular
+sequence.
 
 `colon_quotient` and the linkage round trip of `verify_socle4_duality`
 take their colons through `constructions.link`, which builds them from
@@ -64,7 +65,7 @@ from functools import lru_cache, partial
 from itertools import chain
 
 from .constructions import (LinkStep, _hvector_with_form,
-                           complete_intersection_hvector, link, quadric_ci)
+                           _regular_sequence_hvector, link, quadric_ci)
 from .core import AlgebraError, FieldSpec
 from .groebner import GroebnerBasis, Ideal
 from .invariants import (HVector, QuadricClassification, _cache,
@@ -254,7 +255,7 @@ def _standard_multiples(gb: GroebnerBasis, d: int) -> dict:
     return ups
 
 
-def classify(cover_gb: GroebnerBasis, F: Polynomial) -> QuadricClassification:
+def classify(cover: Ideal, F: Polynomial) -> QuadricClassification:
     """Classify R/(𝔠 : F) by the ranks of multiplication by F on B = R/𝔠.
 
     g lies in 𝔠 : F exactly when gF lies in 𝔠, so (𝔠 : F)_d / 𝔠_d is
@@ -263,11 +264,15 @@ def classify(cover_gb: GroebnerBasis, F: Polynomial) -> QuadricClassification:
     nu_d = dim J_d - dim(B_1*J_{d-1}) for 3 <= d < r, as 𝔠_d = R_1*𝔠_{d-1},
     and none from degree r on, as B_r = B_1*B_{r-1}.
 
-    The cover must be a complete intersection of r quadrics: a basis with
-    h-vector other than (1+t)^r raises AlgebraError (checked once per
-    basis).  Duality in B (module docstring) then gives h_d = h_{r-2-d},
-    h_{r-2} = 1 and, for r >= 4, nu_{r-1} = 0.  So left_kernel runs in
-    degrees 2..r-3 only (1 when r = 4, its own dual), and h_1 = h_{r-3}.
+    The cover must be a complete intersection of r quadrics, and anything
+    else raises AlgebraError: it must list exactly r generators, all
+    quadrics, with the complete-intersection h-vector (1+t)^r
+    (constructions._regular_sequence_hvector).  Forms whose quotient has
+    that Hilbert series form a regular sequence, so the check is
+    sufficient; its verdict is cached on the cover's basis.  Duality in B
+    (module docstring) then gives h_d = h_{r-2-d}, h_{r-2} = 1 and, for r
+    >= 4, nu_{r-1} = 0.  So left_kernel runs in degrees 2..r-3 only (1
+    when r = 4, its own dual), and h_1 = h_{r-3}.
     J_1 is not kept, as only its dimension counts: J_2's kernel starts
     with no known leads, giving the same space and the same leads.
 
@@ -282,10 +287,16 @@ def classify(cover_gb: GroebnerBasis, F: Polynomial) -> QuadricClassification:
     """
     if not (F.is_homogeneous() and F.degree() == 2):
         raise AlgebraError(f"the census colons by quadrics, not by {F}")
+    cover_gb = cover.groebner()
     R = cover_gb.ring
     r, field = R.nvars, R.field
-    if not _cache(cover_gb, "quadric_ci", lambda: hilbert_function(
-            cover_gb) == complete_intersection_hvector([2] * r)):
+
+    def is_quadric_ci():
+        return (len(cover.gens) == r
+                and all(g.degree() == 2 for g in cover.gens)
+                and _regular_sequence_hvector(cover) is not None)
+
+    if not _cache(cover_gb, "quadric_ci", is_quadric_ci):
         raise AlgebraError("the census colons out of a complete intersection"
                            " of r quadrics in r variables")
     std = cover_gb._level(2)[1]
@@ -351,7 +362,8 @@ def _sweep_one(cfg: CensusConfig, task: tuple) -> tuple:
     """Classify one form: the task followed by (classification or None,
     skip or error reason, errored).  A process pool returns the same
     payload pickled, so every form goes through this one function."""
-    gb = _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed).groebner()
+    cover = _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed)
+    gb = cover.groebner()
     F = _task_form(gb.ring, task[1])
     f = gb.normal_form(F)
     if f.is_zero():
@@ -359,7 +371,7 @@ def _sweep_one(cfg: CensusConfig, task: tuple) -> tuple:
                   else "the form lies in the cover")
         return task + (None, reason, False)
     try:
-        return task + (classify(gb, f), "", False)
+        return task + (classify(cover, f), "", False)
     except AlgebraError as exc:
         return task + (None, str(exc), True)
 

@@ -25,6 +25,7 @@ from .groebner import Ideal, _known_basis, _order_ideal_step
 from .idealops import random_homogeneous, random_linear_form
 from .invariants import (
     HVector,
+    _annihilator_is_zero,
     _variable_multiples,
     annihilator,
     classify,
@@ -319,7 +320,9 @@ def _hvector_with_form(cover: Ideal, f: Polynomial) -> HVector:
     that ideal: in B = R/cover the degree-d part of (cover + (f))/cover is
     the image of multiplication by f from B_{d-e}, e = deg f, so h_d =
     h_B(d) - rank(x f: B_{d-e} -> B_d), each rank one echelon in the
-    cover's table (invariants.multiplication_rank).
+    cover's table (invariants.multiplication_rank).  Those ranks are cached
+    on the cover's basis, and _colon_out_of reads them back as its
+    certificates of the degrees where f kills nothing.
 
     When the cover passes the regular-sequence certificate, B is Gorenstein
     of socle degree s: h_B is then the product of 1 + t + ... + t^(d_i - 1)
@@ -351,10 +354,19 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
 
     Per degree: the annihilator is an ideal of B, so for d <= top the result
     J has J_d = cover_d + lift(ann_d) = (cover : gens)_d, and h_d = h_B(d) -
-    len(ann_d).  Above top h_d = 0 once that vector is the prediction: then
+    dim ann_d.  Above top h_d = 0 once that vector is the prediction: then
     B_{top+1} = 0, or h_top = 0, so J_top = R_top.  The gens inside the
     cover multiply B to zero, so they are dropped first: their columns are
     empty, and the kernel is the same.
+
+    Where linkage predicts an empty annihilator, h_B(d) = expected(d), the
+    degree gets a rank certificate in place of a kernel: one echelon of its
+    annihilator rows with room |std_d| (invariants._annihilator_is_zero;
+    for a single form the rank _link's h-vector check already took).  Full
+    rank proves ann_d = 0, so h_d = h_B(d) is still a computed number, and
+    the h-vector check compares computed numbers with the prediction.  A
+    rank short of |std_d| falls through to the kernel, whose vectors put
+    h_d below the prediction, so a wrong prediction still raises.
 
     The basis (as in FGLM, Faugere-Gianni-Lazard-Mora 1993): the lifts of
     ann_d are written over B's standard monomials, so the pivots of their
@@ -372,6 +384,9 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
     entries = [(p.terms[0][0], dict(p.terms[1:])) for p in gb.elements]
     got = [h_B[0]]
     for d in range(1, min(expected.socle_degree + 1, h_B.socle_degree) + 1):
+        if h_B[d] == expected[d] and _annihilator_is_zero(gb, gens, d):
+            got.append(h_B[d])
+            continue
         ann = annihilator(gb, gens, d)
         out.extend(R.from_terms(v.items()) for v in ann)
         got.append(h_B[d] - len(ann))
@@ -389,21 +404,25 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
     return colon
 
 
-def _link(I: Ideal, gens) -> Ideal:
-    """The colon of the ideal out of the complete intersection of the gens,
-    checked: the gens must lie in the ideal's ring and in the ideal and form
-    a regular sequence, and the colon must have the predicted linked
-    h-vector; any failure raises LinkageError.  A cover with nothing left
-    over gives the unit ideal.  The generators are the cover's, then the
-    annihilator's degree by degree, as `_colon_out_of` builds them.
+def _link(I: Ideal, cover) -> Ideal:
+    """The colon of the ideal out of the complete intersection cover, given
+    as its generators or as an Ideal of them, checked: the generators must
+    lie in the ideal's ring and in the ideal and form a regular sequence,
+    and the colon must have the predicted linked h-vector; any failure
+    raises LinkageError.  A cover with nothing left over gives the unit
+    ideal.  The generators are the cover's, then the annihilator's degree
+    by degree, as `_colon_out_of` builds them.
 
-    A cover form among the ideal's generators, term for term, lies in it
-    with no membership test.  When those hold every cover form and the
-    ideal's generators outside the cover are one form f, the ideal is
-    cover + (f), and h(I) comes from the verified cover's table
-    (_hvector_with_form); so the ideal needs no basis."""
+    A cover given as an Ideal is used as it is, so callers that colon
+    several ideals out of one cover share its basis, quotient table,
+    regular-sequence certificate and cached ranks.  A cover form among the
+    ideal's generators, term for term, lies in it with no membership test.
+    When those hold every cover form and the ideal's generators outside the
+    cover are one form f, the ideal is cover + (f), and h(I) comes from the
+    verified cover's table (_hvector_with_form); so the ideal needs no
+    basis, and the colon reads its certificates back from those ranks."""
     R = I.ring
-    gens = tuple(gens)
+    gens = tuple(cover.gens if isinstance(cover, Ideal) else cover)
     if not gens:
         raise LinkageError("a linkage step needs at least one form")
     listed = {g.terms for g in I.gens}
@@ -412,12 +431,12 @@ def _link(I: Ideal, gens) -> Ideal:
             raise RingMismatchError("linkage forms must live in the ideal's ring")
         if g.terms not in listed and not I.contains(g):
             raise LinkageError("the complete intersection is not inside the ideal")
-    ci = Ideal(R, gens)
+    ci = cover if isinstance(cover, Ideal) else Ideal(R, gens)
     h_ci = _regular_sequence_hvector(ci)
     if h_ci is None or len(ci.gens) < len(gens):    # Ideal drops 0 and repeats
         raise LinkageError("the chosen forms are not a regular sequence")
-    cover = {g.terms for g in ci.gens}
-    rest = [g for g in I.gens if g.terms not in cover]
+    in_cover = {g.terms for g in ci.gens}
+    rest = [g for g in I.gens if g.terms not in in_cover]
     h_I = (_hvector_with_form(ci, rest[0]) if len(rest) == 1
            else hilbert_function(I))
     expected = expected_link_hvector(h_ci, h_I)
@@ -450,8 +469,9 @@ def link_by_squares(I: Ideal) -> Ideal:
     the dual monomial x1...xn.  The checks are `link`'s; unlike `link` the
     generators are returned as built, the squares first and then the
     annihilator degree by degree.  An ideal that lists every square among
-    its generators, plus one more form, as nonunique_hf_pair's alpha0
-    inputs do, needs no basis of its own (see `_link`).
+    its generators, plus one more form, needs no basis of its own (see
+    `_link`).  nonunique_hf_pair's alpha0 colons take `_link` with one
+    squares cover for all of them.
     """
     return _link(I, [v * v for v in I.ring.variables()])
 
@@ -758,13 +778,14 @@ def nonunique_hf_pair(r: int, target: str = "alpha1",
         R = ring(field, r)
         xs = R.variables()
         squares = [v * v for v in xs]
+        cover = Ideal(R, squares)     # one basis and table for every colon
         special = xs[0] + xs[1] + xs[2] + xs[3] + xs[4]
-        I_special = link_by_squares(Ideal(R, squares + [special]))
+        I_special = _link(Ideal(R, squares + [special]), cover)
         rng = random.Random(seed)
         target_h3 = math.comb(r, 3)
         for _ in range(5):
             L = random_linear_form(R, rng, all_nonzero=True)
-            I_general = link_by_squares(Ideal(R, squares + [L]))
+            I_general = _link(Ideal(R, squares + [L]), cover)
             if hilbert_function(I_general)[3] == target_h3:
                 return I_general, I_special
         raise GenericityError(

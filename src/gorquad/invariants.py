@@ -10,10 +10,11 @@ multiplication maps of the quotient B = R/I go through one row builder,
 `_product_rows`: the normal forms NF(m * g) of given standard monomials m,
 summed from the basis's cached monomial products.  `annihilator`, the
 degree-d elements of B that given forms multiply to zero, is the left
-kernel of those rows over every standard monomial; census.classify passes
-only the monomials outside the leading terms it knows already.  The rank of
-multiplication by a form, `multiplication_rank`, is one echelon of those
-rows, and for an ideal J containing I (a complete intersection, in
+kernel of those rows over every standard monomial, restricted one form at
+a time; census.classify passes only the monomials outside the leading
+terms it knows already.  The rank of multiplication by a form,
+`multiplication_rank`, is one echelon of those rows, cached per form and
+degree, and for an ideal J containing I (a complete intersection, in
 linkage) the colon I : J is I plus the lifts of the annihilator of J.  The
 socle is the annihilator of the variables, but socle_type counts it
 without that kernel: the rows of the standard monomials m with some x_j * m
@@ -256,21 +257,64 @@ def annihilator(x, gens, d: int) -> list:
     """A basis of {p in B_d : p * g = 0 in B for every g in gens}, where B is
     the quotient by the ideal of x, as dicts over standard_monomials(x, d).
 
-    The row of a standard monomial m holds the normal forms NF(m * g) of
-    _product_rows side by side; the basis is left_kernel's on those rows, so
-    it depends only on the order of the standard monomials.  For an ideal I
-    containing x's ideal c, the lifts of these bases over all d, together
-    with c, generate c : I."""
+    The kernel K shrinks one generator at a time: left_kernel of the first
+    generator's rows NF(m * g) (_product_rows) over every standard monomial
+    m, then for each next generator g the sums sum_k u[k] * K[k] over the
+    vectors u of left_kernel of the images K[k] * g, which read only the
+    rows of the monomials K touches.  It stops once K is 0; with no
+    generator K is all of B_d.
+
+    K is the basis left_kernel gives on the rows of all generators side by
+    side, which depends only on the kernel and the row order: its vector at
+    a dependent row i is 1 there and 0 after i and at every other dependent
+    row.  Restriction keeps that shape with no re-echelon: K[k] reads 1 at
+    its row i_k and 0 at the other K[k']'s, so sum_k u[k] * K[k] reads u[k]
+    at each i_k, and u is 1 at its last index, 0 after it and at the other
+    u's last indices.  For an ideal I containing x's ideal c, the lifts of
+    these bases over all d, together with c, generate c : I."""
     gb = as_basis(x)
     std = standard_monomials(gb, d)
+    field = gb.ring.field
+    kernel = None
+    for g in gens:
+        if kernel is None:
+            kernel = left_kernel(_product_rows(gb, d, g, std), field)
+        else:
+            touched = list({i for v in kernel for i in v})
+            rows = dict(zip(touched, _product_rows(gb, d, g,
+                                                   [std[i] for i in touched])))
+            restricted = left_kernel([_combination(rows, v, field)
+                                      for v in kernel], field)
+            if len(restricted) < len(kernel):
+                kernel = [_combination(kernel, u, field) for u in restricted]
+        if not kernel:
+            return []
+    if kernel is None:
+        kernel = [{i: field.one} for i in range(len(std))]
+    return [{std[i]: c for i, c in v.items()} for v in kernel]
+
+
+def _annihilator_is_zero(gb: GroebnerBasis, gens, d: int) -> bool:
+    """True when no nonzero p in B_d has p * g = 0 for every g in gens, by
+    a rank: the annihilator's rows have rank |std_d|.  For one form that is
+    the cached multiplication_rank; for several, one echelon of the rows
+    NF(m * g) of all of them side by side, with room |std_d|."""
+    std = standard_monomials(gb, d)
+    if len(gens) == 1:
+        return multiplication_rank(gb, gens[0], d) == len(std)
     parts = [_product_rows(gb, d, g, std) for g in gens]
-    if len(parts) == 1:
-        rows = parts[0]
-    else:
-        rows = [{(gi, k): v for gi, part in enumerate(parts)
-                 for k, v in part[i].items()} for i in range(len(std))]
-    return [{std[i]: c for i, c in v.items()}
-            for v in left_kernel(rows, gb.ring.field)]
+    rows = ({(gi, k): c for gi, part in enumerate(parts)
+             for k, c in part[i].items()} for i in range(len(std)))
+    return echelon(rows, gb.ring.field, len(std)).rank == len(std)
+
+
+def _combination(vectors, u: dict, field) -> dict:
+    """sum_k u[k] * vectors[k], vectors indexed by the keys of u."""
+    w = {}
+    for k, c in u.items():
+        if vectors[k]:
+            axpy(w, c, vectors[k], field)
+    return w
 
 
 def multiplication_rank(x, g: Polynomial, d: int) -> int:
@@ -278,11 +322,18 @@ def multiplication_rank(x, g: Polynomial, d: int) -> int:
     where B is the quotient by the ideal of x: one echelon of the rows
     _product_rows gives over the standard monomials of degree d, which
     stops reading them once the rank fills min(h_d, h_{d + deg g}).  As
-    there, g may be given modulo the ideal."""
+    there, g may be given modulo the ideal.  The rank is cached on the
+    basis per form and degree, so a linkage colon reads back the ranks
+    that its h-vector check took."""
     gb = as_basis(x)
-    std = standard_monomials(gb, d)
-    room = min(len(std), hilbert_value(gb, d + g.degree()))
-    return echelon(_product_rows(gb, d, g, std), gb.ring.field, room).rank
+
+    def build():
+        std = standard_monomials(gb, d)
+        room = min(len(std), hilbert_value(gb, d + g.degree()))
+        return echelon(_product_rows(gb, d, g, std), gb.ring.field,
+                       room).rank
+
+    return _cache(gb, ("rank", g.terms, d), build)
 
 
 # -- socle --------------------------------------------------------------------

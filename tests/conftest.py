@@ -263,6 +263,25 @@ def oracle_socle_type(gb) -> tuple:
                  for d in range(hilbert_function(gb).socle_degree + 1))
 
 
+# -- annihilator oracle (one left kernel of every generator's rows) -------------
+
+
+def oracle_annihilator(x, gens, d: int) -> list:
+    """invariants.annihilator as one left kernel: the row of each standard
+    monomial m holds the normal forms NF(m * g) of every generator side by
+    side, and the basis is left_kernel's on those rows."""
+    from gorquad.invariants import _product_rows, as_basis, standard_monomials
+    from gorquad.linalg import left_kernel
+
+    gb = as_basis(x)
+    std = standard_monomials(gb, d)
+    parts = [_product_rows(gb, d, g, std) for g in gens]
+    rows = [{(gi, k): v for gi, part in enumerate(parts)
+             for k, v in part[i].items()} for i in range(len(std))]
+    return [{std[i]: c for i, c in v.items()}
+            for v in left_kernel(rows, gb.ring.field)]
+
+
 # -- census oracle (the annihilator of F in every degree, every product) --------
 
 

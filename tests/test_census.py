@@ -9,6 +9,7 @@ import random
 import pytest
 
 import gorquad.census
+import gorquad.constructions
 from gorquad import invariants
 from gorquad.census import (CSV_HEADER, H2_SUPPORT_R6, CensusConfig,
                             CensusRecord, CensusSummary, _cover,
@@ -26,7 +27,7 @@ from gorquad.groebner import Ideal
 from gorquad.idealops import colon_form, random_homogeneous
 from gorquad.invariants import (HVector, QuadricClassification,
                                 _product_rows, annihilator, as_basis,
-                                standard_monomials)
+                                hilbert_function, standard_monomials)
 from gorquad.linalg import Echelon, echelon, left_kernel
 from gorquad.poly import ring
 
@@ -65,9 +66,9 @@ def _cover_of(cfg):
 
 def test_records_keep_the_classification(r4_sweep):
     cfg, records, _ = r4_sweep
-    cover_gb = _cover_of(cfg).groebner()
+    cover = _cover_of(cfg)
     for rec in records:
-        want, got = classify(cover_gb, rec.F), rec.classification
+        want, got = classify(cover, rec.F), rec.classification
         assert (got.had_linear_forms, got.generator_counts, got.hvector) == (
             want.had_linear_forms, want.generator_counts, want.hvector), str(rec.F)
     assert any(rec.classification.had_linear_forms for rec in records)
@@ -387,7 +388,7 @@ def test_classify_matches_the_groebner_oracle(cfg):
             continue
         I = _groebner_oracle(cfg, F)
         want = invariants.classify(I, with_socle=False)
-        got = classify(cover_gb, F)
+        got = classify(cover, F)
         assert (got.hvector, got.presented_by_quadrics,
                 got.generator_counts) == (want.hvector,
                                           want.presented_by_quadrics,
@@ -400,12 +401,12 @@ def test_classify_matches_the_groebner_oracle(cfg):
 
 
 def test_classify_rejects_what_the_census_never_colons():
-    cover_gb = _cover_of(CensusConfig(field=GF2, r=4)).groebner()
-    R = cover_gb.ring
+    cover = _cover_of(CensusConfig(field=GF2, r=4))
+    R = cover.ring
     with pytest.raises(AlgebraError):
-        classify(cover_gb, R.parse("x1^2 + x2^2"))
+        classify(cover, R.parse("x1^2 + x2^2"))
     with pytest.raises(AlgebraError):
-        classify(cover_gb, R.parse("x1*x2*x3"))
+        classify(cover, R.parse("x1*x2*x3"))
     # Covers whose h-vector is not (1+t)^r: a cubic generator, a quadric
     # too few (not artinian), a quadric too many, and an artinian ideal
     # with the complete intersection's h-vector through degree 2 only.
@@ -413,28 +414,40 @@ def test_classify_rejects_what_the_census_never_colons():
     for texts in (["x1^2", "x2^2", "x3^3"], ["x1^2", "x2^2"],
                   ["x1^2", "x2^2", "x3^2", "x1*x2"],
                   ["x1^2", "x2^2", "x3^2", "x1*x2*x3"]):
-        cover_gb = Ideal.from_texts(R, texts).groebner()
         with pytest.raises(AlgebraError):
-            classify(cover_gb, R.parse("x1*x3 + x2*x3"))
+            classify(Ideal.from_texts(R, texts), R.parse("x1*x3 + x2*x3"))
+
+
+def test_classify_rejects_a_cover_that_is_no_quadric_ci():
+    """(x1^2, x1*x2, x2^3) has h = (1, 2, 1) = (1+t)^2, but three
+    generators, one a cubic, and socle (0, 1, 1): not Gorenstein.  Only
+    r quadrics with that h-vector form a regular sequence."""
+    R = ring(GF7, 2)
+    cover = Ideal.from_texts(R, ["x1^2", "x1*x2", "x2^3"])
+    assert hilbert_function(cover) == HVector((1, 2, 1))
+    with pytest.raises(AlgebraError):
+        classify(cover, R.parse("x2^2"))
 
 
 def test_classify_checks_the_cover_once_per_basis(monkeypatch):
     """The cover's h-vector is compared with (1+t)^r once, on the first
-    form; later forms read the cached verdict."""
+    form (constructions._regular_sequence_hvector); later forms read the
+    cached verdict."""
     built = []
 
     def counting(degrees):
         built.append(tuple(degrees))
         return complete_intersection_hvector(degrees)
 
-    monkeypatch.setattr(gorquad.census, "complete_intersection_hvector",
-                        counting)
+    monkeypatch.setattr(gorquad.constructions,
+                        "complete_intersection_hvector", counting)
     cfg = CensusConfig(field=GF7, r=5, ci_style="random", ci_seed=4,
                        mode="random_sample", sample_count=6, sample_seed=5)
-    cover_gb = quadric_ci(5, GF7, style="random", seed=4).groebner()
-    R = cover_gb.ring
+    cover = quadric_ci(5, GF7, style="random", seed=4)
+    R = cover.ring
+    built.clear()       # quadric_ci checked its draw
     for coeffs in _sample_coefficient_lists(cfg, R):
-        classify(cover_gb, _form_from_coeffs(R, coeffs))
+        classify(cover, _form_from_coeffs(R, coeffs))
     assert built == [(2,) * 5]
 
 
@@ -446,8 +459,8 @@ def test_the_duality_facts_hold_on_the_oracle(field, style):
     the oracle computes: h_d = h_{r-2-d}, h_{r-2} = 1, nu_{r-1} = 0."""
     rng = random.Random(27)
     for r in range(4, 8 if field.p else 6):
-        cover_gb = quadric_ci(r, field, style=style, seed=r).groebner()
-        R = cover_gb.ring
+        cover = quadric_ci(r, field, style=style, seed=r)
+        cover_gb, R = cover.groebner(), cover.ring
         for _ in range(4):
             F = random_homogeneous(R, 2, rng)
             if cover_gb.reduces_to_zero(F):
@@ -456,15 +469,15 @@ def test_the_duality_facts_hold_on_the_oracle(field, style):
             h = want.hvector
             assert h.values == h.values[::-1] and h[r - 2] == 1, str(F)
             assert r - 1 not in want.generator_counts, str(F)
-            assert classify(cover_gb, F) == want, str(F)
+            assert classify(cover, F) == want, str(F)
 
 
 def _sampled_forms(cfg, texts=None):
     """The forms a sweep of cfg classifies: the exhaustive square-free sums
     or the sampled dense quadrics, or else the given texts, without those
     in the cover."""
-    cover_gb = _cover_of(cfg).groebner()
-    R = cover_gb.ring
+    cover = _cover_of(cfg)
+    cover_gb, R = cover.groebner(), cover.ring
     if texts is not None:
         forms = [R.parse(t) for t in texts]
     elif cfg.mode == "exhaustive_squarefree":
@@ -473,7 +486,7 @@ def _sampled_forms(cfg, texts=None):
     else:
         forms = [_form_from_coeffs(R, coeffs)
                  for coeffs in _sample_coefficient_lists(cfg, R)]
-    return cover_gb, [F for F in forms if not cover_gb.reduces_to_zero(F)]
+    return cover, [F for F in forms if not cover_gb.reduces_to_zero(F)]
 
 
 def _bench_configs(seed):
@@ -527,11 +540,11 @@ _LINEAR = ("x1*x2", "x1*x2 + x1*x3", "x1*x2 - x1*x3 + x1*x4 + x1^2")
 def test_classify_matches_the_annihilator_oracle(cfgs, kinds):
     seen = set()
     for cfg in cfgs:
-        cover_gb, forms = _sampled_forms(*(cfg if isinstance(cfg, tuple)
-                                           else (cfg,)))
+        cover, forms = _sampled_forms(*(cfg if isinstance(cfg, tuple)
+                                        else (cfg,)))
         for F in forms:
-            want = oracle_census_classify(cover_gb, F)
-            assert classify(cover_gb, F) == want, str(F)
+            want = oracle_census_classify(cover.groebner(), F)
+            assert classify(cover, F) == want, str(F)
             if any(d >= 3 for d in want.generator_counts):
                 seen.add("high")
             if want.had_linear_forms:
@@ -582,13 +595,14 @@ def test_classify_skips_the_rows_of_known_leading_terms(monkeypatch):
     monkeypatch.setattr(gorquad.census, "echelon", counting_echelon)
     cfg = CensusConfig(field=GF2, r=6, mode="random_sample", sample_count=60,
                        sample_seed=13)
-    cover_gb, forms = _sampled_forms(cfg)
+    cover, forms = _sampled_forms(cfg)
+    cover_gb = cover.groebner()
     degree, r = cover_gb.ring.codec.degree, cfg.r
     dims = [len(standard_monomials(cover_gb, d)) for d in range(r)]
     filled = 0
     for F in forms:
         calls["rows"], calls["kernels"], calls["degrees"] = 0, [], set()
-        cls = classify(cover_gb, F)
+        cls = classify(cover, F)
         free = {d: _free_leads(cover_gb, F, d) for d in range(3, r)}
         free[2] = set()
         assert calls["kernels"] == list(range(2, r - 2)), str(F)

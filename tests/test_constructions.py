@@ -17,7 +17,7 @@ from gorquad.constructions import (LinkageError, LinkStep, apolar_ideal,
                                    random_dual_form, random_homogeneous,
                                    regular_sequence_in, squarefree_full_form,
                                    tensor_algebras)
-from gorquad import constructions
+from gorquad import constructions, invariants
 from gorquad.census import colon_quotient
 from gorquad.core import CappedComputationError, FieldSpec, GenericityError
 import gorquad.groebner as groebner_module
@@ -1053,6 +1053,97 @@ def test_alpha1_needs_odd_characteristic_and_size():
         nonunique_hf_pair(7, target="alpha1", field=FieldSpec.prime(2))
     with pytest.raises(ValueError):
         nonunique_hf_pair(7, target="colon")
+
+
+def test_a_wrong_empty_prediction_still_raises():
+    """A degree that the prediction leaves empty gets a rank certificate,
+    and a rank short of |std_d| falls through to the kernel.  Here x1 kills
+    x1 in B_1 = R_1 over the squares, so h_1 = 3, and a prediction of 4
+    there must raise."""
+    R = ring(GF7, 4)
+    x1 = R.variables()[0]
+    cover = Ideal(R, [v * v for v in R.variables()])
+    right = expected_link_hvector(HVector((1, 4, 6, 4, 1)),
+                                  HVector((1, 3, 3, 1)))
+    assert right == HVector((1, 3, 3, 1))
+    colon = constructions._colon_out_of(cover, [x1], right)
+    assert hilbert_function(colon) == right
+    for gens in ([x1], [x1, x1 * x1]):
+        with pytest.raises(LinkageError):
+            constructions._colon_out_of(cover, gens, HVector((1, 4, 3, 1)))
+
+
+def _record_alpha0_build(monkeypatch):
+    """One warm alpha0 build over GF(32003) with its annihilators, rank
+    certificates and multiplication-rank echelons recorded: returns the
+    (basis, forms, degree) of each annihilator and certified-empty degree
+    and the (basis, form, degree) of each echelon of a form's rows."""
+    nonunique_hf_pair(7, "alpha0", field=GFBIG, seed=2)
+    seen = {"kernels": [], "dims": [], "empty": [], "echelons": []}
+    real_ann = constructions.annihilator
+    real_zero = invariants._annihilator_is_zero
+    real_rows, real_echelon = invariants._product_rows, invariants.echelon
+    rows_of = {}
+
+    def key(gb, gens, d):
+        return id(gb), tuple(g.terms for g in gens), d
+
+    def ann(gb, gens, d):
+        out = real_ann(gb, gens, d)
+        seen["kernels"].append(key(gb, gens, d))
+        seen["dims"].append(len(out))
+        return out
+
+    def is_zero(gb, gens, d):
+        out = real_zero(gb, gens, d)
+        if out:
+            seen["empty"].append(key(gb, gens, d))
+        return out
+
+    def rows(gb, d, g, monomials):
+        out = real_rows(gb, d, g, monomials)
+        rows_of[id(out)] = (out, (id(gb), g.terms, d))   # keeps the id alive
+        return out
+
+    def echelon(rows_, field, room=None):
+        if id(rows_) in rows_of:
+            seen["echelons"].append(rows_of[id(rows_)][1])
+        return real_echelon(rows_, field, room)
+
+    monkeypatch.setattr(constructions, "annihilator", ann)
+    monkeypatch.setattr(constructions, "_annihilator_is_zero", is_zero)
+    monkeypatch.setattr(invariants, "_product_rows", rows)
+    monkeypatch.setattr(invariants, "echelon", echelon)
+    nonunique_hf_pair(7, "alpha0", field=GFBIG, seed=2)
+    return seen
+
+
+def test_alpha0_certifies_empty_degrees_without_a_kernel(monkeypatch):
+    """The colons by a linear form read the ranks of their h-vector check:
+    no degree that an echelon proved empty reaches left_kernel, every
+    kernel that runs finds a vector, and no (basis, form, degree) is
+    echeloned twice."""
+    seen = _record_alpha0_build(monkeypatch)
+    assert seen["empty"] and seen["kernels"]
+    assert not set(seen["empty"]) & set(seen["kernels"])
+    assert all(seen["dims"])
+    assert len(set(seen["echelons"])) == len(seen["echelons"])
+
+
+def test_alpha0_builds_one_squares_cover(monkeypatch):
+    """The special colon and every general draw share one cover Ideal, so
+    its basis (and with it the quotient table) is built once."""
+    bases = []
+    real = groebner_module._pairless_basis
+
+    def record(ring_, gens, *args):
+        bases.append(tuple(g.terms for g in gens))
+        return real(ring_, gens, *args)
+
+    monkeypatch.setattr(groebner_module, "_pairless_basis", record)
+    squares = tuple((v * v).terms for v in ring(GFBIG, 7).variables())
+    nonunique_hf_pair(7, "alpha0", field=GFBIG, seed=2)
+    assert bases.count(squares) == 1
 
 
 def test_alpha0_needs_large_characteristic():

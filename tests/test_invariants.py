@@ -12,7 +12,7 @@ from gorquad import groebner, invariants
 from gorquad.census import CensusConfig, records_to_csv, run_census
 from gorquad.constructions import (LinkStep, apolar_ideal, double_link, link,
                                    nonunique_hf_pair,
-                                   penultimate_socle_algebras,
+                                   penultimate_socle_algebras, quadric_ci,
                                    random_dual_form, random_homogeneous,
                                    regular_sequence_in)
 from gorquad.core import AlgebraError, GenericityError
@@ -28,8 +28,9 @@ from gorquad.orders import DEGREVLEX, elimination_order
 from gorquad.poly import Polynomial, ring
 
 from conftest import (GF2, GF7, GFBIG, Q, dense_rref_rank, engine_normal_form,
-                      lead_scan_standard_monomials, oracle_build_level,
-                      oracle_minimal_generators, oracle_socle_type, random_poly)
+                      lead_scan_standard_monomials, oracle_annihilator,
+                      oracle_build_level, oracle_minimal_generators,
+                      oracle_socle_type, random_poly)
 
 # -- HVector ----------------------------------------------------------------------
 
@@ -525,6 +526,45 @@ def test_multiplication_rank_is_h_minus_the_annihilator(field):
                 assert (multiplication_rank(gb, g, d)
                         == h[d] - len(annihilator(gb, [g], d)))
             assert multiplication_rank(gb, gb.elements[0] * g, 1) == 0
+
+
+# -- the annihilator one generator at a time: the one left kernel of every
+# generator's rows side by side is the oracle, vector for vector
+
+
+def _annihilator_covers(field):
+    """A squares cover, a random quadric complete intersection and squares
+    perturbed by lower terms (their leading terms are the squares), all in
+    four variables."""
+    R = ring(field, 4)
+    x1, x2, x3, x4 = R.variables()
+    return (Ideal(R, [v * v for v in R.variables()]),
+            quadric_ci(4, field, style="random", seed=5),
+            Ideal(R, [x1 * x1 + x2 * x3, x2 * x2 + x3 * x4, x3 * x3,
+                      x4 * x4 + x1 * x3]))
+
+
+@pytest.mark.parametrize("field", [Q, GF7, GFBIG], ids=str)
+def test_annihilator_matches_the_concatenated_oracle(field):
+    rng = random.Random(f"annihilator/{field}")
+    shrunk = 0
+    for cover in _annihilator_covers(field):
+        gb = cover.groebner()
+        assert hilbert_function(gb) == HVector((1, 4, 6, 4, 1))
+        R = gb.ring
+        x1 = R.variables()[0]
+        inside = [cover.gens[0], x1 * cover.gens[1]]
+        lin, lin2 = (random_homogeneous(R, 1, rng) for _ in range(2))
+        quad, cubic = (random_homogeneous(R, e, rng) for e in (2, 3))
+        for gens in ([], [inside[0]], [inside[0], lin, quad],
+                     [lin], [lin, quad, cubic], [quad, inside[1], lin2, cubic],
+                     [lin, lin2, quad], list(R.variables())):
+            for d in range(7):      # the socle degree is 4
+                got = annihilator(gb, gens, d)
+                assert got == oracle_annihilator(gb, gens, d), (gens, d)
+                shrunk += len(gens) > 1 and len(got) < len(
+                    annihilator(gb, gens[:1], d))
+    assert shrunk
 
 
 # -- the socle from corner monomials: the annihilator of the variables is the
