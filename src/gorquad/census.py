@@ -13,13 +13,15 @@ No Groebner basis is computed per form.  g lies in 𝔠 : F exactly when gF
 lies in 𝔠, so (𝔠 : F)/𝔠 is the annihilator J of F in B = R/𝔠, and the
 h-vector of R/(𝔠 : F) is the rank sequence of multiplication by F on B.
 `_cover` caches the cover once per process and (field, r, cover style,
-cover seed), for every sweep, pool worker and duality check on it, and the
-cover's basis caches the multiplication rows of B.  `classify` builds J
-degree by degree from NF(F), the same for the monomial cover and for a
+cover seed), for every sweep, pool worker and duality check on it.  The
+cover's GroebnerBasis keeps the multiplication rows of B (monomial_rows)
+and the standard products x_j * s (standard_multiples).  `classify` builds
+J degree by degree from NF(F), the same for the monomial cover and for a
 random one.  The leading terms x_j * lead(v) of J_{d-1}'s multiples that
-are standard are known without linear algebra, so only the rows of the
-other standard monomials reach left_kernel, and the generator count of a
-degree runs an echelon only when those leading terms do not fill J_d.
+are standard are known without linear algebra, so only the rows NF(m * F)
+of the other standard monomials m (product_rows) reach left_kernel, and the
+generator count of a degree runs an echelon only when those leading terms
+do not fill J_d.
 
 Duality fixes the rest.  The cover is a complete intersection of r
 quadrics, so B is Gorenstein with h(B) = (1+t)^r and socle B_r, and the
@@ -67,12 +69,10 @@ from itertools import chain
 from .constructions import (LinkStep, _hvector_with_form,
                            _regular_sequence_hvector, link, quadric_ci)
 from .core import AlgebraError, FieldSpec
-from .groebner import GroebnerBasis, Ideal
-from .invariants import (HVector, QuadricClassification, _cache,
-                         _monomial_rows, _product_rows, as_basis,
-                         hilbert_function, minimal_generators,
-                         standard_monomials)
-from .linalg import Echelon, axpy, echelon, left_kernel
+from .groebner import Ideal
+from .invariants import (HVector, QuadricClassification, as_basis,
+                         hilbert_function, minimal_generators)
+from .linalg import Echelon, combination, echelon, left_kernel
 from .poly import Polynomial, RingCtx, ring
 
 # The r = 6 findings check, for every field and cover: the three h2 values
@@ -233,28 +233,6 @@ def _task_form(R: RingCtx, spec) -> Polynomial:
     return _form_from_coeffs(R, spec)
 
 
-def _image(v: dict, rows: dict, field) -> dict:
-    """The vector v over standard monomials, mapped through rows {m: row}."""
-    w = {}
-    for m, c in v.items():
-        axpy(w, c, rows[m], field)
-    return w
-
-
-def _standard_multiples(gb: GroebnerBasis, d: int) -> dict:
-    """{s: ((x_j * s, j) for the x_j * s standard)} over the standard
-    monomials s of degree d, cached on the basis."""
-    ups = gb._caches.get(("ups", d))
-    if ups is None:
-        codec = gb.ring.codec
-        above = gb._level(d + 1)[1]
-        ups = gb._caches[("ups", d)] = {
-            s: tuple((t, j) for j, v in enumerate(codec.var_keys)
-                     if (t := codec.mul(v, s)) in above)
-            for s in gb._level(d)[0]}
-    return ups
-
-
 def classify(cover: Ideal, F: Polynomial) -> QuadricClassification:
     """Classify R/(𝔠 : F) by the ranks of multiplication by F on B = R/𝔠.
 
@@ -296,10 +274,10 @@ def classify(cover: Ideal, F: Polynomial) -> QuadricClassification:
                 and all(g.degree() == 2 for g in cover.gens)
                 and _regular_sequence_hvector(cover) is not None)
 
-    if not _cache(cover_gb, "quadric_ci", is_quadric_ci):
+    if not cover_gb.cached("quadric_ci", is_quadric_ci):
         raise AlgebraError("the census colons out of a complete intersection"
                            " of r quadrics in r variables")
-    std = cover_gb._level(2)[1]
+    std = cover_gb.standard_set(2)
     f = F if all(k in std for k, _ in F.terms) else cover_gb.normal_form(F)
     if f.is_zero():
         raise AlgebraError("the form lies in the cover")
@@ -316,14 +294,14 @@ def classify(cover: Ideal, F: Polynomial) -> QuadricClassification:
 
     def product(d, s, j):
         """x_j times J_d's vector at lead s, in B_{d+1}."""
-        return _image(vector(d, s), _monomial_rows(cover_gb, d, var_keys[j]),
-                      field)
+        return combination(cover_gb.monomial_rows(d, var_keys[j]),
+                           vector(d, s), field)
 
     h, counts = [1] * (r - 1) + [0, 0], {}      # h_0..h_r, h_{r-2} = 1
     for d in (1,) if r == 4 else range(2, r - 1):
-        std = standard_monomials(cover_gb, d)
+        std = cover_gb.standard_monomials(d)
         free = ann[d] = {}
-        ups = _standard_multiples(cover_gb, d - 1)
+        ups = cover_gb.standard_multiples(d - 1)
         for s in ann.get(d - 1, ()):
             for t, j in ups[s]:
                 free.setdefault(t, (s, j))
@@ -331,7 +309,7 @@ def classify(cover: Ideal, F: Polynomial) -> QuadricClassification:
             # Ascending rows: the kernel vector found at row i is monic
             # there and touches no later row, so rest[i] is its lead.
             rest = [m for m in reversed(std) if m not in free]
-            kernel = left_kernel(_product_rows(cover_gb, d, f, rest), field)
+            kernel = left_kernel(cover_gb.product_rows(d, f, rest), field)
             ann[d] = {**free, **{rest[max(v)]: {rest[i]: c for i, c in
                                                 v.items()} for v in kernel}}
             h[d] = len(std) - len(ann[d])

@@ -31,7 +31,6 @@ from .invariants import (
     hilbert_value,
     is_artinian,
     multiplication_rank,
-    standard_monomials,
 )
 from .linalg import axpy, echelon, left_kernel
 from .poly import Polynomial, RingCtx, Substitution
@@ -114,7 +113,7 @@ def is_borel_fixed(x) -> bool:
     codec = gb.ring.codec
     mul, div, divides, vk = codec.mul, codec.div, codec.divides, codec.var_keys
     for m in gb.lead_keys:
-        std = gb._level(codec.degree(m))[1]
+        std = gb.standard_set(codec.degree(m))
         for j in range(1, len(vk)):
             if divides(vk[j], m):
                 below = div(m, vk[j])
@@ -149,18 +148,18 @@ def _initial_ideal_from_table(gb: GroebnerBasis, images) -> list:
     times = [{} for _ in inverse]   # times[k][t] = NF(l'_k * t)
 
     def image(d, k, prev):
-        nf, rows_k, row = gb._level(d)[2], times[k], {}
+        rows_k, row = times[k], {}
         for t, c in prev.items():
             times_t = rows_k.get(t)
             if times_t is None:
                 times_t = rows_k[t] = {}
                 for x, a in inverse[k].terms:
-                    axpy(times_t, a, nf[mul(x, t)], field)
+                    axpy(times_t, a, gb.nf(mul(x, t)), field)
             axpy(row, c, times_t, field)
         return row
 
-    return list(_fglm_walk(R, gb._level(0)[2][R.codec.one], image,
-                           room=lambda d: len(gb._level(d)[0])))
+    return list(_fglm_walk(R, gb.nf(R.codec.one), image,
+                           room=lambda d: len(gb.standard_monomials(d))))
 
 
 def _lead_ideal_in_random_coordinates(I: Ideal, seed: int) -> tuple:
@@ -299,7 +298,7 @@ def reduction_number(I: Ideal, s: int,
         codec = ring_.codec
         x = codec.var_keys[ring_.nvars - s - 1]
         k, power = 0, x             # power = x^(k+1)
-        while power in gin_gb._level(k + 1)[1]:
+        while power in gin_gb.standard_set(k + 1):
             k += 1
             power = codec.mul(power, x)
             if k > 2 * ring_.nvars + hilbert_function(gb).socle_degree:
@@ -403,7 +402,7 @@ def gin_monomial_census(gin_result: GinResult, d: int) -> GinDegreeCounts:
     ring_ = gb.ring
     codec = ring_.codec
     last = ring_.nvars - 1
-    std = standard_monomials(gb, d)
+    std = gb.standard_monomials(d)
     divisible = sum(1 for m in std if codec.exps(m)[last] > 0)
     gens_div = sum(1 for k in gb.lead_keys
                    if codec.degree(k) == d and codec.exps(k)[last] > 0)

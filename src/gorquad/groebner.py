@@ -20,14 +20,20 @@ the engine could hold (inputs or the basis's leading terms), the engine
 runs after all, and raises CappedComputationError if it does.
 
 Every Ideal is homogeneous.  A finished basis tabulates B = R/I degree by
-degree (GroebnerBasis._level): the standard monomials as an order ideal and
-their products' normal forms, as in FGLM.  That table is the only normal
-form of a finished basis: normal_form, contains and the invariants in
-invariants.py all read B from there.  Each degree of an order ideal comes
-from the one below in one pass over the products x_j * s
-(_order_ideal_step): a support bitmask per monomial, and per product the
-mask of the variables x_j with b / x_j in the degree below, decide that
-every b / x_k is there with one int comparison and no divisibility test.
+degree: the standard monomials as an order ideal and their products'
+normal forms, as in FGLM.  That table is the only normal form of a finished
+basis, and GroebnerBasis's methods are its only readers: the standard
+monomials of a degree (standard_monomials, standard_set), NF(m) of a
+monomial (nf), the rows NF(q * m) and NF(m * g) over standard monomials m
+(monomial_rows, product_rows), the standard x_j * s (standard_multiples),
+and cached, which keeps any other result per basis.  normal_form, contains,
+the invariants, the census and gin all read B through them.
+
+Each degree of an order ideal comes from the one below in one pass over
+the products x_j * s (_order_ideal_step): a support bitmask per monomial,
+and per product the mask of the variables x_j with b / x_j in the degree
+below, decide that every b / x_k is there with one int comparison and no
+divisibility test.
 The table, the FGLM walk (_fglm_walk: gin's change of coordinates and the
 apolar bases) and apolar_ideal's minimal non-divisors all take that step.
 
@@ -462,15 +468,89 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.elements)
 
+    # The quotient table of B = R/I.  What these methods return is shared
+    # with the table, and callers must not change it.  B_d = 0 for d < 0;
+    # past the truncation or the packed exponent range (orders._FIELD_MAX),
+    # or on a basis with an inhomogeneous element, they raise AlgebraError.
+
+    def standard_monomials(self, d: int) -> tuple:
+        """The standard monomials of degree d, descending."""
+        std, _, _ = self._level(d)
+        return std
+
+    def standard_set(self, d: int) -> dict:
+        """The standard monomials of degree d for membership tests, as
+        {monomial: support mask}, bit j set iff x_j divides it."""
+        _, std_set, _ = self._level(d)
+        return std_set
+
+    def nf(self, m) -> dict:
+        """NF(m) of a monomial key as a {key: coeff} dict, a standard m as
+        {m: 1}.  The table holds every m in B_1 * std_{d-1}; any other m has
+        every m / x_k nonstandard, so NF(m) = sum c_t NF(x_k * t) over
+        NF(m / x_k) for its first variable x_k, a recursion that goes down
+        one degree a step and is memoised."""
+        codec = self.ring.codec
+        _, _, table = self._level(codec.degree(m))
+        row = table.get(m)
+        if row is None:
+            vk = codec.var_keys[next(j for j, e in enumerate(codec.exps(m)) if e)]
+            row = {}
+            for t, c in self.nf(codec.div(m, vk)).items():
+                axpy(row, c, table[codec.mul(vk, t)], self.ring.field)
+            table[m] = row
+        return row
+
+    def monomial_rows(self, d: int, q) -> dict:
+        """{m: NF(q * m)} over the standard m of degree d, in their order,
+        for a monomial key q, cached per (d, q); a zero product is {}."""
+        rows = self._caches.get(("monmul", d, q))
+        if rows is None:
+            mul = self.ring.codec.mul
+            rows = self._caches[("monmul", d, q)] = {
+                m: self.nf(mul(q, m)) for m in self.standard_monomials(d)}
+        return rows
+
+    def product_rows(self, d: int, g: Polynomial, monomials) -> list:
+        """NF(m * g) for the given standard monomials m of degree d, in
+        their order, as new dicts over standard keys; a zero product is an
+        empty dict.  Summed from the monomial_rows of g's monomials, so g
+        may be given modulo the ideal: NF(m * g) depends only on NF(g)."""
+        field = self.ring.field
+        rows = [{} for _ in monomials]
+        for q, c in g.terms:
+            table = self.monomial_rows(d, q)
+            for row, m in zip(rows, monomials):
+                if nf := table[m]:
+                    axpy(row, c, nf, field)
+        return rows
+
+    def standard_multiples(self, d: int) -> dict:
+        """{s: ((x_j * s, j) for the x_j * s standard, j ascending)} over
+        the standard monomials s of degree d, in their order; cached per d."""
+        ups = self._caches.get(("ups", d))
+        if ups is None:
+            codec = self.ring.codec
+            std, above = self.standard_monomials(d), self.standard_set(d + 1)
+            ups = self._caches[("ups", d)] = {
+                s: tuple((t, j) for j, v in enumerate(codec.var_keys)
+                         if (t := codec.mul(v, s)) in above)
+                for s in std}
+        return ups
+
+    def cached(self, key, build):
+        """The value kept on this basis under key, from build() on first
+        use; a None value is built again on the next call."""
+        val = self._caches.get(key)
+        if val is None:
+            val = self._caches[key] = build()
+        return val
+
     def _level(self, d: int) -> tuple:
-        """(std, std_set, nf) of degree d: the standard monomials, descending;
-        std_set, the same as {monomial: support mask} (bit j set iff x_j
-        divides it), which callers read by membership; and NF(m) as
-        {key: coeff} dicts for every m in B_1 * std_{d-1} (standard m as
-        {m: 1}) plus those _monomial_nf memoises.  The dicts are shared with
-        callers, who must not change them.
-        Raises AlgebraError past the truncation or the packed exponent range
-        (orders._FIELD_MAX) and on a basis with an inhomogeneous element."""
+        """(std, std_set, nf) of degree d, as the methods above read them;
+        nf also keeps the rows that nf(m) memoises."""
+        if d < 0:
+            return (), {}, {}
         if self.truncated_at is not None and d > self.truncated_at:
             raise AlgebraError(
                 f"degree {d} is beyond the basis truncation {self.truncated_at}")
@@ -525,22 +605,6 @@ class GroebnerBasis:
                 axpy(row, c, nf[mul(vk, t)], field)
         return tuple(reversed(level)), level, nf
 
-    def _monomial_nf(self, m) -> dict:
-        """NF(m) of a monomial key, from the table of its degree.  A monomial
-        outside B_1 * std_{d-1} has every m / x_k nonstandard, so NF(m) =
-        sum c_t NF(x_k * t) over NF(m / x_k) for its first variable x_k; the
-        recursion goes down one degree a step and is memoised."""
-        codec = self.ring.codec
-        nf = self._level(codec.degree(m))[2]
-        row = nf.get(m)
-        if row is None:
-            vk = codec.var_keys[next(j for j, e in enumerate(codec.exps(m)) if e)]
-            row = {}
-            for t, c in self._monomial_nf(codec.div(m, vk)).items():
-                axpy(row, c, nf[codec.mul(vk, t)], self.ring.field)
-            nf[m] = row
-        return row
-
     def _reduce(self, p: Polynomial) -> dict:
         """NF(p) as a {key: coeff} dict: the table rows of p's monomials,
         summed with p's coefficients."""
@@ -549,7 +613,7 @@ class GroebnerBasis:
         field = self.ring.field
         rep = {}
         for m, c in p.terms:
-            axpy(rep, c, self._monomial_nf(m), field)
+            axpy(rep, c, self.nf(m), field)
         return rep
 
     def normal_form(self, p: Polynomial) -> Polynomial:
@@ -572,7 +636,7 @@ class GroebnerBasis:
         degrees of all reduced-basis elements below the truncation)."""
         if self.truncated_at is None:
             return True
-        if self._level(self.truncated_at)[0]:
+        if self.standard_monomials(self.truncated_at):
             return False
         self.truncated_at = None
         return True

@@ -1,32 +1,31 @@
 """Numerical invariants of artinian graded quotients.
 
-Everything is computed from a reduced Groebner basis.  Hilbert functions
-count standard monomials.  Minimal generators are the elements m - NF(m)
-outside (linear forms) * (degree d-1 part), found by linalg.echelon's span
-test, and their counts are the degree tally of those generators; the
-multiples x_j * m of the monomials m in the ideal are pivots of that span
-without linear algebra, so only the other rows reach the echelon.  The
-multiplication maps of the quotient B = R/I go through one row builder,
-`_product_rows`: the normal forms NF(m * g) of given standard monomials m,
-summed from the basis's cached monomial products.  `annihilator`, the
-degree-d elements of B that given forms multiply to zero, is the left
+Everything is computed from a reduced Groebner basis, read through the
+methods of GroebnerBasis that own its table of the quotient B = R/I.
+Hilbert functions count standard monomials.  Minimal generators are the
+elements m - NF(m) outside (linear forms) * (degree d-1 part), found by
+linalg.echelon's span test, and their counts are the degree tally of those
+generators; the multiples x_j * m of the monomials m in the ideal are
+pivots of that span without linear algebra, so only the other rows reach
+the echelon.  The multiplication maps of B go through one row builder,
+GroebnerBasis.product_rows: the normal forms NF(m * g) of given standard
+monomials m, summed from the basis's cached monomial_rows.  `annihilator`,
+the degree-d elements of B that given forms multiply to zero, is the left
 kernel of those rows over every standard monomial, restricted one form at
-a time; census.classify passes only the monomials outside the leading
-terms it knows already.  The rank of multiplication by a form,
-`multiplication_rank`, is one echelon of those rows, cached per form and
-degree, and for an ideal J containing I (a complete intersection, in
-linkage) the colon I : J is I plus the lifts of the annihilator of J.  The
-socle is the annihilator of the variables, but socle_type counts it
-without that kernel: the rows of the standard monomials m with some x_j * m
-standard are unitriangular, so only the corner monomials, those with
-every x_j * m nonstandard, reach an echelon.  The linear algebra is
+a time.  The rank of multiplication by a form, `multiplication_rank`, is
+one echelon of those rows, cached per form and degree, and for an ideal J
+containing I (a complete intersection, in linkage) the colon I : J is I
+plus the lifts of the annihilator of J.  The socle is the annihilator of
+the variables, but socle_type counts it without that kernel: the rows of
+the standard monomials m with a standard multiple x_j * m
+(GroebnerBasis.standard_multiples) are unitriangular, so only the corner
+monomials, those with none, reach an echelon.  The linear algebra is
 linalg's on sparse dict rows, one code path for every coefficient field.
 
-Functions accept either an Ideal or a GroebnerBasis.  Standard monomials
-and normal forms come from the basis's degree-by-degree table of B
-(GroebnerBasis._level); per-basis results are cached on the basis object.
-hilbert_function reads an Ideal's proven h-vector instead, when its
-constructor stored one, and builds no basis.
+Functions accept either an Ideal or a GroebnerBasis, and keep per-basis
+results on the basis (GroebnerBasis.cached).  hilbert_function reads an
+Ideal's proven h-vector instead, when its constructor stored one, and
+builds no basis.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 from .core import AlgebraError
 from .groebner import GroebnerBasis, Ideal
-from .linalg import axpy, echelon, left_kernel, scaled
+from .linalg import axpy, combination, echelon, left_kernel, scaled
 from .poly import Polynomial
 
 _HVEC_RE = re.compile(r"\(\s*(-?\d+\s*(,\s*-?\d+\s*)*)?\)")
@@ -147,13 +146,6 @@ def as_basis(x) -> GroebnerBasis:
     raise TypeError(f"expected Ideal or GroebnerBasis, got {type(x).__name__}")
 
 
-def _cache(gb: GroebnerBasis, key, build):
-    val = gb._caches.get(key)
-    if val is None:
-        val = gb._caches[key] = build()
-    return val
-
-
 def is_artinian(x) -> bool:
     """True iff the quotient is finite-dimensional: every variable has a pure
     power among the leading terms."""
@@ -170,23 +162,21 @@ def is_artinian(x) -> bool:
                 return True  # unit ideal
         return len(covered) == gb.ring.nvars
 
-    return _cache(gb, "artinian", build)
+    return gb.cached("artinian", build)
 
 
 def standard_monomials(x, d: int) -> tuple:
     """Degree-d monomial keys outside the leading-term ideal, descending."""
-    return as_basis(x)._level(d)[0] if d >= 0 else ()
+    return as_basis(x).standard_monomials(d) if d >= 0 else ()
 
 
 def nonstandard_monomials(x, d: int) -> tuple:
     gb = as_basis(x)
-    std = gb._level(d)[1]
+    std = gb.standard_set(d)
     return tuple(m for m in gb.ring.monomials_of_degree(d) if m not in std)
 
 
 def hilbert_value(x, d: int) -> int:
-    if d < 0:
-        return 0
     return len(standard_monomials(x, d))
 
 
@@ -206,7 +196,7 @@ def hilbert_function(x) -> HVector:
             vals.append(c)
         return HVector(tuple(vals))
 
-    return _cache(gb, "hf", build)
+    return gb.cached("hf", build)
 
 
 def socle_degree(x) -> int:
@@ -221,36 +211,7 @@ def _minus_nf(gb: GroebnerBasis, m) -> Polynomial:
     NF(m) is below m."""
     field = gb.ring.field
     return Polynomial(gb.ring, ((m, field.one),) + tuple(sorted(
-        scaled(gb._monomial_nf(m), -1, field).items(), reverse=True)))
-
-
-def _monomial_rows(gb: GroebnerBasis, d: int, q) -> dict:
-    """NF(q * m) for each standard monomial m of degree d, as a dict
-    {m: normal form as a dict over standard keys} in the order of
-    standard_monomials(gb, d); a zero product is an empty dict.  The normal
-    forms are the basis's own table entries, read-only."""
-    rows = gb._caches.get(("monmul", d, q))
-    if rows is None:
-        mul = gb.ring.codec.mul
-        rows = gb._caches[("monmul", d, q)] = {
-            m: gb._monomial_nf(mul(q, m)) for m in standard_monomials(gb, d)}
-    return rows
-
-
-def _product_rows(gb: GroebnerBasis, d: int, g: Polynomial, monomials) -> list:
-    """NF(m * g) for the given standard monomials m of degree d, in their
-    order, as dicts over standard keys; a zero product is an empty dict.
-    Assembled from the cached rows of the monomials of g, so g may be given
-    modulo the ideal: NF(m * g) depends only on NF(g)."""
-    field = gb.ring.field
-    rows = [{} for _ in monomials]
-    for q, c in g.terms:
-        table = _monomial_rows(gb, d, q)
-        for row, m in zip(rows, monomials):
-            nf = table[m]
-            if nf:
-                axpy(row, c, nf, field)
-    return rows
+        scaled(gb.nf(m), -1, field).items(), reverse=True)))
 
 
 def annihilator(x, gens, d: int) -> list:
@@ -258,11 +219,11 @@ def annihilator(x, gens, d: int) -> list:
     the quotient by the ideal of x, as dicts over standard_monomials(x, d).
 
     The kernel K shrinks one generator at a time: left_kernel of the first
-    generator's rows NF(m * g) (_product_rows) over every standard monomial
-    m, then for each next generator g the sums sum_k u[k] * K[k] over the
-    vectors u of left_kernel of the images K[k] * g, which read only the
-    rows of the monomials K touches.  It stops once K is 0; with no
-    generator K is all of B_d.
+    generator's rows NF(m * g) (GroebnerBasis.product_rows) over every
+    standard monomial m, then for each next generator g the sums
+    sum_k u[k] * K[k] over the vectors u of left_kernel of the images
+    K[k] * g, which read only the rows of the monomials K touches.  It stops
+    once K is 0; with no generator K is all of B_d.
 
     K is the basis left_kernel gives on the rows of all generators side by
     side, which depends only on the kernel and the row order: its vector at
@@ -273,20 +234,20 @@ def annihilator(x, gens, d: int) -> list:
     u's last indices.  For an ideal I containing x's ideal c, the lifts of
     these bases over all d, together with c, generate c : I."""
     gb = as_basis(x)
-    std = standard_monomials(gb, d)
+    std = gb.standard_monomials(d)
     field = gb.ring.field
     kernel = None
     for g in gens:
         if kernel is None:
-            kernel = left_kernel(_product_rows(gb, d, g, std), field)
+            kernel = left_kernel(gb.product_rows(d, g, std), field)
         else:
             touched = list({i for v in kernel for i in v})
-            rows = dict(zip(touched, _product_rows(gb, d, g,
-                                                   [std[i] for i in touched])))
-            restricted = left_kernel([_combination(rows, v, field)
+            rows = dict(zip(touched, gb.product_rows(
+                d, g, [std[i] for i in touched])))
+            restricted = left_kernel([combination(rows, v, field)
                                       for v in kernel], field)
             if len(restricted) < len(kernel):
-                kernel = [_combination(kernel, u, field) for u in restricted]
+                kernel = [combination(kernel, u, field) for u in restricted]
         if not kernel:
             return []
     if kernel is None:
@@ -299,41 +260,31 @@ def _annihilator_is_zero(gb: GroebnerBasis, gens, d: int) -> bool:
     a rank: the annihilator's rows have rank |std_d|.  For one form that is
     the cached multiplication_rank; for several, one echelon of the rows
     NF(m * g) of all of them side by side, with room |std_d|."""
-    std = standard_monomials(gb, d)
+    std = gb.standard_monomials(d)
     if len(gens) == 1:
         return multiplication_rank(gb, gens[0], d) == len(std)
-    parts = [_product_rows(gb, d, g, std) for g in gens]
+    parts = [gb.product_rows(d, g, std) for g in gens]
     rows = ({(gi, k): c for gi, part in enumerate(parts)
              for k, c in part[i].items()} for i in range(len(std)))
     return echelon(rows, gb.ring.field, len(std)).rank == len(std)
 
 
-def _combination(vectors, u: dict, field) -> dict:
-    """sum_k u[k] * vectors[k], vectors indexed by the keys of u."""
-    w = {}
-    for k, c in u.items():
-        if vectors[k]:
-            axpy(w, c, vectors[k], field)
-    return w
-
-
 def multiplication_rank(x, g: Polynomial, d: int) -> int:
     """The rank of multiplication by the form g from B_d to B_{d + deg g},
     where B is the quotient by the ideal of x: one echelon of the rows
-    _product_rows gives over the standard monomials of degree d, which
-    stops reading them once the rank fills min(h_d, h_{d + deg g}).  As
-    there, g may be given modulo the ideal.  The rank is cached on the
+    GroebnerBasis.product_rows gives over the standard monomials of degree
+    d, which stops reading them once the rank fills min(h_d,
+    h_{d + deg g}).  As there, g may be given modulo the ideal.  The rank is cached on the
     basis per form and degree, so a linkage colon reads back the ranks
     that its h-vector check took."""
     gb = as_basis(x)
 
     def build():
-        std = standard_monomials(gb, d)
+        std = gb.standard_monomials(d)
         room = min(len(std), hilbert_value(gb, d + g.degree()))
-        return echelon(_product_rows(gb, d, g, std), gb.ring.field,
-                       room).rank
+        return echelon(gb.product_rows(d, g, std), gb.ring.field, room).rank
 
-    return _cache(gb, ("rank", g.terms, d), build)
+    return gb.cached(("rank", g.terms, d), build)
 
 
 # -- socle --------------------------------------------------------------------
@@ -349,35 +300,33 @@ def socle_type(x) -> tuple:
     only if m' > m, since NF(x_j * m') has no term above x_j * m'.  So the
     rows with an own column are unitriangular there, hence independent.
     The corner rows are left: those of the corners C_d, the standard m with
-    every x_j * m nonstandard.  Clearing their own-column entries with the
-    triangular rows, largest m first, leaves rows whose rank is the corner
-    rows' rank modulo the others (clearing m's column touches only the own
-    columns of monomials below m), and socle_d = |C_d| - that rank.  A
-    degree without corners has no socle and runs no linear algebra."""
+    no standard multiple x_j * m (GroebnerBasis.standard_multiples).
+    Clearing their own-column entries with the triangular rows, largest m
+    first, leaves rows whose rank is the corner rows' rank modulo the others
+    (clearing m's column touches only the own columns of monomials below
+    m), and socle_d = |C_d| - that rank.  A degree without corners has no
+    socle and runs no linear algebra."""
     gb = as_basis(x)
 
     def build():
         codec, field = gb.ring.codec, gb.ring.field
-        mul = codec.mul
-        var_keys = codec.var_keys
+        mul, var_keys, nf = codec.mul, codec.var_keys, gb.nf
         out = []
         for d in range(hilbert_function(gb).socle_degree + 1):
-            above, nf = gb._level(d + 1)[1:]
             owned = []      # (own column, m), m descending
             corners = []
-            for m in standard_monomials(gb, d):
-                j = next((j for j, v in enumerate(var_keys)
-                          if mul(v, m) in above), None)
-                if j is None:
-                    corners.append(m)
+            for m, ups in gb.standard_multiples(d).items():
+                if ups:
+                    t, j = ups[0]
+                    owned.append(((j, t), m))
                 else:
-                    owned.append(((j, mul(var_keys[j], m)), m))
+                    corners.append(m)
             rows = {}
 
             def row(m):
                 if m not in rows:
                     rows[m] = {(j, t): c for j, v in enumerate(var_keys)
-                               for t, c in nf[mul(v, m)].items()}
+                               for t, c in nf(mul(v, m)).items()}
                 return rows[m]
 
             def cleared(m):
@@ -392,7 +341,7 @@ def socle_type(x) -> tuple:
                        if corners else 0)
         return tuple(out)
 
-    return _cache(gb, "socle", build)
+    return gb.cached("socle", build)
 
 
 def is_gorenstein(x) -> bool:
@@ -451,7 +400,7 @@ def minimal_generators(x) -> tuple:
                 continue
             lower = nonstandard_monomials(gb, d - 1)
             inside = {codec.mul(vk, m) for m in lower
-                      if not gb._monomial_nf(m) for vk in codec.var_keys}
+                      if not gb.nf(m) for vk in codec.var_keys}
             # [I]_d has the triangular basis {m - NF(m)}, so an element of it
             # is fixed by its nonstandard coefficients.  Over these columns
             # m - NF(m) is the unit vector at m, so it lies in R_1 * [I]_{d-1}
@@ -463,13 +412,13 @@ def minimal_generators(x) -> tuple:
                       if m not in inside}
             rows = _variable_multiples(codec, (_minus_nf(gb, m).terms
                                                for m in lower
-                                               if gb._monomial_nf(m)), column)
+                                               if gb.nf(m)), column)
             span = echelon(rows, gb.ring.field, len(column))
             out.extend(_minus_nf(gb, m) for m, i in column.items()
                        if i not in span.pivots)
         return tuple(out)
 
-    return _cache(gb, "mingens", build)
+    return gb.cached("mingens", build)
 
 
 # -- classification --------------------------------------------------------------

@@ -44,6 +44,15 @@ def scaled(row: dict, c, field: FieldSpec) -> dict:
     return {k: c * v % p if p else c * v for k, v in row.items()}
 
 
+def combination(vectors, u: dict, field: FieldSpec) -> dict:
+    """sum_k u[k] * vectors[k] over the keys k of u."""
+    w = {}
+    for k, c in u.items():
+        if vectors[k]:
+            axpy(w, c, vectors[k], field)
+    return w
+
+
 class Echelon:
     """Incremental row echelon over QQ or GF(p); tracks rank only."""
 

@@ -12,8 +12,8 @@ pair of degrevlex keys for a block order, one per block) such that
 
 Exponents are packed 8 bits per variable, so no exponent may exceed
 _FIELD_MAX.  Polynomial multiplication refuses products of degree above
-MAX_PACKED_DEGREE, and the quotient table (GroebnerBasis._level) refuses
-degrees above _FIELD_MAX.
+MAX_PACKED_DEGREE, and the quotient table's methods on GroebnerBasis
+refuse degrees above _FIELD_MAX.
 """
 
 from __future__ import annotations

@@ -270,12 +270,12 @@ def oracle_annihilator(x, gens, d: int) -> list:
     """invariants.annihilator as one left kernel: the row of each standard
     monomial m holds the normal forms NF(m * g) of every generator side by
     side, and the basis is left_kernel's on those rows."""
-    from gorquad.invariants import _product_rows, as_basis, standard_monomials
+    from gorquad.invariants import as_basis, standard_monomials
     from gorquad.linalg import left_kernel
 
     gb = as_basis(x)
     std = standard_monomials(gb, d)
-    parts = [_product_rows(gb, d, g, std) for g in gens]
+    parts = [gb.product_rows(d, g, std) for g in gens]
     rows = [{(gi, k): v for gi, part in enumerate(parts)
              for k, v in part[i].items()} for i in range(len(std))]
     return [{std[i]: c for i, c in v.items()}
@@ -293,7 +293,7 @@ def oracle_census_classify(cover_gb, F):
 
     from gorquad.core import AlgebraError
     from gorquad.invariants import (HVector, QuadricClassification,
-                                    _monomial_rows, annihilator, hilbert_value)
+                                    annihilator, hilbert_value)
     from gorquad.linalg import axpy, echelon
 
     if not (F.is_homogeneous() and F.degree() == 2):
@@ -314,7 +314,7 @@ def oracle_census_classify(cover_gb, F):
     counts = {1: r - h[1], 2: math.comb(h[1] + 1, 2) - h[2]}
     for d in range(3, r):
         target = hilbert_value(cover_gb, d) - h[d]
-        times_var = [_monomial_rows(cover_gb, d - 1, x.leading_key())
+        times_var = [cover_gb.monomial_rows(d - 1, x.leading_key())
                      for x in cover_gb.ring.variables()]
         products = (image(v, rows)
                     for v in kernels[d - 1] for rows in times_var)
@@ -374,8 +374,9 @@ def oracle_generic_times_rank(I, d: int, policy=None):
 
 
 def oracle_build_level(gb, levels: list) -> tuple:
-    """GroebnerBasis._build_level by a divisor scan, on this oracle's own
-    levels (std descending, frozenset(std), nf): b = x_j * s, s standard,
+    """Degree len(levels) of a basis's quotient table by a divisor scan, on
+    this oracle's own levels (std descending, frozenset(std), nf, the rows
+    NF(b) of every b in B_1 * std_{d-1}): b = x_j * s, s standard,
     is standard iff it is no leading term and every b / x_k is standard,
     and a nonstandard b reduces through the first x_k dividing b with
     b / x_k nonstandard."""
@@ -419,7 +420,7 @@ def oracle_is_borel_fixed(gb) -> bool:
     x_i * m / x_j, i < j, of a leading term m must be nonstandard."""
     codec = gb.ring.codec
     for m in gb.lead_keys:
-        std = gb._level(codec.degree(m))[1]
+        std = gb.standard_set(codec.degree(m))
         exps = codec.exps(m)
         for j, e in enumerate(exps):
             if not e:

@@ -22,7 +22,7 @@ from gorquad.census import colon_quotient
 from gorquad.core import CappedComputationError, FieldSpec, GenericityError
 import gorquad.groebner as groebner_module
 from gorquad.gin import check_wlp, gin
-from gorquad.groebner import Ideal, _compute_basis
+from gorquad.groebner import GroebnerBasis, Ideal, _compute_basis
 from gorquad.idealops import colon_ideal, random_linear_form
 from gorquad.invariants import (HVector, annihilator, classify,
                                 hilbert_function, is_gorenstein,
@@ -1082,7 +1082,7 @@ def _record_alpha0_build(monkeypatch):
     seen = {"kernels": [], "dims": [], "empty": [], "echelons": []}
     real_ann = constructions.annihilator
     real_zero = invariants._annihilator_is_zero
-    real_rows, real_echelon = invariants._product_rows, invariants.echelon
+    real_rows, real_echelon = GroebnerBasis.product_rows, invariants.echelon
     rows_of = {}
 
     def key(gb, gens, d):
@@ -1112,7 +1112,7 @@ def _record_alpha0_build(monkeypatch):
 
     monkeypatch.setattr(constructions, "annihilator", ann)
     monkeypatch.setattr(constructions, "_annihilator_is_zero", is_zero)
-    monkeypatch.setattr(invariants, "_product_rows", rows)
+    monkeypatch.setattr(GroebnerBasis, "product_rows", rows)
     monkeypatch.setattr(invariants, "echelon", echelon)
     nonunique_hf_pair(7, "alpha0", field=GFBIG, seed=2)
     return seen

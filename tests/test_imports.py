@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private name it defines is used somewhere in the package."""
+"""Every name a module of the package imports is used in that module,
+every private name it defines is used somewhere in the package, and no
+module reads another object's private state outside an allowlist."""
 
 import ast
 from pathlib import Path
@@ -243,6 +244,74 @@ def test_the_hilbert_hint_stays_internal():
                  for node in ast.walk(tree)
                  if isinstance(node, ast.Constant) and node.value == slot]
         assert named == ["groebner"], f"only Ideal.__slots__ names {slot}"
+
+
+# The private names a module may read off another object or import from a
+# sibling, with the modules that do.  The quotient table of B = R/I is not
+# among them: only GroebnerBasis's own methods read it.
+PRIVATE_READS = {
+    "_hilbert": {"constructions", "invariants"},    # the Ideal's proven
+    "_dual_form": {"constructions"},                # hints (linted above)
+    "_asdict": {"cli"},                             # the namedtuple API
+    "_fields": {"groebner"},
+    "_FIELD_MAX": {"groebner"},
+    "_cbase": {"orders"},
+    "_name_index": {"poly"},
+    "_ident": {"poly"},
+    "_known_basis": {"constructions"},
+    "_order_ideal_step": {"constructions"},
+    "_fglm_walk": {"gin"},
+    "_hvector_with_form": {"census", "gin"},
+    "_regular_sequence_hvector": {"census"},
+    "_annihilator_is_zero": {"constructions"},
+    "_variable_multiples": {"constructions"},
+}
+TABLE_INTERNALS = {"_level", "_caches", "_monomial_nf", "_build_level",
+                   "_product_rows", "_monomial_rows", "_cache",
+                   "_standard_multiples"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _private_reads(tree: ast.Module) -> list:
+    """(name, line) of every private attribute the module reads or sets on
+    an object other than ``self`` or ``cls``, and of every private name it
+    imports from a sibling module."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            out.extend((alias.name, node.lineno) for alias in node.names
+                       if _private(alias.name))
+    return sorted(out, key=lambda read: read[1])
+
+
+def test_the_private_read_lint_sees_reads_and_imports():
+    caught = _private_reads(ast.parse(
+        "from .invariants import _cache, as_basis\n"
+        "from . import _x as y\n"
+        "rows = gb._level(d)[0]\n"
+        "self._caches[key] = self._left._cbase\n"
+        "n = self.__class__.__name__\n"))
+    assert caught == [("_cache", 1), ("_x", 2), ("_level", 3), ("_cbase", 4)]
+
+
+def test_no_module_reads_another_objects_private_state():
+    """No module reads a private attribute of another object or imports a
+    private name from a sibling, outside PRIVATE_READS; the quotient
+    table's storage is never on that list."""
+    assert not TABLE_INTERNALS & set(PRIVATE_READS)
+    found = sorted(f"{path.stem}: {name} (line {line})"
+                   for path, tree in PACKAGE.items()
+                   for name, line in _private_reads(tree)
+                   if path.stem not in PRIVATE_READS.get(name, ()))
+    assert not found, f"private reads outside the allowlist: {found}"
 
 
 FIELD_ARITHMETIC = {"add", "sub", "mul", "neg"}

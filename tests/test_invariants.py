@@ -21,8 +21,8 @@ from gorquad.invariants import (HVector, annihilator, classify,
                                 hilbert_function, hilbert_value,
                                 ideal_degree_basis, is_artinian, is_gorenstein,
                                 minimal_generator_counts, minimal_generators,
-                                multiplication_rank, presented_by_quadrics,
-                                socle_degree,
+                                multiplication_rank, nonstandard_monomials,
+                                presented_by_quadrics, socle_degree,
                                 socle_type, standard_monomials)
 from gorquad.orders import DEGREVLEX, elimination_order
 from gorquad.poly import Polynomial, ring
@@ -127,6 +127,51 @@ def test_quotient_table_stops_at_the_packed_exponent_range(order):
         standard_monomials(I, 128)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_negative_degrees_have_an_empty_quotient(warm):
+    """B_d = 0 for d < 0 on a fresh basis and on one whose table is built:
+    a negative degree reads no level from the end of the table."""
+    R = ring(GF7, 3)
+    gb = Ideal(R, [v * v for v in R.variables()]).groebner()
+    if warm:
+        hilbert_function(gb)
+    for d in (-1, -2):
+        assert gb.standard_monomials(d) == ()
+        assert not gb.standard_set(d)
+        assert not gb.standard_multiples(d)
+        assert standard_monomials(gb, d) == ()
+        assert nonstandard_monomials(gb, d) == ()
+        assert ideal_degree_basis(gb, d) == ()
+        assert hilbert_value(gb, d) == 0
+    # An Ideal reads no basis for a negative degree.
+    I = Ideal(R, [v * v for v in R.variables()])
+    for d in (-1, -2):
+        assert standard_monomials(I, d) == ()
+        assert hilbert_value(I, d) == 0
+    assert not I._gb_cache
+
+
+def test_the_table_refuses_degrees_past_the_truncation():
+    """On a basis truncated at 2, every reader of the quotient table raises
+    at degree 3, and so do normal_form and multiplication_rank."""
+    R = ring(GF7, 3)
+    x1 = R.variables()[0]
+    gb = Ideal.from_texts(R, ["x1^2 + x2*x3", "x2^2", "x3^3"]).groebner(
+        truncate_at=2)
+    assert gb.truncated_at == 2
+    m = (x1 ** 3).leading_key()
+    readers = [lambda: gb.standard_monomials(3), lambda: gb.standard_set(3),
+               lambda: gb.nf(m), lambda: gb.monomial_rows(3, x1.leading_key()),
+               lambda: gb.product_rows(3, x1, ()),
+               lambda: gb.standard_multiples(3),
+               lambda: gb.normal_form(x1 ** 3),
+               lambda: multiplication_rank(gb, x1, 3)]
+    for read in readers:
+        with pytest.raises(AlgebraError,
+                           match="degree 3 is beyond the basis truncation 2"):
+            read()
+
+
 QUOTIENT_CASES = [
     (GF2, DEGREVLEX, 4, None), (GF7, DEGREVLEX, 4, None),
     (Q, DEGREVLEX, 3, None), (GF7, elimination_order(1), 3, None),
@@ -156,7 +201,7 @@ def test_quotient_table_matches_scan_and_normal_form(field, order, n,
         for m in R.monomials_of_degree(d):
             monomial = Polynomial(R, ((m, field.one),))
             want = engine_normal_form(gb, monomial)
-            assert R.from_terms(gb._monomial_nf(m).items()) == want
+            assert R.from_terms(gb.nf(m).items()) == want
             assert gb.normal_form(monomial) == want
         p = random_poly(R, d, rng)
         assert gb.normal_form(p) == engine_normal_form(gb, p)
@@ -169,7 +214,9 @@ def test_quotient_table_matches_scan_and_normal_form(field, order, n,
 def _check_levels_against_the_oracle(gb, top):
     """Every level of gb's table through top equals the divisor-scan
     oracle's: the std tuple, the standard set (now with each monomial's
-    support mask) and every NF row, keys in the same order."""
+    support mask) and every NF row, keys in the same order: the level's own
+    nf dict, taken before any reader can memoise a row into it, and then
+    standard_monomials, standard_set and nf(b) as they read it."""
     gb = groebner.GroebnerBasis(gb.ring, gb.elements, gb.degree_cap,
                                 gb.truncated_at)
     exps = gb.ring.codec.exps
@@ -177,12 +224,13 @@ def _check_levels_against_the_oracle(gb, top):
     for d in range(top + 1):
         levels.append(oracle_build_level(gb, levels))
     for d, (std, std_set, nf) in enumerate(levels):
-        got_std, got_set, got_nf = gb._level(d)
-        assert got_std == std
-        assert got_set == {s: sum(1 << j for j, e in enumerate(exps(s)) if e)
-                           for s in std_set}
-        assert ([(b, list(row.items())) for b, row in got_nf.items()]
-                == [(b, list(row.items())) for b, row in nf.items()])
+        want = [(b, list(row.items())) for b, row in nf.items()]
+        assert ([(b, list(row.items())) for b, row in gb._level(d)[2].items()]
+                == want)
+        assert gb.standard_monomials(d) == std
+        assert gb.standard_set(d) == {
+            s: sum(1 << j for j, e in enumerate(exps(s)) if e) for s in std_set}
+        assert [(b, list(gb.nf(b).items())) for b in nf] == want
     return levels
 
 
