@@ -18,10 +18,10 @@ cover's GroebnerBasis keeps the multiplication rows of B (monomial_rows)
 and the standard products x_j * s (standard_multiples).  `classify` builds
 J degree by degree from NF(F), the same for the monomial cover and for a
 random one.  The leading terms x_j * lead(v) of J_{d-1}'s multiples that
-are standard are known without linear algebra, so only the rows NF(m * F)
-of the other standard monomials m (product_rows) reach left_kernel, and the
-generator count of a degree runs an echelon only when those leading terms
-do not fill J_d.
+are standard are known without linear algebra, so the rest of J_d is
+`invariants.annihilator` of F over the other standard monomials only, and
+the generator count of a degree runs an echelon only when those leading
+terms do not fill J_d.
 
 Duality fixes the rest.  The cover is a complete intersection of r
 quadrics, so B is Gorenstein with h(B) = (1+t)^r and socle B_r, and the
@@ -44,10 +44,10 @@ B_{d+2} is the transpose of ×F: B_{r-2-d} -> B_{r-d}, as <Fa, b> =
     2 < r, the height of 𝔠.  So the orthogonal is 0, B_1 * J_{r-2} =
     B_{r-1}, and nu_{r-1} = 0.
 
-So `classify` runs left_kernel only in degrees 2..r-3 (degree 1 when r =
-4, its own dual), reads h_1 = h_{r-3}, and checks once per cover basis that
-the cover lists r quadrics with h(B) = (1+t)^r, which makes them a regular
-sequence.
+So `classify` runs the annihilator only in degrees 2..r-3 (degree 1
+when r = 4, its own dual), reads h_1 = h_{r-3}, and checks once per cover
+basis that the cover lists r quadrics with h(B) = (1+t)^r, which makes them
+a regular sequence.
 
 `colon_quotient` and the linkage round trip of `verify_socle4_duality`
 take their colons through `constructions.link`, which builds them from
@@ -70,9 +70,9 @@ from .constructions import (LinkStep, _hvector_with_form,
                            _regular_sequence_hvector, link, quadric_ci)
 from .core import AlgebraError, FieldSpec
 from .groebner import Ideal
-from .invariants import (HVector, QuadricClassification, as_basis,
-                         hilbert_function, minimal_generators)
-from .linalg import Echelon, combination, echelon, left_kernel
+from .invariants import (HVector, QuadricClassification, annihilator,
+                         as_basis, hilbert_function, minimal_generators)
+from .linalg import Echelon, combination, echelon
 from .poly import Polynomial, RingCtx, ring
 
 # The r = 6 findings check, for every field and cover: the three h2 values
@@ -249,8 +249,8 @@ def classify(cover: Ideal, F: Polynomial) -> QuadricClassification:
     that Hilbert series form a regular sequence, so the check is
     sufficient; its verdict is cached on the cover's basis.  Duality in B
     (module docstring) then gives h_d = h_{r-2-d}, h_{r-2} = 1 and, for r
-    >= 4, nu_{r-1} = 0.  So left_kernel runs in degrees 2..r-3 only (1
-    when r = 4, its own dual), and h_1 = h_{r-3}.
+    >= 4, nu_{r-1} = 0.  So the annihilator runs in degrees 2..r-3 only
+    (1 when r = 4, its own dual), and h_1 = h_{r-3}.
     J_1 is not kept, as only its dimension counts: J_2's kernel starts
     with no known leads, giving the same space and the same leads.
 
@@ -258,9 +258,11 @@ def classify(cover: Ideal, F: Polynomial) -> QuadricClassification:
     For v in J_{d-1} and t = x_j*lead(v) standard, x_j*v has leading
     monomial t, as normal forms only lower terms.  The first such product
     for each t gives the rows Q_d in J_d, with leads K_d, so J_d = Q_d + the
-    kernel of F on the standard monomials outside K_d: only their rows
-    NF(m*F) reach left_kernel.  Q_d's rows start the echelon of B_1*J_{d-1}
-    for nu_d as pivots; when they fill J_d, nu_d = 0 and no echelon runs.
+    kernel of F on the standard monomials outside K_d, so only their rows
+    NF(m*F) reach a kernel: invariants.annihilator over them, ascending,
+    where each vector's largest key is its lead.  Q_d's rows start the
+    echelon of B_1*J_{d-1} for nu_d as pivots; when they fill J_d, nu_d = 0
+    and no echelon runs.
     Only F modulo the cover counts: a sweep passes NF(F), not reduced again.
     """
     if not (F.is_homogeneous() and F.degree() == 2):
@@ -306,12 +308,11 @@ def classify(cover: Ideal, F: Polynomial) -> QuadricClassification:
             for t, j in ups[s]:
                 free.setdefault(t, (s, j))
         if d < r - 2:
-            # Ascending rows: the kernel vector found at row i is monic
-            # there and touches no later row, so rest[i] is its lead.
+            # Over ascending monomials each kernel vector is 1 at its
+            # largest key and touches no larger one, so that key is its lead.
             rest = [m for m in reversed(std) if m not in free]
-            kernel = left_kernel(cover_gb.product_rows(d, f, rest), field)
-            ann[d] = {**free, **{rest[max(v)]: {rest[i]: c for i, c in
-                                                v.items()} for v in kernel}}
+            ann[d] = {**free, **{max(v): v for v in
+                                 annihilator(cover_gb, [f], d, rest)}}
             h[d] = len(std) - len(ann[d])
         room = len(std) - h[d]
         if d >= 3 and len(free) < room:

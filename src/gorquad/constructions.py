@@ -25,7 +25,6 @@ from .groebner import Ideal, _known_basis, _order_ideal_step
 from .idealops import random_homogeneous, random_linear_form
 from .invariants import (
     HVector,
-    _annihilator_is_zero,
     _variable_multiples,
     annihilator,
     classify,
@@ -360,13 +359,14 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
     empty, and the kernel is the same.
 
     Where linkage predicts an empty annihilator, h_B(d) = expected(d), the
-    degree gets a rank certificate in place of a kernel: one echelon of its
-    annihilator rows with room |std_d| (invariants._annihilator_is_zero;
-    for a single form the rank _link's h-vector check already took).  Full
-    rank proves ann_d = 0, so h_d = h_B(d) is still a computed number, and
-    the h-vector check compares computed numbers with the prediction.  A
-    rank short of |std_d| falls through to the kernel, whose vectors put
-    h_d below the prediction, so a wrong prediction still raises.
+    degree gets a rank certificate in place of a kernel: the
+    multiplication_rank of the first form, for _link's single form the
+    rank its h-vector check already took.  The annihilator of the gens lies
+    in the first form's, so full rank |std_d| proves ann_d = 0 for any
+    number of forms, h_d = h_B(d) is still a computed number, and the
+    h-vector check compares computed numbers with the prediction.  A rank
+    short of |std_d| falls through to the kernel, whose vectors put h_d
+    below the prediction, so a wrong prediction still raises.
 
     The basis (as in FGLM, Faugere-Gianni-Lazard-Mora 1993): the lifts of
     ann_d are written over B's standard monomials, so the pivots of their
@@ -384,7 +384,8 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
     entries = [(p.terms[0][0], dict(p.terms[1:])) for p in gb.elements]
     got = [h_B[0]]
     for d in range(1, min(expected.socle_degree + 1, h_B.socle_degree) + 1):
-        if h_B[d] == expected[d] and _annihilator_is_zero(gb, gens, d):
+        if (h_B[d] == expected[d] and gens
+                and multiplication_rank(gb, gens[0], d) == h_B[d]):
             got.append(h_B[d])
             continue
         ann = annihilator(gb, gens, d)

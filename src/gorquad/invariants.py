@@ -9,18 +9,21 @@ generators; the multiples x_j * m of the monomials m in the ideal are
 pivots of that span without linear algebra, so only the other rows reach
 the echelon.  The multiplication maps of B go through one row builder,
 GroebnerBasis.product_rows: the normal forms NF(m * g) of given standard
-monomials m, summed from the basis's cached monomial_rows.  `annihilator`,
+monomials m, summed from the basis's cached monomial_rows.  Two functions
+turn those rows into linear algebra, for the whole package.  `annihilator`,
 the degree-d elements of B that given forms multiply to zero, is the left
-kernel of those rows over every standard monomial, restricted one form at
-a time.  The rank of multiplication by a form, `multiplication_rank`, is
-one echelon of those rows, cached per form and degree, and for an ideal J
-containing I (a complete intersection, in linkage) the colon I : J is I
-plus the lifts of the annihilator of J.  The socle is the annihilator of
-the variables, but socle_type counts it without that kernel: the rows of
-the standard monomials m with a standard multiple x_j * m
-(GroebnerBasis.standard_multiples) are unitriangular, so only the corner
-monomials, those with none, reach an echelon.  The linear algebra is
-linalg's on sparse dict rows, one code path for every coefficient field.
+kernel of those rows over the standard monomials its caller chooses (all
+of them by default; the census passes those outside its known leading
+terms), restricted one form at a time.  The rank of multiplication by a
+form, `multiplication_rank`, is one echelon of those rows, cached per form
+and degree.  For an ideal J containing I (a complete intersection, in
+linkage) the colon I : J is I plus the lifts of the annihilator of J.  The
+socle is the annihilator of the variables, but socle_type counts it
+without that kernel: the rows of the standard monomials m with a standard
+multiple x_j * m (GroebnerBasis.standard_multiples) are unitriangular, so
+only the corner monomials, those with none, reach an echelon.  The linear
+algebra is linalg's on sparse dict rows, one code path for every
+coefficient field.
 
 Functions accept either an Ideal or a GroebnerBasis, and keep per-basis
 results on the basis (GroebnerBasis.cached).  hilbert_function reads an
@@ -214,16 +217,18 @@ def _minus_nf(gb: GroebnerBasis, m) -> Polynomial:
         scaled(gb.nf(m), -1, field).items(), reverse=True)))
 
 
-def annihilator(x, gens, d: int) -> list:
+def annihilator(x, gens, d: int, monomials=None) -> list:
     """A basis of {p in B_d : p * g = 0 in B for every g in gens}, where B is
-    the quotient by the ideal of x, as dicts over standard_monomials(x, d).
+    the quotient by the ideal of x and p is restricted to the given
+    standard monomials of degree d (a sequence; by default all of
+    standard_monomials(x, d), descending), as dicts over them.
 
     The kernel K shrinks one generator at a time: left_kernel of the first
-    generator's rows NF(m * g) (GroebnerBasis.product_rows) over every
-    standard monomial m, then for each next generator g the sums
-    sum_k u[k] * K[k] over the vectors u of left_kernel of the images
-    K[k] * g, which read only the rows of the monomials K touches.  It stops
-    once K is 0; with no generator K is all of B_d.
+    generator's rows NF(m * g) (GroebnerBasis.product_rows) over the
+    monomials m, then for each next generator g the sums sum_k u[k] * K[k]
+    over the vectors u of left_kernel of the images K[k] * g, which read
+    only the rows of the monomials K touches.  It stops once K is 0; with
+    no generator K is every unit vector.
 
     K is the basis left_kernel gives on the rows of all generators side by
     side, which depends only on the kernel and the row order: its vector at
@@ -231,10 +236,12 @@ def annihilator(x, gens, d: int) -> list:
     row.  Restriction keeps that shape with no re-echelon: K[k] reads 1 at
     its row i_k and 0 at the other K[k']'s, so sum_k u[k] * K[k] reads u[k]
     at each i_k, and u is 1 at its last index, 0 after it and at the other
-    u's last indices.  For an ideal I containing x's ideal c, the lifts of
-    these bases over all d, together with c, generate c : I."""
+    u's last indices.  So over ascending monomials each vector is 1 at its
+    largest key, and those keys are distinct: the census reads them as
+    leading terms.  For an ideal I containing x's ideal c, the lifts of
+    the default bases in every degree, together with c, generate c : I."""
     gb = as_basis(x)
-    std = gb.standard_monomials(d)
+    std = gb.standard_monomials(d) if monomials is None else monomials
     field = gb.ring.field
     kernel = None
     for g in gens:
@@ -253,20 +260,6 @@ def annihilator(x, gens, d: int) -> list:
     if kernel is None:
         kernel = [{i: field.one} for i in range(len(std))]
     return [{std[i]: c for i, c in v.items()} for v in kernel]
-
-
-def _annihilator_is_zero(gb: GroebnerBasis, gens, d: int) -> bool:
-    """True when no nonzero p in B_d has p * g = 0 for every g in gens, by
-    a rank: the annihilator's rows have rank |std_d|.  For one form that is
-    the cached multiplication_rank; for several, one echelon of the rows
-    NF(m * g) of all of them side by side, with room |std_d|."""
-    std = gb.standard_monomials(d)
-    if len(gens) == 1:
-        return multiplication_rank(gb, gens[0], d) == len(std)
-    parts = [gb.product_rows(d, g, std) for g in gens]
-    rows = ({(gi, k): c for gi, part in enumerate(parts)
-             for k, c in part[i].items()} for i in range(len(std)))
-    return echelon(rows, gb.ring.field, len(std)).rank == len(std)
 
 
 def multiplication_rank(x, g: Polynomial, d: int) -> int:

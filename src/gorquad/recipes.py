@@ -29,10 +29,10 @@ seed as ``seed * 1000003 + k`` with ``k`` the step's evaluation ordinal
 distinct steps stay independent; any step may pin ``seed=`` explicitly.
 
 ``link X ci=Y`` links X by the cover Y, which must be a complete
-intersection inside X.  A bare ``link X`` uses the cover of variable squares
-when X contains every one of them; otherwise it links by a quadric complete
-intersection of length ``vars`` drawn inside X from the step's seed, and
-fails (GenericityError) when no such sequence turns up.
+intersection inside X, in X's ring.  A bare ``link X`` uses the cover of
+variable squares when X contains every one of them; otherwise it links by a
+quadric complete intersection of length ``vars`` drawn inside X from the
+step's seed, and fails (GenericityError) when no such sequence turns up.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .constructions import (LinkStep, apolar_ideal, embed_with_linear_gens,
                             regular_sequence_in, tensor_algebras)
 from .core import FieldSpec, GenericityError, ParseError
 from .groebner import Ideal
-from .idealops import colon_form, embed_ideal
+from .idealops import colon_form
 from .invariants import hilbert_function
 from .poly import Polynomial, RingCtx, ring
 
@@ -396,10 +396,7 @@ class _Evaluator:
         if "ci" in call.kwargs:
             C = self.ideal_arg(call, "ci", call.kwargs["ci"])
             if C.ring != I.ring:
-                if C.ring.nvars > I.ring.nvars:
-                    self.fail(call, "the cover lives in more variables than "
-                              "the ideal")
-                C = embed_ideal(C, I.ring)
+                self.fail(call, "the cover must live in the ideal's ring")
             cover = C.gens
         elif all(I.contains(v * v) for v in I.ring.variables()):
             return link_by_squares(I)

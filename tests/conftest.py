@@ -266,15 +266,16 @@ def oracle_socle_type(gb) -> tuple:
 # -- annihilator oracle (one left kernel of every generator's rows) -------------
 
 
-def oracle_annihilator(x, gens, d: int) -> list:
-    """invariants.annihilator as one left kernel: the row of each standard
-    monomial m holds the normal forms NF(m * g) of every generator side by
-    side, and the basis is left_kernel's on those rows."""
+def oracle_annihilator(x, gens, d: int, monomials=None) -> list:
+    """invariants.annihilator as one left kernel: the row of each given
+    standard monomial m (by default every one, descending) holds the normal
+    forms NF(m * g) of every generator side by side, and the basis is
+    left_kernel's on those rows."""
     from gorquad.invariants import as_basis, standard_monomials
     from gorquad.linalg import left_kernel
 
     gb = as_basis(x)
-    std = standard_monomials(gb, d)
+    std = standard_monomials(gb, d) if monomials is None else monomials
     parts = [gb.product_rows(d, g, std) for g in gens]
     rows = [{(gi, k): v for gi, part in enumerate(parts)
              for k, v in part[i].items()} for i in range(len(std))]
@@ -288,7 +289,10 @@ def oracle_annihilator(x, gens, d: int) -> list:
 def oracle_census_classify(cover_gb, F):
     """census.classify with the whole annihilator of F in each degree below
     r - 1 and every product x_j * v of the previous degree's kernel in the
-    echelon for nu_d, d >= 3."""
+    echelon for nu_d, d >= 3.  It calls invariants.annihilator, as the
+    census now does, so the census's independent oracle is
+    test_census.py::test_classify_matches_the_groebner_oracle, which
+    classifies a Groebner basis of each colon."""
     import math
 
     from gorquad.core import AlgebraError

@@ -592,7 +592,7 @@ def test_classify_skips_the_rows_of_known_leading_terms(monkeypatch):
         return echelon(read(), field, room)
 
     monkeypatch.setattr(GroebnerBasis, "product_rows", counting_rows)
-    monkeypatch.setattr(gorquad.census, "left_kernel", counting_kernel)
+    monkeypatch.setattr(invariants, "left_kernel", counting_kernel)
     monkeypatch.setattr(gorquad.census, "echelon", counting_echelon)
     cfg = CensusConfig(field=GF2, r=6, mode="random_sample", sample_count=60,
                        sample_seed=13)
@@ -602,8 +602,8 @@ def test_classify_skips_the_rows_of_known_leading_terms(monkeypatch):
     dims = [len(standard_monomials(cover_gb, d)) for d in range(r)]
     filled = 0
     for F in forms:
-        # The oracle's annihilators read product_rows too, so they run
-        # before the counters are reset.
+        # The oracle's annihilators read product_rows and left_kernel too,
+        # so they run before the counters are reset.
         free = {d: _free_leads(cover_gb, F, d) for d in range(3, r)}
         free[2] = set()
         calls["rows"], calls["kernels"], calls["degrees"] = 0, [], set()

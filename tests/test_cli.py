@@ -1,5 +1,6 @@
 """The gorquad command line: check verdicts, construct output, the module entry."""
 
+import io
 import os
 import subprocess
 import sys
@@ -48,6 +49,27 @@ def test_check_inj_precondition_exits_1(tmp_path, capsys):
     path.write_text(SQUARES_4.format(p=2))
     assert main(["check", "--what", "inj", str(path)]) == 1
     assert capsys.readouterr().out == "precondition: odd or zero characteristic\n"
+
+
+def test_check_wlp_reads_standard_input_and_exits_1_on_failure(monkeypatch,
+                                                               capsys):
+    """(x1^3, x2^3, x3^3, x1*x2*x3), the Brenner-Kaid example, fails the
+    WLP in characteristic 32003."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "field 32003\nvars 3\nx1^3\nx2^3\nx3^3\nx1*x2*x3\n"))
+    assert main(["check", "--what", "wlp", "-"]) == 1
+    assert capsys.readouterr().out == "WLP: fails at degree(s) 2\n"
+
+
+def test_construct_writes_to_standard_output_by_default(tmp_path, capsys):
+    recipe = tmp_path / "ci.recipe"
+    recipe.write_text("ci r=3\n")
+    assert main(["construct", "--field", "7", str(recipe)]) == 0
+    written = capsys.readouterr().out
+    assert written.startswith("# gorquad construct seed=0 field=7\n")
+    want, _ = run_recipe("ci r=3\n", field=GF7)
+    got = parse_ideal(written)
+    assert got.ring == want.ring and got.gens == want.gens
 
 
 def test_construct_writes_what_run_recipe_builds(tmp_path):

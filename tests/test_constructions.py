@@ -19,7 +19,8 @@ from gorquad.constructions import (LinkageError, LinkStep, apolar_ideal,
                                    tensor_algebras)
 from gorquad import constructions, invariants
 from gorquad.census import colon_quotient
-from gorquad.core import CappedComputationError, FieldSpec, GenericityError
+from gorquad.core import (CappedComputationError, FieldSpec, GenericityError,
+                          RingMismatchError)
 import gorquad.groebner as groebner_module
 from gorquad.gin import check_wlp, gin
 from gorquad.groebner import GroebnerBasis, Ideal, _compute_basis
@@ -417,6 +418,16 @@ def test_link_refuses_a_repeated_or_zero_form(cover):
     I = Ideal.from_texts(R, ["x1", "x2^2", "x3^2"])
     with pytest.raises(LinkageError, match="not a regular sequence"):
         link(I, LinkStep(tuple(R.parse(t) for t in cover)))
+
+
+def test_link_needs_forms_of_the_ideals_ring():
+    R = ring(GF7, 3)
+    I = Ideal.from_texts(R, ["x1^2", "x2^2", "x3^2", "x1*x2"])
+    with pytest.raises(LinkageError, match="at least one form"):
+        link(I, LinkStep(()))
+    S = ring(GF7, 4)
+    with pytest.raises(RingMismatchError, match="the ideal's ring"):
+        link(I, LinkStep(tuple(v * v for v in S.variables())))
 
 
 def test_link_self_is_unit():
@@ -1076,12 +1087,13 @@ def test_a_wrong_empty_prediction_still_raises():
 def _record_alpha0_build(monkeypatch):
     """One warm alpha0 build over GF(32003) with its annihilators, rank
     certificates and multiplication-rank echelons recorded: returns the
-    (basis, forms, degree) of each annihilator and certified-empty degree
-    and the (basis, form, degree) of each echelon of a form's rows."""
+    (basis, forms, degree) of each annihilator and of each degree that a
+    full multiplication_rank proves empty, and the (basis, form, degree)
+    of each echelon of a form's rows."""
     nonunique_hf_pair(7, "alpha0", field=GFBIG, seed=2)
     seen = {"kernels": [], "dims": [], "empty": [], "echelons": []}
     real_ann = constructions.annihilator
-    real_zero = invariants._annihilator_is_zero
+    real_rank = constructions.multiplication_rank
     real_rows, real_echelon = GroebnerBasis.product_rows, invariants.echelon
     rows_of = {}
 
@@ -1094,10 +1106,10 @@ def _record_alpha0_build(monkeypatch):
         seen["dims"].append(len(out))
         return out
 
-    def is_zero(gb, gens, d):
-        out = real_zero(gb, gens, d)
-        if out:
-            seen["empty"].append(key(gb, gens, d))
+    def rank(gb, g, d):
+        out = real_rank(gb, g, d)
+        if out == len(gb.standard_monomials(d)):
+            seen["empty"].append(key(gb, [g], d))
         return out
 
     def rows(gb, d, g, monomials):
@@ -1111,7 +1123,7 @@ def _record_alpha0_build(monkeypatch):
         return real_echelon(rows_, field, room)
 
     monkeypatch.setattr(constructions, "annihilator", ann)
-    monkeypatch.setattr(constructions, "_annihilator_is_zero", is_zero)
+    monkeypatch.setattr(constructions, "multiplication_rank", rank)
     monkeypatch.setattr(GroebnerBasis, "product_rows", rows)
     monkeypatch.setattr(invariants, "echelon", echelon)
     nonunique_hf_pair(7, "alpha0", field=GFBIG, seed=2)

@@ -263,7 +263,6 @@ PRIVATE_READS = {
     "_fglm_walk": {"gin"},
     "_hvector_with_form": {"census", "gin"},
     "_regular_sequence_hvector": {"census"},
-    "_annihilator_is_zero": {"constructions"},
     "_variable_multiples": {"constructions"},
 }
 TABLE_INTERNALS = {"_level", "_caches", "_monomial_nf", "_build_level",
@@ -312,6 +311,54 @@ def test_no_module_reads_another_objects_private_state():
                    for name, line in _private_reads(tree)
                    if path.stem not in PRIVATE_READS.get(name, ()))
     assert not found, f"private reads outside the allowlist: {found}"
+
+
+# One kernel path for the multiplication maps of B = R/I: only these
+# functions read a basis's product_rows, and left_kernel runs only in the
+# annihilator and on two other matrices, apolar_ideal's catalecticant rows
+# and the linear forms gin inverts.
+KERNEL_READERS = {
+    "product_rows": {"invariants.annihilator",
+                     "invariants.multiplication_rank"},
+    "left_kernel": {"invariants.annihilator", "constructions.apolar_ideal",
+                    "gin._inverse_change"},
+}
+
+
+def _readers(tree: ast.Module, name: str) -> set:
+    """The module-level functions and methods (as Class.method) that read
+    name, bare or as an attribute; "<module>" for a read outside them."""
+    owners = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            owners.extend((f"{node.name}.{item.name}", item)
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef))
+        else:
+            owners.append((node.name if isinstance(node, ast.FunctionDef)
+                           else "<module>", node))
+    return {owner for owner, node in owners if name in _references(node)}
+
+
+def test_the_kernel_lint_sees_bare_and_attribute_reads():
+    tree = ast.parse("from .linalg import left_kernel\n"
+                     "class B:\n"
+                     "    def rows(self):\n"
+                     "        return self.product_rows(2, g, std)\n"
+                     "def f(rows):\n"
+                     "    return left_kernel(rows, field)\n"
+                     "g = map(left_kernel, batches)\n")
+    assert _readers(tree, "left_kernel") == {"f", "<module>"}
+    assert _readers(tree, "product_rows") == {"B.rows"}
+
+
+def test_one_kernel_path_for_the_multiplication_maps():
+    """The functions that read product_rows and left_kernel are exactly
+    those KERNEL_READERS lists."""
+    for name, allowed in KERNEL_READERS.items():
+        found = {f"{path.stem}.{owner}" for path, tree in PACKAGE.items()
+                 for owner in _readers(tree, name)}
+        assert found == allowed, f"{name} read by {sorted(found)}"
 
 
 FIELD_ARITHMETIC = {"add", "sub", "mul", "neg"}

@@ -595,7 +595,8 @@ def _annihilator_covers(field):
 @pytest.mark.parametrize("field", [Q, GF7, GFBIG], ids=str)
 def test_annihilator_matches_the_concatenated_oracle(field):
     rng = random.Random(f"annihilator/{field}")
-    shrunk = 0
+    pick = random.Random(f"annihilator subsets/{field}")
+    shrunk = restricted = 0
     for cover in _annihilator_covers(field):
         gb = cover.groebner()
         assert hilbert_function(gb) == HVector((1, 4, 6, 4, 1))
@@ -612,7 +613,20 @@ def test_annihilator_matches_the_concatenated_oracle(field):
                 assert got == oracle_annihilator(gb, gens, d), (gens, d)
                 shrunk += len(gens) > 1 and len(got) < len(
                     annihilator(gb, gens[:1], d))
-    assert shrunk
+                # ascending subsets, as the census passes them: each vector
+                # is 1 at its largest key, and those keys are distinct
+                ascending = gb.standard_monomials(d)[::-1]
+                for sub in (ascending, ascending[1::2],
+                            [m for m in ascending if pick.random() < 0.5], []):
+                    got = annihilator(gb, gens, d, sub)
+                    assert got == oracle_annihilator(gb, gens, d, sub), (
+                        gens, d, sub)
+                    leads = [max(v) for v in got]
+                    assert all(v[m] == 1 for v, m in zip(got, leads))
+                    assert len(set(leads)) == len(leads)
+                    restricted += len(gens) > 1 and 0 < len(got) < len(
+                        annihilator(gb, gens[:1], d, sub))
+    assert shrunk and restricted
 
 
 # -- the socle from corner monomials: the annihilator of the variables is the

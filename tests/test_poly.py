@@ -44,6 +44,27 @@ def test_parse_reports_location():
         R.parse("")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("-x1^2 + x2^2", "6*x1^2 + x2^2"),          # a leading sign
+    ("(x1 + x2)^2", "x1^2 + 2*x1*x2 + x2^2"),   # parentheses
+    ("--x1", "x1"),                             # repeated unary minus
+    ("-(x1 - x2)*x3", "6*x1*x3 + x2*x3"),
+])
+def test_parse_signs_and_parentheses(R, text, want):
+    assert str(R.parse(text)) == want
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x1^x2", "expected integer exponent (line 1, col 4)"),
+    ("1/x1", "expected integer denominator (line 1, col 3)"),
+    ("(x1 + x2", "expected ')' (line 1, col 9)"),
+])
+def test_parse_errors_name_their_position(R, text, want):
+    with pytest.raises(ParseError) as info:
+        R.parse(text)
+    assert str(info.value) == want
+
+
 def test_ring_laws(R):
     rng = random.Random(1)
     a = random_poly(R, 2, rng)

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from gorquad.cli import main
-from gorquad.constructions import link_by_squares, regular_sequence_in
+from gorquad.constructions import (LinkStep, link, link_by_squares,
+                                   regular_sequence_in)
 from gorquad.core import AlgebraError, ParseError
 from gorquad.groebner import Ideal
 from gorquad.invariants import (HVector, hilbert_function,
@@ -242,6 +243,25 @@ def test_recipe_link_grown_outputs_are_pinned(text, seed, want):
 def test_recipe_link_without_quadrics_fails():
     with pytest.raises(AlgebraError):
         run_recipe('link (apolar "x1^3" vars=1)\n', field=GFBIG)
+
+
+E2 = 'I = apolar "x1*x2 + x1*x3 + x2*x3" vars=3\n'
+
+
+def test_recipe_link_by_a_named_cover():
+    got, _ = run_recipe(E2 + "c = ci r=3\nlink I ci=c\n", field=GFBIG)
+    I, _ = run_recipe(E2, field=GFBIG)
+    c, _ = run_recipe("ci r=3\n", field=GFBIG)
+    assert got.gens == link(I, LinkStep(c.gens)).gens
+    assert hilbert_function(got) == HVector((1, 2))
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_recipe_link_refuses_a_cover_from_another_ring(r):
+    with pytest.raises(ParseError) as info:
+        run_recipe(E2 + f"link I ci=(ci r={r})\n", field=GFBIG)
+    assert info.value.message == "link: the cover must live in the ideal's ring"
+    assert info.value.line == 2
 
 
 def test_recipe_ideal_file_argument(tmp_path):
