@@ -3,13 +3,12 @@ arithmetic over GF(p) and the rationals, Groebner bases, Hilbert-function
 invariants, apolarity and linkage constructions, generic initial ideals,
 and census sweeps of quadric-colon quotients."""
 
-from .census import (CensusConfig, CensusRecord, CensusSummary,
-                     h2_13_exclusion_check, run_census, summary_markdown,
-                     verify_socle4_duality)
+from .census import (CensusConfig, CensusRecord, CensusSummary, run_census,
+                     summary_markdown, verify_socle4_duality)
 from .core import (AlgebraError, CappedComputationError, FieldSpec,
                    GenericityError, GinUncertifiedError, LinkageError,
                    ParseError, RingMismatchError)
-from .constructions import (LinkStep, apolar_ideal, complete_intersection_hvector,
+from .constructions import (apolar_ideal, complete_intersection_hvector,
                             contract, double_link, embed_with_linear_gens,
                             expected_group_hvector, expected_link_hvector,
                             gorenstein_cut, group_table_algebra, link,
@@ -21,8 +20,8 @@ from .gin import (GinResult, InjectivityReport, RankReport, WlpReport,
                   gin_monomial_census, is_borel_fixed, reduction_number,
                   times_L_rank)
 from .groebner import GroebnerBasis, Ideal
-from .idealops import (colon_form, colon_ideal, embed_ideal, ideal_sum,
-                       intersect, random_linear_form)
+from .idealops import (colon_form, colon_ideal, ideal_sum, intersect,
+                       random_linear_form)
 from .invariants import (HVector, QuadricClassification, classify,
                          hilbert_function, is_artinian, is_gorenstein,
                          minimal_generator_counts, minimal_generators,
@@ -37,15 +36,15 @@ __all__ = [
     "AlgebraError", "CappedComputationError", "CensusConfig", "CensusRecord",
     "CensusSummary", "DEGREVLEX", "FieldSpec", "GenericityError",
     "GinResult", "GinUncertifiedError", "GroebnerBasis", "HVector", "Ideal",
-    "InjectivityReport", "LinkStep", "LinkageError", "ParseError",
+    "InjectivityReport", "LinkageError", "ParseError",
     "Polynomial", "QuadricClassification", "RankReport", "RingCtx",
     "RingMismatchError", "WlpReport", "apolar_ideal",
     "check_injectivity_conjecture", "check_wlp", "classify", "colon_form",
     "colon_ideal", "complete_intersection_hvector", "contract",
-    "double_link", "embed_ideal", "embed_with_linear_gens",
+    "double_link", "embed_with_linear_gens",
     "expected_group_hvector", "expected_link_hvector", "format_ideal",
     "gin", "gin_monomial_census", "gorenstein_cut", "group_table_algebra",
-    "h2_13_exclusion_check", "hilbert_function", "ideal_sum", "intersect",
+    "hilbert_function", "ideal_sum", "intersect",
     "is_artinian", "is_borel_fixed", "is_gorenstein", "link",
     "link_by_squares", "linkage_grow", "minimal_generator_counts",
     "minimal_generators", "nonunique_hf_pair", "parse_ideal",

@@ -50,9 +50,10 @@ basis that the cover lists r quadrics with h(B) = (1+t)^r, which makes them
 a regular sequence.
 
 `colon_quotient` and the linkage round trip of `verify_socle4_duality`
-take their colons through `constructions.link`, which builds them from
-`invariants.annihilator`; the round trip reads h(𝔠 + F′) off the cover's
-table (`constructions._hvector_with_form`), with no basis of 𝔠 + F′.
+take their colons through `constructions.link`, passing the cover's forms,
+so each colon builds its own cover and does not rest on the sweep's cached
+table; the round trip reads h(𝔠 + F′) off the cached cover's table
+(`constructions._hvector_with_form`), with no basis of 𝔠 + F′.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 
-from .constructions import (LinkStep, _hvector_with_form,
-                           _regular_sequence_hvector, link, quadric_ci)
+from .constructions import (_hvector_with_form, _regular_sequence_hvector,
+                            link, quadric_ci)
 from .core import AlgebraError, FieldSpec
 from .groebner import Ideal
 from .invariants import (HVector, QuadricClassification, annihilator,
@@ -334,7 +335,7 @@ def classify(cover: Ideal, F: Polynomial) -> QuadricClassification:
 
 def colon_quotient(cover: Ideal, F: Polynomial) -> Ideal:
     """𝔠 : F, linked out of the cover as 𝔠 : (𝔠 + F)."""
-    return link(Ideal(cover.ring, cover.gens + (F,)), LinkStep(cover.gens))
+    return link(Ideal(cover.ring, cover.gens + (F,)), cover.gens)
 
 
 def _sweep_one(cfg: CensusConfig, task: tuple) -> tuple:
@@ -447,7 +448,7 @@ def verify_socle4_duality(cfg: CensusConfig, sample: CensusRecord) -> bool:
         return True
     cover = _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed)
     I = colon_quotient(cover, sample.F)
-    J = link(I, LinkStep(cover.gens))
+    J = link(I, cover.gens)
     # The new quadric: exactly one degree-2 minimal generator of J survives
     # reduction modulo the cover.
     fresh = Echelon(J.ring.field)
@@ -467,13 +468,6 @@ def verify_socle4_duality(cfg: CensusConfig, sample: CensusRecord) -> bool:
     # ... and the quadric must colon back to the ideal we started from.
     I_back = colon_quotient(cover, F_prime)
     return as_basis(I_back).elements == as_basis(I).elements
-
-
-def h2_13_exclusion_check(records) -> bool:
-    """No presented-by-quadrics record may carry h2 = 13 or 14; an empty
-    record set passes vacuously."""
-    return all(rec.h2 not in (13, 14)
-               for rec in records if rec.presented)
 
 
 # -- persistence ------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .core import (
     AlgebraError,
@@ -36,7 +35,6 @@ from .linalg import axpy, echelon, left_kernel
 from .poly import Polynomial, RingCtx, ring
 
 __all__ = [
-    "LinkStep",
     "apolar_ideal",
     "complete_intersection_hvector",
     "contract",
@@ -306,14 +304,6 @@ def expected_link_hvector(h_ci: HVector, h_inside: HVector) -> HVector:
     return HVector(tuple(vals))
 
 
-@dataclass(frozen=True)
-class LinkStep:
-    """One linkage step: the generators of the complete intersection to
-    colon by."""
-
-    ci_gens: tuple
-
-
 def _hvector_with_form(cover: Ideal, f: Polynomial) -> HVector:
     """h(cover + (f)) of an artinian cover and a form f, with no basis of
     that ideal: in B = R/cover the degree-d part of (cover + (f))/cover is
@@ -344,12 +334,13 @@ def _hvector_with_form(cover: Ideal, f: Polynomial) -> HVector:
 
 
 def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
-    """cover : (gens) for an artinian complete intersection cover: the cover
-    plus the lifts of the annihilator of the gens in B = R/cover, degree 1
-    through top, one past the predicted socle degree or B's socle degree if
-    that is lower.  Raises LinkageError unless the result has the predicted
-    h-vector, and otherwise stores that h-vector and attaches its reduced
-    basis, read off B's table with no engine run.
+    """cover : (gens) for an artinian complete intersection cover, called
+    only by `_link`: the cover plus the lifts of the annihilator of the gens
+    in B = R/cover, degree 1 through top, one past the predicted socle
+    degree or B's socle degree if that is lower.  Raises LinkageError unless
+    the result has the predicted h-vector, and otherwise stores that
+    h-vector and attaches its reduced basis, read off B's table with no
+    engine run.
 
     Per degree: the annihilator is an ideal of B, so for d <= top the result
     J has J_d = cover_d + lift(ann_d) = (cover : gens)_d, and h_d = h_B(d) -
@@ -360,8 +351,8 @@ def _colon_out_of(cover: Ideal, gens, expected: HVector) -> Ideal:
 
     Where linkage predicts an empty annihilator, h_B(d) = expected(d), the
     degree gets a rank certificate in place of a kernel: the
-    multiplication_rank of the first form, for _link's single form the
-    rank its h-vector check already took.  The annihilator of the gens lies
+    multiplication_rank of the first form, for a single form the rank
+    _link's h-vector check already took.  The annihilator of the gens lies
     in the first form's, so full rank |std_d| proves ann_d = 0 for any
     number of forms, h_d = h_B(d) is still a computed number, and the
     h-vector check compares computed numbers with the prediction.  A rank
@@ -412,7 +403,8 @@ def _link(I: Ideal, cover) -> Ideal:
     and the colon must have the predicted linked h-vector; any failure
     raises LinkageError.  A cover with nothing left over gives the unit
     ideal.  The generators are the cover's, then the annihilator's degree
-    by degree, as `_colon_out_of` builds them.
+    by degree, as `_colon_out_of` builds them.  Its callers, every linkage
+    step: link, link_by_squares, _residual_gorenstein, nonunique_hf_pair.
 
     A cover given as an Ideal is used as it is, so callers that colon
     several ideals out of one cover share its basis, quotient table,
@@ -443,11 +435,12 @@ def _link(I: Ideal, cover) -> Ideal:
     expected = expected_link_hvector(h_ci, h_I)
     if expected.total == 0:
         return Ideal(R, [R.one])
-    return _colon_out_of(ci, I.gens, expected)
+    return _colon_out_of(ci, rest, expected)
 
 
-def link(I: Ideal, step: LinkStep) -> Ideal:
-    """Colon the ideal out of a complete intersection contained in it.
+def link(I: Ideal, cover) -> Ideal:
+    """Colon the ideal out of a complete intersection contained in it, the
+    cover given as its forms or as an Ideal of them.
 
     The colon is the cover c plus the annihilator of the ideal in the cover
     quotient B: (c : I)/c is {p in B : p*I = 0 in B}.  The checks are
@@ -456,7 +449,7 @@ def link(I: Ideal, step: LinkStep) -> Ideal:
     Returns the colon as its reduced Groebner basis, attached; linking an
     ideal to itself returns the unit ideal.
     """
-    gb = _link(I, step.ci_gens).groebner()
+    gb = _link(I, cover).groebner()
     out = Ideal(I.ring, gb.elements)
     out.attach_groebner(gb)
     return out
@@ -582,9 +575,9 @@ def double_link(r: int, field: FieldSpec | None = None) -> tuple:
     I0 = Ideal(R, seed_gens)
     first = tuple([xs[r - 3]] + [xs[j] * xs[j] for j in range(r - 3)]
                   + [xs[r - 2] * xs[r - 2], xs[r - 1] * xs[r - 1]])
-    J1 = link(I0, LinkStep(first))
+    J1 = link(I0, first)
     second = tuple(v * v for v in xs)
-    J2 = link(J1, LinkStep(second))
+    J2 = link(J1, second)
     return J1, J2
 
 
@@ -647,14 +640,15 @@ def _residual_gorenstein(J: Ideal, cover: list, extra) -> tuple:
 
     That cover turns the embedded ideal into (cover) + (new variable), so
     the residual is Gorenstein; its generators beyond the cover are the
-    annihilator of the new variable in the cover quotient.  Returns
-    (residual, its cover).
+    annihilator of the new variable in the cover quotient, checked by
+    `_link` as every other step.  Returns (residual, its cover).
     """
-    R, vmap, expected = _embedding(J, 1)
+    R = ring(J.ring.field, J.ring.nvars + 1)
+    vmap = tuple(range(1, R.nvars))
     x0 = R.variables()[0]
     big_cover = ([x0 * x0 + extra.extend(R, vmap)]
                  + [g.extend(R, vmap) for g in cover])
-    return _colon_out_of(Ideal(R, big_cover), [x0], expected), big_cover
+    return _link(Ideal(R, big_cover + [x0]), Ideal(R, big_cover)), big_cover
 
 
 def linkage_grow(G: Ideal, rounds: int = 1, first_new_vars: int = 1) -> tuple:

@@ -1,4 +1,4 @@
-"""Ideal arithmetic: sums, intersections, colons, embeddings.
+"""Ideal arithmetic: sums, intersections, colons.
 
 Intersections and colons eliminate one auxiliary variable.  For homogeneous
 ideals I, J in R = k[x], the ideal K = t*I + (u-t)*J of k[t, x, u] is
@@ -155,8 +155,3 @@ def random_linear_form(ring_: RingCtx, rng, all_nonzero: bool = False) -> Polyno
     """A random nonzero linear form; with all_nonzero, every coordinate is a
     unit (useful as a cheap genericity proxy over small fields)."""
     return random_homogeneous(ring_, 1, rng, all_nonzero)
-
-
-def embed_ideal(I: Ideal, target: RingCtx, var_map=None) -> Ideal:
-    """Re-embed the generators of I into a larger ring."""
-    return Ideal(target, [g.extend(target, var_map) for g in I.gens])

@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 import re
 
-from .constructions import (LinkStep, apolar_ideal, embed_with_linear_gens,
+from .constructions import (apolar_ideal, embed_with_linear_gens,
                             group_table_algebra, link, link_by_squares,
                             linkage_grow, quadric_ci, random_dual_form,
                             regular_sequence_in, tensor_algebras)
@@ -397,13 +397,13 @@ class _Evaluator:
             C = self.ideal_arg(call, "ci", call.kwargs["ci"])
             if C.ring != I.ring:
                 self.fail(call, "the cover must live in the ideal's ring")
-            cover = C.gens
+            cover = C
         elif all(I.contains(v * v) for v in I.ring.variables()):
             return link_by_squares(I)
         else:
             cover = regular_sequence_in(I, [2] * I.ring.nvars,
                                         random.Random(step_seed))
-        return link(I, LinkStep(cover))
+        return link(I, cover)
 
     def op_embed(self, call, step_seed):
         self.take(call, positional=1, keys=("vars",))

@@ -15,10 +15,9 @@ from gorquad.census import (CSV_HEADER, H2_SUPPORT_R6, CensusConfig,
                             CensusRecord, CensusSummary, _cover,
                             _form_from_coeffs, _record_findings,
                             _sample_coefficient_lists, _sweep_one, classify,
-                            colon_quotient, form_from_index,
-                            h2_13_exclusion_check, records_to_csv, run_census,
-                            squarefree_quadric_keys, summary_markdown,
-                            verify_socle4_duality)
+                            colon_quotient, form_from_index, records_to_csv,
+                            run_census, squarefree_quadric_keys,
+                            summary_markdown, verify_socle4_duality)
 from gorquad.cli import build_parser, main
 from gorquad.constructions import (apolar_ideal, complete_intersection_hvector,
                                    contract, quadric_ci)
@@ -165,20 +164,6 @@ def test_csv_layout(r4_sweep):
     assert first[7] in ("True", "False", "skipped", "error")
 
 
-def test_h2_13_exclusion(r4_sweep):
-    _, records, _ = r4_sweep
-    assert h2_13_exclusion_check(records)
-    assert h2_13_exclusion_check([])
-    fake = CensusRecord(
-        f_index=9, F=ring(GF2, 4).parse("x1*x2"),
-        classification=QuadricClassification(
-            hvector=HVector((1, 6, 13, 6, 1)), socle_tuple=None,
-            generator_counts={2: 8}, gorenstein=None,
-            presented_by_quadrics=True),
-        presented=True, h2=13)
-    assert not h2_13_exclusion_check(list(records) + [fake])
-
-
 def test_socle4_duality_roundtrip(r4_sweep):
     cfg, records, _ = r4_sweep
     presented = next(rec for rec in records if rec.presented)
@@ -254,6 +239,19 @@ def test_record_findings_messages(hvector, message):
     skipped = dataclasses.replace(_presented_record(F, hvector),
                                   presented=None, classification=None)
     assert _record_findings(skipped, 6) == []
+
+
+def test_h2_13_exclusion(r4_sweep):
+    """At r = 6 a presented h2 of 13 or 14 is a finding outside the known
+    support and h2 = 10 is none; no presented r = 4 record has either."""
+    _, records, _ = r4_sweep
+    assert all(rec.h2 not in (13, 14) for rec in records if rec.presented)
+    F = ring(GF2, 6).parse("x1*x2")
+    for h2 in (13, 14):
+        assert _record_findings(_presented_record(F, (1, 6, h2, 6, 1)), 6) == [
+            f"F #7: presented with h2 = {h2} outside the known support "
+            "{10, 11, 12}"]
+    assert _record_findings(_presented_record(F, (1, 6, 10, 6, 1)), 6) == []
 
 
 def test_census_summary_checks_its_bookkeeping():

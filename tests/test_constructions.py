@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gorquad.constructions import (LinkageError, LinkStep, apolar_ideal,
+from gorquad.constructions import (LinkageError, apolar_ideal,
                                    complete_intersection_hvector, contract,
                                    double_link, embed_with_linear_gens,
                                    expected_group_hvector,
@@ -390,7 +390,7 @@ def test_expected_link_hvector_formula():
 def test_link_small_monomial_case():
     R = ring(Q, 2)
     I = Ideal.from_texts(R, ["x1^2", "x1*x2", "x2^2"])  # h = (1,2)
-    step = LinkStep((R.parse("x1^2"), R.parse("x2^2")))
+    step = (R.parse("x1^2"), R.parse("x2^2"))
     J = link(I, step)
     assert hilbert_function(J) == expected_link_hvector(
         HVector((1, 2, 1)), HVector((1, 2)))
@@ -403,7 +403,7 @@ def test_link_rejects_forms_outside_ideal():
     R = ring(Q, 2)
     I = Ideal.from_texts(R, ["x1^2", "x1*x2"])
     with pytest.raises(LinkageError):
-        link(I, LinkStep((R.parse("x1^2"), R.parse("x2^2"))))
+        link(I, (R.parse("x1^2"), R.parse("x2^2")))
 
 
 @pytest.mark.parametrize("cover", [("x2^2", "x2^2", "x3^2", "x1"),
@@ -417,23 +417,23 @@ def test_link_refuses_a_repeated_or_zero_form(cover):
     R = ring(GF7, 3)
     I = Ideal.from_texts(R, ["x1", "x2^2", "x3^2"])
     with pytest.raises(LinkageError, match="not a regular sequence"):
-        link(I, LinkStep(tuple(R.parse(t) for t in cover)))
+        link(I, tuple(R.parse(t) for t in cover))
 
 
 def test_link_needs_forms_of_the_ideals_ring():
     R = ring(GF7, 3)
     I = Ideal.from_texts(R, ["x1^2", "x2^2", "x3^2", "x1*x2"])
     with pytest.raises(LinkageError, match="at least one form"):
-        link(I, LinkStep(()))
+        link(I, ())
     S = ring(GF7, 4)
     with pytest.raises(RingMismatchError, match="the ideal's ring"):
-        link(I, LinkStep(tuple(v * v for v in S.variables())))
+        link(I, tuple(v * v for v in S.variables()))
 
 
 def test_link_self_is_unit():
     R = ring(Q, 2)
     I = Ideal.from_texts(R, ["x1^2", "x2^2"])
-    J = link(I, LinkStep(tuple(I.gens)))
+    J = link(I, tuple(I.gens))
     assert J.contains(R.one)
 
 
@@ -441,7 +441,7 @@ def test_link_by_squares_agrees_with_link():
     R = ring(Q, 3)
     squares = [R.parse("x1^2"), R.parse("x2^2"), R.parse("x3^2")]
     I = Ideal(R, squares + [R.parse("x1*x2 - x2*x3")])
-    via_link = link(I, LinkStep(tuple(squares)))
+    via_link = link(I, tuple(squares))
     via_dual = link_by_squares(I)
     assert via_link.groebner().elements == via_dual.groebner().elements
     with pytest.raises(LinkageError):
@@ -494,7 +494,7 @@ def test_link_is_the_colon_out_of_its_cover(build, squares):
     # the elimination path in idealops is the independent oracle
     I, cover = build()
     oracle = colon_ideal(Ideal(I.ring, cover), I).groebner().elements
-    assert link(I, LinkStep(tuple(cover))).groebner().elements == oracle
+    assert link(I, tuple(cover)).groebner().elements == oracle
     if squares:
         assert link_by_squares(I).groebner().elements == oracle
 
@@ -742,7 +742,7 @@ def test_hinted_links_match_the_unhinted_engine(field, seed, colons):
                             random_homogeneous(R, 3, rng)])
     link_by_squares(I)
     G = apolar_ideal(random_dual_form(ring(field, 4), 3, rng))
-    linked = link(G, LinkStep(regular_sequence_in(G, [2] * 4, rng)))
+    linked = link(G, regular_sequence_in(G, [2] * 4, rng))
     assert len(colons) == 2
     assert linked.groebner() is colons[-1].groebner()
     for colon in colons:
@@ -878,6 +878,47 @@ def test_a_wrong_residual_prediction_still_raises(wrong, monkeypatch):
         constructions._residual_almost_ci(G, cover, 1)
 
 
+@pytest.mark.parametrize("cover", [("x1^2", "x1^2", "x3^2"),
+                                   ("x1^2", "x2^2", "x1^2 + x2^2")],
+                         ids=["repeated", "dependent"])
+def test_the_gorenstein_residual_checks_its_cover(cover):
+    """The Gorenstein half of a growth round links through _link: with the
+    squares it gives the linked vector, and a cover that is no regular
+    sequence raises LinkageError rather than a quotient that is not
+    artinian."""
+    R = ring(GFBIG, 3)
+    squares = [v * v for v in R.variables()]
+    extra = R.parse("x1*x2 + x2*x3")
+    J = Ideal(R, squares + [extra])
+    G, _ = constructions._residual_gorenstein(J, squares, extra)
+    assert hilbert_function(G) == HVector((1, 4, 4, 1))
+    bad = [R.parse(t) for t in cover]
+    with pytest.raises(LinkageError, match="not a regular sequence"):
+        constructions._residual_gorenstein(J, bad, extra)
+
+
+def test_link_takes_the_cover_as_an_ideal(monkeypatch):
+    """link(I, C) for an Ideal C is link(I, C.gens), and it uses C with its
+    basis: every cover it certifies is C, and no second cover basis is
+    built."""
+    R = ring(GF7, 3)
+    C = Ideal(R, [v * v for v in R.variables()])
+    I = Ideal(R, list(C.gens) + [R.parse("x1*x2 + 2*x2*x3")])
+    basis = C.groebner()
+    expected = link(I, C.gens).gens
+    certified = []
+    real = constructions._regular_sequence_hvector
+
+    def record(J):
+        certified.append(J)
+        return real(J)
+
+    monkeypatch.setattr(constructions, "_regular_sequence_hvector", record)
+    assert link(I, C).gens == expected
+    assert certified and all(J is C for J in certified)
+    assert C.groebner() is basis
+
+
 def test_the_tower_jobs_reduce_no_pair(monkeypatch):
     """The tower jobs of the liaison benchmark, each output classified with
     its socle, run no engine: the covers' leading terms are pairwise
@@ -921,7 +962,7 @@ def _seeded_colons(field, order, seed):
     link_by_squares(Ideal(R, squares + [random_homogeneous(R, 2, rng),
                                         random_homogeneous(R, 3, rng)]))
     G = apolar_ideal(random_dual_form(R, 3, rng))
-    link(G, LinkStep(regular_sequence_in(G, [2] * 4, rng)))
+    link(G, regular_sequence_in(G, [2] * 4, rng))
     colon_quotient(Ideal(R, squares), random_homogeneous(R, 2, rng))
 
 
@@ -977,7 +1018,7 @@ def test_liaison_runs_no_engine_on_a_colon(monkeypatch, colons):
     R = ring(GF7, 4)
     squares = [v * v for v in R.variables()]
     I = Ideal(R, squares + [random_homogeneous(R, 2, random.Random(12))])
-    results = [link_by_squares(I), link(I, LinkStep(tuple(squares)))]
+    results = [link_by_squares(I), link(I, tuple(squares))]
     results += linkage_grow(seed_131(GF7), rounds=2)
     results += double_link(5, GF7)
     for J in results:

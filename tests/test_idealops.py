@@ -1,4 +1,4 @@
-"""Colon, intersection, and embedding, with a sympy elimination oracle."""
+"""Colon and intersection, with a sympy elimination oracle."""
 
 import hashlib
 import random
@@ -7,9 +7,8 @@ import pytest
 
 from gorquad.core import AlgebraError
 from gorquad.groebner import Ideal
-from gorquad.idealops import (colon_form, colon_ideal, embed_ideal,
-                              exact_divide, ideal_sum, intersect,
-                              random_linear_form)
+from gorquad.idealops import (colon_form, colon_ideal, exact_divide,
+                              ideal_sum, intersect, random_linear_form)
 from gorquad.invariants import hilbert_value
 from gorquad.orders import elimination_order
 from gorquad.poly import ring
@@ -191,16 +190,6 @@ def test_colon_and_intersection_bases_follow_the_ring_order(order, field, op):
     else:
         out = colon_ideal(I, Ideal(R, [f, R.parse("x2^2")]))
     assert out.groebner().elements == Ideal(R, out.gens).groebner().elements
-
-
-def test_embed_ideal():
-    R = ring(Q, 2)
-    S = ring(Q, 4)
-    I = Ideal.from_texts(R, ["x1^2 + x2^2"])
-    E = embed_ideal(I, S)
-    assert str(E.gens[0]) == "x1^2 + x2^2"
-    shifted = embed_ideal(I, S, var_map=(2, 3))
-    assert str(shifted.gens[0]) == "x3^2 + x4^2"
 
 
 def test_colon_truncation_agrees_with_full():

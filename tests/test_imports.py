@@ -361,6 +361,23 @@ def test_one_kernel_path_for_the_multiplication_maps():
         assert found == allowed, f"{name} read by {sorted(found)}"
 
 
+def test_one_checked_linkage_entry():
+    """Only _link builds a colon out of a complete intersection, so every
+    linkage step passes its checks, and no module defines the one-field
+    LinkStep wrapper that link once took."""
+    found = {f"{path.stem}.{owner}" for path, tree in PACKAGE.items()
+             for owner in _readers(tree, "_colon_out_of")}
+    assert found == {"constructions._link"}, (
+        f"_colon_out_of read by {sorted(found)}")
+    defined = sorted(
+        path.stem for path, tree in PACKAGE.items() for node in ast.walk(tree)
+        if (isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name == "LinkStep")
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and node.id == "LinkStep"))
+    assert not defined, f"LinkStep defined in {defined}"
+
+
 FIELD_ARITHMETIC = {"add", "sub", "mul", "neg"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)

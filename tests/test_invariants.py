@@ -10,7 +10,7 @@ import pytest
 
 from gorquad import groebner, invariants
 from gorquad.census import CensusConfig, records_to_csv, run_census
-from gorquad.constructions import (LinkStep, apolar_ideal, double_link, link,
+from gorquad.constructions import (apolar_ideal, double_link, link,
                                    nonunique_hf_pair,
                                    penultimate_socle_algebras, quadric_ci,
                                    random_dual_form, random_homogeneous,
@@ -322,7 +322,7 @@ def test_membership_and_linkage_read_the_table_not_the_reducer(monkeypatch):
         gb = I.groebner()
         membership = [(gb.normal_form(p), gb.contains(p), gb.reduces_to_zero(p),
                        I.contains(p)) for p in probes]
-        linked = link(I, LinkStep(cover)).groebner().elements
+        linked = link(I, cover).groebner().elements
         records, summary = run_census(CensusConfig(field=GF2, r=4))
         return membership, linked, records_to_csv(summary.config, records)
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from gorquad.cli import main
-from gorquad.constructions import (LinkStep, link, link_by_squares,
+from gorquad.constructions import (link, link_by_squares,
                                    regular_sequence_in)
 from gorquad.core import AlgebraError, ParseError
 from gorquad.groebner import Ideal
@@ -252,7 +252,7 @@ def test_recipe_link_by_a_named_cover():
     got, _ = run_recipe(E2 + "c = ci r=3\nlink I ci=c\n", field=GFBIG)
     I, _ = run_recipe(E2, field=GFBIG)
     c, _ = run_recipe("ci r=3\n", field=GFBIG)
-    assert got.gens == link(I, LinkStep(c.gens)).gens
+    assert got.gens == link(I, c.gens).gens
     assert hilbert_function(got) == HVector((1, 2))
 
 
