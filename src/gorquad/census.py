@@ -6,8 +6,13 @@ Each swept form yields an artinian Gorenstein quotient of socle degree r - 2
 by linkage, so the sweep records, for every F outside the cover, whether the
 colon ideal is presented by quadrics and what its h-vector is.  Over GF(2)
 the sweep can be exhaustive across all nonzero sums of square-free quadratic
-monomials; over larger fields it samples seeded dense quadrics.  Results are
-persisted as an append-only CSV stream plus a Markdown summary table.
+monomials; over larger fields it samples seeded dense quadrics.
+
+`sweep` is the one driver: it draws the forms lazily in the main process,
+builds the cover before any pool starts, and yields each CensusRecord in
+sweep order, so memory stays bounded.  `run_census` lists the stream and
+`summarize`s it; `gorquad census` writes it as an append-only CSV stream
+(`write_rows`), folding the summary in the same pass.
 
 No Groebner basis is computed per form.  g lies in 𝔠 : F exactly when gF
 lies in 𝔠, so (𝔠 : F)/𝔠 is the annihilator J of F in B = R/𝔠, and the
@@ -63,6 +68,7 @@ import io
 import math
 import multiprocessing
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
@@ -74,7 +80,7 @@ from .groebner import Ideal
 from .invariants import (HVector, QuadricClassification, annihilator,
                          as_basis, hilbert_function, minimal_generators)
 from .linalg import Echelon, combination, echelon
-from .poly import Polynomial, RingCtx, ring
+from .poly import Polynomial, RingCtx
 
 # The r = 6 findings check, for every field and cover: the three h2 values
 # a presented colon can have; anything else is surfaced as a finding rather
@@ -83,7 +89,8 @@ from .poly import Polynomial, RingCtx, ring
 # --r 6 --jobs 2`; ROADMAP direction 3).
 H2_SUPPORT_R6 = (10, 11, 12)
 
-_EXHAUSTIVE_BITS = 21   # the exhaustive sweep holds a task per form: r <= 7
+_EXHAUSTIVE_BITS = 21   # bounds wall time, not memory: r = 8 has 2^28 - 1
+_CHUNK = 64             # forms per pool message
 
 CSV_HEADER = ("field", "r", "ci_style", "ci_seed", "mode", "f_index",
               "f_poly", "presented", "h2", "socle_degree", "hvector", "seed")
@@ -197,17 +204,17 @@ def form_from_index(R: RingCtx, keys: tuple, mask: int) -> Polynomial:
                         if mask >> j & 1)
 
 
-def _sample_coefficient_lists(cfg: CensusConfig, R: RingCtx) -> list:
-    """Pregenerate every sampled form's dense coefficient tuple up front, so
-    worker partitioning can never change the stream."""
+def _tasks(cfg: CensusConfig):
+    """(f_index, spec) of every form; the main process draws them in order."""
+    if cfg.mode == "exhaustive_squarefree":
+        return ((m, m) for m in range(1, 1 << math.comb(cfg.r, 2)))
     rng = random.Random(cfg.sample_seed)
-    width = len(R.monomials_of_degree(2))
-    return [tuple(R.field.random(rng) for _ in range(width))
-            for _ in range(cfg.sample_count)]
-
-
-def _form_from_coeffs(R: RingCtx, coeffs: tuple) -> Polynomial:
-    return R.from_terms(zip(R.monomials_of_degree(2), coeffs))
+    width = math.comb(cfg.r + 1, 2)     # the degree-2 monomials
+    # Drawn a chunk at a time: a draw between classifications ran ~2% slower.
+    return enumerate(chain.from_iterable(
+        [tuple(cfg.field.random(rng) for _ in range(width))
+         for _ in range(min(_CHUNK, cfg.sample_count - i))]
+        for i in range(0, cfg.sample_count, _CHUNK)))
 
 
 # -- the per-form pipeline --------------------------------------------------------
@@ -231,7 +238,7 @@ def _task_form(R: RingCtx, spec) -> Polynomial:
     """The form a task names: an exhaustive-sweep mask or a coefficient tuple."""
     if isinstance(spec, int):
         return form_from_index(R, squarefree_quadric_keys(R), spec)
-    return _form_from_coeffs(R, spec)
+    return R.from_terms(zip(R.monomials_of_degree(2), spec))
 
 
 def classify(cover: Ideal, F: Polynomial) -> QuadricClassification:
@@ -375,39 +382,25 @@ def _record_findings(rec: CensusRecord, r: int) -> list:
     return out
 
 
-def run_census(cfg: CensusConfig) -> tuple:
-    """Sweep every configured form and return (records, summary).
+def sweep(cfg: CensusConfig):
+    """Yield each form's CensusRecord in order; closing it ends the pool."""
+    R = _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed).ring
+    seed = None if cfg.mode == "exhaustive_squarefree" else cfg.sample_seed
+    one = partial(_sweep_one, cfg)
+    with (multiprocessing.Pool(cfg.parallelism) if cfg.parallelism > 1
+          else nullcontext()) as pool:
+        payloads = (pool.imap(one, _tasks(cfg), _CHUNK) if pool
+                    else map(one, _tasks(cfg)))
+        for f_index, spec, cls, reason, errored in payloads:
+            yield CensusRecord(
+                f_index=f_index, F=_task_form(R, spec), classification=cls,
+                presented=None if cls is None else cls.presented_by_quadrics,
+                h2=None if cls is None else cls.hvector[2],
+                skip_reason=reason, seed=seed, errored=errored)
 
-    The record list is in sweep order (stable form indices); the summary is a
-    commutative aggregate, so worker count never changes either.
-    """
-    R = ring(cfg.field, cfg.r)
-    if cfg.mode == "exhaustive_squarefree":
-        tasks = [(m, m) for m in range(1, 1 << math.comb(cfg.r, 2))]
-        seed = None
-    else:
-        tasks = list(enumerate(_sample_coefficient_lists(cfg, R)))
-        seed = cfg.sample_seed
 
-    # The cover is built before the pool starts, so forked workers inherit
-    # it; its generators are rendered once per process.
-    ci_gens = _cover_gens(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed)
-    sweep = partial(_sweep_one, cfg)
-    if cfg.parallelism == 1:
-        payloads = list(map(sweep, tasks))
-    else:
-        chunk = max(1, len(tasks) // (cfg.parallelism * 8))
-        with multiprocessing.Pool(cfg.parallelism) as pool:
-            payloads = list(pool.imap(sweep, tasks, chunksize=chunk))
-
-    records = [
-        CensusRecord(f_index=f_index, F=_task_form(R, spec),
-                     classification=cls,
-                     presented=None if cls is None else cls.presented_by_quadrics,
-                     h2=None if cls is None else cls.hvector[2],
-                     skip_reason=reason, seed=seed, errored=errored)
-        for f_index, spec, cls, reason, errored in payloads]
-
+def summarize(cfg: CensusConfig, records) -> CensusSummary:
+    """Fold any iterable of cfg's records, in one pass, into its summary."""
     counts: dict = {}
     presented = swept = skipped = errored = 0
     findings: list = []
@@ -424,7 +417,7 @@ def run_census(cfg: CensusConfig) -> tuple:
             presented += 1
             counts[rec.h2] = counts.get(rec.h2, 0) + 1
         findings.extend(_record_findings(rec, cfg.r))
-    summary = CensusSummary(
+    return CensusSummary(
         counts=counts,
         total_presented=presented,
         total_swept=swept,
@@ -432,9 +425,14 @@ def run_census(cfg: CensusConfig) -> tuple:
         total_errored=errored,
         findings=tuple(findings),
         config=cfg,
-        ci_gens=ci_gens,
+        ci_gens=_cover_gens(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed),
     )
-    return records, summary
+
+
+def run_census(cfg: CensusConfig) -> tuple:
+    """(records, summary): the sweep's records in order, and their fold."""
+    records = list(sweep(cfg))
+    return records, summarize(cfg, records)
 
 
 # -- consistency oracles ----------------------------------------------------------
@@ -494,13 +492,20 @@ def _csv_row(cfg: CensusConfig, rec: CensusRecord) -> tuple:
     )
 
 
-def records_to_csv(cfg: CensusConfig, records) -> str:
-    """The full record stream as CSV text (header + one row per form)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def write_rows(fh, cfg: CensusConfig, records):
+    """Write the CSV header, then each record's row, passing the record on."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rec in records:
         writer.writerow(_csv_row(cfg, rec))
+        yield rec
+
+
+def records_to_csv(cfg: CensusConfig, records) -> str:
+    """The full record stream as CSV text (header + one row per form)."""
+    buf = io.StringIO()
+    for _ in write_rows(buf, cfg, records):
+        pass
     return buf.getvalue()
 
 

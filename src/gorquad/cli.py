@@ -14,8 +14,8 @@ import argparse
 import os
 import sys
 
-from .census import (CensusConfig, CensusConfigError, run_census,
-                     records_to_csv, summary_markdown)
+from .census import (CensusConfig, CensusConfigError, summarize,
+                     summary_markdown, sweep, write_rows)
 from .constructions import link_by_squares
 from .core import AlgebraError, FieldSpec
 from .gin import gin, check_injectivity_conjecture, check_wlp
@@ -132,11 +132,15 @@ def _census_config(parser, args) -> CensusConfig:
 
 def cmd_census(args) -> int:
     cfg = args.config
-    records, summary = run_census(cfg)
     if args.out:
-        _write_text(args.out, records_to_csv(cfg, records))
+        # A sweep that raises leaves the earlier CSV and Markdown in place.
+        with open(args.out + ".part", "w", encoding="utf-8") as fh:
+            summary = summarize(cfg, write_rows(fh, cfg, sweep(cfg)))
+        os.replace(args.out + ".part", args.out)
         _write_text(os.path.splitext(args.out)[0] + ".md",
                     summary_markdown(summary))
+    else:
+        summary = summarize(cfg, sweep(cfg))
     sys.stdout.write(summary_markdown(summary))
     # Findings, errored forms among them, are negative verdicts.
     return 1 if summary.findings else 0
@@ -243,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--seed", type=int, default=0)
     cen.add_argument("--jobs", type=_at_least(1), default=1)
     cen.add_argument("--out", default=None, type=_census_out,
-                     help="CSV output path; the Markdown summary lands "
-                          "next to it with extension .md")
+                     help="CSV output path; rows stream into OUT.part, "
+                          "which replaces OUT after the last row; the "
+                          "Markdown summary then lands beside it as .md")
     cen.set_defaults(func=cmd_census)
 
     chk = subs.add_parser("check", help="run a conjecture or duality check")

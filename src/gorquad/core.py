@@ -1,4 +1,4 @@
-"""Exact coefficient fields and the package's error types."""
+"""Exact coefficient fields, the error types and the parsers' token cursor."""
 
 from __future__ import annotations
 
@@ -26,6 +26,24 @@ class ParseError(AlgebraError):
         self.message = message
         self.line = line
         self.col = col
+
+
+class TokenCursor:
+    """The poly and recipe parsers' cursor over (kind, value, line, col)."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def _peek(self):
+        return self.tokens[self.i]
+
+    def _next(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def _err(self, msg, tok):
+        raise ParseError(msg, tok[2], tok[3])
 
 
 class CappedComputationError(AlgebraError):

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import FieldSpec, ParseError, RingMismatchError
+from .core import FieldSpec, ParseError, RingMismatchError, TokenCursor
 from .linalg import axpy, scaled
 from .orders import DEGREVLEX, MAX_PACKED_DEGREE, MonomialOrder
 
@@ -343,7 +343,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-class _Parser:
+class _Parser(TokenCursor):
     """Recursive-descent parser for the text form produced by __str__,
     plus parentheses: expr := term (('+'|'-') term)*,
     term := factor ('*' factor)*, factor := '-'* base ('^' int)?,
@@ -351,8 +351,7 @@ class _Parser:
 
     def __init__(self, ring_: RingCtx, text: str):
         self.ring = ring_
-        self.text = text
-        self.tokens = []
+        tokens = []
         line, col = 1, 1
         pos = 0
         while pos < len(text):
@@ -362,26 +361,14 @@ class _Parser:
             kind = m.lastgroup
             val = m.group()
             if kind != "ws":
-                self.tokens.append((kind, val, line, col))
+                tokens.append((kind, val, line, col))
             for ch in val:
                 if ch == "\n":
                     line, col = line + 1, 1
                 else:
                     col += 1
             pos = m.end()
-        self.tokens.append(("end", "", line, col))
-        self.i = 0
-
-    def _peek(self):
-        return self.tokens[self.i]
-
-    def _next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _err(self, msg, tok):
-        raise ParseError(msg, tok[2], tok[3])
+        super().__init__(tokens + [("end", "", line, col)])
 
     def parse(self) -> Polynomial:
         p = self._expr()

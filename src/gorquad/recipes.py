@@ -44,7 +44,7 @@ from .constructions import (apolar_ideal, embed_with_linear_gens,
                             group_table_algebra, link, link_by_squares,
                             linkage_grow, quadric_ci, random_dual_form,
                             regular_sequence_in, tensor_algebras)
-from .core import FieldSpec, GenericityError, ParseError
+from .core import FieldSpec, GenericityError, ParseError, TokenCursor
 from .groebner import Ideal
 from .idealops import colon_form
 from .invariants import hilbert_function
@@ -168,22 +168,7 @@ class _Call:
         self.line = line
 
 
-class _StepParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def _peek(self):
-        return self.tokens[self.i]
-
-    def _next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _err(self, msg, tok):
-        raise ParseError(msg, tok[2], tok[3])
-
+class _StepParser(TokenCursor):
     def parse_stmt(self):
         name = None
         if (self._peek()[0] == "atom" and self.tokens[self.i + 1][0] == "="):

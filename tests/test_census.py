@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
+import multiprocessing
 import random
+from contextlib import closing
 
 import pytest
 
@@ -13,11 +16,11 @@ import gorquad.constructions
 from gorquad import invariants
 from gorquad.census import (CSV_HEADER, H2_SUPPORT_R6, CensusConfig,
                             CensusRecord, CensusSummary, _cover,
-                            _form_from_coeffs, _record_findings,
-                            _sample_coefficient_lists, _sweep_one, classify,
-                            colon_quotient, form_from_index, records_to_csv,
-                            run_census, squarefree_quadric_keys,
-                            summary_markdown, verify_socle4_duality)
+                            _record_findings, _sweep_one, _task_form, _tasks,
+                            classify, colon_quotient, form_from_index,
+                            records_to_csv, run_census,
+                            squarefree_quadric_keys, summary_markdown, sweep,
+                            verify_socle4_duality)
 from gorquad.cli import build_parser, main
 from gorquad.constructions import (apolar_ideal, complete_intersection_hvector,
                                    contract, quadric_ci)
@@ -378,8 +381,7 @@ def test_classify_matches_the_groebner_oracle(cfg):
         keys = squarefree_quadric_keys(R)
         forms = [form_from_index(R, keys, m) for m in range(1, 1 << len(keys))]
     else:
-        forms = [_form_from_coeffs(R, coeffs)
-                 for coeffs in _sample_coefficient_lists(cfg, R)]
+        forms = [_task_form(R, spec) for _, spec in _tasks(cfg)]
     checked = 0
     for F in forms:
         if cover_gb.reduces_to_zero(F):
@@ -444,8 +446,8 @@ def test_classify_checks_the_cover_once_per_basis(monkeypatch):
     cover = quadric_ci(5, GF7, style="random", seed=4)
     R = cover.ring
     built.clear()       # quadric_ci checked its draw
-    for coeffs in _sample_coefficient_lists(cfg, R):
-        classify(cover, _form_from_coeffs(R, coeffs))
+    for _, spec in _tasks(cfg):
+        classify(cover, _task_form(R, spec))
     assert built == [(2,) * 5]
 
 
@@ -482,8 +484,7 @@ def _sampled_forms(cfg, texts=None):
         keys = squarefree_quadric_keys(R)
         forms = [form_from_index(R, keys, m) for m in range(1, 1 << len(keys))]
     else:
-        forms = [_form_from_coeffs(R, coeffs)
-                 for coeffs in _sample_coefficient_lists(cfg, R)]
+        forms = [_task_form(R, spec) for _, spec in _tasks(cfg)]
     return cover, [F for F in forms if not cover_gb.reduces_to_zero(F)]
 
 
@@ -653,15 +654,85 @@ def test_the_cover_generators_are_rendered_once():
      "513c103439450a0899700b1c9ab18e97bf4523d1e21b80a3463df85603e0b97e"),
 ], ids=["gf2-r4", "gf2-r6-sample", "gf2-r5", "gfbig-r5-random",
         "gf7-r4-random"])
-def test_census_output_is_pinned(cfg, csv_sha, md_sha):
+def test_census_output_is_pinned(cfg, csv_sha, md_sha, tmp_path, capsys):
     # A pool gives the same bytes: its workers inherit or build the cached
-    # cover and return the classifications pickled.
+    # cover and return the classifications pickled.  The CLI streams the
+    # same rows into --out and prints the same Markdown.
+    flags = ["census", "--field", cfg.field.token, "--r", str(cfg.r),
+             "--ci", cfg.ci_style, "--ci-seed", str(cfg.ci_seed)]
+    if cfg.mode == "random_sample":
+        flags += ["--mode", "sample", "--samples", str(cfg.sample_count),
+                  "--seed", str(cfg.sample_seed)]
+    out = tmp_path / "census.csv"
     for jobs in (1, 2) if cfg.ci_style == "random" else (1,):
         records, summary = run_census(
             dataclasses.replace(cfg, parallelism=jobs))
+        main(flags + ["--jobs", str(jobs), "--out", str(out)])
         for text, want in ((records_to_csv(cfg, records), csv_sha),
-                           (summary_markdown(summary), md_sha)):
+                           (summary_markdown(summary), md_sha),
+                           (out.read_text(encoding="utf-8"), csv_sha),
+                           (out.with_suffix(".md").read_text(
+                               encoding="utf-8"), md_sha),
+                           (capsys.readouterr().out, md_sha)):
             assert hashlib.sha256(text.encode()).hexdigest() == want, jobs
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "census.csv", "census.md"]
+
+
+def test_the_sweep_is_lazy(monkeypatch):
+    """The exhaustive r = 7 sweep (2^21 - 1 forms) yields its first record
+    after one form, and closing it ends the sweep: no task, payload or
+    record list is built ahead of the stream."""
+    calls = []
+
+    def counting(cfg, task):
+        calls.append(task[0])
+        return _sweep_one(cfg, task)
+
+    monkeypatch.setattr(gorquad.census, "_sweep_one", counting)
+    records = sweep(CensusConfig(field=GF2, r=7))
+    first = next(records)
+    assert (first.f_index, calls) == (1, [1])
+    records.close()
+    assert next(records, None) is None
+    assert calls == [1]
+
+
+def test_closing_a_pool_sweep_ends_its_workers():
+    # closing() ends the pool even when an assertion inside fails.
+    with closing(sweep(CensusConfig(field=GF2, r=7, parallelism=2))) as recs:
+        assert [rec.f_index for rec in itertools.islice(recs, 3)] == [1, 2, 3]
+        assert multiprocessing.active_children()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_raising_sweep_leaves_the_earlier_output(monkeypatch, tmp_path,
+                                                   capsys):
+    """Rows stream into <out>.part, which replaces --out only after the
+    last row, so a sweep that raises past the errors it records leaves no
+    CSV that looks complete, and an earlier CSV and Markdown untouched."""
+    calls = []
+
+    def failing(cover, F):
+        calls.append(F)
+        if len(calls) == 3:
+            raise RuntimeError("classify broke")
+        return classify(cover, F)
+
+    monkeypatch.setattr(gorquad.census, "classify", failing)
+    out, md = tmp_path / "census.csv", tmp_path / "census.md"
+    args = ["census", "--field", "2", "--r", "4", "--out", str(out)]
+    with pytest.raises(RuntimeError, match="classify broke"):
+        main(args)
+    assert not out.exists() and not md.exists()
+    calls.clear()
+    monkeypatch.setattr(gorquad.census, "classify", classify)
+    assert main(args) == 0
+    before = out.read_bytes(), md.read_bytes()
+    monkeypatch.setattr(gorquad.census, "classify", failing)
+    with pytest.raises(RuntimeError, match="classify broke"):
+        main(args)
+    assert (out.read_bytes(), md.read_bytes()) == before
 
 
 def test_census_cli_refuses_standard_output(monkeypatch, tmp_path):

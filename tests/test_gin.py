@@ -48,6 +48,7 @@ def test_gin_of_squares_r3_over_q():
     assert res.attempts_agreed >= 3
     assert sorted(str(g) for g in res.monomial_ideal.gens) == [
         "x1*x2", "x1*x3^2", "x1^2", "x2*x3^2", "x2^2", "x3^4"]
+    assert res.ring is I.ring
     assert hilbert_function(res.monomial_ideal) == hilbert_function(I)
 
 

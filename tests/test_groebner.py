@@ -74,6 +74,7 @@ def test_membership_and_normal_form(field):
     nf = gb.normal_form
     assert nf(a + b) == nf(a) + nf(b)
     assert nf(nf(a)) == nf(a)
+    assert I.normal_form(a) == nf(a)
     # and every element's normal form against its own ideal vanishes
     assert all(nf(g).is_zero() for g in I.gens)
 
