@@ -346,9 +346,9 @@ def colon_quotient(cover: Ideal, F: Polynomial) -> Ideal:
 
 
 def _sweep_one(cfg: CensusConfig, task: tuple) -> tuple:
-    """Classify one form: the task followed by (classification or None,
-    skip or error reason, errored).  A process pool returns the same
-    payload pickled, so every form goes through this one function."""
+    """Classify one form, built here once: (f_index, its terms,
+    classification or None, skip or error reason, errored).  A process pool
+    returns the same payload pickled, so every form goes through here."""
     cover = _cover(cfg.field, cfg.r, cfg.ci_style, cfg.ci_seed)
     gb = cover.groebner()
     F = _task_form(gb.ring, task[1])
@@ -356,11 +356,11 @@ def _sweep_one(cfg: CensusConfig, task: tuple) -> tuple:
     if f.is_zero():
         reason = ("the zero form" if F.is_zero()
                   else "the form lies in the cover")
-        return task + (None, reason, False)
+        return task[0], F.terms, None, reason, False
     try:
-        return task + (classify(cover, f), "", False)
+        return task[0], F.terms, classify(cover, f), "", False
     except AlgebraError as exc:
-        return task + (None, str(exc), True)
+        return task[0], F.terms, None, str(exc), True
 
 
 def _record_findings(rec: CensusRecord, r: int) -> list:
@@ -391,9 +391,9 @@ def sweep(cfg: CensusConfig):
           else nullcontext()) as pool:
         payloads = (pool.imap(one, _tasks(cfg), _CHUNK) if pool
                     else map(one, _tasks(cfg)))
-        for f_index, spec, cls, reason, errored in payloads:
+        for f_index, terms, cls, reason, errored in payloads:
             yield CensusRecord(
-                f_index=f_index, F=_task_form(R, spec), classification=cls,
+                f_index=f_index, F=Polynomial(R, terms), classification=cls,
                 presented=None if cls is None else cls.presented_by_quadrics,
                 h2=None if cls is None else cls.hvector[2],
                 skip_reason=reason, seed=seed, errored=errored)

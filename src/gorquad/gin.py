@@ -32,7 +32,7 @@ from .invariants import (
     is_artinian,
     multiplication_rank,
 )
-from .linalg import axpy, echelon, left_kernel
+from .linalg import echelon, left_kernel, rows_over
 from .poly import Polynomial, RingCtx, Substitution
 
 MIN_GIN_PRIME = 32003
@@ -77,9 +77,7 @@ def random_coordinate_change(R: RingCtx, rng: random.Random) -> list:
     """A uniformly random invertible change of coordinates, as the list of
     images of the variables.  Over the rationals the matrix entries are
     integers in [-50, 50]."""
-    field = R.field
-    xs = R.variables()
-    n = R.nvars
+    field, n, var_keys = R.field, R.nvars, R.codec.var_keys
     for _ in range(100):
         if field.is_rationals:
             matrix = [[field.normalize(rng.randint(-50, 50)) for _ in range(n)]
@@ -89,16 +87,9 @@ def random_coordinate_change(R: RingCtx, rng: random.Random) -> list:
                       for _ in range(n)]
         rows = [{j: a for j, a in enumerate(row) if a != field.zero}
                 for row in matrix]
-        if echelon(rows, field).rank != n:
-            continue
-        images = []
-        for row in matrix:
-            im = R.zero
-            for j, a in enumerate(row):
-                if a != field.zero:
-                    im = im + xs[j].scale(a)
-            images.append(im)
-        return images
+        if echelon(rows, field).rank == n:
+            return [R.from_terms((var_keys[j], a) for j, a in row.items())
+                    for row in rows]
     raise GenericityError("could not sample an invertible coordinate change")
 
 
@@ -139,27 +130,32 @@ def _initial_ideal_from_table(gb: GroebnerBasis, images) -> list:
     """The minimal generators of in(sigma(I)), sigma: x_j -> images[j]
     invertible, for the artinian I of gb, by groebner._fglm_walk over the
     table of B = R/I: sigma(I) is the kernel of phi = NF(sigma^-1(.)), and
-    phi(b) = l'_k * phi(b / x_k), l'_k = sigma^-1(x_k), from the rows
-    NF(l'_k * t) = sum_j c_kj NF(x_j * t), each built once.  Degree d has
-    h_d = |std_d| standard monomials, and the rest lead."""
+    phi(b) = l'_k * phi(b / x_k), l'_k = sigma^-1(x_k) = sum_j a_kj x_j.
+    Degree d has h_d = |std_d| standard monomials, and the rest lead.  The
+    rows NF(x_j * t) over std_d, t in std_{d-1}, are linalg.rows_over rows
+    kept on gb for every change; a change sums NF(l'_k * t) from them once
+    per (d, k), and phi(b) from those, one row per t in phi(b / x_k)."""
     R = gb.ring
-    mul, field = R.codec.mul, R.field
-    inverse = _inverse_change(R, images)
-    times = [{} for _ in inverse]   # times[k][t] = NF(l'_k * t)
+    mul, var_keys = R.codec.mul, R.codec.var_keys
+    inverse = [dict(ell.terms) for ell in _inverse_change(R, images)]
+    ell = {}    # ell[d, k] = {t: NF(l'_k * t)} over std_{d-1}
+
+    def level(d):   # rows_over std_d; {t: {x_j: NF(x_j * t)}} over std_{d-1}
+        def build():
+            rows = rows_over(gb.standard_monomials(d), R.field)
+            return rows, {t: {x: rows.row(gb.nf(mul(x, t))) for x in var_keys}
+                          for t in gb.standard_monomials(d - 1)}
+        return gb.cached(("gin rows", d), build)
 
     def image(d, k, prev):
-        rows_k, row = times[k], {}
-        for t, c in prev.items():
-            times_t = rows_k.get(t)
-            if times_t is None:
-                times_t = rows_k[t] = {}
-                for x, a in inverse[k].terms:
-                    axpy(times_t, a, gb.nf(mul(x, t)), field)
-            axpy(row, c, times_t, field)
-        return row
+        (rows, times), ell_k = level(d), ell.get((d, k))
+        if ell_k is None:
+            ell_k = ell[d, k] = {t: rows.combination(xt, inverse[k])
+                                 for t, xt in times.items()}
+        return rows.combination(ell_k, level(d - 1)[0].vector(prev))
 
-    return list(_fglm_walk(R, gb.nf(R.codec.one), image,
-                           room=lambda d: len(gb.standard_monomials(d))))
+    return list(_fglm_walk(R, level(0)[0].row(gb.nf(R.codec.one)), image,
+                           gb.standard_monomials))
 
 
 def _lead_ideal_in_random_coordinates(I: Ideal, seed: int) -> tuple:

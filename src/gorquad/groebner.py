@@ -72,7 +72,7 @@ from bisect import insort
 from collections import namedtuple
 
 from .core import AlgebraError, CappedComputationError, RingMismatchError
-from .linalg import Echelon, axpy, scaled
+from .linalg import Echelon, axpy, rows_over, scaled
 from .orders import _FIELD_MAX, DEGREVLEX
 from .poly import Polynomial, RingCtx
 
@@ -346,19 +346,21 @@ def _pairless_basis(ring: RingCtx, polys, truncate_at):
         if truncate_at is None or p.degree() <= truncate_at], truncate_at)
 
 
-def _fglm_walk(ring: RingCtx, phi_one: dict, image, room=lambda d: None,
+def _fglm_walk(ring: RingCtx, phi_one, image, columns=lambda d: None,
                top=None) -> dict:
     """The minimal leading terms of the kernel of a linear map phi on R
     (Marinari-Moller-Mora, AAECC 4, 1993; graded FGLM, Faugere-Gianni-
     Lazard-Mora, J. Symb. Comput. 16, 1993): b leads iff phi(b) lies in the
     span of the smaller standard monomials' images.  Each degree d walks
-    _order_ideal_step's candidates ascending with one Echelon over phi(1) =
+    _order_ideal_step's candidates ascending with one echelon over phi(1) =
     phi_one or phi(b) = image(d, k, phi(b / x_k)), x_k the last variable of
-    b; once the rank is room(d) the rest lead, with no image.  Negative int
-    keys are tags, which never pivot: phi(b) tagged with b leaves b - sum
-    c_s s on the tags of a leading term b.  Returns {b: that remainder or
-    None}, ascending, through degree top or the first degree with no
-    standard monomial."""
+    b.  Given columns(d), a tuple spanning the images, they are rows of
+    linalg.rows_over it, and once their rank is its length the rest lead
+    with no image.  Else they are dicts, and negative int keys are tags,
+    which never pivot: phi(b) tagged with b leaves b - sum c_s s on the
+    tags of a leading term b.  Returns {b: that remainder or None},
+    ascending, through degree top or the first degree with no standard
+    monomial."""
     codec, field = ring.codec, ring.field
     div, var_keys = codec.div, codec.var_keys
     leads, rows = {}, {}
@@ -366,8 +368,9 @@ def _fglm_walk(ring: RingCtx, phi_one: dict, image, room=lambda d: None,
     for d in itertools.count():
         if top is not None and d > top:
             return leads
-        full = room(d)
-        ech = Echelon(field)
+        cols = columns(d)
+        ech = Echelon(field) if cols is None else rows_over(cols, field)
+        full = None if cols is None else len(cols)
         std, found = {}, {}
         for b in sorted(supp):
             if gen[b] != supp[b]:

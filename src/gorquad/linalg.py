@@ -17,6 +17,18 @@ their span.  left_kernel(rows) returns a basis of vectors v with
 sum_i v[i]*rows[i] == 0, i.e. the kernel of the linear map whose images are
 the given rows.  Its vectors are sparse too, dicts {row index: coeff} with
 no zero entries, so a caller maps them straight onto its own row labels.
+
+rows_over(columns, field) is the one place that picks how the rows over a
+fixed descending tuple of columns are held: as dicts in an Echelon over the
+rationals, and over GF(p) as ints with a slot per column, the first column
+on top, laid out by columns and p alone.  Either way it is an empty echelon
+whose reduce returns dicts, with row and vector to convert from and to
+dicts and combination to sum rows.  A packed combination is a multiply-add
+per row and a % p per slot at the end; reduce reads slots top down and adds
+a multiple of a pivot row at each nonzero one.  A reduced row takes at most
+n pivot rows, n columns, each adding at most (p-1)^2 to a slot: slot_bits
+hold (n+1)(p-1)^2, and a combination reduces its sum whenever it holds
+that many products.
 """
 
 from __future__ import annotations
@@ -78,6 +90,15 @@ class Echelon:
         self.pivots[pivot] = work
         self.rank += 1
 
+    @staticmethod
+    def row(vec: dict) -> dict:
+        return vec
+
+    vector = row
+
+    def combination(self, vectors, u: dict) -> dict:
+        return combination(vectors, u, self.field)
+
     def reduce(self, row: dict) -> dict:
         """Remainder of row modulo the current span (row unchanged)."""
         field, pivots = self.field, self.pivots
@@ -129,3 +150,62 @@ def left_kernel(rows, field: FieldSpec) -> list:
         else:
             kernel.append(aug)
     return kernel
+
+
+def rows_over(columns: tuple, field: FieldSpec):
+    """An empty echelon of the rows over columns (module docstring)."""
+    return _PackedRows(columns, field) if field.p else Echelon(field)
+
+
+class _PackedRows:
+    """GF(p) rows over columns as ints, column c in the slot_bits bits from
+    slot_of[c], and an echelon of them.  A pivot row is kept as reduce left
+    it, with the inverse of its pivot coefficient, not made monic."""
+
+    __slots__ = ("columns", "field", "slot_bits", "slot_mask", "slot_of",
+                 "pivots", "rank")
+
+    def __init__(self, columns: tuple, field: FieldSpec):
+        p, n = field.p, len(columns)
+        self.columns, self.field, self.pivots, self.rank = columns, field, {}, 0
+        bits = self.slot_bits = ((n + 1) * (p - 1) ** 2).bit_length()
+        self.slot_mask = (1 << bits) - 1
+        self.slot_of = {c: bits * (n - 1 - i) for i, c in enumerate(columns)}
+
+    def row(self, vec: dict) -> int:
+        """The row of a dict with coefficients in [0, p)."""
+        return sum(c << self.slot_of[k] for k, c in vec.items())
+
+    def vector(self, row: int) -> dict:
+        p, mask = self.field.p, self.slot_mask
+        return {k: c for k, s in self.slot_of.items()
+                if (c := (row >> s & mask) % p)}
+
+    def reduced(self, row: int) -> int:
+        p, mask = self.field.p, self.slot_mask
+        return sum((row >> s & mask) % p << s for s in self.slot_of.values())
+
+    def combination(self, vectors, u: dict) -> int:
+        p = self.field.p
+        cap, total, held = self.slot_mask // (p - 1) ** 2, 0, 0
+        for k, c in u.items():
+            if held == cap:
+                total, held = self.reduced(total), 1
+            total += c % p * vectors[k]
+            held += 1
+        return self.reduced(total)
+
+    def reduce(self, row: int) -> dict:
+        """Echelon.reduce of a reduced row: its remainder as a dict."""
+        p, mask, pivots = self.field.p, self.slot_mask, self.pivots
+        for col, s in self.slot_of.items():
+            if c := (row >> s & mask) % p:
+                if col not in pivots:
+                    return self.vector(row)
+                inv, hit = pivots[col]
+                row += (p - c) * inv % p * hit
+        return {}
+
+    def install(self, rest: dict, pivot):
+        self.pivots[pivot] = self.field.inv(rest[pivot]), self.row(rest)
+        self.rank += 1

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import gorquad
-from gorquad import groebner
+from gorquad import groebner, linalg
 from gorquad.constructions import (_hvector_with_form, apolar_ideal,
                                    quadric_ci, random_dual_form)
 from gorquad.core import AlgebraError, GenericityError
@@ -20,7 +20,7 @@ from gorquad.gin import (GenericityPolicy, GinUncertifiedError,
 from gorquad.groebner import Ideal
 from gorquad.idealops import random_linear_form
 from gorquad.invariants import hilbert_function, is_artinian
-from gorquad.linalg import Echelon
+from gorquad.linalg import Echelon, rows_over
 from gorquad.orders import DEGREVLEX, elimination_order
 from gorquad.poly import Polynomial, Substitution, ring
 
@@ -154,16 +154,33 @@ def test_table_read_matches_the_unhinted_engine(order, field, seed):
 def test_the_table_read_stops_reducing_at_full_rank(monkeypatch, seed):
     """Once h_d monomials of degree d are standard, the walk reduces no
     more images there: fewer reductions than standard monomials plus
-    leading terms, since past the socle degree none is reduced at all."""
+    leading terms, since past the socle degree none is reduced at all.
+    The count is of the echelon rows_over gives the field, which the walk
+    must be using: it reduces at least one image."""
     I = quadric_ci(5, GFBIG, style="random", seed=seed)
     gb = I.groebner()
     images = random_coordinate_change(I.ring, random.Random(seed))
     calls = []
-    real = Echelon.reduce
-    monkeypatch.setattr(Echelon, "reduce",
+    used = type(rows_over(gb.standard_monomials(1), gb.ring.field))
+    real = used.reduce
+    monkeypatch.setattr(used, "reduce",
                         lambda self, row: calls.append(1) or real(self, row))
     leads = _initial_ideal_from_table(gb, images)
-    assert len(calls) < sum(hilbert_function(gb)) + len(leads)
+    assert 0 < len(calls) < sum(hilbert_function(gb)) + len(leads)
+
+
+@pytest.mark.parametrize("r", range(4, 8))
+def test_gin_on_packed_rows_matches_the_dict_path(monkeypatch, r):
+    """The walk over GF(p) reads packed rows; with linalg's switch sent to
+    the dict Echelon, the oracle path, gin finds the same ideal."""
+    I = quadric_ci(r, GFBIG, style="random", seed=r)
+    packed = gin(Ideal(I.ring, I.gens), seed=r)
+    switched = []
+    monkeypatch.setattr(linalg, "_PackedRows", lambda columns, field:
+                        switched.append(columns) or Echelon(field))
+    dicts = gin(Ideal(I.ring, I.gens), seed=r)
+    assert switched
+    assert (dicts.lead_keys, dicts.seeds) == (packed.lead_keys, packed.seeds)
 
 
 @pytest.mark.parametrize("field", [Q, GF7, GFBIG], ids=str)

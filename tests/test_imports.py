@@ -378,6 +378,38 @@ def test_one_checked_linkage_entry():
     assert not defined, f"LinkStep defined in {defined}"
 
 
+def _packed_layout_reads(tree) -> set:
+    """The names of linalg's packed rows that a module reads: the class
+    _PackedRows and its slot layout, the attributes named slot_*."""
+    return {name for name in _references(tree)
+            if name == "_PackedRows" or name.startswith("slot_")}
+
+
+def test_the_packed_row_lint_sees_the_class_and_its_layout():
+    tree = ast.parse("rows = _PackedRows(cols, field)\n"
+                     "c = row >> rows.slot_of[k] & rows.slot_mask\n"
+                     "slot = 3\n")
+    assert _packed_layout_reads(tree) == {"_PackedRows", "slot_of", "slot_mask"}
+
+
+def test_packed_rows_stay_inside_linalg():
+    """Only linalg builds or unpacks packed rows: no other module reads the
+    packed class or its slot layout, every other module sees {key: coeff}
+    dicts through rows_over's row and vector, and _fglm_walk takes the
+    columns of its images, not a room."""
+    assert {"_PackedRows", "slot_of", "slot_mask", "slot_bits"} <= \
+        _packed_layout_reads(PACKAGE[SRC / "linalg.py"])
+    outside = {path.stem: sorted(found) for path, tree in PACKAGE.items()
+               if path.stem != "linalg"
+               and (found := _packed_layout_reads(tree))}
+    assert not outside, f"packed rows read outside linalg: {outside}"
+    walk = next(node for node in ast.walk(PACKAGE[SRC / "groebner.py"])
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_fglm_walk")
+    params = [a.arg for a in walk.args.args + walk.args.kwonlyargs]
+    assert "room" not in params and "columns" in params
+
+
 FIELD_ARITHMETIC = {"add", "sub", "mul", "neg"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)

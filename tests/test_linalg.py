@@ -1,11 +1,13 @@
-"""Sparse echelon forms checked against a dense elimination oracle."""
+"""Sparse echelon forms checked against a dense elimination oracle, and
+packed GF(p) rows checked against the dict path."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from gorquad.linalg import Echelon, axpy, echelon, left_kernel
+from gorquad.linalg import (Echelon, axpy, combination, echelon, left_kernel,
+                            rows_over)
 
 from conftest import GF2, GF7, GFBIG, Q, dense_rref_rank
 
@@ -205,3 +207,85 @@ def test_echelon_and_left_kernel_match_the_reference(field, seed):
     kernel = left_kernel(rows, field)
     assert kernel == _ref_left_kernel(rows, field)
     assert kernel and all(_canonical(v, field) for v in kernel)
+
+
+# -- packed rows: the dict Echelon and combination are the oracle ---------------
+
+
+PACKED_FIELDS = [GF2, GF7, GFBIG]
+COLUMNS = tuple(range(8, -1, -1))       # descending, as rows_over expects
+
+
+def _reduce_side_by_side(packed, rows, field):
+    """Feed rows to a packed echelon and to the dict Echelon, installing
+    each nonzero remainder; every remainder must agree."""
+    ech = Echelon(field)
+    for r in rows:
+        want, got = ech.reduce(r), packed.reduce(packed.row(r))
+        assert got == want
+        if want:
+            ech.install(want, max(want))
+            packed.install(got, max(got))
+    assert packed.rank == ech.rank
+    assert set(packed.pivots) == set(ech.pivots)
+    return ech
+
+
+def test_rows_over_packs_exactly_the_prime_fields():
+    assert type(rows_over(COLUMNS, Q)) is Echelon
+    for field in PACKED_FIELDS:
+        assert type(rows_over(COLUMNS, field)) is not Echelon
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=str)
+@pytest.mark.parametrize("density", [0.9, 0.2], ids=["dense", "sparse"])
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_echelon_matches_the_dict_echelon(field, density, seed):
+    rng = random.Random(600 + seed)
+    rows = random_rows(field, 12, len(COLUMNS), rng, density)
+    rows += [rows[0], {}]                     # a dependent row, a zero row
+    ech = _reduce_side_by_side(rows_over(COLUMNS, field), rows, field)
+    assert ech.rank == dense_rref_rank(
+        [densify(r, len(COLUMNS), field) for r in rows], field)
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=str)
+@pytest.mark.parametrize("density", [0.9, 0.2], ids=["dense", "sparse"])
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_combination_matches_combination(field, density, seed):
+    # 40 rows: more products than one slot holds, on every field
+    rng = random.Random(700 + seed)
+    vectors = random_rows(field, 40, len(COLUMNS), rng, density)
+    u = {k: field.random(rng) for k in range(len(vectors))}
+    u.update(enumerate(_raw_scalars(field, rng)))
+    packed = rows_over(COLUMNS, field)
+    got = packed.combination([packed.row(v) for v in vectors], u)
+    assert packed.vector(got) == combination(vectors, u, field)
+    assert packed.vector(got) == packed.vector(packed.row(packed.vector(got)))
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=str)
+def test_packed_echelon_at_the_slot_bound(field):
+    """n rows over n columns, every coefficient p - 1: rows j < n - 1 are
+    p - 1 at columns j and n - 1, the last row is p - 1 everywhere.  That
+    row takes n - 1 pivot hits, each multiplying by p - 1, so the last
+    slot sums (p - 1) + (n - 1)(p - 1)^2 = n - 2 mod p.  n is the smallest
+    at which that sum needs every bit of the slot, so that one bit fewer
+    carries, and the last row is independent, so that its remainder shows
+    the carry."""
+    p = field.p
+    n = next(n for n in range(3, 64)
+             if ((n + 1) * (p - 1) ** 2).bit_length()
+             == ((n - 1) * (p - 1) ** 2 + p - 1).bit_length()
+             and (n - 2) % p)
+    columns = tuple(range(n - 1, -1, -1))
+    last = columns[-1]
+    rows = [{columns[j]: p - 1, last: p - 1} for j in range(n - 1)]
+    rows.append({c: p - 1 for c in columns})
+    packed = rows_over(columns, field)
+    assert (n - 1) * (p - 1) ** 2 + p - 1 >= 1 << (packed.slot_bits - 1)
+    assert _reduce_side_by_side(packed, rows, field).rank == n
+    # the same rows summed with every coefficient p - 1
+    u = dict.fromkeys(range(n), p - 1)
+    got = packed.combination([packed.row(r) for r in rows], u)
+    assert packed.vector(got) == combination(rows, u, field)
