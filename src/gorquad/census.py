@@ -96,9 +96,9 @@ CSV_HEADER = ("field", "r", "ci_style", "ci_seed", "mode", "f_index",
               "f_poly", "presented", "h2", "socle_degree", "hvector", "seed")
 
 
-class CensusConfigError(ValueError):
+class CensusConfigError(AlgebraError, ValueError):
     """A CensusConfig refused its arguments; ``attribute`` names the
-    attribute at fault."""
+    attribute at fault.  A ValueError too, for callers that catch that."""
 
     def __init__(self, message, attribute):
         super().__init__(message)
@@ -189,6 +189,7 @@ class CensusSummary:
 # -- form enumeration -------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def squarefree_quadric_keys(R: RingCtx) -> tuple:
     """The C(n,2) square-free degree-2 monomial keys, descending in the ring
     order; bit j of an exhaustive-sweep index selects the j-th key."""

@@ -277,11 +277,9 @@ def group_table_algebra(r: int, i: int, field: FieldSpec | None = None) -> Ideal
     for v in xs:
         F = F + v * v
     block = apolar_ideal(F)
-    R = ring(field, r)
-    ys = R.variables()
-    gens = [p.extend(R, tuple(range(m))) for p in block.gens]
-    gens += [ys[j] * ys[j] for j in range(m, r)]
-    return Ideal(R, gens)
+    if m == r:
+        return Ideal(block.ring, block.gens)
+    return tensor_algebras(block, quadric_ci(r - m, field))
 
 
 # -- linkage ---------------------------------------------------------------------

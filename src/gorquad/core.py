@@ -1,4 +1,4 @@
-"""Exact coefficient fields, the error types and the parsers' token cursor."""
+"""Exact fields, the error types, and the parsers' scan and TokenCursor."""
 
 from __future__ import annotations
 
@@ -26,6 +26,23 @@ class ParseError(AlgebraError):
         self.message = message
         self.line = line
         self.col = col
+
+
+def scan(pattern, text, line=1):
+    """Tokens (kind, value, line, col) of text by the named groups of the
+    compiled pattern: kind is the group's name, value its text, and columns
+    count from 1.  A ws group is dropped; ("end", "", line, col) ends them."""
+    tokens, pos, col = [], 0, 1
+    while pos < len(text):
+        m = pattern.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(m.lastgroup), line, col))
+        val, pos = m.group(), m.end()
+        line, nl = line + val.count("\n"), val.rfind("\n")
+        col = col + len(val) if nl < 0 else len(val) - nl
+    return tokens + [("end", "", line, col)]
 
 
 class TokenCursor:

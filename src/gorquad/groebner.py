@@ -603,8 +603,9 @@ class GroebnerBasis:
                 nf[b] = {b: one}
                 continue
             vk = var_keys[(missing & -missing).bit_length() - 1]
-            row = nf[b] = {}
-            for t, c in prev_nf[div(b, vk)].items():
+            low = prev_nf[div(b, vk)]
+            row = nf[b] = {} if low else low    # empty: b / x_k, so b, is in I
+            for t, c in low.items():
                 axpy(row, c, nf[mul(vk, t)], field)
         return tuple(reversed(level)), level, nf
 

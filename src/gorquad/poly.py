@@ -4,6 +4,7 @@ Polynomials store a tuple of (key, coeff) pairs sorted descending in the
 ring's monomial order, with keys packed by the order codec.  All arithmetic
 is exact; coefficients are Fractions over QQ and ints in [0, p) over GF(p),
 and products and scalings take them through linalg's axpy and scaled.
+RingCtx.parse reads text by core.scan with _TOKEN_RE, then by _Parser.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import FieldSpec, ParseError, RingMismatchError, TokenCursor
+from .core import FieldSpec, RingMismatchError, TokenCursor, scan
 from .linalg import axpy, scaled
 from .orders import DEGREVLEX, MAX_PACKED_DEGREE, MonomialOrder
 
@@ -351,24 +352,7 @@ class _Parser(TokenCursor):
 
     def __init__(self, ring_: RingCtx, text: str):
         self.ring = ring_
-        tokens = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            kind = m.lastgroup
-            val = m.group()
-            if kind != "ws":
-                tokens.append((kind, val, line, col))
-            for ch in val:
-                if ch == "\n":
-                    line, col = line + 1, 1
-                else:
-                    col += 1
-            pos = m.end()
-        super().__init__(tokens + [("end", "", line, col)])
+        super().__init__(scan(_TOKEN_RE, text))
 
     def parse(self) -> Polynomial:
         p = self._expr()

@@ -23,6 +23,8 @@ the result::
 Step arguments are integers, bare words (references to earlier bindings),
 ``key=value`` pairs, quoted polynomial literals, or parenthesised
 sub-steps, e.g. ``tensor (apolar-generic 4 2) (apolar-generic 4 2)``.
+A step line is read by core.scan with _STEP_RE (parentheses, ``=``, quoted
+text, atoms), the scanner of the polynomial grammar with its own pattern.
 Steps that draw randomness derive their default seed from the recipe-wide
 seed as ``seed * 1000003 + k`` with ``k`` the step's evaluation ordinal
 (pre-order, left to right), so a recipe is reproducible as a whole while
@@ -44,7 +46,7 @@ from .constructions import (apolar_ideal, embed_with_linear_gens,
                             group_table_algebra, link, link_by_squares,
                             linkage_grow, quadric_ci, random_dual_form,
                             regular_sequence_in, tensor_algebras)
-from .core import FieldSpec, GenericityError, ParseError, TokenCursor
+from .core import FieldSpec, GenericityError, ParseError, TokenCursor, scan
 from .groebner import Ideal
 from .idealops import colon_form
 from .invariants import hilbert_function
@@ -126,32 +128,17 @@ def format_ideal(I: Ideal, comments=()) -> str:
 
 # -- recipe tokenizer -------------------------------------------------------------
 
-_ATOM = re.compile(r"[A-Za-z0-9_.@/-]+")
+# An unterminated quote takes the rest of its line: nothing after it is scanned.
+_STEP_RE = re.compile(r'(?P<ws>\s+)|(?P<lparen>\()|(?P<rparen>\))|(?P<eq>=)'
+                      r'|"(?P<quoted>[^"]*)"|(?P<unterminated>".*)'
+                      r'|(?P<atom>[A-Za-z0-9_.@/-]+)')
 
 
 def _tokenize_step(line: str, no: int):
-    tokens = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()=":
-            tokens.append((ch, ch, no, i + 1))
-            i += 1
-        elif ch == '"':
-            j = line.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated quote", no, i + 1)
-            tokens.append(("quoted", line[i + 1:j], no, i + 1))
-            i = j + 1
-        else:
-            m = _ATOM.match(line, i)
-            if not m:
-                raise ParseError(f"bad character {ch!r}", no, i + 1)
-            tokens.append(("atom", m.group(), no, i + 1))
-            i = m.end()
-    tokens.append(("end", "", no, n + 1))
+    tokens = scan(_STEP_RE, line, no)
+    kind, _, _, col = tokens[-2]
+    if kind == "unterminated":
+        raise ParseError("unterminated quote", no, col)
     return tokens
 
 
@@ -171,7 +158,7 @@ class _Call:
 class _StepParser(TokenCursor):
     def parse_stmt(self):
         name = None
-        if (self._peek()[0] == "atom" and self.tokens[self.i + 1][0] == "="):
+        if (self._peek()[0] == "atom" and self.tokens[self.i + 1][0] == "eq"):
             name = self._next()[1]
             self._next()
         call = self.parse_call()
@@ -188,9 +175,9 @@ class _StepParser(TokenCursor):
         args, kwargs = [], {}
         while True:
             kind, val, no, col = self._peek()
-            if kind in ("end", ")"):
+            if kind in ("end", "rparen"):
                 return _Call(op, args, kwargs, no)
-            if kind == "atom" and self.tokens[self.i + 1][0] == "=":
+            if kind == "atom" and self.tokens[self.i + 1][0] == "eq":
                 self._next()
                 self._next()
                 kwargs[val] = self._parse_value()
@@ -199,11 +186,11 @@ class _StepParser(TokenCursor):
 
     def _parse_value(self):
         kind, val, no, col = self._peek()
-        if kind == "(":
+        if kind == "lparen":
             self._next()
             call = self.parse_call()
             closing = self._next()
-            if closing[0] != ")":
+            if closing[0] != "rparen":
                 self._err("expected ')'", closing)
             return call
         if kind == "quoted":

@@ -15,7 +15,7 @@ import gorquad.census
 import gorquad.constructions
 from gorquad import invariants
 from gorquad.census import (CSV_HEADER, H2_SUPPORT_R6, CensusConfig,
-                            CensusRecord, CensusSummary, _cover,
+                            CensusConfigError, CensusRecord, CensusSummary, _cover,
                             _record_findings, _sweep_one, _task_form, _tasks,
                             classify, colon_quotient, form_from_index,
                             records_to_csv, run_census,
@@ -799,6 +799,20 @@ def test_census_cli_usage_errors_exit_2(flags, capsys):
               "--samples", "3"] + flags)
     assert exc.value.code == 2
     assert f"argument {flags[0]}: " in capsys.readouterr().err
+
+
+def test_census_config_error_is_a_package_error_and_exits_2(capsys):
+    assert issubclass(CensusConfigError, AlgebraError)
+    assert issubclass(CensusConfigError, ValueError)
+    with pytest.raises(AlgebraError) as info:
+        CensusConfig(field=GF3)
+    assert type(info.value) is CensusConfigError
+    assert info.value.attribute == "mode"
+    # argparse accepts every flag; CensusConfig refuses the combination
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--field", "3", "--r", "4", "--mode", "exhaustive"])
+    assert exc.value.code == 2
+    assert "argument --mode: " in capsys.readouterr().err
 
 
 def test_census_cli_sample_mode_needs_samples(capsys):

@@ -51,6 +51,20 @@ def test_check_inj_precondition_exits_1(tmp_path, capsys):
     assert capsys.readouterr().out == "precondition: odd or zero characteristic\n"
 
 
+@pytest.mark.parametrize("text, line", [
+    ("field 32003\nvars 3\nx1^3\nx2^3\nx3^3\n",
+     "precondition: presented by quadrics"),
+    ("field 32003\nvars 2\nx1^2\nx2^2\n", "precondition: socle degree ≥ 3"),
+], ids=["cubes", "socle-degree-2"])
+def test_check_inj_names_each_failed_precondition(tmp_path, capsys, text, line):
+    # cmd_check finds the line by a phrase of gin's report, so a change of
+    # wording there would fall back to the generic line
+    path = tmp_path / "ideal.ideal"
+    path.write_text(text)
+    assert main(["check", "--what", "inj", str(path)]) == 1
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_check_wlp_reads_standard_input_and_exits_1_on_failure(monkeypatch,
                                                                capsys):
     """(x1^3, x2^3, x3^3, x1*x2*x3), the Brenner-Kaid example, fails the

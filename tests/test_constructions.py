@@ -359,6 +359,34 @@ def test_group_cell_hvectors_small():
             assert is_gorenstein(I)
 
 
+def _group_table_oracle(r, i, field):
+    """group_table_algebra as written before it went through tensor_algebras:
+    the block's generators extended by hand, then the other squares."""
+    if i == 0:
+        return quadric_ci(r, field, style="monomial")
+    m = i + 2
+    Rm = ring(field, m)
+    F = Rm.zero
+    for v in Rm.variables():
+        F = F + v * v
+    block = apolar_ideal(F)
+    R = ring(field, r)
+    ys = R.variables()
+    gens = [p.extend(R, tuple(range(m))) for p in block.gens]
+    gens += [ys[j] * ys[j] for j in range(m, r)]
+    return Ideal(R, gens)
+
+
+@pytest.mark.parametrize("field", [GFBIG, Q], ids=str)
+@pytest.mark.parametrize("r", range(3, 8))
+def test_group_table_algebra_matches_the_hand_built_generators(r, field):
+    for i in range(r - 1):
+        got = group_table_algebra(r, i, field)
+        want = _group_table_oracle(r, i, field)
+        assert got.ring == want.ring
+        assert [p.terms for p in got.gens] == [p.terms for p in want.gens]
+
+
 def test_group_cell_bounds():
     with pytest.raises(ValueError):
         group_table_algebra(4, 3, Q)  # i must stay <= r - 2

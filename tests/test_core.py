@@ -1,10 +1,13 @@
-"""Field arithmetic and error types."""
+"""Field arithmetic, error types and the parsers' scanner."""
 
 from fractions import Fraction
 
+import re
+
 import pytest
 
-from gorquad.core import AlgebraError, CappedComputationError, FieldSpec, ParseError
+from gorquad.core import (AlgebraError, CappedComputationError, FieldSpec,
+                          ParseError, scan)
 
 from conftest import GF2, GF7, GFBIG, Q
 
@@ -87,3 +90,27 @@ def test_error_hierarchy():
     assert issubclass(ParseError, AlgebraError)
     err = ParseError("bad token", line=3, col=7)
     assert "line 3" in str(err) and "col 7" in str(err)
+
+
+_WORDS = re.compile(r"(?P<ws>\s+)|(?P<word>[a-z]+)|(?P<num>\d+)")
+
+
+def test_scan_tokens_carry_their_line_and_column():
+    assert scan(_WORDS, "ab 12\n  cd", line=4) == [
+        ("word", "ab", 4, 1), ("num", "12", 4, 4), ("word", "cd", 5, 3),
+        ("end", "", 5, 5)]
+    assert scan(_WORDS, "") == [("end", "", 1, 1)]
+    assert scan(_WORDS, "ab \n") == [("word", "ab", 1, 1), ("end", "", 2, 1)]
+
+
+def test_scan_value_is_the_named_group():
+    quoted = re.compile(r'(?P<ws>\s+)|"(?P<quoted>[^"]*)"')
+    assert scan(quoted, ' "a b"  ""') == [
+        ("quoted", "a b", 1, 2), ("quoted", "", 1, 9), ("end", "", 1, 11)]
+
+
+def test_scan_names_an_unexpected_character():
+    with pytest.raises(ParseError) as info:
+        scan(_WORDS, "ab\n  cd ?x", line=2)
+    assert (info.value.message, info.value.line, info.value.col) == (
+        "unexpected character '?'", 3, 6)

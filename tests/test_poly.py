@@ -65,6 +65,17 @@ def test_parse_errors_name_their_position(R, text, want):
     assert str(info.value) == want
 
 
+def test_parse_text_that_spans_lines(R):
+    assert R.parse("x1^2 +\n  x2*x3\n") == R.parse("x1^2 + x2*x3")
+    with pytest.raises(ParseError) as info:
+        R.parse("x1^2 +\n  x2^x3")
+    assert str(info.value) == "expected integer exponent (line 2, col 6)"
+    with pytest.raises(ParseError) as info:
+        R.parse("x1 +\n\n x2 $")
+    assert (info.value.message, info.value.line, info.value.col) == (
+        "unexpected character '$'", 3, 5)
+
+
 def test_ring_laws(R):
     rng = random.Random(1)
     a = random_poly(R, 2, rng)

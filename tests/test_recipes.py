@@ -309,6 +309,34 @@ def test_recipe_literal_errors_carry_the_recipe_location(tmp_path, capsys):
     assert "unknown variable 'x5' (line 4, col 16)" in capsys.readouterr().err
 
 
+def test_an_unknown_character_reads_the_same_in_both_grammars():
+    R = ring(GF7, 4)
+    for text, col in (("ci $", 4), ("  x1 x2 ;", 9)):
+        with pytest.raises(ParseError) as poly_info:
+            R.parse(text)
+        with pytest.raises(ParseError) as recipe_info:
+            run_recipe(text + "\n", field=GF7)
+        for info in (poly_info, recipe_info):
+            assert (info.value.message, info.value.line, info.value.col) == (
+                f"unexpected character {text[col - 1]!r}", 1, col)
+    # a polynomial literal inside a recipe step, on the recipe's second line
+    with pytest.raises(ParseError) as info:
+        run_recipe('a = ci r=4\ncolon a by="x1 $"\n', field=GF7)
+    assert str(info.value) == "colon: unexpected character '$' (line 2, col 16)"
+
+
+@pytest.mark.parametrize("line, col", [
+    ('apolar "x1*x2 $ vars=3', 8),
+    ('apolar "x1" "x2 ) ( = ! ', 13),
+    ('x = = "x1 @@ ;', 7),
+])
+def test_an_unterminated_quote_is_reported_whatever_follows(line, col):
+    with pytest.raises(ParseError) as info:
+        run_recipe(line + "\n", field=GF7)
+    assert (info.value.message, info.value.line, info.value.col) == (
+        "unterminated quote", 1, col)
+
+
 def test_recipe_ci_style_must_be_a_word(tmp_path, capsys):
     with pytest.raises(ParseError, match="style"):
         run_recipe("ci r=3 style=(ci r=2)\n")
